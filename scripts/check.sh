@@ -15,15 +15,18 @@
 #      fatal — the enforced analysis gates are steps 1-2. Skipped with a
 #      message when clang-tidy is not installed;
 #   4. an ASan+UBSan build (poisoning + graph checks forced on) running the
-#      `analysis`- and `exec`-labeled tests plus the pool/autograd suites
-#      (exec under ASan proves the arena's lifetime-sharing of slots never
-#      reads or writes out of a live slot's window);
-#   5. a TSan build running the `analysis`-, `serving`-, `exec`- and
-#      `observability`-labeled tests (serving is mandatory under TSan: the
-#      hot-swap path is lock-free and its data-race freedom is part of the
-#      serving contract; exec covers plan replay racing the pool from worker
-#      threads; observability covers the lock-striped flight recorder and the
-#      metrics registry, both written from every serving thread);
+#      `analysis`-, `exec`- and `kernels`-labeled tests plus the pool/autograd
+#      suites (exec under ASan proves the arena's lifetime-sharing of slots
+#      never reads or writes out of a live slot's window; kernels proves the
+#      tensor kernels' shifted flat-plane indexing stays inside each tensor);
+#   5. a TSan build running the `analysis`-, `serving`-, `exec`-,
+#      `observability`- and `kernels`-labeled tests (serving is mandatory
+#      under TSan: the hot-swap path is lock-free and its data-race freedom
+#      is part of the serving contract; exec covers plan replay racing the
+#      pool from worker threads; observability covers the lock-striped flight
+#      recorder and the metrics registry, both written from every serving
+#      thread; kernels covers the tensor kernels, whose ParallelFor chunks
+#      must write disjoint output slots);
 #   6. the `chaos`-labeled suite under both sanitizer builds with a serving
 #      fault storm injected via URCL_FAULT (fault-point names documented in
 #      src/common/fault_injector.h). The chaos tests assert the serving
@@ -115,27 +118,29 @@ else
   echo "clang-tidy not installed; skipping (advisory step, .clang-tidy is the config)"
 fi
 
-echo "== [4/6] ASan+UBSan: analysis + exec tests with poisoning + graph checks on =="
+echo "== [4/6] ASan+UBSan: analysis + exec + kernels tests with poisoning + graph checks on =="
 cmake --build build-check-asan -j"$jobs" --target \
-  check_test lint_test exec_test pool_test autograd_test urcl_header_selfcheck
+  check_test lint_test exec_test pool_test autograd_test urcl_header_selfcheck \
+  simd_test tensor_ops_test runtime_test
 # Force every gate on so the sanitizer sees the poisoned free lists and the
 # gated verification paths, not the Release defaults.
 URCL_CHECK=1 URCL_POOL_POISON=1 \
-  ctest --test-dir build-check-asan -L "analysis|exec" --output-on-failure -j"$jobs"
+  ctest --test-dir build-check-asan -L "analysis|exec|kernels" --output-on-failure -j"$jobs"
 URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/pool_test
 URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/autograd_test
 
-echo "== [5/6] TSan: analysis + serving + exec + observability tests =="
+echo "== [5/6] TSan: analysis + serving + exec + observability + kernels tests =="
 cmake -B build-check-tsan -S . -DURCL_SANITIZE=thread \
   -DURCL_BUILD_BENCHMARKS=OFF -DURCL_BUILD_EXAMPLES=OFF >/dev/null
 # urcl_lint is built here too: the repo_lint ctest entry runs the binary.
 cmake --build build-check-tsan -j"$jobs" --target \
-  check_test lint_test serve_test exec_test obs_test blackbox_tool_test urcl_lint
+  check_test lint_test serve_test exec_test obs_test blackbox_tool_test urcl_lint \
+  simd_test tensor_ops_test runtime_test
 # scripts/tsan.supp silences one libstdc++ atomic<shared_ptr> artifact
 # (relaxed reader unlock in _Sp_atomic::load); see the comment there.
 export TSAN_OPTIONS="suppressions=$root/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
 URCL_CHECK=1 URCL_POOL_POISON=1 \
-  ctest --test-dir build-check-tsan -L "analysis|serving|exec|observability" \
+  ctest --test-dir build-check-tsan -L "analysis|serving|exec|observability|kernels" \
   --output-on-failure -j"$jobs"
 
 echo "== [6/6] chaos: fault-injected serving under ASan and TSan =="

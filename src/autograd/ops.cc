@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "autograd/record.h"
 #include "common/check.h"
@@ -32,8 +33,8 @@ Variable Add(const Variable& a, const Variable& b) {
   URCL_PROFILE_OP();
   Tensor value = top::Add(a.value(), b.value());
   Variable out = Variable::MakeOp(std::move(value), "add", {a, b}, [a, b](const Tensor& g) {
-    a.AccumulateGrad(top::ReduceTo(g, a.shape()));
-    b.AccumulateGrad(top::ReduceTo(g, b.shape()));
+    if (a.requires_grad()) a.AccumulateGrad(top::ReduceTo(g, a.shape()));
+    if (b.requires_grad()) b.AccumulateGrad(top::ReduceTo(g, b.shape()));
   });
   Note(record::OpKind::kAdd, out, {&a, &b});
   return out;
@@ -43,8 +44,8 @@ Variable Sub(const Variable& a, const Variable& b) {
   URCL_PROFILE_OP();
   Tensor value = top::Sub(a.value(), b.value());
   Variable out = Variable::MakeOp(std::move(value), "sub", {a, b}, [a, b](const Tensor& g) {
-    a.AccumulateGrad(top::ReduceTo(g, a.shape()));
-    b.AccumulateGrad(top::ReduceTo(top::Neg(g), b.shape()));
+    if (a.requires_grad()) a.AccumulateGrad(top::ReduceTo(g, a.shape()));
+    if (b.requires_grad()) b.AccumulateGrad(top::ReduceTo(top::Neg(g), b.shape()));
   });
   Note(record::OpKind::kSub, out, {&a, &b});
   return out;
@@ -54,8 +55,8 @@ Variable Mul(const Variable& a, const Variable& b) {
   URCL_PROFILE_OP();
   Tensor value = top::Mul(a.value(), b.value());
   Variable out = Variable::MakeOp(std::move(value), "mul", {a, b}, [a, b](const Tensor& g) {
-    a.AccumulateGrad(top::ReduceTo(top::Mul(g, b.value()), a.shape()));
-    b.AccumulateGrad(top::ReduceTo(top::Mul(g, a.value()), b.shape()));
+    if (a.requires_grad()) a.AccumulateGrad(top::ReduceTo(top::Mul(g, b.value()), a.shape()));
+    if (b.requires_grad()) b.AccumulateGrad(top::ReduceTo(top::Mul(g, a.value()), b.shape()));
   });
   Note(record::OpKind::kMul, out, {&a, &b});
   return out;
@@ -65,10 +66,12 @@ Variable Div(const Variable& a, const Variable& b) {
   URCL_PROFILE_OP();
   Tensor value = top::Div(a.value(), b.value());
   Variable out = Variable::MakeOp(std::move(value), "div", {a, b}, [a, b](const Tensor& g) {
-    a.AccumulateGrad(top::ReduceTo(top::Div(g, b.value()), a.shape()));
-    const Tensor b2 = top::Square(b.value());
-    const Tensor db = top::Neg(top::Div(top::Mul(g, a.value()), b2));
-    b.AccumulateGrad(top::ReduceTo(db, b.shape()));
+    if (a.requires_grad()) a.AccumulateGrad(top::ReduceTo(top::Div(g, b.value()), a.shape()));
+    if (b.requires_grad()) {
+      const Tensor b2 = top::Square(b.value());
+      const Tensor db = top::Neg(top::Div(top::Mul(g, a.value()), b2));
+      b.AccumulateGrad(top::ReduceTo(db, b.shape()));
+    }
   });
   Note(record::OpKind::kDiv, out, {&a, &b});
   return out;
@@ -212,10 +215,12 @@ Variable MatMul(const Variable& a, const Variable& b) {
   URCL_PROFILE_OP();
   Tensor value = top::MatMul(a.value(), b.value());
   Variable out = Variable::MakeOp(std::move(value), "matmul", {a, b}, [a, b](const Tensor& g) {
-    const Tensor da = top::MatMul(g, top::TransposeLast2(b.value()));
-    const Tensor db = top::MatMul(top::TransposeLast2(a.value()), g);
-    a.AccumulateGrad(top::ReduceTo(da, a.shape()));
-    b.AccumulateGrad(top::ReduceTo(db, b.shape()));
+    if (a.requires_grad()) {
+      a.AccumulateGrad(top::ReduceTo(top::MatMul(g, top::TransposeLast2(b.value())), a.shape()));
+    }
+    if (b.requires_grad()) {
+      b.AccumulateGrad(top::ReduceTo(top::MatMul(top::TransposeLast2(a.value()), g), b.shape()));
+    }
   });
   Note(record::OpKind::kMatMul, out, {&a, &b});
   return out;
@@ -329,9 +334,11 @@ Variable Concat(const std::vector<Variable>& parts, int64_t axis) {
       std::move(value), "concat", parts, [parts, canonical](const Tensor& g) {
         int64_t offset = 0;
         for (const Variable& p : parts) {
-          std::vector<int64_t> starts(static_cast<size_t>(g.rank()), 0);
-          starts[static_cast<size_t>(canonical)] = offset;
-          p.AccumulateGrad(top::Slice(g, starts, p.shape().dims()));
+          if (p.requires_grad()) {
+            std::vector<int64_t> starts(static_cast<size_t>(g.rank()), 0);
+            starts[static_cast<size_t>(canonical)] = offset;
+            p.AccumulateGrad(top::Slice(g, starts, p.shape().dims()));
+          }
           offset += p.shape().dim(canonical);
         }
       });
@@ -427,11 +434,13 @@ Variable TemporalConv2d(const Variable& input, const Variable& weight, int64_t d
   Variable out = Variable::MakeOp(
       std::move(value), "temporal_conv2d", {input, weight},
       [input, weight, dilation](const Tensor& g) {
-        Tensor d_in(input.shape());
-        Tensor d_w(weight.shape());
-        ops::TemporalConv2dBackward(g, input.value(), weight.value(), dilation, &d_in, &d_w);
-        input.AccumulateGrad(d_in);
-        weight.AccumulateGrad(d_w);
+        std::optional<Tensor> d_in, d_w;
+        if (input.requires_grad()) d_in.emplace(input.shape());
+        if (weight.requires_grad()) d_w.emplace(weight.shape());
+        ops::TemporalConv2dBackward(g, input.value(), weight.value(), dilation,
+                                    d_in ? &*d_in : nullptr, d_w ? &*d_w : nullptr);
+        if (d_in) input.AccumulateGrad(*d_in);
+        if (d_w) weight.AccumulateGrad(*d_w);
       });
   record::OpAttrs attrs;
   attrs.axis = dilation;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
@@ -61,6 +60,19 @@ TrainerMetrics& Metrics() {
                             obs::ExponentialBuckets(1e-4, 4, 10)),
   };
   return *metrics;
+}
+
+// Flight-records how capturing one trainer plan family went: kPlanCompile
+// with the family and its shape key, or kPlanFallback with the capture error
+// (that shape then stays on the tape for good).
+void RecordCapture(const char* family, const std::string& key,
+                   const exec::CompiledPlan::CaptureResult& captured, int64_t stage,
+                   int64_t step) {
+  const bool compiled = captured.plan != nullptr;
+  const std::string detail = std::string(family) + ": " + (compiled ? key : captured.error);
+  obs::RecordFlightEvent(
+      compiled ? obs::FlightEventType::kPlanCompile : obs::FlightEventType::kPlanFallback, stage,
+      step, detail.c_str());
 }
 
 }  // namespace
@@ -152,8 +164,7 @@ std::vector<float> UrclTrainer::PerItemLosses(const std::vector<int64_t>& indice
             return model_->Forward(Variable(inputs, /*requires_grad=*/false), adjacency_);
           },
           /*with_backward=*/false);
-      if (captured.plan == nullptr && ::getenv("URCL_PLAN_DEBUG"))
-        std::fprintf(stderr, "[plan-debug] per_item capture failed: %s\n", captured.error.c_str());
+      RecordCapture("per_item", key, captured, current_stage_, step_count_);
       per_item_plans_.Insert(key, std::move(captured.plan));
       // The capturing call completes on the tape build's result.
       predictions = captured.root->value();
@@ -215,8 +226,7 @@ UrclTrainer::ReplayDraw UrclTrainer::DrawReplaySamples(const Tensor& current_inp
               return nn::MaeLoss(model_->Forward(x, adjacency_), y);
             },
             /*with_backward=*/true);
-        if (captured.plan == nullptr && ::getenv("URCL_PLAN_DEBUG"))
-          std::fprintf(stderr, "[plan-debug] virtual capture failed: %s\n", captured.error.c_str());
+        RecordCapture("virtual", key, captured, current_stage_, step_count_);
         virtual_plans_.Insert(key, std::move(captured.plan));
         // The measure run accumulated real gradients; restart from zero and
         // complete this refresh on the tape build.
@@ -375,8 +385,7 @@ std::optional<float> UrclTrainer::TrainStep(const Tensor& inputs, const Tensor& 
         exec::CompiledPlan::CaptureResult captured = exec::CompiledPlan::Capture(
             plan_inputs, [&] { return BuildTrainLoss(mixed.inputs, mixed.targets); },
             /*with_backward=*/true);
-        if (captured.plan == nullptr && ::getenv("URCL_PLAN_DEBUG"))
-          std::fprintf(stderr, "[plan-debug] train capture failed: %s\n", captured.error.c_str());
+        RecordCapture("train", plan_key, captured, current_stage_, step_count_);
         train_plans_.Insert(plan_key, std::move(captured.plan));
         // The measure run accumulated real gradients; discard them and
         // complete this step on the tape build (the plan serves the next

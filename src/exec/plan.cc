@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <unordered_map>
 
 #include "autograd/lint.h"
@@ -923,11 +924,13 @@ void CompiledPlan::ExecBackwardThunk(const Instr& instr) {
       break;
     }
     case OpKind::kTemporalConv2d: {
-      Tensor d_in(shape(0));
-      Tensor d_w(shape(1));
-      top::TemporalConv2dBackward(g, V(0), V(1), instr.attrs.axis, &d_in, &d_w);
-      if (needs(0)) AccumulateSlot(p0, d_in);
-      if (needs(1)) AccumulateSlot(p1, d_w);
+      std::optional<Tensor> d_in, d_w;
+      if (needs(0)) d_in.emplace(shape(0));
+      if (needs(1)) d_w.emplace(shape(1));
+      top::TemporalConv2dBackward(g, V(0), V(1), instr.attrs.axis, d_in ? &*d_in : nullptr,
+                                  d_w ? &*d_w : nullptr);
+      if (d_in) AccumulateSlot(p0, *d_in);
+      if (d_w) AccumulateSlot(p1, *d_w);
       break;
     }
     case OpKind::kDropout:

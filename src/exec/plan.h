@@ -196,8 +196,9 @@ class CompiledPlan {
 };
 
 // A small shape-keyed cache of compiled plans for one graph family (the
-// trainer keys train/virtual/per-item families separately; serving keys by
-// snapshot version). Not thread-safe; callers serialize externally.
+// trainer keys train/virtual/per-item families separately; serving clears
+// its cache whenever the snapshot identity changes, since a republish can
+// reuse a version number). Not thread-safe; callers serialize externally.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 8) : capacity_(capacity) {}

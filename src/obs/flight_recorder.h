@@ -40,8 +40,13 @@ enum class FlightEventType : uint8_t {
   kHotSwap = 3,           // a: new live version
   kRollback = 4,          // a: bad version, b: restored version (-1 = none)
   kHealthTransition = 5,  // a: previous HealthState, b: new HealthState
-  kPlanCompile = 6,       // a: version; detail: shape key
-  kPlanFallback = 7,      // a: version; detail: why the plan path was skipped
+  // Plan events come from serving (a: snapshot version; detail: shape key
+  // or, on fallback, the shape key of the failed capture) and from the
+  // trainer (a: stage, b: step; detail: "<family>: <shape key>" on compile,
+  // "<family>: <capture error>" on fallback, family = train, virtual or
+  // per_item).
+  kPlanCompile = 6,       // a compiled plan now serves this shape
+  kPlanFallback = 7,      // the capture failed; this shape stays on the tape
   kCheckpointWrite = 8,   // a: stage, b: step; detail: path tail
   kDriftTrigger = 9,      // a: samples seen at the alarm
   kNonFiniteQuarantine = 10,  // a: version/stage, b: step; detail: which gate

@@ -1,6 +1,7 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -135,6 +136,207 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
   if (post_scale != 1.0f) accum.MulInPlace(post_scale);
   if (keepdims) return accum;
   return accum.Reshape(ReducedShape(a.shape(), axes, /*keepdims=*/false));
+}
+
+// --- Strided copy ---------------------------------------------------------
+// Transpose and Slice gather a strided view into a contiguous output; UnSlice,
+// Concat and Pad scatter a contiguous input into a strided window of a larger
+// one. All five go through CopyStrided. A copy does no arithmetic, so every
+// walk order writes the same bytes; the routine picks the walk with the
+// longest contiguous runs.
+
+constexpr int kMaxCopyRank = 8;
+constexpr int64_t kCopyTile = 16;
+
+// A copy's index space after coalescing: extents plus source and destination
+// strides in elements, outermost axis first.
+struct CopyAxes {
+  int rank = 0;
+  std::array<int64_t, kMaxCopyRank> dims{};
+  std::array<int64_t, kMaxCopyRank> src{};
+  std::array<int64_t, kMaxCopyRank> dst{};
+
+  void Push(int64_t dim, int64_t src_stride, int64_t dst_stride) {
+    URCL_CHECK_LT(rank, kMaxCopyRank) << "strided copy: more than " << kMaxCopyRank
+                                      << " axes that cannot be merged";
+    dims[static_cast<size_t>(rank)] = dim;
+    src[static_cast<size_t>(rank)] = src_stride;
+    dst[static_cast<size_t>(rank)] = dst_stride;
+    ++rank;
+  }
+};
+
+// Drops size-1 axes and merges each axis into its outer neighbour when the
+// pair is contiguous on both sides, so a channel-axis Concat copies one run
+// per batch item and a time-axis Slice one run per row.
+CopyAxes Coalesce(const std::vector<int64_t>& dims, const std::vector<int64_t>& src,
+                  const std::vector<int64_t>& dst) {
+  CopyAxes axes;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    if (dims[i] == 1) continue;
+    if (axes.rank > 0) {
+      const auto last = static_cast<size_t>(axes.rank - 1);
+      if (axes.src[last] == src[i] * dims[i] && axes.dst[last] == dst[i] * dims[i]) {
+        axes.dims[last] *= dims[i];
+        axes.src[last] = src[i];
+        axes.dst[last] = dst[i];
+        continue;
+      }
+    }
+    axes.Push(dims[i], src[i], dst[i]);
+  }
+  return axes;
+}
+
+// Row-major walk over the outer axes of a copy, tracking both offsets. Fixed
+// size, unlike detail::MultiCursor, so a copy's parallel body never allocates.
+struct CopyWalk {
+  CopyAxes axes;
+  std::array<int64_t, kMaxCopyRank> index{};
+  int64_t src = 0;
+  int64_t dst = 0;
+
+  void SeekTo(int64_t flat) {
+    src = dst = 0;
+    for (int a = axes.rank - 1; a >= 0; --a) {
+      const auto s = static_cast<size_t>(a);
+      index[s] = flat % axes.dims[s];
+      flat /= axes.dims[s];
+      src += index[s] * axes.src[s];
+      dst += index[s] * axes.dst[s];
+    }
+  }
+
+  void Advance() {
+    for (int a = axes.rank - 1; a >= 0; --a) {
+      const auto s = static_cast<size_t>(a);
+      src += axes.src[s];
+      dst += axes.dst[s];
+      if (++index[s] < axes.dims[s]) return;
+      src -= axes.src[s] * axes.dims[s];
+      dst -= axes.dst[s] * axes.dims[s];
+      index[s] = 0;
+    }
+  }
+};
+
+// Copies n contiguous floats. Runs are often one short time row, so this
+// stays inline rather than calling memcpy: whole vectors, then one vector
+// ending at n that may rewrite a few floats with the same bytes.
+inline void CopyRun(const float* src, float* dst, int64_t n) {
+  if (n < simd::kLanes) {
+    for (int64_t i = 0; i < n; ++i) dst[i] = src[i];
+    return;
+  }
+  int64_t i = 0;
+  for (; i + simd::kLanes <= n; i += simd::kLanes) simd::StoreU(dst + i, simd::LoadU(src + i));
+  if (i < n) simd::StoreU(dst + n - simd::kLanes, simd::LoadU(src + n - simd::kLanes));
+}
+
+// dst[sum_i idx_i * dst_strides_i] = src[sum_i idx_i * src_strides_i] over
+// every index of `dims` (non-empty). The innermost coalesced axis is copied
+// as one run when it is contiguous on both sides. When only the destination
+// is contiguous there and some outer axis is contiguous in the source (a
+// transpose), that axis and the innermost one are swapped tile by tile, so
+// both sides touch whole cache lines. Anything else walks element by element.
+void CopyStrided(const std::vector<int64_t>& dims, const std::vector<int64_t>& src_strides,
+                 const std::vector<int64_t>& dst_strides, const float* src, float* dst) {
+  const CopyAxes axes = Coalesce(dims, src_strides, dst_strides);
+  if (axes.rank == 0) {
+    *dst = *src;
+    return;
+  }
+  const auto inner = static_cast<size_t>(axes.rank - 1);
+  const int64_t cols = axes.dims[inner];
+  const int64_t src_col = axes.src[inner];
+  const int64_t dst_col = axes.dst[inner];
+  int swap = -1;
+  if (src_col != 1 && dst_col == 1) {
+    for (int a = 0; a < axes.rank - 1; ++a) {
+      if (axes.src[static_cast<size_t>(a)] == 1) swap = a;
+    }
+  }
+  CopyWalk outer;
+  for (int a = 0; a < axes.rank - 1; ++a) {
+    const auto s = static_cast<size_t>(a);
+    if (a != swap) outer.axes.Push(axes.dims[s], axes.src[s], axes.dst[s]);
+  }
+  const int64_t rows = swap >= 0 ? axes.dims[static_cast<size_t>(swap)] : 1;
+  const int64_t dst_row = swap >= 0 ? axes.dst[static_cast<size_t>(swap)] : 0;
+  int64_t outer_count = 1;
+  for (int a = 0; a < outer.axes.rank; ++a) outer_count *= outer.axes.dims[static_cast<size_t>(a)];
+  const int64_t grain = std::max<int64_t>(1, detail::kContiguousGrain / (rows * cols));
+  runtime::ParallelFor(0, outer_count, grain, [&](int64_t begin, int64_t end) {
+    CopyWalk walk = outer;
+    walk.SeekTo(begin);
+    for (int64_t o = begin; o < end; ++o) {
+      const float* s = src + walk.src;
+      float* d = dst + walk.dst;
+      if (swap >= 0) {
+        for (int64_t i0 = 0; i0 < rows; i0 += kCopyTile) {
+          const int64_t i1 = std::min(rows, i0 + kCopyTile);
+          for (int64_t j0 = 0; j0 < cols; j0 += kCopyTile) {
+            const int64_t j1 = std::min(cols, j0 + kCopyTile);
+            for (int64_t i = i0; i < i1; ++i) {
+              for (int64_t j = j0; j < j1; ++j) d[i * dst_row + j] = s[i + j * src_col];
+            }
+          }
+        }
+      } else if (src_col == 1 && dst_col == 1) {
+        CopyRun(s, d, cols);
+      } else {
+        for (int64_t j = 0; j < cols; ++j) d[j * dst_col] = s[j * src_col];
+      }
+      walk.Advance();
+    }
+  });
+}
+
+// --- MatMul row -----------------------------------------------------------
+// out_row[j] = sum over kk of a_row[kk] * b[kk, j], each column summed from +0
+// in increasing kk with zero a_row[kk] skipped — the scalar i-k-j loop's
+// per-element order. Lanes run over output columns; a block of columns keeps
+// its accumulators in registers for the whole kk loop, so each output element
+// is stored once instead of loaded and stored once per kk.
+template <int kVectors>
+inline void MatMulColumns(const float* a_row, const float* b, int64_t k, int64_t n,
+                          float* out) {
+  simd::F32x8 acc[kVectors];
+  for (int v = 0; v < kVectors; ++v) acc[v] = simd::Zero();
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float scale = a_row[kk];
+    if (scale == 0.0f) continue;
+    const simd::F32x8 vs = simd::Broadcast(scale);
+    const float* row_b = b + kk * n;
+    for (int v = 0; v < kVectors; ++v) {
+      acc[v] = simd::Add(acc[v], simd::Mul(vs, simd::LoadU(row_b + v * simd::kLanes)));
+    }
+  }
+  for (int v = 0; v < kVectors; ++v) simd::StoreU(out + v * simd::kLanes, acc[v]);
+}
+
+void MatMulRow(const float* a_row, const float* b, int64_t k, int64_t n, float* out_row) {
+  if (n < simd::kLanes) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float scale = a_row[kk];
+        if (scale == 0.0f) continue;
+        acc += scale * b[kk * n + j];
+      }
+      out_row[j] = acc;
+    }
+    return;
+  }
+  constexpr int64_t kBlock = 4 * simd::kLanes;
+  int64_t j = 0;
+  for (; j + kBlock <= n; j += kBlock) MatMulColumns<4>(a_row, b + j, k, n, out_row + j);
+  // Leftover columns in single vectors; the last one ends at column n and may
+  // overlap columns already stored, which it rewrites with identical bits.
+  for (; j < n; j += simd::kLanes) {
+    const int64_t start = std::min(j, n - simd::kLanes);
+    MatMulColumns<1>(a_row, b + start, k, n, out_row + start);
+  }
 }
 
 }  // namespace
@@ -297,26 +499,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       const float* mb = pb + cursor.offset(1);
       float* mo = po + batch_index * o_mat;
       const int64_t batch_row_end = std::min(row_end, (batch_index + 1) * m);
-      // i-k-j loop order: streams over contiguous rows of b. The j-loop is
-      // lane-parallel over independent output columns; per column the k-sum
-      // accumulates in the same order as the scalar loop (and FP contraction
-      // is disabled build-wide), so results are bitwise unchanged.
       for (; row < batch_row_end; ++row) {
         const int64_t i = row - batch_index * m;
-        float* row_out = mo + i * n;
-        std::fill(row_out, row_out + n, 0.0f);
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float scale = ma[i * k + kk];
-          if (scale == 0.0f) continue;
-          const float* row_b = mb + kk * n;
-          const simd::F32x8 vs = simd::Broadcast(scale);
-          int64_t j = 0;
-          for (; j + simd::kLanes <= n; j += simd::kLanes) {
-            simd::StoreU(row_out + j, simd::Add(simd::LoadU(row_out + j),
-                                                simd::Mul(vs, simd::LoadU(row_b + j))));
-          }
-          for (; j < n; ++j) row_out[j] += scale * row_b[j];
-        }
+        MatMulRow(ma + i * k, mb, k, n, mo + i * n);
       }
       ++batch_index;
       cursor.Advance();
@@ -361,17 +546,7 @@ Tensor Transpose(const Tensor& a, const std::vector<int64_t>& perm) {
   }
   Tensor out = Tensor::Uninitialized(Shape(out_dims));
   if (out.NumElements() == 0) return out;
-  const float* pa = a.data();
-  float* po = out.mutable_data();
-  runtime::ParallelFor(0, out.NumElements(), detail::kStridedGrain,
-                       [&](int64_t chunk_begin, int64_t chunk_end) {
-                         MultiCursor cursor(out_dims, {gather_strides});
-                         cursor.SeekTo(chunk_begin);
-                         for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-                           po[i] = pa[cursor.offset(0)];
-                           cursor.Advance();
-                         }
-                       });
+  CopyStrided(out_dims, gather_strides, out.shape().Strides(), a.data(), out.mutable_data());
   return out;
 }
 
@@ -400,14 +575,7 @@ Tensor Slice(const Tensor& a, const std::vector<int64_t>& starts,
   for (int64_t i = 0; i < a.rank(); ++i) {
     base += starts[static_cast<size_t>(i)] * in_strides[static_cast<size_t>(i)];
   }
-  MultiCursor cursor(sizes, {in_strides});
-  const float* pa = a.data();
-  float* po = out.mutable_data();
-  const int64_t n = out.NumElements();
-  for (int64_t i = 0; i < n; ++i) {
-    po[i] = pa[base + cursor.offset(0)];
-    cursor.Advance();
-  }
+  CopyStrided(sizes, in_strides, out.shape().Strides(), a.data() + base, out.mutable_data());
   return out;
 }
 
@@ -422,14 +590,8 @@ Tensor UnSlice(const Tensor& src, const Shape& full, const std::vector<int64_t>&
     URCL_CHECK(starts[s] >= 0 && starts[s] + src.dim(i) <= full.dim(i));
     base += starts[s] * out_strides[s];
   }
-  MultiCursor cursor(src.shape().dims(), {out_strides});
-  const float* ps = src.data();
-  float* po = out.mutable_data();
-  const int64_t n = src.NumElements();
-  for (int64_t i = 0; i < n; ++i) {
-    po[base + cursor.offset(0)] = ps[i];
-    cursor.Advance();
-  }
+  CopyStrided(src.shape().dims(), src.shape().Strides(), out_strides, src.data(),
+              out.mutable_data() + base);
   return out;
 }
 
@@ -452,24 +614,13 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t axis) {
   // Every element of `out` is written: the per-tensor copies below tile the
   // full concat axis, so uninitialized storage is safe.
   Tensor out = Tensor::Uninitialized(Shape(out_dims));
-  std::vector<int64_t> starts(out_dims.size(), 0);
-  int64_t offset = 0;
-  float* po = out.mutable_data();
   const std::vector<int64_t> out_strides = out.shape().Strides();
+  float* po = out.mutable_data();
+  int64_t offset = 0;
   for (const Tensor& t : tensors) {
-    starts[static_cast<size_t>(canonical)] = offset;
-    // Copy t into out at `starts` (same pattern as UnSlice but into out).
     if (t.NumElements() > 0) {
-      int64_t base = 0;
-      for (int64_t i = 0; i < t.rank(); ++i)
-        base += starts[static_cast<size_t>(i)] * out_strides[static_cast<size_t>(i)];
-      MultiCursor cursor(t.shape().dims(), {out_strides});
-      const float* ps = t.data();
-      const int64_t n = t.NumElements();
-      for (int64_t i = 0; i < n; ++i) {
-        po[base + cursor.offset(0)] = ps[i];
-        cursor.Advance();
-      }
+      CopyStrided(t.shape().dims(), t.shape().Strides(), out_strides, t.data(),
+                  po + offset * out_strides[static_cast<size_t>(canonical)]);
     }
     offset += t.dim(canonical);
   }
@@ -500,20 +651,9 @@ Tensor Pad(const Tensor& a, int64_t axis, int64_t before, int64_t after, float v
   out_dims[static_cast<size_t>(canonical)] += before + after;
   Tensor out = Tensor::Full(Shape(out_dims), value);
   if (a.NumElements() == 0) return out;
-  std::vector<int64_t> starts(out_dims.size(), 0);
-  starts[static_cast<size_t>(canonical)] = before;
   const std::vector<int64_t> out_strides = out.shape().Strides();
-  int64_t base = 0;
-  for (int64_t i = 0; i < a.rank(); ++i)
-    base += starts[static_cast<size_t>(i)] * out_strides[static_cast<size_t>(i)];
-  MultiCursor cursor(a.shape().dims(), {out_strides});
-  const float* ps = a.data();
-  float* po = out.mutable_data();
-  const int64_t n = a.NumElements();
-  for (int64_t i = 0; i < n; ++i) {
-    po[base + cursor.offset(0)] = ps[i];
-    cursor.Advance();
-  }
+  CopyStrided(a.shape().dims(), a.shape().Strides(), out_strides, a.data(),
+              out.mutable_data() + before * out_strides[static_cast<size_t>(canonical)]);
   return out;
 }
 
@@ -574,6 +714,317 @@ float MaxAbsDiff(const Tensor& a, const Tensor& b) {
 
 bool AllFinite(const Tensor& a) { return a.AllFinite(); }
 
+namespace {
+
+// TemporalConv2d kernels. The [N, T] plane of one (batch, channel) is
+// contiguous, and tap k of output step t reads input step t + dilation*k of
+// the same row, so over the flattened plane every position p = n*T + t reads
+// p + dilation*k: one shift for the whole plane. The kernels therefore run
+// their SIMD lanes along the flat plane rather than along one 2-12 step row.
+// Lanes at row positions t >= t_out (the row tail the taps run past) compute
+// values no output needs and are dropped.
+constexpr int64_t kConvBlock = 8 * simd::kLanes;   // forward lanes per register block
+constexpr int64_t kGradBlock = 8 * simd::kLanes;   // input-gradient lanes per task
+constexpr int64_t kGradTaps = 32;                  // (co, k) taps staged per input-gradient pass
+constexpr int64_t kWeightTile = 64;                // steps staged per weight-gradient pass
+constexpr int64_t kWeightPairs = 64;               // (co, k) sums per weight-gradient task
+
+struct ConvDims {
+  int64_t c_in, nodes, time, c_out, kernel, dilation, t_out;
+  int64_t in_plane() const { return nodes * time; }
+  int64_t out_plane() const { return nodes * t_out; }
+};
+
+// Forward lanes [p, p + 8*kVectors) of one output plane into dst: each lane
+// sums w[co, ci, k] * in[ci, p + dilation*k] over ci then k from +0, skipping
+// zero weights, which is the scalar kernel's per-output order.
+template <int kVectors>
+void ConvForwardLanes(const ConvDims& d, const float* in_b, const float* w_co, int64_t p,
+                      float* dst) {
+  simd::F32x8 acc[kVectors];
+  for (int v = 0; v < kVectors; ++v) acc[v] = simd::Zero();
+  for (int64_t ci = 0; ci < d.c_in; ++ci) {
+    const float* in_plane = in_b + ci * d.in_plane() + p;
+    for (int64_t k = 0; k < d.kernel; ++k) {
+      const float w = w_co[ci * d.kernel + k];
+      if (w == 0.0f) continue;
+      const simd::F32x8 vw = simd::Broadcast(w);
+      const float* src = in_plane + d.dilation * k;
+      for (int v = 0; v < kVectors; ++v) {
+        acc[v] = simd::Add(acc[v], simd::Mul(vw, simd::LoadU(src + v * simd::kLanes)));
+      }
+    }
+  }
+  for (int v = 0; v < kVectors; ++v) simd::StoreU(dst + v * simd::kLanes, acc[v]);
+}
+
+// One output plane, block by block along the flat input plane. Lanes span
+// [0, span), ending at the last output; a block's lanes at row positions
+// t >= t_out are dropped on the way out. With kernel 1 the rows match and
+// the lanes are stored straight into the output.
+void ConvForwardPlane(const ConvDims& d, const float* in_b, const float* w_co, int64_t span,
+                      float* out_plane) {
+  float lanes[kConvBlock] = {};
+  const bool direct = d.t_out == d.time;
+  int64_t n = 0, t = 0;  // row and step of the block start
+  for (int64_t p0 = 0; p0 < span; p0 += kConvBlock) {
+    const int64_t width = std::min(kConvBlock, span - p0);
+    float* dst = direct ? out_plane + p0 : lanes;
+    if (width == kConvBlock) {
+      ConvForwardLanes<kConvBlock / simd::kLanes>(d, in_b, w_co, p0, dst);
+    } else if (width >= simd::kLanes) {
+      // The last vector ends at the block end and may recompute lanes of the
+      // one before it, with identical bits.
+      for (int64_t i = 0; i < width; i += simd::kLanes) {
+        const int64_t start = std::min(i, width - simd::kLanes);
+        ConvForwardLanes<1>(d, in_b, w_co, p0 + start, dst + start);
+      }
+    } else {
+      for (int64_t i = 0; i < width; ++i) {
+        float acc = 0.0f;
+        for (int64_t ci = 0; ci < d.c_in; ++ci) {
+          const float* src = in_b + ci * d.in_plane() + p0 + i;
+          for (int64_t k = 0; k < d.kernel; ++k) {
+            const float w = w_co[ci * d.kernel + k];
+            if (w == 0.0f) continue;
+            acc += w * src[d.dilation * k];
+          }
+        }
+        dst[i] = acc;
+      }
+    }
+    if (direct) continue;
+    for (int64_t i = 0; i < width;) {
+      const int64_t run = std::min(width - i, d.time - t);
+      const int64_t kept = std::clamp<int64_t>(d.t_out - t, 0, run);
+      float* row_out = out_plane + n * d.t_out + t;
+      for (int64_t j = 0; j < kept; ++j) row_out[j] = lanes[i + j];
+      i += run;
+      t += run;
+      if (t == d.time) {
+        t = 0;
+        ++n;
+      }
+    }
+  }
+}
+
+// stage[i] = g "stretched" to row length T at flat position j0 + i: the g
+// value of row n, step t for t < t_out, and 0 at the row tail t >= t_out and
+// before the plane start.
+void StageStretched(const ConvDims& d, const float* g_plane, int64_t j0, int64_t width,
+                    float* stage) {
+  int64_t i = 0;
+  for (; i < width && j0 + i < 0; ++i) stage[i] = 0.0f;
+  int64_t n = (j0 + i) / d.time;
+  int64_t t = (j0 + i) - n * d.time;
+  for (; i < width; t = 0, ++n) {
+    const int64_t run = std::min(width - i, d.time - t);
+    const int64_t kept = std::clamp<int64_t>(d.t_out - t, 0, run);
+    for (int64_t v = 0; v < kept; ++v) stage[i + v] = g_plane[n * d.t_out + t + v];
+    for (int64_t v = kept; v < run; ++v) stage[i + v] = 0.0f;
+    i += run;
+  }
+}
+
+// Input gradient: d_in[ci, p] += g[co, p - dilation*k] * w[co, ci, k] over
+// co then k — the scalar kernel's per-slot order — over the taps that reach
+// p. The g value lane p needs sits at p - dilation*k of g stretched to row
+// length T (StageStretched), where the taps that do not reach p find a staged
+// zero. A finite weight times that zero is +-0, and adding +-0 leaves any sum
+// that starts from +0 bitwise unchanged (such a sum is never -0), so those
+// lanes cost work but change nothing. A non-finite weight would turn the zero
+// into NaN, so its taps add only over the lanes they reach.
+
+// The (co, k) taps of one input-gradient pass over a block of lanes.
+struct GradTaps {
+  int64_t count = 0;
+  const float* src[kGradTaps] = {};  // g window of the tap, aligned with the block
+  int64_t weight[kGradTaps] = {};    // offset of w[co, 0, k]
+  int64_t shift[kGradTaps] = {};     // dilation * k
+};
+
+bool TapReaches(const ConvDims& d, int64_t p, int64_t shift) {
+  return p >= shift && (p - shift) % d.time < d.t_out;
+}
+
+// Lanes [p, p + 8*kVectors) of one input channel's d_in plane: the
+// accumulators stay in registers across every tap of the pass.
+template <int kVectors>
+void ConvInputGradLanes(const ConvDims& d, const GradTaps& taps, const float* w_ci, int64_t p,
+                        const float* const* src, float* dst) {
+  constexpr int64_t kWidth = kVectors * simd::kLanes;
+  simd::F32x8 acc[kVectors];
+  for (int v = 0; v < kVectors; ++v) acc[v] = simd::LoadU(dst + v * simd::kLanes);
+  for (int64_t j = 0; j < taps.count; ++j) {
+    const float wk = w_ci[taps.weight[j]];
+    if (d.t_out != d.time && !std::isfinite(wk)) {
+      float lanes[kWidth] = {};
+      for (int v = 0; v < kVectors; ++v) simd::StoreU(lanes + v * simd::kLanes, acc[v]);
+      for (int64_t l = 0; l < kWidth; ++l) {
+        if (TapReaches(d, p + l, taps.shift[j])) lanes[l] += src[j][l] * wk;
+      }
+      for (int v = 0; v < kVectors; ++v) acc[v] = simd::LoadU(lanes + v * simd::kLanes);
+      continue;
+    }
+    const simd::F32x8 vw = simd::Broadcast(wk);
+    for (int v = 0; v < kVectors; ++v) {
+      acc[v] = simd::Add(acc[v], simd::Mul(simd::LoadU(src[j] + v * simd::kLanes), vw));
+    }
+  }
+  for (int v = 0; v < kVectors; ++v) simd::StoreU(dst + v * simd::kLanes, acc[v]);
+}
+
+// Input-gradient lanes [p0, p0 + width) of every input plane of one batch
+// item, in passes of up to kGradTaps taps whose g windows are staged once and
+// reused by every input channel.
+void ConvInputGradBlock(const ConvDims& d, const float* g_b, const float* w, int64_t p0,
+                        int64_t width, float* din_b) {
+  // Not zero-filled per block: StageStretched writes every lane a tap reads
+  // before the read.
+  float stage[kGradTaps * kGradBlock];
+  const bool stretched = d.t_out != d.time;  // kernel > 1: rows differ in length
+  const int64_t total = d.c_out * d.kernel;
+  GradTaps taps;
+  for (int64_t q0 = 0; q0 < total; q0 += kGradTaps) {
+    taps.count = std::min(kGradTaps, total - q0);
+    for (int64_t j = 0; j < taps.count; ++j) {
+      const int64_t co = (q0 + j) / d.kernel;
+      const int64_t k = (q0 + j) % d.kernel;
+      const float* g_plane = g_b + co * d.out_plane();
+      taps.weight[j] = co * d.c_in * d.kernel + k;
+      taps.shift[j] = d.dilation * k;
+      if (stretched) {
+        float* window = stage + j * kGradBlock;
+        StageStretched(d, g_plane, p0 - taps.shift[j], width, window);
+        taps.src[j] = window;
+      } else {
+        taps.src[j] = g_plane + p0;  // kernel 1: g has the input plane's layout
+      }
+    }
+    for (int64_t ci = 0; ci < d.c_in; ++ci) {
+      const float* w_ci = w + ci * d.kernel;
+      float* dst = din_b + ci * d.in_plane() + p0;
+      const float* src[kGradTaps] = {};
+      int64_t i = 0;
+      const auto at = [&](int64_t lane) {
+        for (int64_t j = 0; j < taps.count; ++j) src[j] = taps.src[j] + lane;
+      };
+      if (width == kGradBlock) {
+        at(0);
+        ConvInputGradLanes<kGradBlock / simd::kLanes>(d, taps, w_ci, p0, src, dst);
+        i = kGradBlock;
+      }
+      for (; i + simd::kLanes <= width; i += simd::kLanes) {
+        at(i);
+        ConvInputGradLanes<1>(d, taps, w_ci, p0 + i, src, dst + i);
+      }
+      for (; i < width; ++i) {
+        float acc = dst[i];
+        for (int64_t j = 0; j < taps.count; ++j) {
+          const float wk = w_ci[taps.weight[j]];
+          if (stretched && !std::isfinite(wk) && !TapReaches(d, p0 + i, taps.shift[j])) continue;
+          acc += taps.src[j][i] * wk;
+        }
+        dst[i] = acc;
+      }
+    }
+  }
+}
+
+// Weight-gradient lanes for input channels [ci0, ci0 + 8) and the (co, k)
+// pairs q = co*kernel + k in [q0, q1): d_w[co, ci, k] += sum over b then n of
+// (sum over t of g[b, co, n, t] * in[b, ci, n, t + dilation*k] from +0), the
+// scalar kernel's two-level order. Each input channel is a lane: g is one
+// broadcast per step, and the eight channel rows are staged transposed so one
+// step of all eight is one vector load.
+void ConvWeightGradBlock(const ConvDims& d, int64_t batch, const float* pg, const float* pi,
+                         int64_t ci0, int64_t q0, int64_t q1, float* pdw) {
+  const int64_t lanes = std::min(simd::kLanes, d.c_in - ci0);
+  simd::F32x8 total[kWeightPairs] = {};
+  simd::F32x8 row_sum[kWeightPairs] = {};
+  float stage[kWeightTile * simd::kLanes] = {};  // lanes past c_in stay 0
+  float lane_values[simd::kLanes] = {};
+  const auto dw_index = [&](int64_t q, int64_t lane) {
+    return ((q / d.kernel) * d.c_in + ci0 + lane) * d.kernel + q % d.kernel;
+  };
+  for (int64_t q = q0; q < q1; ++q) {
+    for (int64_t l = 0; l < simd::kLanes; ++l) {
+      lane_values[l] = l < lanes ? pdw[dw_index(q, l)] : 0.0f;
+    }
+    total[q - q0] = simd::LoadU(lane_values);
+  }
+  // The pairs grouped by tap: each group stages the input once for all of
+  // its output channels.
+  struct TapGroup {
+    int64_t k, co_begin, co_end;
+  };
+  TapGroup groups[kWeightPairs] = {};
+  int64_t num_groups = 0;
+  for (int64_t k = 0; k < d.kernel && num_groups < q1 - q0; ++k) {
+    const TapGroup group{k, std::max<int64_t>(0, (q0 - k + d.kernel - 1) / d.kernel),
+                         std::min(d.c_out, (q1 - k + d.kernel - 1) / d.kernel)};
+    if (group.co_begin < group.co_end) groups[num_groups++] = group;
+  }
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t n = 0; n < d.nodes; ++n) {
+      for (int64_t q = q0; q < q1; ++q) row_sum[q - q0] = simd::Zero();
+      const float* g_rows = pg + (b * d.c_out * d.nodes + n) * d.t_out;  // co = 0
+      for (int64_t t0 = 0; t0 < d.t_out; t0 += kWeightTile) {
+        const int64_t steps = std::min(kWeightTile, d.t_out - t0);
+        for (int64_t gi = 0; gi < num_groups; ++gi) {
+          const TapGroup& group = groups[gi];
+          for (int64_t l = 0; l < lanes; ++l) {
+            const float* row = pi + ((b * d.c_in + ci0 + l) * d.nodes + n) * d.time + t0 +
+                               d.dilation * group.k;
+            for (int64_t t = 0; t < steps; ++t) stage[t * simd::kLanes + l] = row[t];
+          }
+          // Four output channels at a time share each staged step and keep
+          // four independent sums in flight.
+          int64_t co = group.co_begin;
+          for (; co + 4 <= group.co_end; co += 4) {
+            simd::F32x8* sums = row_sum + (co * d.kernel + group.k - q0);
+            const float* g0 = g_rows + co * d.out_plane() + t0;
+            const float* g1 = g0 + d.out_plane();
+            const float* g2 = g1 + d.out_plane();
+            const float* g3 = g2 + d.out_plane();
+            simd::F32x8 s0 = sums[0], s1 = sums[d.kernel], s2 = sums[2 * d.kernel],
+                        s3 = sums[3 * d.kernel];
+            for (int64_t t = 0; t < steps; ++t) {
+              const simd::F32x8 x = simd::LoadU(stage + t * simd::kLanes);
+              s0 = simd::Add(s0, simd::Mul(simd::Broadcast(g0[t]), x));
+              s1 = simd::Add(s1, simd::Mul(simd::Broadcast(g1[t]), x));
+              s2 = simd::Add(s2, simd::Mul(simd::Broadcast(g2[t]), x));
+              s3 = simd::Add(s3, simd::Mul(simd::Broadcast(g3[t]), x));
+            }
+            sums[0] = s0;
+            sums[d.kernel] = s1;
+            sums[2 * d.kernel] = s2;
+            sums[3 * d.kernel] = s3;
+          }
+          for (; co < group.co_end; ++co) {
+            simd::F32x8* sums = row_sum + (co * d.kernel + group.k - q0);
+            const float* g_row = g_rows + co * d.out_plane() + t0;
+            simd::F32x8 sum = sums[0];
+            for (int64_t t = 0; t < steps; ++t) {
+              sum = simd::Add(sum, simd::Mul(simd::Broadcast(g_row[t]),
+                                             simd::LoadU(stage + t * simd::kLanes)));
+            }
+            sums[0] = sum;
+          }
+        }
+      }
+      for (int64_t q = q0; q < q1; ++q) total[q - q0] = simd::Add(total[q - q0], row_sum[q - q0]);
+    }
+  }
+  for (int64_t q = q0; q < q1; ++q) {
+    simd::StoreU(lane_values, total[q - q0]);
+    for (int64_t l = 0; l < lanes; ++l) pdw[dw_index(q, l)] = lane_values[l];
+  }
+}
+
+}  // namespace
+
 Tensor TemporalConv2d(const Tensor& input, const Tensor& weight, int64_t dilation) {
   URCL_CHECK_EQ(input.shape().rank(), 4) << "TemporalConv2d input must be [B, C, N, T]";
   URCL_CHECK_EQ(weight.shape().rank(), 4) << "TemporalConv2d weight must be [Co, Ci, 1, K]";
@@ -586,41 +1037,24 @@ Tensor TemporalConv2d(const Tensor& input, const Tensor& weight, int64_t dilatio
   const int64_t t_out = time - dilation * (kernel - 1);
   URCL_CHECK_GT(t_out, 0) << "TemporalConv2d: receptive field " << dilation * (kernel - 1) + 1
                           << " exceeds input length " << time;
-  Tensor out(Shape{batch, c_out, nodes, t_out});
+  // Every output element is stored by the one task that owns its plane.
+  Tensor out = Tensor::Uninitialized(Shape{batch, c_out, nodes, t_out});
+  if (out.NumElements() == 0) return out;
+  const ConvDims d{c_in, nodes, time, c_out, kernel, dilation, t_out};
+  // The last output sits at (nodes-1)*T + t_out - 1; lanes past it would read
+  // beyond the plane.
+  const int64_t span = (nodes - 1) * time + t_out;
   const float* pi = input.data();
   const float* pw = weight.data();
   float* po = out.mutable_data();
-  // Each output row [b, co, n, :] is produced wholly by one chunk, with the
-  // ci -> k -> t accumulation order fixed, so results are bitwise identical
-  // at any thread count.
-  const int64_t total_rows = batch * c_out * nodes;
-  const int64_t row_cost = c_in * kernel * t_out;
-  const int64_t grain = std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, row_cost));
-  runtime::ParallelFor(0, total_rows, grain, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      const int64_t n = r % nodes;
-      const int64_t co = (r / nodes) % c_out;
-      const int64_t b = r / (nodes * c_out);
-      float* out_row = po + r * t_out;
-      for (int64_t ci = 0; ci < c_in; ++ci) {
-        const float* w_row = pw + (co * c_in + ci) * kernel;
-        const float* in_row = pi + ((b * c_in + ci) * nodes + n) * time;
-        for (int64_t k = 0; k < kernel; ++k) {
-          const float w = w_row[k];
-          if (w == 0.0f) continue;
-          const int64_t shift = dilation * k;
-          // Lane-parallel over independent time steps; the ci -> k sum per
-          // step keeps its scalar order, so results are bitwise unchanged.
-          const simd::F32x8 vw = simd::Broadcast(w);
-          int64_t t = 0;
-          for (; t + simd::kLanes <= t_out; t += simd::kLanes) {
-            simd::StoreU(out_row + t,
-                         simd::Add(simd::LoadU(out_row + t),
-                                   simd::Mul(vw, simd::LoadU(in_row + t + shift))));
-          }
-          for (; t < t_out; ++t) out_row[t] += w * in_row[t + shift];
-        }
-      }
+  const int64_t grain =
+      std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, c_in * kernel * span));
+  runtime::ParallelFor(0, batch * c_out, grain, [&](int64_t begin, int64_t end) {
+    for (int64_t out_plane = begin; out_plane < end; ++out_plane) {  // b * c_out + co
+      const int64_t co = out_plane % c_out;
+      const int64_t b = out_plane / c_out;
+      ConvForwardPlane(d, pi + b * c_in * d.in_plane(), pw + co * c_in * kernel, span,
+                       po + out_plane * d.out_plane());
     }
   });
   return out;
@@ -628,74 +1062,44 @@ Tensor TemporalConv2d(const Tensor& input, const Tensor& weight, int64_t dilatio
 
 void TemporalConv2dBackward(const Tensor& g, const Tensor& input, const Tensor& weight,
                             int64_t dilation, Tensor* d_in, Tensor* d_w) {
-  URCL_CHECK(d_in != nullptr && d_w != nullptr);
-  URCL_CHECK(d_in->shape() == input.shape());
-  URCL_CHECK(d_w->shape() == weight.shape());
-  const int64_t batch = input.dim(0), c_in = input.dim(1), nodes = input.dim(2),
-                time = input.dim(3);
-  const int64_t c_out = weight.dim(0), kernel = weight.dim(3);
-  const int64_t t_out = g.dim(3);
+  if (d_in != nullptr) URCL_CHECK(d_in->shape() == input.shape());
+  if (d_w != nullptr) URCL_CHECK(d_w->shape() == weight.shape());
+  const int64_t batch = input.dim(0);
+  const ConvDims d{input.dim(1), input.dim(2), input.dim(3), weight.dim(0),
+                   weight.dim(3), dilation,     g.dim(3)};
   const float* pg = g.data();
   const float* pi = input.data();
   const float* pw = weight.data();
-  float* pdi = d_in->mutable_data();
-  float* pdw = d_w->mutable_data();
-  // Two disjoint passes so each parallel chunk owns its output rows:
-  // d_in rows keyed by [b, ci, n] (co -> k -> t accumulation order) and
-  // d_w rows keyed by [co, ci] (b -> n -> k order) — the same per-slot
-  // orders as a serial b -> co -> ci -> n -> k -> t walk.
-  const int64_t di_rows = batch * c_in * nodes;
-  const int64_t di_cost = c_out * kernel * t_out;
-  const int64_t di_grain = std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, di_cost));
-  runtime::ParallelFor(0, di_rows, di_grain, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      const int64_t n = r % nodes;
-      const int64_t ci = (r / nodes) % c_in;
-      const int64_t b = r / (nodes * c_in);
-      float* di_row = pdi + r * time;
-      for (int64_t co = 0; co < c_out; ++co) {
-        const float* w_row = pw + (co * c_in + ci) * kernel;
-        const float* g_row = pg + ((b * c_out + co) * nodes + n) * t_out;
-        for (int64_t k = 0; k < kernel; ++k) {
-          const int64_t shift = dilation * k;
-          const float wk = w_row[k];
-          // Lane-parallel over independent d_in slots (fixed shift per
-          // k, so the 8 writes never alias); co -> k order per slot is
-          // the scalar one.
-          const simd::F32x8 vw = simd::Broadcast(wk);
-          int64_t t = 0;
-          for (; t + simd::kLanes <= t_out; t += simd::kLanes) {
-            simd::StoreU(di_row + t + shift,
-                         simd::Add(simd::LoadU(di_row + t + shift),
-                                   simd::Mul(simd::LoadU(g_row + t), vw)));
-          }
-          for (; t < t_out; ++t) di_row[t + shift] += g_row[t] * wk;
-        }
+  // Each pass's tasks own disjoint output slots: d_in by (batch, plane
+  // block) across all input channels, d_w by (channel block, pair range).
+  if (d_in != nullptr) {
+    float* pdi = d_in->mutable_data();
+    const int64_t blocks = (d.in_plane() + kGradBlock - 1) / kGradBlock;
+    const int64_t cost = d.c_out * d.kernel * (d.c_in + 1) * kGradBlock;
+    const int64_t grain = std::max<int64_t>(1, (1 << 15) / cost);
+    runtime::ParallelFor(0, batch * blocks, grain, [&](int64_t begin, int64_t end) {
+      for (int64_t task = begin; task < end; ++task) {
+        const int64_t b = task / blocks;
+        const int64_t p0 = (task % blocks) * kGradBlock;
+        ConvInputGradBlock(d, pg + b * d.c_out * d.out_plane(), pw, p0,
+                           std::min(kGradBlock, d.in_plane() - p0),
+                           pdi + b * d.c_in * d.in_plane());
       }
-    }
-  });
-  runtime::ParallelFor(0, c_out * c_in, 1, [&](int64_t pair_begin, int64_t pair_end) {
-    for (int64_t p = pair_begin; p < pair_end; ++p) {
-      const int64_t ci = p % c_in;
-      const int64_t co = p / c_in;
-      float* dw_row = pdw + p * kernel;
-      for (int64_t b = 0; b < batch; ++b) {
-        for (int64_t n = 0; n < nodes; ++n) {
-          const float* g_row = pg + ((b * c_out + co) * nodes + n) * t_out;
-          const float* in_row = pi + ((b * c_in + ci) * nodes + n) * time;
-          for (int64_t k = 0; k < kernel; ++k) {
-            const int64_t shift = dilation * k;
-            // Sequential reduction over t: vectorizing it would need a
-            // horizontal sum, which reassociates the accumulation order
-            // and breaks bitwise determinism — stays scalar on purpose.
-            float dw_acc = 0.0f;
-            for (int64_t t = 0; t < t_out; ++t) dw_acc += g_row[t] * in_row[t + shift];
-            dw_row[k] += dw_acc;
-          }
-        }
+    });
+  }
+  if (d_w != nullptr) {
+    float* pdw = d_w->mutable_data();
+    const int64_t channel_blocks = (d.c_in + simd::kLanes - 1) / simd::kLanes;
+    const int64_t pairs = d.c_out * d.kernel;
+    const int64_t pair_blocks = (pairs + kWeightPairs - 1) / kWeightPairs;
+    runtime::ParallelFor(0, channel_blocks * pair_blocks, 1, [&](int64_t begin, int64_t end) {
+      for (int64_t task = begin; task < end; ++task) {
+        const int64_t q0 = (task % pair_blocks) * kWeightPairs;
+        ConvWeightGradBlock(d, batch, pg, pi, (task / pair_blocks) * simd::kLanes, q0,
+                            std::min(pairs, q0 + kWeightPairs), pdw);
       }
-    }
-  });
+    });
+  }
 }
 
 }  // namespace ops

@@ -1,10 +1,11 @@
 // Pure functions over Tensor. Every op allocates a fresh output tensor;
 // inputs are never mutated. Binary elementwise ops follow NumPy broadcasting.
 //
-// Execution model: the hot kernels (elementwise binaries, reductions, MatMul)
-// are data-parallel via runtime::ParallelFor with shape-derived chunking —
-// results are bitwise identical at any thread count. Ops never spawn threads
-// directly (see runtime/parallel.h).
+// Execution model: the hot kernels (elementwise binaries, reductions, MatMul,
+// TemporalConv2d, the strided copies behind Transpose/Slice/UnSlice/Concat/
+// Pad) are data-parallel via runtime::ParallelFor with shape-derived
+// chunking — results are bitwise identical at any thread count. Ops never
+// spawn threads directly (see runtime/parallel.h).
 #ifndef URCL_TENSOR_TENSOR_OPS_H_
 #define URCL_TENSOR_TENSOR_OPS_H_
 
@@ -88,7 +89,8 @@ Tensor TemporalConv2d(const Tensor& input, const Tensor& weight, int64_t dilatio
 // Gradient kernel for TemporalConv2d, shared by the autograd tape closure and
 // the compiled executor's backward program. Accumulates (+=) into *d_in
 // ([B, Ci, N, T]) and *d_w ([Co, Ci, 1, K]), which the caller must have
-// zero-initialized; `g` is the upstream gradient [B, Co, N, T_out].
+// zero-initialized; `g` is the upstream gradient [B, Co, N, T_out]. Either
+// pointer may be null, and that gradient is then not computed.
 void TemporalConv2dBackward(const Tensor& g, const Tensor& input, const Tensor& weight,
                             int64_t dilation, Tensor* d_in, Tensor* d_w);
 

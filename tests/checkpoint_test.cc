@@ -508,7 +508,20 @@ void ExpectBitwiseEqual(const RunOutcome& a, const RunOutcome& b, const std::str
       << what << ": predictions diverged";
 }
 
-class KillResumeTest : public ::testing::TestWithParam<std::pair<const char*, int64_t>> {
+// One kill scenario: the fault point to fire and the hit it fires on.
+struct KillCase {
+  const char* point;
+  int64_t hits;
+};
+
+// gtest lists each case with its printed parameter, and gtest_discover_tests
+// turns "/<index>  # GetParam() = batch_done_5" into the ctest name
+// ".../batch_done_5". Without this printer the const char* would print as
+// its address, which ASLR moves on every run, so the ctest names would change
+// from one test discovery to the next.
+void PrintTo(const KillCase& c, std::ostream* os) { *os << c.point << "_" << c.hits; }
+
+class KillResumeTest : public ::testing::TestWithParam<KillCase> {
  protected:
   void SetUp() override { fault::FaultInjector::Instance().Reset(); }
   void TearDown() override { fault::FaultInjector::Instance().Reset(); }
@@ -555,16 +568,10 @@ TEST_P(KillResumeTest, ResumedRunIsBitwiseIdentical) {
                      "kill=" + tag);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KillPoints, KillResumeTest,
-    ::testing::Values(std::make_pair("batch_done", int64_t{5}),
-                      std::make_pair("batch_done", int64_t{13}),
-                      std::make_pair("checkpoint_written", int64_t{2}),
-                      std::make_pair("stage_begin", int64_t{2}),
-                      std::make_pair("stage_end", int64_t{1})),
-    [](const ::testing::TestParamInfo<std::pair<const char*, int64_t>>& info) {
-      return std::string(info.param.first) + "_" + std::to_string(info.param.second);
-    });
+INSTANTIATE_TEST_SUITE_P(KillPoints, KillResumeTest,
+                         ::testing::Values(KillCase{"batch_done", 5}, KillCase{"batch_done", 13},
+                                           KillCase{"checkpoint_written", 2},
+                                           KillCase{"stage_begin", 2}, KillCase{"stage_end", 1}));
 
 class TrainerCheckpointTest : public ::testing::Test {
  protected:

@@ -5,6 +5,7 @@
 // capture error paths (dropout RNG, graphs built outside the listener).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "exec/arena.h"
 #include "exec/plan.h"
 #include "graph/generator.h"
+#include "obs/flight_recorder.h"
 #include "runtime/parallel.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
@@ -164,6 +166,35 @@ TEST_F(ExecTrainerTest, AugmentedStepFallsBackToTapeBitwise) {
   ASSERT_TRUE(config.enable_ssl);
   ASSERT_TRUE(config.enable_augmentation);
   ExpectPlanMatchesTape(config, /*num_threads=*/1, /*epochs=*/2);
+}
+
+// Every trainer plan capture is flight-recorded. One plan-mode stage in the
+// paper's configuration (augmentation, SSL, RMIR and mixup all on) compiles
+// the RMIR virtual-step and per-item families; the augmented train step stays
+// on the tape and never attempts a capture.
+TEST_F(ExecTrainerTest, PaperConfigStageRecordsPlanCompileEvents) {
+  core::UrclConfig config = SmallUrcl(6);
+  ASSERT_TRUE(config.enable_augmentation && config.enable_ssl && config.enable_replay &&
+              config.enable_rmir && config.enable_mixup);
+  config.executor = ExecutorMode::kPlan;
+  data::StDataset dataset = SmallDataset(6);
+  core::UrclTrainer trainer(config, generator_->network());
+  obs::FlightRecorder::Get().Clear();
+  trainer.BeginStage(0);
+  trainer.TrainStage(dataset, 1);
+
+  std::vector<std::string> compiled;
+  for (const obs::FlightEvent& event : obs::FlightRecorder::Get().Snapshot()) {
+    const std::string detail(event.detail);
+    EXPECT_NE(event.type, obs::FlightEventType::kPlanFallback) << detail;
+    if (event.type != obs::FlightEventType::kPlanCompile) continue;
+    EXPECT_EQ(event.a, 0) << "stage operand";
+    compiled.push_back(detail.substr(0, detail.find(':')));
+  }
+  EXPECT_NE(std::find(compiled.begin(), compiled.end(), "per_item"), compiled.end());
+  EXPECT_NE(std::find(compiled.begin(), compiled.end(), "virtual"), compiled.end());
+  EXPECT_EQ(std::find(compiled.begin(), compiled.end(), "train"), compiled.end());
+  EXPECT_EQ(trainer.compiled_plan_count(), compiled.size());
 }
 
 class PlanUnitTest : public ::testing::Test {

@@ -6,10 +6,11 @@
 // exactness claims of tensor/simd.h (Max/Min operand order, sign-bit Neg,
 // Relu of NaN) are pinned down, not just the happy path.
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "autograd/variable.h"
 #include "common/rng.h"
 #include "nn/optimizer.h"
+#include "runtime/parallel.h"
+#include "runtime/thread_pool.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -50,12 +53,24 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
   return ::testing::AssertionSuccess();
 }
 
+// The NaN the salted inputs carry: the one this machine's arithmetic makes
+// itself (Inf * 0), so every NaN in a computation has the same bits. IEEE 754
+// leaves open which payload survives when two different NaNs meet, and the
+// compiler may swap the operands of a commutative add, so a second payload
+// would make memcmp compare instruction encodings instead of the kernels'
+// arithmetic and its order.
+float MachineNaN() {
+  volatile float inf = kInf;
+  volatile float zero = 0.0f;
+  return inf * zero;
+}
+
 // Pseudo-random values with IEEE specials sprinkled in every 7th slot.
 Tensor MakeInput(const Shape& shape, uint64_t seed, bool with_specials = true) {
   Rng rng(seed);
   Tensor t = Tensor::RandomNormal(shape, rng);
   if (with_specials) {
-    static const float kSpecials[] = {kNaN, kInf, -kInf, -0.0f, 0.0f};
+    static const float kSpecials[] = {MachineNaN(), kInf, -kInf, -0.0f, 0.0f};
     float* p = t.mutable_data();
     for (int64_t i = 3; i < t.NumElements(); i += 7) {
       p[i] = kSpecials[(i / 7) % 5];
@@ -227,68 +242,111 @@ TEST(SimdReduceTest, MeanMaxMinBitwiseMatchSerialOrder) {
                                     [](float acc, float x) { return acc < x ? acc : x; })));
 }
 
-TEST(SimdMatMulTest, BitwiseMatchesIkjReference) {
-  // Odd n exercises the j-loop tail; zeros in `a` exercise the skip branch.
-  for (const auto& [m, k, n] : std::vector<std::array<int64_t, 3>>{
-           {1, 1, 1}, {3, 5, 9}, {4, 7, 17}, {2, 3, 8}}) {
-    Tensor a = MakeInput(Shape{m, k}, 60 + static_cast<uint64_t>(n), /*with_specials=*/false);
-    const Tensor b = MakeInput(Shape{k, n}, 61 + static_cast<uint64_t>(n), /*with_specials=*/false);
-    if (a.NumElements() > 2) a.mutable_data()[2] = 0.0f;
-    Tensor ref(Shape{m, n});
+// The kernels under test must give the reference bits at every pool size:
+// 1 thread, and 4 and 8 with workers forced past the machine's core count.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard()
+      : saved_(runtime::GetNumThreads()), saved_oversubscribe_(runtime::OversubscribeEnabled()) {
+    runtime::SetOversubscribe(true);
+  }
+  ~ThreadCountGuard() {
+    runtime::SetOversubscribe(saved_oversubscribe_);
+    runtime::SetNumThreads(saved_);
+  }
+
+ private:
+  int saved_;
+  bool saved_oversubscribe_;
+};
+
+constexpr int kThreadCounts[] = {1, 4, 8};
+
+// The scalar i-k-j matmul with its zero skip: every output column sums its k
+// terms from +0 in increasing k order.
+Tensor ReferenceMatMul(const Tensor& a, const Tensor& b) {
+  const int64_t m = a.dim(-2), k = a.dim(-1), n = b.dim(-1);
+  const int64_t batch = a.NumElements() / (m * k);
+  const int64_t b_batch = b.NumElements() / (k * n);
+  std::vector<int64_t> dims = a.shape().dims();
+  dims.back() = n;
+  Tensor ref{Shape(dims)};
+  for (int64_t p = 0; p < batch; ++p) {
+    const float* ma = a.data() + p * m * k;
+    const float* mb = b.data() + (b_batch == 1 ? 0 : p) * k * n;
     for (int64_t i = 0; i < m; ++i) {
-      float* row_out = ref.mutable_data() + i * n;
+      float* row_out = ref.mutable_data() + (p * m + i) * n;
       for (int64_t kk = 0; kk < k; ++kk) {
-        const float scale = a.data()[i * k + kk];
+        const float scale = ma[i * k + kk];
         if (scale == 0.0f) continue;
-        const float* row_b = b.data() + kk * n;
+        const float* row_b = mb + kk * n;
         for (int64_t j = 0; j < n; ++j) row_out[j] += scale * row_b[j];
       }
     }
-    EXPECT_TRUE(BitEq(ops::MatMul(a, b), ref)) << m << "x" << k << "x" << n;
+  }
+  return ref;
+}
+
+TEST(SimdMatMulTest, BitwiseMatchesIkjReference) {
+  // n sweeps the scalar path (n < 8), whole vectors, the 32-column register
+  // block and its vector/overlapping tails; zeros in `a` (including -0)
+  // exercise the skip branch.
+  std::vector<std::pair<Shape, Shape>> cases = {
+      {Shape{1, 1}, Shape{1, 1}}, {Shape{3, 5}, Shape{5, 9}}, {Shape{4, 7}, Shape{7, 17}},
+      {Shape{2, 3}, Shape{3, 8}}};
+  for (const int64_t n : {1, 8, 31, 32, 33, 64, 65}) {
+    cases.push_back({Shape{3, 37, 64}, Shape{64, n}});      // shared right operand
+    cases.push_back({Shape{2, 11, 13}, Shape{2, 13, n}});   // batched right operand
+  }
+  ThreadCountGuard guard;
+  uint64_t seed = 60;
+  for (const auto& [a_shape, b_shape] : cases) {
+    Tensor a = MakeInput(a_shape, seed++);
+    const Tensor b = MakeInput(b_shape, seed++);
+    for (int64_t i = 1; i < a.NumElements(); i += 5) a.mutable_data()[i] = i % 2 ? 0.0f : -0.0f;
+    const Tensor ref = ReferenceMatMul(a, b);
+    for (const int threads : kThreadCounts) {
+      runtime::SetNumThreads(threads);
+      EXPECT_TRUE(BitEq(ops::MatMul(a, b), ref))
+          << a_shape.ToString() << " x " << b_shape.ToString() << " at " << threads
+          << " threads";
+    }
   }
 }
 
-TEST(SimdTemporalConvTest, ForwardAndBackwardBitwiseMatchReference) {
-  const int64_t batch = 2, c_in = 3, c_out = 2, nodes = 4, time = 13, kernel = 2, dilation = 2;
-  const int64_t t_out = time - dilation * (kernel - 1);
-  Tensor in_t = MakeInput(Shape{batch, c_in, nodes, time}, 70, /*with_specials=*/false);
-  Tensor w_t = MakeInput(Shape{c_out, c_in, 1, kernel}, 71, /*with_specials=*/false);
-  w_t.mutable_data()[1] = 0.0f;  // exercise the w == 0 skip
-  const Tensor g = MakeInput(Shape{batch, c_out, nodes, t_out}, 72, /*with_specials=*/false);
+// The scalar TemporalConv2d kernels, one time row at a time, in their
+// documented per-slot orders.
+struct ConvReference {
+  Tensor out, d_in, d_w;
+};
 
-  autograd::Variable input(in_t, /*requires_grad=*/true);
-  autograd::Variable weight(w_t, /*requires_grad=*/true);
-  autograd::Variable out = autograd::TemporalConv2d(input, weight, dilation);
-  out.BackwardWithSeed(g);
-
-  // References replicate the kernel's documented per-row accumulation orders.
-  Tensor fwd_ref(Shape{batch, c_out, nodes, t_out});
+ConvReference ReferenceConv(const Tensor& in, const Tensor& w, const Tensor& g,
+                            int64_t dilation) {
+  const int64_t batch = in.dim(0), c_in = in.dim(1), nodes = in.dim(2), time = in.dim(3);
+  const int64_t c_out = w.dim(0), kernel = w.dim(3), t_out = g.dim(3);
+  ConvReference ref{Tensor(g.shape()), Tensor(in.shape()), Tensor(w.shape())};
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t co = 0; co < c_out; ++co) {
       for (int64_t n = 0; n < nodes; ++n) {
-        float* out_row =
-            fwd_ref.mutable_data() + ((b * c_out + co) * nodes + n) * t_out;
+        float* out_row = ref.out.mutable_data() + ((b * c_out + co) * nodes + n) * t_out;
         for (int64_t ci = 0; ci < c_in; ++ci) {
-          const float* w_row = w_t.data() + (co * c_in + ci) * kernel;
-          const float* in_row = in_t.data() + ((b * c_in + ci) * nodes + n) * time;
+          const float* w_row = w.data() + (co * c_in + ci) * kernel;
+          const float* in_row = in.data() + ((b * c_in + ci) * nodes + n) * time;
           for (int64_t k = 0; k < kernel; ++k) {
-            const float w = w_row[k];
-            if (w == 0.0f) continue;
-            for (int64_t t = 0; t < t_out; ++t) out_row[t] += w * in_row[t + dilation * k];
+            const float wk = w_row[k];
+            if (wk == 0.0f) continue;
+            for (int64_t t = 0; t < t_out; ++t) out_row[t] += wk * in_row[t + dilation * k];
           }
         }
       }
     }
   }
-  EXPECT_TRUE(BitEq(out.value(), fwd_ref));
-
-  Tensor din_ref(in_t.shape());
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t ci = 0; ci < c_in; ++ci) {
       for (int64_t n = 0; n < nodes; ++n) {
-        float* di_row = din_ref.mutable_data() + ((b * c_in + ci) * nodes + n) * time;
+        float* di_row = ref.d_in.mutable_data() + ((b * c_in + ci) * nodes + n) * time;
         for (int64_t co = 0; co < c_out; ++co) {
-          const float* w_row = w_t.data() + (co * c_in + ci) * kernel;
+          const float* w_row = w.data() + (co * c_in + ci) * kernel;
           const float* g_row = g.data() + ((b * c_out + co) * nodes + n) * t_out;
           for (int64_t k = 0; k < kernel; ++k) {
             const float wk = w_row[k];
@@ -298,16 +356,13 @@ TEST(SimdTemporalConvTest, ForwardAndBackwardBitwiseMatchReference) {
       }
     }
   }
-  EXPECT_TRUE(BitEq(input.grad(), din_ref));
-
-  Tensor dw_ref(w_t.shape());
   for (int64_t co = 0; co < c_out; ++co) {
     for (int64_t ci = 0; ci < c_in; ++ci) {
-      float* dw_row = dw_ref.mutable_data() + (co * c_in + ci) * kernel;
+      float* dw_row = ref.d_w.mutable_data() + (co * c_in + ci) * kernel;
       for (int64_t b = 0; b < batch; ++b) {
         for (int64_t n = 0; n < nodes; ++n) {
           const float* g_row = g.data() + ((b * c_out + co) * nodes + n) * t_out;
-          const float* in_row = in_t.data() + ((b * c_in + ci) * nodes + n) * time;
+          const float* in_row = in.data() + ((b * c_in + ci) * nodes + n) * time;
           for (int64_t k = 0; k < kernel; ++k) {
             float dw_acc = 0.0f;
             for (int64_t t = 0; t < t_out; ++t) dw_acc += g_row[t] * in_row[t + dilation * k];
@@ -317,7 +372,164 @@ TEST(SimdTemporalConvTest, ForwardAndBackwardBitwiseMatchReference) {
       }
     }
   }
-  EXPECT_TRUE(BitEq(weight.grad(), dw_ref));
+  return ref;
+}
+
+TEST(SimdTemporalConvTest, ForwardAndBackwardBitwiseMatchReference) {
+  struct Case {
+    int64_t batch, c_in, c_out, nodes, time, kernel, dilation;
+  };
+  const std::vector<Case> cases = {
+      {2, 3, 2, 4, 13, 2, 2},
+      // Kernel 1 (t_out == T: the lanes store straight into the output) and
+      // kernel 2, with c_in spanning a partial, a full and five lane blocks
+      // of the weight gradient.
+      {2, 2, 5, 9, 13, 1, 1},
+      {2, 8, 5, 9, 13, 1, 1},
+      {3, 40, 5, 9, 13, 1, 1},
+      {2, 2, 5, 9, 13, 2, 1},
+      {2, 8, 5, 9, 11, 2, 2},
+      {3, 40, 5, 9, 13, 2, 2},
+      // t_out = 1, and T = 3 < 2 * dilation: input step 1 is reached by no
+      // tap, so its gradient must stay +0 even under non-finite weights.
+      {2, 8, 3, 9, 3, 2, 2},
+      {2, 3, 2, 5, 5, 3, 2},
+      // Planes shorter than one vector (scalar lanes), and a long row.
+      {2, 3, 2, 1, 6, 2, 1},
+      {1, 4, 3, 2, 70, 2, 3},
+  };
+  ThreadCountGuard guard;
+  uint64_t seed = 70;
+  for (const Case& c : cases) {
+    const int64_t t_out = c.time - c.dilation * (c.kernel - 1);
+    const Tensor in_t = MakeInput(Shape{c.batch, c.c_in, c.nodes, c.time}, seed++);
+    Tensor w_t = MakeInput(Shape{c.c_out, c.c_in, 1, c.kernel}, seed++);
+    for (int64_t i = 1; i < w_t.NumElements(); i += 6) w_t.mutable_data()[i] = 0.0f;
+    const Tensor g = MakeInput(Shape{c.batch, c.c_out, c.nodes, t_out}, seed++);
+    const ConvReference ref = ReferenceConv(in_t, w_t, g, c.dilation);
+    const std::string label = in_t.shape().ToString() + " * " + w_t.shape().ToString() +
+                              " dilation " + std::to_string(c.dilation);
+    for (const int threads : kThreadCounts) {
+      runtime::SetNumThreads(threads);
+      autograd::Variable input(in_t, /*requires_grad=*/true);
+      autograd::Variable weight(w_t, /*requires_grad=*/true);
+      autograd::Variable out = autograd::TemporalConv2d(input, weight, c.dilation);
+      out.BackwardWithSeed(g);
+      EXPECT_TRUE(BitEq(out.value(), ref.out)) << label << " at " << threads << " threads";
+      EXPECT_TRUE(BitEq(input.grad(), ref.d_in)) << label << " at " << threads << " threads";
+      EXPECT_TRUE(BitEq(weight.grad(), ref.d_w)) << label << " at " << threads << " threads";
+      // Each gradient alone, as a backward pass whose other parent needs none.
+      Tensor d_in(in_t.shape()), d_w(w_t.shape());
+      ops::TemporalConv2dBackward(g, in_t, w_t, c.dilation, &d_in, nullptr);
+      ops::TemporalConv2dBackward(g, in_t, w_t, c.dilation, nullptr, &d_w);
+      EXPECT_TRUE(BitEq(d_in, ref.d_in)) << label << " at " << threads << " threads";
+      EXPECT_TRUE(BitEq(d_w, ref.d_w)) << label << " at " << threads << " threads";
+    }
+  }
+}
+
+// Element-wise reference for the strided copies: dst[dst_base + sum idx_i *
+// dst_strides_i] = src[src_base + sum idx_i * src_strides_i] over `dims`.
+void ReferenceCopy(const std::vector<int64_t>& dims, const float* src,
+                   const std::vector<int64_t>& src_strides, float* dst,
+                   const std::vector<int64_t>& dst_strides) {
+  int64_t count = 1;
+  for (const int64_t d : dims) count *= d;
+  for (int64_t flat = 0; flat < count; ++flat) {
+    int64_t rem = flat, s = 0, d = 0;
+    for (int64_t i = static_cast<int64_t>(dims.size()) - 1; i >= 0; --i) {
+      const auto u = static_cast<size_t>(i);
+      const int64_t idx = rem % dims[u];
+      rem /= dims[u];
+      s += idx * src_strides[u];
+      d += idx * dst_strides[u];
+    }
+    std::memcpy(dst + d, src + s, sizeof(float));
+  }
+}
+
+TEST(SimdStridedCopyTest, BitwiseMatchesElementwiseReference) {
+  // Sizes put several ParallelFor chunks under each copy path: tiled axis
+  // swaps, contiguous runs, and element-wise strided walks.
+  ThreadCountGuard guard;
+  const Tensor x = MakeInput(Shape{8, 16, 40, 33}, 900);
+  const Tensor y = MakeInput(Shape{6, 12, 17, 5}, 901);
+  struct TransposeCase {
+    const Tensor* in;
+    std::vector<int64_t> perm;
+  };
+  const std::vector<TransposeCase> transposes = {
+      {&x, {0, 1, 3, 2}}, {&x, {0, 3, 2, 1}}, {&y, {0, 3, 2, 1}}, {&y, {2, 0, 3, 1}}};
+  for (const int threads : kThreadCounts) {
+    runtime::SetNumThreads(threads);
+    for (const TransposeCase& c : transposes) {
+      std::vector<int64_t> dims, gather;
+      const std::vector<int64_t> in_strides = c.in->shape().Strides();
+      for (const int64_t axis : c.perm) {
+        dims.push_back(c.in->dim(axis));
+        gather.push_back(in_strides[static_cast<size_t>(axis)]);
+      }
+      Tensor ref{Shape(dims)};
+      ReferenceCopy(dims, c.in->data(), gather, ref.mutable_data(), ref.shape().Strides());
+      EXPECT_TRUE(BitEq(ops::Transpose(*c.in, c.perm), ref))
+          << c.in->shape().ToString() << " perm " << c.perm[1] << c.perm[2] << c.perm[3]
+          << " at " << threads << " threads";
+    }
+    // Slice / UnSlice: a time-axis window (runs), a one-step window (strided
+    // walk) and a window on every axis.
+    const std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> windows = {
+        {{0, 0, 0, 4}, {8, 16, 40, 29}},
+        {{1, 2, 3, 7}, {6, 13, 30, 1}},
+        {{2, 1, 5, 3}, {5, 14, 33, 27}}};
+    for (const auto& [starts, sizes] : windows) {
+      const std::vector<int64_t> strides = x.shape().Strides();
+      int64_t base = 0;
+      for (size_t i = 0; i < starts.size(); ++i) base += starts[i] * strides[i];
+      Tensor slice_ref{Shape(sizes)};
+      ReferenceCopy(sizes, x.data() + base, strides, slice_ref.mutable_data(),
+                    slice_ref.shape().Strides());
+      const Tensor slice = ops::Slice(x, starts, sizes);
+      EXPECT_TRUE(BitEq(slice, slice_ref)) << "slice at " << threads << " threads";
+      Tensor unslice_ref(x.shape());
+      ReferenceCopy(sizes, slice.data(), slice.shape().Strides(),
+                    unslice_ref.mutable_data() + base, strides);
+      EXPECT_TRUE(BitEq(ops::UnSlice(slice, x.shape(), starts), unslice_ref))
+          << "unslice at " << threads << " threads";
+    }
+    // Concat on the channel axis (one run per batch item) and the last axis
+    // (short runs); Pad on the time and the channel axis.
+    for (const int64_t axis : {1, 3}) {
+      std::vector<Tensor> parts;
+      for (const int64_t extent : {3, 1, 12}) {
+        std::vector<int64_t> dims = y.shape().dims();
+        dims[static_cast<size_t>(axis)] = extent;
+        parts.push_back(MakeInput(Shape(dims), 910 + static_cast<uint64_t>(extent)));
+      }
+      std::vector<int64_t> out_dims = y.shape().dims();
+      out_dims[static_cast<size_t>(axis)] = 16;
+      Tensor concat_ref{Shape(out_dims)};
+      const std::vector<int64_t> out_strides = concat_ref.shape().Strides();
+      int64_t offset = 0;
+      for (const Tensor& part : parts) {
+        ReferenceCopy(part.shape().dims(), part.data(), part.shape().Strides(),
+                      concat_ref.mutable_data() + offset * out_strides[static_cast<size_t>(axis)],
+                      out_strides);
+        offset += part.dim(axis);
+      }
+      EXPECT_TRUE(BitEq(ops::Concat(parts, axis), concat_ref))
+          << "concat axis " << axis << " at " << threads << " threads";
+
+      std::vector<int64_t> pad_dims = y.shape().dims();
+      pad_dims[static_cast<size_t>(axis)] += 2 + 3;
+      Tensor pad_ref = Tensor::Full(Shape(pad_dims), -0.0f);
+      const std::vector<int64_t> pad_strides = pad_ref.shape().Strides();
+      ReferenceCopy(y.shape().dims(), y.data(), y.shape().Strides(),
+                    pad_ref.mutable_data() + 2 * pad_strides[static_cast<size_t>(axis)],
+                    pad_strides);
+      EXPECT_TRUE(BitEq(ops::Pad(y, axis, 2, 3, -0.0f), pad_ref))
+          << "pad axis " << axis << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(SimdAdamTest, StepBitwiseMatchesScalarReference) {

@@ -14,9 +14,11 @@
 // --executor selects the inference executor (default: URCL_EXEC, else plan).
 // Clients time every query themselves and split latencies into steady-state
 // vs hot-swap-window samples (a query lands in the swap window when it is the
-// client's first on a new model version — in plan mode that query pays the
-// recompile — or when the hub swapped mid-flight), so the recorded p99 can be
-// attributed to swap/recompile stalls vs the steady serving path.
+// client's first on a new model version or when the hub swapped mid-flight),
+// so the recorded p99 can be attributed to swap stalls vs the steady serving
+// path. In plan mode a hot-swap recompiles nothing: the pooled plans take
+// each snapshot's weights as inputs, so the swap window should cost what the
+// steady path does.
 //
 // The run is closed-loop (each client issues its next query as soon as the
 // previous one returns) and ends once the trainer finishes both stages; the
@@ -200,9 +202,8 @@ int Run(int argc, char** argv) {
         const Status status = service.Predict(request, &response);
         const double query_ns = static_cast<double>(MonotonicNowNs() - query_start_ns);
         if (status.ok()) {
-          // Swap window: this client's first answer from a new model version
-          // (in plan mode that query pays the recompile), or the hub swapped
-          // while the query was in flight.
+          // Swap window: this client's first answer from a new model version,
+          // or the hub swapped while the query was in flight.
           const bool swap_window = response.model_version != last_version ||
                                    service.hub().swap_count() != swaps_before;
           last_version = response.model_version;
@@ -296,10 +297,11 @@ int Run(int argc, char** argv) {
   URCL_CHECK_GE(swaps, 2) << "trainer published fewer than two snapshots";
   URCL_CHECK_GT(total_queries.load(), 0) << "no queries served";
   if (executor == exec::ExecutorMode::kPlan) {
-    // Hot-swap recompile must actually run: the initial compile plus at
-    // least one recompile triggered by a version swap.
-    URCL_CHECK_GE(service.plan_compiles(), 2)
-        << "plan executor never recompiled across hot-swaps";
+    // One query shape: at least one plan, and at most one per concurrent
+    // client, however many hot-swaps happened.
+    URCL_CHECK_GE(service.plan_compiles(), 1) << "plan executor never compiled";
+    URCL_CHECK_LE(service.plan_compiles(), clients)
+        << "plan executor compiled more plans than concurrent clients";
   }
 
   std::ofstream out(out_path);

@@ -178,8 +178,9 @@ int main(int argc, char** argv) {
 
   // 6. Serving demo: the stage-end snapshots were hot-swapped into the
   //    service during training; feed it the last raw input window and ask
-  //    for a one-step-ahead forecast (answered by the tape-free inference
-  //    executor, stamped with the version/stage that served it).
+  //    for a one-step-ahead forecast (answered by a compiled plan bound to
+  //    the live snapshot's weights, stamped with the version/stage that
+  //    served it).
   if (service.hub().Current() != nullptr) {
     for (int64_t t = raw_series.dim(0) - preset.input_steps; t < raw_series.dim(0); ++t) {
       service.IngestTick(ops::Slice(raw_series, {t, 0, 0}, {1, nodes, raw_series.dim(2)})

@@ -8,10 +8,10 @@
 // After (this PR): ingestion and queries run against a serve::ForecastService
 // while a background UrclTrainer trains through the stream's stages and
 // publishes immutable weight snapshots. The service normalizes raw ticks into
-// per-sensor rolling windows, answers forecasts through the tape-free
-// inference executor (bitwise-equal to the training forward), and hot-swaps
-// model versions mid-stream via an atomic shared_ptr exchange — the query
-// loop never blocks on training and observes each swap through the
+// per-sensor rolling windows, answers forecasts through compiled plans bound
+// to the live snapshot's weights (bitwise-equal to the training forward), and
+// hot-swaps model versions mid-stream via an atomic shared_ptr exchange — the
+// query loop never blocks on training and observes each swap through the
 // version/stage stamps in its responses.
 //
 //   ./streaming_forecaster [--nodes 12] [--days 8] [--epochs 2]

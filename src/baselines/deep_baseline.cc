@@ -115,9 +115,9 @@ void DeepBaseline::LoadCheckpoint(const std::string& path) {
 
 Status DeepBaseline::Predict(const core::PredictRequest& request,
                              core::PredictResponse* response) const {
+  const autograd::Variable x(request.inputs, /*requires_grad=*/false);
   return core::FinishPrediction(
-      request, decoder_->InferForward(encoder_->EncodeInference(request.inputs, adjacency_)),
-      response);
+      request, decoder_->Forward(encoder_->Encode(x, adjacency_)).value(), response);
 }
 
 }  // namespace baselines

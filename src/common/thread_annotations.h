@@ -71,10 +71,7 @@ namespace urcl {
 // Capability-annotated exclusive mutex. Lock/Unlock are public so the RAII
 // guards (and clang's analysis of them) can reach the capability, but
 // library code outside this header may only lock through the guards — the
-// lock/bare-lock lint rule bans direct Lock()/Unlock() calls. TryLock is the
-// one sanctioned manual entry point: a successful try-acquire must be
-// adopted into a MutexLock immediately (see ForecastService::TryPlanForward
-// for the pattern).
+// lock/bare-lock lint rule bans direct Lock()/Unlock() calls.
 class URCL_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -83,7 +80,6 @@ class URCL_CAPABILITY("mutex") Mutex {
 
   void Lock() URCL_ACQUIRE() { mu_.lock(); }
   void Unlock() URCL_RELEASE() { mu_.unlock(); }
-  bool TryLock() URCL_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // For CondVar::Wait only: the condition variable needs the underlying
   // handle to release/reacquire atomically around the block.
@@ -110,20 +106,10 @@ class URCL_CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
 };
 
-// Tag for adopting an already-held capability into a scoped guard (the
-// TryLock success path); mirrors std::adopt_lock.
-struct AdoptLockT {
-  explicit AdoptLockT() = default;
-};
-inline constexpr AdoptLockT kAdoptLock{};
-
 // RAII exclusive lock of a Mutex.
 class URCL_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) URCL_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  // Adopts a capability the caller already holds (via a successful TryLock);
-  // the destructor releases it like any other MutexLock.
-  MutexLock(Mutex& mu, AdoptLockT) URCL_REQUIRES(mu) : mu_(mu) {}
   ~MutexLock() URCL_RELEASE() { mu_.Unlock(); }
 
   MutexLock(const MutexLock&) = delete;

@@ -16,13 +16,6 @@ Variable StBackbone::PoolLatent(const Variable& latent) {
   return ag::Mean(latent, {2, 3});  // -> [B, H]
 }
 
-Tensor StBackbone::EncodeInference(const Tensor& observations, const Tensor& adjacency) const {
-  // Fallback: run the tape forward with gradients disabled and extract the
-  // value. Exactly the tape result, just without the memory savings of the
-  // specialized mirrors in the core backbones.
-  return Encode(Variable(observations, /*requires_grad=*/false), adjacency).value();
-}
-
 std::string BackboneTypeName(BackboneType type) {
   switch (type) {
     case BackboneType::kGraphWaveNet:

@@ -47,14 +47,6 @@ class StBackbone : public nn::Module {
  public:
   virtual Variable Encode(const Variable& observations, const Tensor& adjacency) const = 0;
 
-  // Tape-free encode for the serving executor: same kernel sequence as
-  // Encode but on plain Tensors (no Variable graph, no grad buffers), so the
-  // output is bitwise-equal to Encode(...).value() on identical inputs.
-  // The base implementation falls back to the tape forward with gradients
-  // disabled (trivially bitwise-equal, just not allocation-free); the three
-  // core backbones override it with true tape-free mirrors.
-  virtual Tensor EncodeInference(const Tensor& observations, const Tensor& adjacency) const;
-
   // Latent geometry (for sizing the STDecoder / projector).
   virtual int64_t latent_channels() const = 0;
   virtual int64_t latent_time() const = 0;

@@ -3,13 +3,11 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "graph/transition.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace core {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 NodeDiffusionConv::NodeDiffusionConv(int64_t in_features, int64_t out_features,
                                      int64_t num_supports, int64_t diffusion_steps, Rng& rng)
@@ -39,23 +37,6 @@ Variable NodeDiffusionConv::Forward(const Variable& x,
     }
   }
   return projection_->Forward(ag::Concat(terms, /*axis=*/-1));
-}
-
-Tensor NodeDiffusionConv::InferForward(const Tensor& x,
-                                       const std::vector<Tensor>& supports) const {
-  URCL_CHECK_EQ(x.shape().rank(), 3) << "NodeDiffusionConv expects [B, N, F]";
-  URCL_CHECK_EQ(x.shape().dim(2), in_features_);
-  URCL_CHECK_EQ(static_cast<int64_t>(supports.size()), num_supports_);
-  std::vector<Tensor> terms;
-  terms.push_back(x);
-  for (const Tensor& support : supports) {
-    Tensor hop = x;
-    for (int64_t k = 0; k < diffusion_steps_; ++k) {
-      hop = top::MatMul(support, hop);  // [N, N] x [B, N, F] -> [B, N, F]
-      terms.push_back(hop);
-    }
-  }
-  return projection_->InferForward(top::Concat(terms, /*axis=*/-1));
 }
 
 DcrnnEncoder::DcrnnEncoder(const BackboneConfig& config, Rng& rng) : config_(config) {
@@ -108,40 +89,6 @@ Variable DcrnnEncoder::Encode(const Variable& observations, const Tensor& adjace
   latent = ag::Transpose(latent, {0, 2, 1});
   return ag::Reshape(latent,
                      Shape{batch, config_.latent_channels, nodes, 1});
-}
-
-Tensor DcrnnEncoder::EncodeInference(const Tensor& observations,
-                                     const Tensor& adjacency) const {
-  URCL_CHECK_EQ(observations.shape().rank(), 4) << "expected [B, M, N, C]";
-  const int64_t batch = observations.shape().dim(0);
-  const int64_t steps = observations.shape().dim(1);
-  const int64_t nodes = observations.shape().dim(2);
-  const int64_t channels = observations.shape().dim(3);
-  URCL_CHECK_EQ(nodes, config_.num_nodes);
-  URCL_CHECK_EQ(channels, config_.in_channels);
-
-  const std::vector<Tensor> supports =
-      graph::BuildSupportsDense(adjacency, config_.directed_graph);
-
-  Tensor h = Tensor::Zeros(Shape{batch, nodes, config_.hidden_channels});
-  for (int64_t t = 0; t < steps; ++t) {
-    const Tensor x_t =
-        top::Slice(observations, {0, t, 0, 0}, {batch, 1, nodes, channels})
-            .Reshape(Shape{batch, nodes, channels});
-    const Tensor xh = top::Concat({x_t, h}, -1);
-    const Tensor u = top::Sigmoid(update_gate_->InferForward(xh, supports));
-    const Tensor r = top::Sigmoid(reset_gate_->InferForward(xh, supports));
-    const Tensor x_rh = top::Concat({x_t, top::Mul(r, h)}, -1);
-    const Tensor c = top::Tanh(candidate_->InferForward(x_rh, supports));
-    // h = u * h + (1 - u) * c
-    const Tensor one_minus_u = top::AddScalar(top::Neg(u), 1.0f);
-    h = top::Add(top::Mul(u, h), top::Mul(one_minus_u, c));
-  }
-
-  // [B, N, H] -> project -> [B, N, L] -> [B, L, N, 1]
-  Tensor latent = output_projection_->InferForward(h);
-  latent = top::Transpose(latent, {0, 2, 1});
-  return latent.Reshape(Shape{batch, config_.latent_channels, nodes, 1});
 }
 
 }  // namespace core

@@ -20,8 +20,6 @@ class NodeDiffusionConv : public nn::Module {
 
   // x: [B, N, F]; supports: [N, N] transition matrices.
   Variable Forward(const Variable& x, const std::vector<Tensor>& supports) const;
-  // Tape-free forward (serving executor); bitwise-equal to Forward.
-  Tensor InferForward(const Tensor& x, const std::vector<Tensor>& supports) const;
 
  private:
   int64_t in_features_;
@@ -35,7 +33,6 @@ class DcrnnEncoder : public StBackbone {
   DcrnnEncoder(const BackboneConfig& config, Rng& rng);
 
   Variable Encode(const Variable& observations, const Tensor& adjacency) const override;
-  Tensor EncodeInference(const Tensor& observations, const Tensor& adjacency) const override;
 
   int64_t latent_channels() const override { return config_.latent_channels; }
   int64_t latent_time() const override { return 1; }

@@ -132,9 +132,9 @@ std::vector<float> EwcTrainer::TrainStage(const data::StDataset& train, int64_t 
 }
 
 Status EwcTrainer::Predict(const PredictRequest& request, PredictResponse* response) const {
-  return FinishPrediction(
-      request, decoder_->InferForward(encoder_->EncodeInference(request.inputs, adjacency_)),
-      response);
+  const Variable x(request.inputs, /*requires_grad=*/false);
+  return FinishPrediction(request, decoder_->Forward(encoder_->Encode(x, adjacency_)).value(),
+                          response);
 }
 
 }  // namespace core

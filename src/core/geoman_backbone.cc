@@ -4,13 +4,11 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace core {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 GeomanEncoder::GeomanEncoder(const BackboneConfig& config, Rng& rng) : config_(config) {
   const int64_t h = config.hidden_channels;
@@ -74,47 +72,6 @@ Variable GeomanEncoder::Encode(const Variable& observations, const Tensor& adjac
   Variable latent = output_projection_->Forward(context);
   latent = ag::Transpose(latent, {0, 2, 1});
   return ag::Reshape(latent, Shape{batch, config_.latent_channels, nodes, 1});
-}
-
-Tensor GeomanEncoder::EncodeInference(const Tensor& observations,
-                                      const Tensor& adjacency) const {
-  URCL_CHECK_EQ(observations.shape().rank(), 4) << "expected [B, M, N, C]";
-  (void)adjacency;  // attention learns spatial structure directly
-  const int64_t batch = observations.shape().dim(0);
-  const int64_t steps = observations.shape().dim(1);
-  const int64_t nodes = observations.shape().dim(2);
-  URCL_CHECK_EQ(nodes, config_.num_nodes);
-  const int64_t h = config_.hidden_channels;
-
-  // Project features: [B, M, N, C] -> [B, M, N, H].
-  const Tensor x = input_projection_->InferForward(observations);
-
-  // Spatial self-attention over the node axis, per (batch, step).
-  const Tensor q = query_->InferForward(x);
-  const Tensor k = key_->InferForward(x);
-  const Tensor v = value_->InferForward(x);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(h));
-  const Tensor scores = top::MulScalar(top::MatMul(q, top::Transpose(k, {0, 1, 3, 2})), scale);
-  const Tensor attn = top::Softmax(scores, -1);
-  const Tensor spatial = top::MatMul(attn, v);  // [B, M, N, H]
-  const Tensor mixed = top::Add(x, spatial);
-
-  // Temporal attention pooling: per node, weight the M steps.
-  const Tensor per_node = top::Transpose(mixed, {0, 2, 1, 3});
-  const Tensor score_hidden = top::Tanh(temporal_score_hidden_->InferForward(per_node));
-  const Tensor logits = temporal_score_out_->InferForward(score_hidden);  // [B, N, M, 1]
-  Tensor weights = top::Softmax(logits.Reshape(Shape{batch, nodes, steps}), -1);
-  weights = weights.Reshape(Shape{batch, nodes, steps, 1});
-  const Tensor pooled = top::Sum(top::Mul(per_node, weights), {2});  // [B, N, H]
-
-  const Tensor last = top::Slice(mixed, {0, steps - 1, 0, 0}, {batch, 1, nodes, h})
-                          .Reshape(Shape{batch, nodes, h});
-  const Tensor context = top::Concat({pooled, last}, -1);  // [B, N, 2H]
-
-  // [B, N, 2H] -> [B, N, L] -> [B, L, N, 1]
-  Tensor latent = output_projection_->InferForward(context);
-  latent = top::Transpose(latent, {0, 2, 1});
-  return latent.Reshape(Shape{batch, config_.latent_channels, nodes, 1});
 }
 
 }  // namespace core

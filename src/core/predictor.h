@@ -38,7 +38,8 @@ struct PredictRequest {
 // Which execution engine produced a response's predictions.
 enum class AnswerExecutor : int8_t {
   kUnknown = 0,   // predictor does not distinguish engines
-  kTape = 1,      // UrclModel::ForwardInference (tape-free reference path)
+  kTape = 1,      // tape forward: a plan-capturing query, a shape whose
+                  // capture failed, or executor = kTape
   kPlan = 2,      // compiled arena plan (DESIGN.md §12)
   kFallback = 3,  // HistoricalAverage degraded-mode answer
 };

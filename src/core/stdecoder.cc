@@ -2,13 +2,11 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace core {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 StDecoder::StDecoder(int64_t latent_channels, int64_t latent_time, int64_t decoder_hidden,
                      int64_t output_steps, Rng& rng)
@@ -39,22 +37,6 @@ Variable StDecoder::Forward(const Variable& latent) const {
   // [B, N, out] -> [B, out, N] -> [B, out, N, 1]
   h = ag::Transpose(h, {0, 2, 1});
   return ag::Reshape(h, Shape{batch, output_steps_, nodes, 1});
-}
-
-Tensor StDecoder::InferForward(const Tensor& latent) const {
-  URCL_CHECK_EQ(latent.shape().rank(), 4) << "expected latent [B, H, N, T']";
-  URCL_CHECK_EQ(latent.shape().dim(1), latent_channels_);
-  URCL_CHECK_EQ(latent.shape().dim(3), latent_time_);
-  const int64_t batch = latent.shape().dim(0);
-  const int64_t nodes = latent.shape().dim(2);
-
-  // [B, H, N, T'] -> [B, N, H, T'] -> [B, N, H*T'] -> MLP -> [B, N, out]
-  Tensor h = top::Transpose(latent, {0, 2, 1, 3});
-  h = h.Reshape(Shape{batch, nodes, latent_channels_ * latent_time_});
-  h = mlp_->InferForward(h);
-  // [B, N, out] -> [B, out, N] -> [B, out, N, 1]
-  h = top::Transpose(h, {0, 2, 1});
-  return h.Reshape(Shape{batch, output_steps_, nodes, 1});
 }
 
 }  // namespace core

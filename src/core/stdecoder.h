@@ -20,8 +20,6 @@ class StDecoder : public nn::Module {
             int64_t output_steps, Rng& rng);
 
   Variable Forward(const Variable& latent) const;
-  // Tape-free forward (serving executor); bitwise-equal to Forward.
-  Tensor InferForward(const Tensor& latent) const;
 
   int64_t output_steps() const { return output_steps_; }
 

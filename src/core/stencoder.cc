@@ -3,13 +3,11 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "graph/transition.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace core {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 GraphWaveNetEncoder::GraphWaveNetEncoder(const BackboneConfig& config, Rng& rng)
     : config_(config) {
@@ -97,40 +95,6 @@ Variable GraphWaveNetEncoder::Encode(const Variable& observations,
   }
 
   return output_projection_->Forward(ag::Relu(h));
-}
-
-Tensor GraphWaveNetEncoder::EncodeInference(const Tensor& observations,
-                                            const Tensor& adjacency) const {
-  URCL_CHECK_EQ(observations.shape().rank(), 4) << "expected [B, M, N, C]";
-  URCL_CHECK_EQ(observations.shape().dim(1), config_.input_steps);
-  URCL_CHECK_EQ(observations.shape().dim(2), config_.num_nodes);
-  URCL_CHECK_EQ(observations.shape().dim(3), config_.in_channels);
-
-  std::vector<Tensor> supports;
-  if (config_.use_static_supports) {
-    supports = graph::BuildSupportsDense(adjacency, config_.directed_graph);
-  }
-  Tensor adaptive;
-  if (config_.use_adaptive_adjacency) adaptive = adaptive_->InferForward();
-  const Tensor* adaptive_ptr = config_.use_adaptive_adjacency ? &adaptive : nullptr;
-
-  // [B, M, N, C] -> [B, C, N, M]
-  Tensor h = top::Transpose(observations, {0, 3, 2, 1});
-  h = input_projection_->InferForward(h);
-
-  for (size_t layer = 0; layer < tcn_layers_.size(); ++layer) {
-    const Tensor temporal = tcn_layers_[layer]->InferForward(h);
-    const Tensor spatial = gcn_layers_[layer]->InferForward(temporal, supports, adaptive_ptr);
-    const int64_t t_out = spatial.shape().dim(3);
-    const int64_t t_in = h.shape().dim(3);
-    const Tensor residual = top::Slice(
-        h, {0, 0, 0, t_in - t_out},
-        {h.shape().dim(0), h.shape().dim(1), h.shape().dim(2), t_out});
-    h = top::Add(spatial, residual);
-    if (!norm_layers_.empty()) h = norm_layers_[layer]->InferForward(h);
-  }
-
-  return output_projection_->InferForward(top::Relu(h));
 }
 
 }  // namespace core

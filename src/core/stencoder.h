@@ -22,7 +22,6 @@ class GraphWaveNetEncoder : public StBackbone {
   GraphWaveNetEncoder(const BackboneConfig& config, Rng& rng);
 
   Variable Encode(const Variable& observations, const Tensor& adjacency) const override;
-  Tensor EncodeInference(const Tensor& observations, const Tensor& adjacency) const override;
 
   int64_t latent_channels() const override { return config_.latent_channels; }
   int64_t latent_time() const override { return latent_time_; }

@@ -123,10 +123,6 @@ Variable UrclModel::Forward(const Variable& observations, const Tensor& adjacenc
   return decoder_->Forward(encoder_->Encode(observations, adjacency));
 }
 
-Tensor UrclModel::ForwardInference(const Tensor& observations, const Tensor& adjacency) const {
-  return decoder_->InferForward(encoder_->EncodeInference(observations, adjacency));
-}
-
 UrclTrainer::UrclTrainer(const UrclConfig& config, const graph::SensorNetwork& network)
     : config_(config),
       rng_(config.seed),
@@ -887,10 +883,8 @@ Status UrclTrainer::RestoreFromCheckpointDir(std::string* diagnostics) {
 }
 
 Status UrclTrainer::Predict(const PredictRequest& request, PredictResponse* response) const {
-  // The tape-free path: bitwise-equal to the Variable forward (same ops::
-  // kernel sequence) without allocating graph nodes or grad buffers.
-  Status status =
-      FinishPrediction(request, model_->ForwardInference(request.inputs, adjacency_), response);
+  const Variable x(request.inputs, /*requires_grad=*/false);
+  Status status = FinishPrediction(request, model_->Forward(x, adjacency_).value(), response);
   if (!status.ok()) return status;
   response->stage = current_stage_;
   response->model_version = snapshots_published_;

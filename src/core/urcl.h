@@ -99,11 +99,6 @@ class UrclModel : public nn::Module {
   // Prediction path (Eq. 17): decoder(encoder(x)).
   Variable Forward(const Variable& observations, const Tensor& adjacency) const;
 
-  // Tape-free prediction path for the serving executor: no Variable graph,
-  // no grad buffers — the same ops:: kernel sequence as Forward, so the
-  // result is bitwise-equal to Forward(...).value() on identical inputs.
-  Tensor ForwardInference(const Tensor& observations, const Tensor& adjacency) const;
-
   StBackbone& encoder() { return *encoder_; }
   const StBackbone& encoder() const { return *encoder_; }
   StSimSiam& simsiam() { return *simsiam_; }

@@ -170,27 +170,25 @@ class GraphRecorder : public autograd::record::TapeListener {
     }
     Slot slot;
     slot.shape = v.shape();
+    // Inputs are matched before parameters: a caller that names parameter
+    // values as inputs (serving, to rebind each snapshot's weights) gets
+    // them rebound by position on every run.
+    for (size_t i = 0; i < inputs_.size(); ++i) {
+      if (inputs_[i].data() == v.value().data()) {
+        slot.kind = Slot::Kind::kInput;
+        slot.input_index = static_cast<int>(i);
+        return Register(v, std::move(slot));
+      }
+    }
     if (v.requires_grad()) {
       slot.kind = Slot::Kind::kParam;
       slot.requires_grad = true;
       slot.param = v;
     } else {
-      int input_index = -1;
-      for (size_t i = 0; i < inputs_.size(); ++i) {
-        if (inputs_[i].data() == v.value().data()) {
-          input_index = static_cast<int>(i);
-          break;
-        }
-      }
-      if (input_index >= 0) {
-        slot.kind = Slot::Kind::kInput;
-        slot.input_index = input_index;
-      } else {
-        // Step-invariant by construction: anything rebuilt per step flows
-        // through ops under the listener or is named as an input.
-        slot.kind = Slot::Kind::kConstant;
-        slot.constant = v.value();
-      }
+      // Step-invariant by construction: anything rebuilt per step flows
+      // through ops under the listener or is named as an input.
+      slot.kind = Slot::Kind::kConstant;
+      slot.constant = v.value();
     }
     return Register(v, std::move(slot));
   }
@@ -941,15 +939,30 @@ void CompiledPlan::ExecBackwardThunk(const Instr& instr) {
 
 CompiledPlan* PlanCache::Lookup(const std::string& key) {
   auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : it->second.plan.get();
+  return it == entries_.end() || it->second.idle.empty() ? nullptr
+                                                         : it->second.idle.back().get();
+}
+
+std::unique_ptr<CompiledPlan> PlanCache::Take(const std::string& key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.idle.empty()) return nullptr;
+  std::unique_ptr<CompiledPlan> plan = std::move(it->second.idle.back());
+  it->second.idle.pop_back();
+  return plan;
 }
 
 bool PlanCache::ShouldCapture(const std::string& key) const {
-  return entries_.find(key) == entries_.end() && entries_.size() < capacity_;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? entries_.size() < capacity_ : !it->second.failed;
 }
 
 void PlanCache::Insert(const std::string& key, std::unique_ptr<CompiledPlan> plan) {
-  entries_[key].plan = std::move(plan);
+  Entry& entry = entries_[key];
+  if (plan == nullptr) {
+    entry.failed = true;
+  } else {
+    entry.idle.push_back(std::move(plan));
+  }
 }
 
 std::string PlanCache::ShapeKey(std::initializer_list<const Tensor*> tensors) {

@@ -8,12 +8,13 @@
 // turns it into a define-once/run-many program:
 //
 //   capture   GraphRecorder observes the op stream (kind, parents, closed-
-//             form attributes) and classifies every leaf: trainable
-//             parameter (kept as a Variable so gradient accumulation and
-//             Adam state stay the tape's), per-step input (rebound every
-//             run by storage identity), or captured constant (e.g. the
-//             dense graph supports, which are step-invariant for a fixed
-//             adjacency).
+//             form attributes) and classifies every leaf: per-step input
+//             (matched by storage identity and rebound by position every
+//             run; serving names a snapshot's parameters here too, so one
+//             plan serves every snapshot), trainable parameter (kept as a
+//             Variable so gradient accumulation and Adam state stay the
+//             tape's), or captured constant (e.g. the dense graph supports,
+//             which are step-invariant for a fixed adjacency).
 //   compile   Ahead-of-time shape inference re-derives every op's output
 //             shape closed-form (reusing the autograd/lint.cc rules) and
 //             must agree with the captured shapes; the backward program is
@@ -195,28 +196,32 @@ class CompiledPlan {
   Tensor root_out_{Shape{}}; // pool-backed output buffer, reused every run
 };
 
-// A small shape-keyed cache of compiled plans for one graph family (the
-// trainer keys train/virtual/per-item families separately; serving clears
-// its cache whenever the snapshot identity changes, since a republish can
-// reuse a version number). Not thread-safe; callers serialize externally.
+// A small shape-keyed cache of compiled plans for one graph family. The
+// trainer keys its train/virtual/per-item families separately and keeps one
+// plan per key (Lookup). Serving keeps a list of idle plans per key: a query
+// Takes one, runs it with no lock held and Inserts it back, so concurrent
+// queries on one shape each run their own plan. Not thread-safe; callers
+// serialize externally.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 8) : capacity_(capacity) {}
 
-  // Ready plan for this key, or null.
+  // An idle plan for this key, left in the cache, or null.
   CompiledPlan* Lookup(const std::string& key);
-  // True when this key has no entry yet and the cache has room — the caller
-  // should capture this step. Keys beyond capacity, and keys whose capture
-  // failed, stay on the tape permanently.
+  // Removes and returns an idle plan for this key, or null.
+  std::unique_ptr<CompiledPlan> Take(const std::string& key);
+  // True when the caller should capture a plan for this key: no capture of
+  // it has failed, and it already has an entry or the cache has room for
+  // one. Keys beyond capacity, and keys whose capture failed, stay on the
+  // tape permanently.
   bool ShouldCapture(const std::string& key) const;
-  // Registers a capture outcome (null plan = permanent tape fallback).
+  // Adds a plan to this key's idle list (a fresh capture, or one returned
+  // after Take). A null plan records a failed capture.
   void Insert(const std::string& key, std::unique_ptr<CompiledPlan> plan);
-  void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
-  // Entries holding a live plan (failed captures are cached as null).
+  // Idle plans held across all keys.
   size_t num_compiled() const {
     size_t n = 0;
-    for (const auto& [key, entry] : entries_) n += entry.plan != nullptr ? 1 : 0;
+    for (const auto& [key, entry] : entries_) n += entry.idle.size();
     return n;
   }
 
@@ -225,7 +230,8 @@ class PlanCache {
 
  private:
   struct Entry {
-    std::unique_ptr<CompiledPlan> plan;  // null = failed capture
+    std::vector<std::unique_ptr<CompiledPlan>> idle;
+    bool failed = false;  // a capture failed: this key stays on the tape
   };
   size_t capacity_;
   std::map<std::string, Entry> entries_;

@@ -3,13 +3,11 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "nn/init.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace nn {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 AdaptiveAdjacency::AdaptiveAdjacency(int64_t num_nodes, int64_t embedding_dim, Rng& rng)
     : num_nodes_(num_nodes) {
@@ -23,10 +21,6 @@ AdaptiveAdjacency::AdaptiveAdjacency(int64_t num_nodes, int64_t embedding_dim, R
 
 Variable AdaptiveAdjacency::Forward() const {
   return ag::Softmax(ag::Relu(ag::MatMul(e1_, e2_)), /*axis=*/-1);
-}
-
-Tensor AdaptiveAdjacency::InferForward() const {
-  return top::Softmax(top::Relu(top::MatMul(e1_.value(), e2_.value())), /*axis=*/-1);
 }
 
 Variable GraphMatMul(const Tensor& adjacency, const Variable& x) {
@@ -45,17 +39,6 @@ Variable GraphMatMul(const Variable& adjacency, const Variable& x) {
   Variable xt = ag::Transpose(x, {0, 1, 3, 2});
   Variable yt = ag::MatMul(xt, ag::Transpose(adjacency, {1, 0}));
   return ag::Transpose(yt, {0, 1, 3, 2});
-}
-
-Tensor GraphMatMul(const Tensor& adjacency, const Tensor& x) {
-  URCL_CHECK_EQ(x.shape().rank(), 4) << "GraphMatMul expects [B, C, N, T]";
-  URCL_CHECK_EQ(adjacency.shape().rank(), 2);
-  URCL_CHECK_EQ(adjacency.shape().dim(0), x.shape().dim(2))
-      << "adjacency " << adjacency.shape().ToString() << " does not match node count of "
-      << x.shape().ToString();
-  const Tensor xt = top::Transpose(x, {0, 1, 3, 2});
-  const Tensor yt = top::MatMul(xt, top::Transpose(adjacency, {1, 0}));
-  return top::Transpose(yt, {0, 1, 3, 2});
 }
 
 DiffusionGcn::DiffusionGcn(int64_t in_channels, int64_t out_channels,
@@ -102,34 +85,6 @@ Variable DiffusionGcn::Forward(const Variable& x, const std::vector<Tensor>& sup
   // Concatenate diffusion terms on the channel axis, then 1x1-project.
   Variable stacked = ag::Concat(terms, /*axis=*/1);
   return projection_->Forward(stacked);
-}
-
-Tensor DiffusionGcn::InferForward(const Tensor& x, const std::vector<Tensor>& supports,
-                                  const Tensor* adaptive) const {
-  URCL_CHECK_EQ(static_cast<int64_t>(supports.size()), num_static_supports_)
-      << "DiffusionGcn configured for " << num_static_supports_ << " supports";
-  URCL_CHECK_EQ(adaptive != nullptr, use_adaptive_)
-      << "DiffusionGcn adaptive-support usage does not match configuration";
-  URCL_CHECK_EQ(x.shape().dim(1), in_channels_);
-
-  std::vector<Tensor> terms;
-  terms.push_back(x);  // k = 0 identity term
-  for (const Tensor& support : supports) {
-    Tensor hop = x;
-    for (int64_t k = 0; k < max_diffusion_step_; ++k) {
-      hop = GraphMatMul(support, hop);
-      terms.push_back(hop);
-    }
-  }
-  if (use_adaptive_) {
-    Tensor hop = x;
-    for (int64_t k = 0; k < max_diffusion_step_; ++k) {
-      hop = GraphMatMul(*adaptive, hop);
-      terms.push_back(hop);
-    }
-  }
-  const Tensor stacked = top::Concat(terms, /*axis=*/1);
-  return projection_->InferForward(stacked);
 }
 
 }  // namespace nn

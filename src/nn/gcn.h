@@ -19,8 +19,6 @@ class AdaptiveAdjacency : public Module {
 
   // Returns the [N, N] row-stochastic adaptive adjacency.
   Variable Forward() const;
-  // Tape-free forward (serving executor); bitwise-equal to Forward.
-  Tensor InferForward() const;
 
   int64_t num_nodes() const { return num_nodes_; }
 
@@ -45,10 +43,6 @@ class DiffusionGcn : public Module {
   // must equal num_static_supports); adaptive: [N, N] Variable or invalid.
   Variable Forward(const Variable& x, const std::vector<Tensor>& supports,
                    const Variable& adaptive) const;
-  // Tape-free forward (serving executor); `adaptive` is nullptr when the
-  // layer is configured without an adaptive support. Bitwise-equal to Forward.
-  Tensor InferForward(const Tensor& x, const std::vector<Tensor>& supports,
-                      const Tensor* adaptive) const;
 
   int64_t out_channels() const { return out_channels_; }
 
@@ -66,8 +60,6 @@ class DiffusionGcn : public Module {
 // differentiable; Variable overload lets gradients reach A).
 Variable GraphMatMul(const Tensor& adjacency, const Variable& x);
 Variable GraphMatMul(const Variable& adjacency, const Variable& x);
-// Tape-free overload (serving executor); bitwise-equal to the Variable path.
-Tensor GraphMatMul(const Tensor& adjacency, const Tensor& x);
 
 }  // namespace nn
 }  // namespace urcl

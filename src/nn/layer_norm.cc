@@ -2,13 +2,11 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace nn {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 LayerNorm::LayerNorm(int64_t num_channels, Rng& rng, float epsilon)
     : num_channels_(num_channels), epsilon_(epsilon) {
@@ -27,16 +25,6 @@ Variable LayerNorm::Forward(const Variable& x) const {
   Variable variance = ag::Mean(ag::Square(centered), {1}, /*keepdims=*/true);
   Variable normalized = ag::Div(centered, ag::Sqrt(ag::AddScalar(variance, epsilon_)));
   return ag::Add(ag::Mul(normalized, gamma_), beta_);
-}
-
-Tensor LayerNorm::InferForward(const Tensor& x) const {
-  URCL_CHECK_EQ(x.shape().rank(), 4) << "LayerNorm expects [B, C, N, T]";
-  URCL_CHECK_EQ(x.shape().dim(1), num_channels_);
-  const Tensor mean = top::Mean(x, {1}, /*keepdims=*/true);
-  const Tensor centered = top::Sub(x, mean);
-  const Tensor variance = top::Mean(top::Square(centered), {1}, /*keepdims=*/true);
-  const Tensor normalized = top::Div(centered, top::Sqrt(top::AddScalar(variance, epsilon_)));
-  return top::Add(top::Mul(normalized, gamma_.value()), beta_.value());
 }
 
 }  // namespace nn

@@ -17,8 +17,6 @@ class LayerNorm : public Module {
   // Normalizes each (b, n, t) position's channel vector to zero mean / unit
   // variance, then applies the learned per-channel affine transform.
   Variable Forward(const Variable& x) const;
-  // Tape-free forward (serving executor); bitwise-equal to Forward.
-  Tensor InferForward(const Tensor& x) const;
 
   int64_t num_channels() const { return num_channels_; }
 

@@ -3,13 +3,11 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "nn/init.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace nn {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
     : in_features_(in_features), out_features_(out_features) {
@@ -26,15 +24,6 @@ Variable Linear::Forward(const Variable& x) const {
       << "Linear: input " << x.shape().ToString() << " does not end in " << in_features_;
   Variable y = ag::MatMul(x, weight_);
   if (bias_.IsValid()) y = ag::Add(y, bias_);
-  return y;
-}
-
-Tensor Linear::InferForward(const Tensor& x) const {
-  URCL_CHECK_GE(x.shape().rank(), 2) << "Linear expects rank >= 2";
-  URCL_CHECK_EQ(x.shape().dim(-1), in_features_)
-      << "Linear: input " << x.shape().ToString() << " does not end in " << in_features_;
-  Tensor y = top::MatMul(x, weight_.value());
-  if (bias_.IsValid()) y = top::Add(y, bias_.value());
   return y;
 }
 
@@ -57,15 +46,6 @@ Variable ChannelLinear::Forward(const Variable& x) const {
   return y;
 }
 
-Tensor ChannelLinear::InferForward(const Tensor& x) const {
-  URCL_CHECK_EQ(x.shape().rank(), 4) << "ChannelLinear expects [B, C, N, T]";
-  URCL_CHECK_EQ(x.shape().dim(1), in_channels_)
-      << "ChannelLinear: input " << x.shape().ToString() << " has wrong channel count";
-  Tensor y = top::TemporalConv2d(x, weight_.value(), /*dilation=*/1);
-  if (bias_.IsValid()) y = top::Add(y, bias_.value());
-  return y;
-}
-
 Variable Activate(const Variable& x, Activation activation) {
   switch (activation) {
     case Activation::kNone:
@@ -76,21 +56,6 @@ Variable Activate(const Variable& x, Activation activation) {
       return ag::Tanh(x);
     case Activation::kSigmoid:
       return ag::Sigmoid(x);
-  }
-  URCL_CHECK(false) << "unknown activation";
-  return x;
-}
-
-Tensor Activate(const Tensor& x, Activation activation) {
-  switch (activation) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return top::Relu(x);
-    case Activation::kTanh:
-      return top::Tanh(x);
-    case Activation::kSigmoid:
-      return top::Sigmoid(x);
   }
   URCL_CHECK(false) << "unknown activation";
   return x;
@@ -110,16 +75,6 @@ Variable Mlp::Forward(const Variable& x) const {
   Variable h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i]->Forward(h);
-    const bool last = i + 1 == layers_.size();
-    if (!last || activate_last_) h = Activate(h, activation_);
-  }
-  return h;
-}
-
-Tensor Mlp::InferForward(const Tensor& x) const {
-  Tensor h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->InferForward(h);
     const bool last = i + 1 == layers_.size();
     if (!last || activate_last_) h = Activate(h, activation_);
   }

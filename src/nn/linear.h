@@ -17,9 +17,6 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias = true);
 
   Variable Forward(const Variable& x) const;
-  // Tape-free forward for the serving executor: identical kernel sequence as
-  // Forward, so outputs are bitwise-equal to the tape path on equal inputs.
-  Tensor InferForward(const Tensor& x) const;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
@@ -39,7 +36,6 @@ class ChannelLinear : public Module {
 
   // [B, C_in, N, T] -> [B, C_out, N, T]
   Variable Forward(const Variable& x) const;
-  Tensor InferForward(const Tensor& x) const;
 
  private:
   int64_t in_channels_;
@@ -59,7 +55,6 @@ class Mlp : public Module {
       Activation activation = Activation::kRelu, bool activate_last = false);
 
   Variable Forward(const Variable& x) const;
-  Tensor InferForward(const Tensor& x) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
@@ -69,7 +64,6 @@ class Mlp : public Module {
 
 // Applies the given activation (kNone passes through).
 Variable Activate(const Variable& x, Activation activation);
-Tensor Activate(const Tensor& x, Activation activation);
 
 }  // namespace nn
 }  // namespace urcl

@@ -3,13 +3,11 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "nn/init.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace nn {
 
 namespace ag = ::urcl::autograd;
-namespace top = ::urcl::ops;
 
 GatedTcn::GatedTcn(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
                    int64_t dilation, Rng& rng)
@@ -36,16 +34,6 @@ Variable GatedTcn::Forward(const Variable& x) const {
       ag::Add(ag::TemporalConv2d(x, filter_weight_, dilation_), filter_bias_);
   Variable gated = ag::Add(ag::TemporalConv2d(x, gate_weight_, dilation_), gate_bias_);
   return ag::Mul(ag::Tanh(filtered), ag::Sigmoid(gated));
-}
-
-Tensor GatedTcn::InferForward(const Tensor& x) const {
-  URCL_CHECK_EQ(x.shape().rank(), 4) << "GatedTcn expects [B, C, N, T]";
-  URCL_CHECK_EQ(x.shape().dim(1), in_channels_);
-  const Tensor filtered =
-      top::Add(top::TemporalConv2d(x, filter_weight_.value(), dilation_), filter_bias_.value());
-  const Tensor gated =
-      top::Add(top::TemporalConv2d(x, gate_weight_.value(), dilation_), gate_bias_.value());
-  return top::Mul(top::Tanh(filtered), top::Sigmoid(gated));
 }
 
 }  // namespace nn

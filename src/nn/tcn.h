@@ -15,8 +15,6 @@ class GatedTcn : public Module {
 
   // [B, C_in, N, T] -> [B, C_out, N, T - dilation*(kernel-1)]
   Variable Forward(const Variable& x) const;
-  // Tape-free forward (serving executor); bitwise-equal to Forward.
-  Tensor InferForward(const Tensor& x) const;
 
   // Time steps consumed by the receptive field.
   int64_t TimeShrink() const { return dilation_ * (kernel_size_ - 1); }

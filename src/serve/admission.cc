@@ -43,7 +43,10 @@ Status AdmitSnapshot(const checkpoint::Container& container, const core::UrclCon
   // Gate 4: canary inference on the pinned probe window. Finite weights can
   // still be explosive (a diverged trainer); the canary bounds the output.
   if (admission.run_canary) {
-    const Tensor canary = snapshot->model->ForwardInference(probe_window, adjacency);
+    const Tensor canary =
+        snapshot->model->Forward(autograd::Variable(probe_window, /*requires_grad=*/false),
+                                 adjacency)
+            .value();
     if (!canary.AllFinite()) {
       return Status::DataLoss("snapshot v" + std::to_string(snapshot->version) +
                               " rejected: canary inference produced non-finite output");

@@ -232,52 +232,56 @@ HealthState ForecastService::health_state() const {
   return health_.Evaluate(MonotonicNowNs(), hub_.Current() != nullptr);
 }
 
-std::optional<Tensor> ForecastService::TryPlanForward(
-    const std::shared_ptr<const ModelSnapshot>& snapshot, const Tensor& inputs) const {
-  if (config_.executor != exec::ExecutorMode::kPlan) return std::nullopt;
-  // Contended: another query is executing the plan. ForwardInference is
-  // always correct (bitwise-equal output), so don't queue on the arena.
-  if (!plan_mu_.TryLock()) return std::nullopt;
-  MutexLock lock(plan_mu_, kAdoptLock);
-  if (plan_snapshot_.lock() != snapshot) {
-    // Hot-swap (or a republish reusing the version number): the cached plans
-    // replay the retired snapshot's weights as captured constants/parameters.
-    // Invalidate; this query recompiles.
-    serve_plans_.Clear();
-    plan_snapshot_ = snapshot;
+Tensor ForecastService::Forward(const ModelSnapshot& snapshot, const Tensor& inputs,
+                                core::AnswerExecutor* executor) const {
+  const auto tape_forward = [&] {
+    return snapshot.model->Forward(autograd::Variable(inputs, /*requires_grad=*/false),
+                                   adjacency_);
+  };
+  *executor = core::AnswerExecutor::kTape;
+  if (config_.executor != exec::ExecutorMode::kPlan) return tape_forward().value();
+
+  // Plan inputs are the query and then the snapshot's weights, all rebound
+  // by position on every run, so one plan serves every snapshot.
+  std::vector<Tensor> plan_inputs{inputs};
+  for (const autograd::Variable& param : snapshot.model->Parameters()) {
+    plan_inputs.push_back(param.value());
   }
   const std::string key = exec::PlanCache::ShapeKey({&inputs});
-  exec::CompiledPlan* plan = serve_plans_.Lookup(key);
-  if (plan == nullptr && serve_plans_.ShouldCapture(key)) {
-    const std::vector<Tensor> plan_inputs{inputs};
-    exec::CompiledPlan::CaptureResult captured = exec::CompiledPlan::Capture(
-        plan_inputs,
-        [&] {
-          return snapshot->model->Forward(autograd::Variable(inputs, /*requires_grad=*/false),
-                                         adjacency_);
-        },
-        /*with_backward=*/false);
-    if (captured.plan == nullptr) {
-      // Unsupported capture: every later query on this shape falls back to
-      // ForwardInference. Recorded once, here, not per query.
-      obs::RecordFlightEvent(obs::FlightEventType::kPlanFallback, snapshot->version,
-                             /*b=*/0, key.c_str());
-    } else {
-      obs::RecordFlightEvent(obs::FlightEventType::kPlanCompile, snapshot->version,
-                             /*b=*/0, key.c_str());
-    }
-    serve_plans_.Insert(key, std::move(captured.plan));
-    plan_compiles_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().plan_compiles.Add();
-    // The capturing query answers from the tape build (tape Forward and
-    // ForwardInference are bitwise-equal by contract).
-    return captured.root->value();
+  std::unique_ptr<exec::CompiledPlan> plan;
+  bool capture = false;
+  {
+    MutexLock lock(plan_mu_);
+    plan = serve_plans_.Take(key);
+    capture = plan == nullptr && serve_plans_.ShouldCapture(key);
   }
-  if (plan == nullptr) return std::nullopt;  // capture failed: permanent fallback
-  plan->BindInputs({inputs});
-  // Clone: the plan owns (and next run overwrites) the returned storage,
-  // while the response outlives this call.
-  return plan->RunForward().Clone();
+  if (plan != nullptr) {
+    plan->BindInputs(plan_inputs);
+    // Clone: the plan owns (and its next run overwrites) the returned
+    // storage, while the response outlives this call.
+    Tensor predictions = plan->RunForward().Clone();
+    MutexLock lock(plan_mu_);
+    serve_plans_.Insert(key, std::move(plan));
+    *executor = core::AnswerExecutor::kPlan;
+    return predictions;
+  }
+  if (!capture) return tape_forward().value();  // capture failed, or no room
+
+  // No idle plan: capture one for the pool and answer from the tape build.
+  exec::CompiledPlan::CaptureResult captured =
+      exec::CompiledPlan::Capture(plan_inputs, tape_forward, /*with_backward=*/false);
+  // A failed capture is recorded once, here; later queries on this shape
+  // take the tape without capturing again.
+  obs::RecordFlightEvent(captured.plan == nullptr ? obs::FlightEventType::kPlanFallback
+                                                  : obs::FlightEventType::kPlanCompile,
+                         snapshot.version, /*b=*/0, key.c_str());
+  plan_compiles_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().plan_compiles.Add();
+  {
+    MutexLock lock(plan_mu_);
+    serve_plans_.Insert(key, std::move(captured.plan));
+  }
+  return captured.root->value();
 }
 
 std::shared_ptr<const ModelSnapshot> ForecastService::AcquireSnapshot() const {
@@ -486,12 +490,7 @@ Status ForecastService::Predict(const core::PredictRequest& request,
   core::AnswerExecutor executor = core::AnswerExecutor::kTape;
   {
     URCL_TRACE_SCOPE("serve.exec");
-    if (std::optional<Tensor> planned = TryPlanForward(snapshot, request.inputs)) {
-      raw_predictions = std::move(*planned);
-      executor = core::AnswerExecutor::kPlan;
-    } else {
-      raw_predictions = snapshot->model->ForwardInference(request.inputs, adjacency_);
-    }
+    raw_predictions = Forward(*snapshot, request.inputs, &executor);
   }
   Status status = core::FinishPrediction(request, raw_predictions, response);
   if (!status.ok()) return status;  // request problem (bad horizon), not a model error

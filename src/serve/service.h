@@ -19,18 +19,18 @@
 //      HistoricalAverage fallback (stamped degraded=true) instead of failing
 //      closed; LAME_DUCK drains with typed kUnavailable.
 //   4. The query path: Predict answers batched forecast requests from any
-//      number of concurrent client threads via the tape-free inference
-//      executor (UrclModel::ForwardInference — bitwise-equal to the training
-//      forward), with queue-depth and deadline-aware admission control,
-//      urcl.serve.* metrics and trace spans. Every failure is a typed Status;
-//      a non-finite value never leaves Predict.
+//      number of concurrent client threads through a pool of compiled plans
+//      that rebind each snapshot's weights, with the tape forward as the
+//      only fallback (both bitwise-equal to the training forward), under
+//      queue-depth and deadline-aware admission control, urcl.serve.*
+//      metrics and trace spans. Every failure is a typed Status; a
+//      non-finite value never leaves Predict.
 #ifndef URCL_SERVE_SERVICE_H_
 #define URCL_SERVE_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,11 +92,11 @@ struct ServiceConfig {
   // 0 = requests without an explicit deadline are never deadline-shed.
   int64_t default_deadline_ns = 0;
 
-  // Inference executor (DESIGN.md §12): kPlan captures the current
-  // snapshot's forward into a compiled arena program (recompiled on every
-  // hot-swap); kTape always runs UrclModel::ForwardInference. Both produce
-  // bitwise-identical forecasts; contended queries fall back to
-  // ForwardInference rather than queue on the plan. Defaults from URCL_EXEC.
+  // Inference executor (DESIGN.md §12): kPlan answers from a pool of
+  // compiled arena programs, one per query shape and concurrent query, that
+  // take each snapshot's weights as inputs and so survive hot-swaps; kTape
+  // always runs the tape forward. Both produce bitwise-identical forecasts.
+  // Defaults from URCL_EXEC.
   exec::ExecutorMode executor = exec::DefaultExecutorMode();
 
   // Human-readable message per invalid field; empty when usable.
@@ -185,17 +185,18 @@ class ForecastService {
   int64_t rollback_count() const { return hub_.rollback_count(); }
 
   // Compiled inference plans built since construction (also the
-  // urcl.serve.plan_compiles counter). Advances on every hot-swap that
-  // serves a query in plan mode — each new version recompiles.
+  // urcl.serve.plan_compiles counter). Advances when a plan-mode query finds
+  // no idle plan for its shape, so it is bounded by query shapes times peak
+  // concurrent queries and does not grow with hot-swaps.
   int64_t plan_compiles() const { return plan_compiles_.load(std::memory_order_relaxed); }
 
  private:
-  // Answers `inputs` via the compiled plan for `snapshot`, compiling it
-  // first when this is the first plan-mode query on this (snapshot, shape).
-  // Returns nullopt — caller uses ForwardInference — in tape mode, when the
-  // plan mutex is contended, or when this shape's capture failed.
-  std::optional<Tensor> TryPlanForward(const std::shared_ptr<const ModelSnapshot>& snapshot,
-                                       const Tensor& inputs) const;
+  // Answers `inputs` with `snapshot`'s weights from an idle compiled plan for
+  // this shape and stamps `executor`. Falls back to the tape forward in tape
+  // mode, when this shape's capture failed, or when no plan is idle; the last
+  // case also captures a new plan for the pool.
+  Tensor Forward(const ModelSnapshot& snapshot, const Tensor& inputs,
+                 core::AnswerExecutor* executor) const;
 
   // Health-state change detection for the flight recorder: records a
   // health_transition event when `state` differs from the last state this
@@ -246,17 +247,12 @@ class ForecastService {
   // observe-decide-rollback sequence in AttemptRollback atomic.
   mutable Mutex rollback_mu_;
 
-  // Compiled-executor state: plans for the live snapshot, keyed by input
-  // shape. A hot-swap invalidates the whole cache (plan_snapshot_ identity
-  // mismatch) and the next query recompiles against the new weights. One
-  // mutex serializes plan execution; contended queries take the
-  // ForwardInference path instead of blocking (TryPlanForward).
+  // Compiled-executor state: idle plans keyed by input shape. A query takes
+  // a plan out under plan_mu_, runs it with no lock held and puts it back,
+  // so the mutex is never held while a plan runs. Plans take the weights as
+  // inputs, so they serve every snapshot and survive hot-swaps.
   mutable Mutex plan_mu_;
   mutable exec::PlanCache serve_plans_ URCL_GUARDED_BY(plan_mu_);
-  // Snapshot the cache was built for — identity, not version: a republish
-  // can reuse a version number with different weights (rollback, re-admit),
-  // and the plans captured the old weights as constants.
-  mutable std::weak_ptr<const ModelSnapshot> plan_snapshot_ URCL_GUARDED_BY(plan_mu_);
   mutable std::atomic<int64_t> plan_compiles_{0};
 
   // Cached snapshot for snapshot_poll_every > 1 (refreshed every Nth query).
@@ -275,7 +271,7 @@ class ForecastService {
   mutable std::atomic<int64_t> deadline_shed_{0};
   mutable std::atomic<int64_t> degraded_{0};
   mutable std::atomic<int64_t> nonfinite_{0};
-  // EWMA of model-path latency in ns (bit-cast double); 0 = no sample yet.
+  // EWMA of model-path latency in ns; 0 = no sample yet.
   mutable std::atomic<int64_t> latency_ewma_ns_{0};
 };
 

@@ -26,9 +26,10 @@ namespace urcl {
 namespace serve {
 
 // One published model version. Immutable after construction, so any number
-// of reader threads can run ForwardInference on `model` concurrently without
-// synchronization; the shared_ptr holding the snapshot keeps the weights
-// alive for in-flight queries across a hot-swap.
+// of reader threads can run `model`'s forward (or a compiled plan bound to
+// its weights) concurrently without synchronization; the shared_ptr holding
+// the snapshot keeps the weights alive for in-flight queries across a
+// hot-swap.
 struct ModelSnapshot {
   int64_t version = 0;     // monotonically increasing publish count (1-based)
   int64_t stage = -1;      // training stage the weights were captured in

@@ -366,13 +366,11 @@ TEST(RepoLintTest, LockRuleFlagsBareLockTransitions) {
                   "lock/bare-lock"));
 }
 
-TEST(RepoLintTest, LockRuleAcceptsTryLockAdoptAndWeakPtrLock) {
+TEST(RepoLintTest, LockRuleAcceptsWeakPtrLock) {
   Options lock = LibraryOptions();
   lock.lock_rules = true;
   const auto findings = LintFileContent(
       "src/x.cc",
-      "  if (!plan_mu_.TryLock()) return std::nullopt;\n"
-      "  MutexLock lock(plan_mu_, kAdoptLock);\n"
       "  auto snapshot = plan_snapshot_.lock();\n",  // std::weak_ptr::lock()
       lock);
   EXPECT_FALSE(Has(findings, "lock/bare-lock")) << FormatFindings(findings);

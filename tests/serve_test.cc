@@ -1,7 +1,8 @@
 // Serving-layer tests (ctest label `serving`): bitwise equality between the
-// tape forward and the inference-only executor, snapshot parse/publish
-// round-trips, lock-free hot-swap under concurrent readers, rolling-window
-// ingestion, version stamping and ServiceConfig validation.
+// tape forward and compiled plans that rebind each snapshot's weights,
+// snapshot parse/publish round-trips, lock-free hot-swap under concurrent
+// readers, rolling-window ingestion, version stamping and ServiceConfig
+// validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "core/backbone.h"
 #include "core/urcl.h"
 #include "data/synthetic.h"
+#include "exec/plan.h"
 #include "graph/generator.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -47,14 +49,25 @@ core::UrclConfig TinyConfig(int64_t nodes, int64_t input_steps = 12,
 }
 
 // True when the two tensors are byte-for-byte identical (stronger than any
-// epsilon comparison; the inference executor must replay the exact kernel
-// sequence of the tape forward).
+// epsilon comparison; a compiled plan must replay the exact kernel sequence
+// of the tape forward).
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {
   if (!(a.shape() == b.shape())) return false;
   return std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<size_t>(a.NumElements())) == 0;
 }
 
-TEST(InferenceExecutorTest, BitwiseEqualToTapeForwardAcrossBackbones) {
+Tensor TapeForward(const core::UrclModel& model, const Tensor& x, const Tensor& adjacency) {
+  return model.Forward(autograd::Variable(x, /*requires_grad=*/false), adjacency).value();
+}
+
+// What ForecastService hands its plans: the query, then the model's weights.
+std::vector<Tensor> PlanInputs(const Tensor& x, const core::UrclModel& model) {
+  std::vector<Tensor> inputs{x};
+  for (const autograd::Variable& param : model.Parameters()) inputs.push_back(param.value());
+  return inputs;
+}
+
+TEST(ServingPlanTest, RebindsSnapshotWeightsBitwiseAcrossBackbones) {
   const core::BackboneType backbones[] = {core::BackboneType::kGraphWaveNet,
                                           core::BackboneType::kDcrnn,
                                           core::BackboneType::kGeoman};
@@ -66,18 +79,38 @@ TEST(InferenceExecutorTest, BitwiseEqualToTapeForwardAcrossBackbones) {
       const int64_t steps = data_rng.UniformInt(8, 14);
       const int64_t batch = data_rng.UniformInt(1, 3);
       const core::UrclConfig config = TinyConfig(nodes, steps, backbone);
-      Rng model_rng(41 + round);
-      core::UrclModel model(config, model_rng);
+      Rng capture_rng(41 + round);
+      Rng serve_rng(141 + round);
+      core::UrclModel captured(config, capture_rng);
+      core::UrclModel served(config, serve_rng);
       const graph::SensorNetwork network = graph::RingGraph(nodes);
       const Tensor adjacency = network.AdjacencyMatrix();
       const Tensor x =
           Tensor::RandomUniform(Shape{batch, steps, nodes, 2}, data_rng, 0.0f, 1.0f);
-      const Tensor tape =
-          model.Forward(autograd::Variable(x, /*requires_grad=*/false), adjacency).value();
-      const Tensor inference = model.ForwardInference(x, adjacency);
-      EXPECT_TRUE(BitwiseEqual(tape, inference))
-          << "backbone " << static_cast<int>(backbone) << " round " << round
-          << " max abs diff " << ops::MaxAbsDiff(tape, inference);
+      const std::string where = "backbone " + core::BackboneTypeName(backbone) + " round " +
+                                std::to_string(round);
+
+      const std::vector<Tensor> capture_inputs = PlanInputs(x, captured);
+      exec::CompiledPlan::CaptureResult result = exec::CompiledPlan::Capture(
+          capture_inputs,
+          [&] {
+            return captured.Forward(autograd::Variable(x, /*requires_grad=*/false), adjacency);
+          },
+          /*with_backward=*/false);
+      ASSERT_NE(result.plan, nullptr) << where << ": " << result.error;
+
+      // Rebound to another model's weights, the plan answers exactly what that
+      // model's tape forward does...
+      const Tensor expected = TapeForward(served, x, adjacency);
+      ASSERT_FALSE(BitwiseEqual(expected, TapeForward(captured, x, adjacency))) << where;
+      result.plan->BindInputs(PlanInputs(x, served));
+      const Tensor planned = result.plan->RunForward().Clone();
+      EXPECT_TRUE(BitwiseEqual(planned, expected))
+          << where << " max abs diff " << ops::MaxAbsDiff(planned, expected);
+      // ...and rebound back, what the capturing model's does.
+      result.plan->BindInputs(capture_inputs);
+      EXPECT_TRUE(BitwiseEqual(result.plan->RunForward(), TapeForward(captured, x, adjacency)))
+          << where;
     }
   }
 }
@@ -124,8 +157,8 @@ TEST_F(ServeTrainerTest, SnapshotRoundTripMatchesTrainerBitwise) {
   const Tensor adjacency = generator_->network().AdjacencyMatrix();
   Rng rng(3);
   const Tensor x = Tensor::RandomUniform(Shape{2, 12, kNodes, 2}, rng, 0.0f, 1.0f);
-  EXPECT_TRUE(BitwiseEqual(trainer.model().ForwardInference(x, adjacency),
-                           snapshot->model->ForwardInference(x, adjacency)));
+  EXPECT_TRUE(BitwiseEqual(TapeForward(trainer.model(), x, adjacency),
+                           TapeForward(*snapshot->model, x, adjacency)));
 }
 
 TEST_F(ServeTrainerTest, ParseRejectsMalformedContainers) {
@@ -291,6 +324,7 @@ TEST_F(ServeTrainerTest, HotSwapUnderConcurrentReaders) {
   data::StDataset dataset = MakeDataset();
   ServiceConfig config;
   config.model = TinyConfig(kNodes);
+  config.executor = exec::ExecutorMode::kPlan;
   ForecastService service(config, generator_->network(), normalizer_);
 
   // Capture a stream of real snapshots up front (publish every step), then
@@ -309,23 +343,26 @@ TEST_F(ServeTrainerTest, HotSwapUnderConcurrentReaders) {
   constexpr int kQueriesPerReader = 20;
   std::atomic<int> failures{0};
   std::atomic<bool> non_monotone{false};
+  // Each reader's query and its last answer, checked after the join.
+  std::vector<core::PredictRequest> requests(kReaders);
+  std::vector<core::PredictResponse> last_answers(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
+    Rng rng(100 + r);
+    requests[r].inputs = Tensor::RandomUniform(Shape{1, 12, kNodes, 2}, rng, 0.0f, 1.0f);
     readers.emplace_back([&, r] {
-      Rng rng(100 + r);
-      core::PredictRequest request;
-      request.inputs = Tensor::RandomUniform(Shape{1, 12, kNodes, 2}, rng, 0.0f, 1.0f);
       int64_t last_version = 0;
       for (int q = 0; q < kQueriesPerReader; ++q) {
         core::PredictResponse response;
-        if (!service.Predict(request, &response).ok()) {
+        if (!service.Predict(requests[r], &response).ok()) {
           failures.fetch_add(1);
           continue;
         }
         // Each reader must observe monotonically non-decreasing versions.
         if (response.model_version < last_version) non_monotone.store(true);
         last_version = response.model_version;
+        last_answers[r] = response;
       }
     });
   }
@@ -335,12 +372,31 @@ TEST_F(ServeTrainerTest, HotSwapUnderConcurrentReaders) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_FALSE(non_monotone.load());
+  // Plans are pooled, not rebuilt per version: at most one per concurrent
+  // query of this one shape, however many swaps happened.
+  EXPECT_GE(service.plan_compiles(), 1);
+  EXPECT_LE(service.plan_compiles(), kReaders);
+  // Every reader's last answer is exactly the tape forward of the snapshot
+  // that served it.
+  const Tensor adjacency = generator_->network().AdjacencyMatrix();
+  for (int r = 0; r < kReaders; ++r) {
+    const int64_t version = last_answers[r].model_version;
+    ASSERT_GE(version, 1) << "reader " << r;
+    std::shared_ptr<const ModelSnapshot> snapshot;
+    ASSERT_TRUE(
+        ParseModelSnapshot(published[static_cast<size_t>(version - 1)], config.model, &snapshot)
+            .ok());
+    ASSERT_EQ(snapshot->version, version);
+    EXPECT_TRUE(BitwiseEqual(last_answers[r].predictions,
+                             TapeForward(*snapshot->model, requests[r].inputs, adjacency)))
+        << "reader " << r << " version " << version;
+  }
   EXPECT_EQ(service.hub().swap_count(), static_cast<int64_t>(published.size()));
   EXPECT_EQ(service.hub().Current()->version, static_cast<int64_t>(published.size()));
   EXPECT_GE(service.served_queries(), kReaders * kQueriesPerReader - failures.load());
 }
 
-TEST_F(ServeTrainerTest, HotSwapRecompilesPlanAndStaysBitwise) {
+TEST_F(ServeTrainerTest, HotSwapReusesPlanAndStaysBitwise) {
   data::StDataset dataset = MakeDataset();
   ServiceConfig config;
   config.model = TinyConfig(kNodes);
@@ -352,9 +408,9 @@ TEST_F(ServeTrainerTest, HotSwapRecompilesPlanAndStaysBitwise) {
   core::UrclTrainer trainer(config.model, generator_->network());
   std::vector<checkpoint::Container> published;
   trainer.SetSnapshotSink([&](const checkpoint::Container& c) { published.push_back(c); },
-                          /*publish_every_steps=*/2);
+                          /*publish_every_steps=*/1);
   trainer.TrainStage(dataset, 1);
-  ASSERT_GE(published.size(), 3u);
+  ASSERT_GE(published.size(), 4u);
 
   auto plan_sink = plan_service.SnapshotSink();
   auto tape_sink = tape_service.SnapshotSink();
@@ -362,31 +418,41 @@ TEST_F(ServeTrainerTest, HotSwapRecompilesPlanAndStaysBitwise) {
   Rng rng(17);
   request.inputs = Tensor::RandomUniform(Shape{2, 12, kNodes, 2}, rng, 0.0f, 1.0f);
 
-  // Every hot-swap must invalidate the plan cache: the next plan-mode query
-  // recompiles against the new weights (and only that one — repeat queries
-  // reuse the cached plan), stamping monotonically advancing versions.
-  int64_t expected_compiles = 0;
+  // Answers `request` on both services, which must serve the same version
+  // with byte-identical forecasts; the plan service answers from its one
+  // plan after the very first (capturing) query.
+  int queries = 0;
+  const auto check_answers = [&](int64_t expected_version, const std::string& where) {
+    core::PredictResponse plan_response;
+    core::PredictResponse tape_response;
+    ASSERT_TRUE(plan_service.Predict(request, &plan_response).ok()) << where;
+    ASSERT_TRUE(tape_service.Predict(request, &tape_response).ok()) << where;
+    EXPECT_EQ(plan_response.model_version, expected_version) << where;
+    EXPECT_EQ(tape_response.model_version, expected_version) << where;
+    const bool capturing = queries++ == 0;
+    EXPECT_EQ(plan_response.executor,
+              capturing ? core::AnswerExecutor::kTape : core::AnswerExecutor::kPlan)
+        << where;
+    EXPECT_EQ(tape_response.executor, core::AnswerExecutor::kTape) << where;
+    EXPECT_TRUE(BitwiseEqual(plan_response.predictions, tape_response.predictions)) << where;
+    EXPECT_EQ(plan_service.plan_compiles(), 1) << where;
+  };
+
+  // Hot-swaps rebind the new weights into the same plan: nothing recompiles.
   for (size_t i = 0; i < published.size(); ++i) {
     plan_sink(published[i]);
     tape_sink(published[i]);
-    core::PredictResponse plan_response;
-    core::PredictResponse tape_response;
-    ASSERT_TRUE(plan_service.Predict(request, &plan_response).ok());
-    ASSERT_TRUE(tape_service.Predict(request, &tape_response).ok());
-    ++expected_compiles;
-    EXPECT_EQ(plan_service.plan_compiles(), expected_compiles) << "swap " << i;
-    EXPECT_EQ(plan_response.model_version, static_cast<int64_t>(i) + 1);
-    EXPECT_EQ(plan_response.model_version, tape_response.model_version);
-    // The compiled plan and the tape-free inference executor answer the same
-    // query with byte-identical forecasts on every version.
-    EXPECT_TRUE(BitwiseEqual(plan_response.predictions, tape_response.predictions))
-        << "swap " << i;
-
-    // A second query on the same (version, shape) replays the cached plan.
-    ASSERT_TRUE(plan_service.Predict(request, &plan_response).ok());
-    EXPECT_EQ(plan_service.plan_compiles(), expected_compiles) << "swap " << i;
-    EXPECT_TRUE(BitwiseEqual(plan_response.predictions, tape_response.predictions));
+    const int64_t version = static_cast<int64_t>(i) + 1;
+    check_answers(version, "swap " + std::to_string(i));
+    check_answers(version, "swap " + std::to_string(i) + " repeat");
   }
+  // So does a rollback to the previous version.
+  ASSERT_NE(plan_service.hub().RollBack(), nullptr);
+  ASSERT_NE(tape_service.hub().RollBack(), nullptr);
+  check_answers(static_cast<int64_t>(published.size()) - 1, "rollback");
+
+  EXPECT_GE(plan_service.hub().swap_count(), 3);
+  EXPECT_EQ(plan_service.hub().rollback_count(), 1);
   EXPECT_EQ(tape_service.plan_compiles(), 0);
 }
 

@@ -45,8 +45,7 @@
 //                                Clang -Wthread-safety, so raw primitives are
 //                                unanalyzable holes;
 //     lock/bare-lock             manual .Lock()/.Unlock()/.native() calls —
-//                                locks are held through RAII guards (TryLock
-//                                pairs with the kAdoptLock constructor), so no
+//                                locks are held through RAII guards, so no
 //                                early return can leak a held mutex.
 //
 //   layering rules (src/ only, cross-file — tools/lint/layering.h)

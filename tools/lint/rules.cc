@@ -321,9 +321,9 @@ bool HasToken(const std::string& code, const std::string& token) {
 }
 
 // Manual capability transitions on the annotated wrappers. RAII guards
-// (MutexLock and friends) and TryLock-then-adopt are the sanctioned forms;
-// a bare Unlock() on an early-return path is exactly the leak TSA exists to
-// catch, so it may not appear outside thread_annotations.h either.
+// (MutexLock and friends) are the sanctioned form; a bare Unlock() on an
+// early-return path is exactly the leak TSA exists to catch, so it may not
+// appear outside thread_annotations.h either.
 // Lowercase `.lock()` is deliberately NOT in this table: std::weak_ptr::lock()
 // is common and unrelated. Raw std lockables are already banned wholesale by
 // lock/unannotated-mutex, which covers their .lock()/.try_lock() too.
@@ -350,8 +350,7 @@ void LockDisciplinePass(const SourceFile& file, const Options& options,
       if (HasMemberCall(code, call) && !LineSuppressed(file, n, "lock/bare-lock")) {
         Add(findings, file.path, n, "lock/bare-lock",
             std::string("manual .") + call + "() call; hold locks through RAII "
-                "(MutexLock/WriterMutexLock/ReaderMutexLock; pair TryLock with the "
-                "kAdoptLock constructor)");
+                "(MutexLock/WriterMutexLock/ReaderMutexLock)");
         break;
       }
     }

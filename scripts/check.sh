@@ -15,12 +15,14 @@
 #      fatal — the enforced analysis gates are steps 1-2. Skipped with a
 #      message when clang-tidy is not installed;
 #   4. an ASan+UBSan build (poisoning + graph checks forced on) running the
-#      `analysis`-, `exec`-, `kernels`- and `serving`-labeled tests plus the
-#      pool/autograd suites (exec under ASan proves the arena's
+#      `analysis`-, `exec`-, `kernels`-, `serving`- and `autograd`-labeled
+#      tests plus the pool suite (exec under ASan proves the arena's
 #      lifetime-sharing of slots never reads or writes out of a live slot's
 #      window; kernels proves the tensor kernels' shifted flat-plane indexing
 #      stays inside each tensor; serving covers pooled plans that move between
-#      query threads and rebind each snapshot's weight storage on every run);
+#      query threads and rebind each snapshot's weight storage on every run;
+#      autograd runs every op's gradient formula, the one both executors
+#      call, through the tape tests and the finite-difference checks);
 #   5. a TSan build running the `analysis`-, `serving`-, `exec`-,
 #      `observability`- and `kernels`-labeled tests (serving is mandatory
 #      under TSan: the hot-swap path is lock-free and its data-race freedom
@@ -114,17 +116,16 @@ else
   echo "clang-tidy not installed; skipping (advisory step, .clang-tidy is the config)"
 fi
 
-echo "== [4/6] ASan+UBSan: analysis + exec + kernels + serving tests with poisoning + graph checks on =="
+echo "== [4/6] ASan+UBSan: analysis/exec/kernels/serving/autograd tests, poisoning + checks on =="
 cmake --build build-check-asan -j"$jobs" --target \
-  check_test lint_test exec_test pool_test autograd_test urcl_header_selfcheck \
+  check_test lint_test exec_test pool_test autograd_test grad_check_test urcl_header_selfcheck \
   simd_test tensor_ops_test runtime_test serve_test serve_robustness_test
 # Force every gate on so the sanitizer sees the poisoned free lists and the
 # gated verification paths, not the Release defaults.
 URCL_CHECK=1 URCL_POOL_POISON=1 \
-  ctest --test-dir build-check-asan -L "analysis|exec|kernels|serving" --output-on-failure \
-  -j"$jobs"
+  ctest --test-dir build-check-asan -L "analysis|exec|kernels|serving|autograd" \
+  --output-on-failure -j"$jobs"
 URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/pool_test
-URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/autograd_test
 
 echo "== [5/6] TSan: analysis + serving + exec + observability + kernels tests =="
 cmake -B build-check-tsan -S . -DURCL_SANITIZE=thread \

@@ -1,17 +1,27 @@
-// Differentiable operations over Variables. Each op records a backward
-// closure that accumulates gradients into its parents, handling NumPy-style
-// broadcasting by reducing gradients back to the parent shapes.
+// Differentiable operations over Variables. Every op but StopGradient and
+// Dropout is one Apply of its single definition in autograd/record.h: the
+// forward kernel call computes the value, and the recorded backward closure
+// runs the op's gradient formula, which accumulates into the parents
+// (reducing broadcast gradients back to the parent shapes). The compiled
+// executor (src/exec/) replays the same two functions.
 #ifndef URCL_AUTOGRAD_OPS_H_
 #define URCL_AUTOGRAD_OPS_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "autograd/record.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
 
 namespace urcl {
 namespace autograd {
+
+// Records op `kind` over `parents` on the tape: its forward value, a backward
+// closure running its gradient formula, and the capture hook. Every op
+// function below except StopGradient and Dropout is one call of this.
+Variable Apply(record::OpKind kind, const std::vector<Variable>& parents,
+               const record::OpAttrs& attrs = {});
 
 // --- Arithmetic (broadcasting) ----------------------------------------------
 Variable Add(const Variable& a, const Variable& b);

@@ -46,7 +46,8 @@ Variable::Variable(Tensor value, bool requires_grad)
   node_->requires_grad = requires_grad;
 }
 
-Variable Variable::MakeOp(Tensor value, std::string op_name, std::vector<Variable> parents,
+Variable Variable::MakeOp(Tensor value, std::string op_name,
+                          const std::vector<Variable>& parents,
                           std::function<void(const Tensor&)> backward_fn) {
   bool needs_grad = false;
   for (const Variable& p : parents) {

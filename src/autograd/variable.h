@@ -71,7 +71,7 @@ class Variable {
 
   // Interior node produced by an op.
   static Variable MakeOp(Tensor value, std::string op_name,
-                         std::vector<Variable> parents,
+                         const std::vector<Variable>& parents,
                          std::function<void(const Tensor&)> backward_fn);
 
   bool IsValid() const { return node_ != nullptr; }

@@ -29,7 +29,6 @@ class ArimaPredictor : public core::StPredictor {
 
   Status Predict(const core::PredictRequest& request,
                  core::PredictResponse* response) const override;
-  using core::StPredictor::Predict;  // re-expose the deprecated Tensor shim
 
   // Fitted coefficients for `node`: [c, phi_1..phi_p]; empty before training.
   const std::vector<float>& Coefficients(int64_t node) const;

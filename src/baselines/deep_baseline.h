@@ -43,7 +43,6 @@ class DeepBaseline : public core::StPredictor, public nn::Module {
 
   Status Predict(const core::PredictRequest& request,
                  core::PredictResponse* response) const override;
-  using core::StPredictor::Predict;  // re-expose the deprecated Tensor shim
 
   // Saves/restores the model parameters (binary tensor file).
   void SaveCheckpoint(const std::string& path) const;

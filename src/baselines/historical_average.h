@@ -19,7 +19,6 @@ class HistoricalAverage : public core::StPredictor {
   std::vector<float> TrainStage(const data::StDataset& train, int64_t epochs) override;
   Status Predict(const core::PredictRequest& request,
                  core::PredictResponse* response) const override;
-  using core::StPredictor::Predict;  // re-expose the deprecated Tensor shim
 
  private:
   int64_t output_steps_;

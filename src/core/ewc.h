@@ -50,7 +50,6 @@ class EwcTrainer : public StPredictor {
   std::vector<float> TrainStage(const data::StDataset& train, int64_t epochs) override;
 
   Status Predict(const PredictRequest& request, PredictResponse* response) const override;
-  using StPredictor::Predict;  // re-expose the deprecated Tensor shim
 
   bool consolidated() const { return !fisher_.empty(); }
 

@@ -10,15 +10,6 @@
 namespace urcl {
 namespace core {
 
-Tensor StPredictor::Predict(const Tensor& inputs) const {
-  PredictRequest request;
-  request.inputs = inputs;
-  PredictResponse response;
-  const Status status = Predict(request, &response);
-  URCL_CHECK(status.ok()) << name() << ": Predict failed: " << status.message();
-  return response.predictions;
-}
-
 Status FinishPrediction(const PredictRequest& request, Tensor full, PredictResponse* response) {
   if (response == nullptr) return Status::InvalidArgument("PredictResponse must not be null");
   URCL_CHECK_EQ(full.shape().rank(), 4) << "predictions must be [B, N_out, N, 1]";
@@ -39,6 +30,25 @@ Status FinishPrediction(const PredictRequest& request, Tensor full, PredictRespo
   return Status::Ok();
 }
 
+namespace {
+
+// Full-horizon predictions for one evaluation batch. The harness has no
+// fallback, so a failed Predict or a prediction shaped unlike the targets
+// aborts with the model's name.
+Tensor PredictBatch(const StPredictor& model, const Tensor& inputs, const Tensor& targets) {
+  PredictRequest request;
+  request.inputs = inputs;
+  PredictResponse response;
+  const Status status = model.Predict(request, &response);
+  URCL_CHECK(status.ok()) << model.name() << ": Predict failed: " << status.message();
+  URCL_CHECK(response.predictions.shape() == targets.shape())
+      << model.name() << " produced " << response.predictions.shape().ToString()
+      << ", expected " << targets.shape().ToString();
+  return response.predictions;
+}
+
+}  // namespace
+
 void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test,
                            const data::MinMaxNormalizer& normalizer, int64_t target_channel,
                            int64_t batch_size, data::MetricsAccumulator* accumulator) {
@@ -51,10 +61,7 @@ void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test
     std::vector<int64_t> indices(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) indices[static_cast<size_t>(i)] = start + i;
     const auto [inputs, targets] = test.MakeBatch(indices);
-    const Tensor predictions = model.Predict(inputs);
-    URCL_CHECK(predictions.shape() == targets.shape())
-        << model.name() << " produced " << predictions.shape().ToString() << ", expected "
-        << targets.shape().ToString();
+    const Tensor predictions = PredictBatch(model, inputs, targets);
     accumulator->Add(normalizer.InverseTransformChannel(predictions, target_channel),
                      normalizer.InverseTransformChannel(targets, target_channel));
   }
@@ -71,7 +78,7 @@ double ValidationMae(const StPredictor& model, const data::StDataset& dataset,
     std::vector<int64_t> indices(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) indices[static_cast<size_t>(i)] = start + i;
     const auto [inputs, targets] = dataset.MakeBatch(indices);
-    accumulator.Add(model.Predict(inputs), targets);
+    accumulator.Add(PredictBatch(model, inputs, targets), targets);
   }
   return accumulator.Result().mae;
 }

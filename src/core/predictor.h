@@ -113,12 +113,6 @@ class StPredictor {
   // aborting the server.
   virtual Status Predict(const PredictRequest& request, PredictResponse* response) const = 0;
 
-  // Deprecated shim for the pre-serving API: full-horizon prediction
-  // [B, M, N, C] -> [B, N_out, N, 1], aborting on error. Prefer the
-  // Status-returning overload; subclasses re-expose this with
-  // `using core::StPredictor::Predict;` (C++ name hiding).
-  Tensor Predict(const Tensor& inputs) const;
-
   // --- Crash-safety hooks (no-ops for models without checkpoint support) ---
 
   // Called by the protocol runner before each stage with the stage's index,

@@ -7,15 +7,10 @@
 namespace urcl {
 namespace core {
 
-StSimSiam::StSimSiam(StBackbone* encoder, int64_t proj_hidden, int64_t proj_dim,
-                     float temperature, Rng& rng)
+StSimSiam::StSimSiam(StBackbone* encoder, int64_t proj_hidden, float temperature, Rng& rng)
     : encoder_(encoder), temperature_(temperature) {
   URCL_CHECK(encoder != nullptr);
   URCL_CHECK_GT(temperature, 0.0f);
-  // The projection head maps back to the embedding width (as in SimSiam's
-  // predictor) so that C(p, z) similarities are well-defined; proj_dim is
-  // accepted for API compatibility but the output width is the latent width.
-  (void)proj_dim;
   projector_ = std::make_unique<nn::Mlp>(
       std::vector<int64_t>{encoder->latent_channels(), proj_hidden,
                            encoder->latent_channels()},

@@ -19,8 +19,9 @@ class StSimSiam : public nn::Module {
   // `encoder` is shared with the prediction network and is NOT registered as
   // a child here (the owner registers it once); only the projector's
   // parameters belong to this module.
-  StSimSiam(StBackbone* encoder, int64_t proj_hidden, int64_t proj_dim, float temperature,
-            Rng& rng);
+  // The projection head maps back to the encoder's latent width (as in
+  // SimSiam's predictor), so C(p, z) similarities are well-defined.
+  StSimSiam(StBackbone* encoder, int64_t proj_hidden, float temperature, Rng& rng);
 
   // L_ssl for two augmented views of the same minibatch (Eq. 15-16).
   Variable Loss(const augment::AugmentedView& view1, const augment::AugmentedView& view2) const;

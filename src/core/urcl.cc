@@ -83,7 +83,6 @@ std::vector<std::string> UrclConfig::Validate() const {
   if (decoder_hidden <= 0) errors.push_back("decoder_hidden must be > 0");
   if (output_steps <= 0) errors.push_back("output_steps must be > 0");
   if (proj_hidden <= 0) errors.push_back("proj_hidden must be > 0");
-  if (proj_dim <= 0) errors.push_back("proj_dim must be > 0");
   if (ssl_temperature <= 0.0f) errors.push_back("ssl_temperature must be > 0");
   if (ssl_weight < 0.0f) errors.push_back("ssl_weight must be >= 0");
   if (batch_size <= 0) errors.push_back("batch_size must be > 0");
@@ -114,8 +113,8 @@ UrclModel::UrclModel(const UrclConfig& config, Rng& rng) {
   decoder_ = std::make_unique<StDecoder>(encoder_->latent_channels(), encoder_->latent_time(),
                                          config.decoder_hidden, config.output_steps, rng);
   RegisterChild("decoder", decoder_.get());
-  simsiam_ = std::make_unique<StSimSiam>(encoder_.get(), config.proj_hidden, config.proj_dim,
-                                         config.ssl_temperature, rng);
+  simsiam_ =
+      std::make_unique<StSimSiam>(encoder_.get(), config.proj_hidden, config.ssl_temperature, rng);
   RegisterChild("simsiam", simsiam_.get());
 }
 
@@ -653,15 +652,6 @@ constexpr uint32_t kTrainerStateVersion = 1;
 // serve::ParseModelSnapshot; bump together).
 constexpr uint32_t kServeMetaVersion = 1;
 
-// The "model" section body shared by full checkpoints and serving snapshots:
-// tensor count then each tensor, in StateDict() order.
-std::string SerializeStateDict(const std::vector<Tensor>& state) {
-  std::ostringstream model;
-  io::WritePod(model, static_cast<uint64_t>(state.size()));
-  for (const Tensor& t : state) SaveTensor(t, model);
-  return model.str();
-}
-
 void WriteFloatVector(std::ostream& out, const std::vector<float>& values) {
   io::WritePod(out, static_cast<uint64_t>(values.size()));
   for (const float v : values) io::WritePod(out, v);
@@ -681,6 +671,37 @@ Status ReadFloatVector(std::istream& in, uint64_t max_count, const char* what,
 }
 
 }  // namespace
+
+std::string SerializeStateDict(const std::vector<Tensor>& state) {
+  std::ostringstream model;
+  io::WritePod(model, static_cast<uint64_t>(state.size()));
+  for (const Tensor& t : state) SaveTensor(t, model);
+  return model.str();
+}
+
+Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expected,
+                      std::vector<Tensor>* state) {
+  std::istringstream in(bytes);
+  const uint64_t count = io::ReadPod<uint64_t>(in);
+  if (count != expected.size()) {
+    return Status::InvalidArgument("model section holds " + std::to_string(count) +
+                                   " tensors but the model has " +
+                                   std::to_string(expected.size()) + " (architecture mismatch)");
+  }
+  std::vector<Tensor> loaded;
+  loaded.reserve(expected.size());
+  for (const Tensor& like : expected) {
+    loaded.push_back(LoadTensor(in));
+    if (!(loaded.back().shape() == like.shape())) {
+      return Status::InvalidArgument(
+          "model tensor " + std::to_string(loaded.size() - 1) + " has shape " +
+          loaded.back().shape().ToString() + " but the model expects " +
+          like.shape().ToString() + " (architecture mismatch)");
+    }
+  }
+  *state = std::move(loaded);
+  return Status::Ok();
+}
 
 void UrclTrainer::SetSnapshotSink(SnapshotSink sink, int64_t publish_every_steps) {
   URCL_CHECK_GE(publish_every_steps, 0);
@@ -838,24 +859,9 @@ Status UrclTrainer::RestoreFromCheckpointDir(std::string* diagnostics) {
     cached_selection.push_back(io::ReadPod<int64_t>(meta));
   }
 
-  std::istringstream model_in(*model_bytes);
-  const uint64_t param_count = io::ReadPod<uint64_t>(model_in);
-  const std::vector<Tensor> current = model_->StateDict();
-  if (param_count != current.size()) {
-    return Status::Error("checkpoint model section holds " + std::to_string(param_count) +
-                         " tensors but the model has " + std::to_string(current.size()) +
-                         " parameters (different architecture?)");
-  }
   std::vector<Tensor> state;
-  state.reserve(param_count);
-  for (uint64_t i = 0; i < param_count; ++i) {
-    state.push_back(LoadTensor(model_in));
-    if (!(state.back().shape() == current[i].shape())) {
-      return Status::Error("checkpoint parameter " + std::to_string(i) + " has shape " +
-                           state.back().shape().ToString() + " but the model expects " +
-                           current[i].shape().ToString());
-    }
-  }
+  st = ParseStateDict(*model_bytes, model_->StateDict(), &state);
+  if (!st.ok()) return st;
 
   Rng rng(config_.seed);
   if (!rng.LoadState(*rng_bytes)) {

@@ -39,7 +39,6 @@ struct UrclConfig {
 
   // STSimSiam projector.
   int64_t proj_hidden = 32;
-  int64_t proj_dim = 16;
   float ssl_temperature = 0.5f;
   // Weight of L_ssl in L_all (Eq. 29 uses 1.0 with 100 epochs/set; shorter
   // training budgets need a smaller weight so the contrastive gradient does
@@ -110,6 +109,15 @@ class UrclModel : public nn::Module {
   std::unique_ptr<StSimSiam> simsiam_;
 };
 
+// The "model" section shared by full checkpoints and serving snapshots:
+// tensor count, then each tensor in StateDict() order.
+std::string SerializeStateDict(const std::vector<Tensor>& state);
+// Reads a "model" section into `state`, checked against `expected` (the
+// receiving model's StateDict()): a differing tensor count or any differing
+// shape is kInvalidArgument naming the architecture mismatch.
+Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expected,
+                      std::vector<Tensor>* state);
+
 // Crash-safety options for UrclTrainer (see DESIGN.md "Fault-tolerance
 // model"). A checkpoint snapshots everything the training loop needs to
 // continue bit-for-bit: model parameters, Adam moments + step counter, the
@@ -141,7 +149,6 @@ class UrclTrainer : public StPredictor {
                                               int64_t patience) override;
 
   Status Predict(const PredictRequest& request, PredictResponse* response) const override;
-  using StPredictor::Predict;  // re-expose the deprecated Tensor shim
 
   // Saves/restores the model parameters (binary tensor file). Legacy
   // model-only snapshot; the crash-safe path is EnableCheckpointing below.

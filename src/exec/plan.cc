@@ -3,21 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <unordered_map>
 
 #include "autograd/lint.h"
 #include "common/check.h"
 #include "runtime/parallel.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace exec {
 
-namespace top = ::urcl::ops;
 using autograd::Variable;
 using autograd::record::OpAttrs;
 using autograd::record::OpKind;
+using autograd::record::OpName;
 
 ExecutorMode DefaultExecutorMode() {
   const char* value = std::getenv("URCL_EXEC");
@@ -31,76 +29,21 @@ const char* ExecutorModeName(ExecutorMode mode) {
 
 namespace {
 
-// Kind -> tape op_name, so ahead-of-time shape inference literally reuses the
-// autograd/lint.cc closed-form rules keyed by those names.
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAdd: return "add";
-    case OpKind::kSub: return "sub";
-    case OpKind::kMul: return "mul";
-    case OpKind::kDiv: return "div";
-    case OpKind::kAddScalar: return "add_scalar";
-    case OpKind::kMulScalar: return "mul_scalar";
-    case OpKind::kExp: return "exp";
-    case OpKind::kLog: return "log";
-    case OpKind::kSqrt: return "sqrt";
-    case OpKind::kAbs: return "abs";
-    case OpKind::kTanh: return "tanh";
-    case OpKind::kSigmoid: return "sigmoid";
-    case OpKind::kRelu: return "relu";
-    case OpKind::kLeakyRelu: return "leaky_relu";
-    case OpKind::kSquare: return "square";
-    case OpKind::kMatMul: return "matmul";
-    case OpKind::kSum: return "sum";
-    case OpKind::kMean: return "mean";
-    case OpKind::kReshape: return "reshape";
-    case OpKind::kTranspose: return "transpose";
-    case OpKind::kSlice: return "slice";
-    case OpKind::kConcat: return "concat";
-    case OpKind::kPad: return "pad";
-    case OpKind::kBroadcastTo: return "broadcast_to";
-    case OpKind::kSoftmax: return "softmax";
-    case OpKind::kTemporalConv2d: return "temporal_conv2d";
-    case OpKind::kDropout: return "dropout";
-  }
-  return "?";
-}
-
-// Same rule as ops.cc: shape of a keepdims=true reduction result.
-Shape KeepdimsShape(const Shape& in, const std::vector<int64_t>& axes) {
-  std::vector<int64_t> dims = in.dims();
-  if (axes.empty()) {
-    for (auto& d : dims) d = 1;
-  } else {
-    for (const int64_t axis : axes) dims[static_cast<size_t>(in.CanonicalAxis(axis))] = 1;
-  }
-  return Shape(dims);
-}
-
+// Output shape of a Sum/Mean over `axes` (all axes when empty).
 Shape ReducedShape(const Shape& in, const std::vector<int64_t>& axes, bool keepdims) {
-  const Shape kept = KeepdimsShape(in, axes);
-  if (keepdims) return kept;
-  std::vector<int64_t> dims;
-  for (int64_t i = 0; i < in.rank(); ++i) {
-    if (kept.dim(i) == in.dim(i)) {
-      dims.push_back(in.dim(i));
-    } else if (in.dim(i) == 1) {
-      // A size-1 axis named in `axes` is still removed.
-    } else {
-      // reduced axis, dropped
-    }
-  }
-  // The loop above cannot distinguish reduced size-1 axes from kept ones;
-  // recompute precisely from canonical axes instead.
-  dims.clear();
   std::vector<int64_t> canon;
   if (axes.empty()) {
     for (int64_t i = 0; i < in.rank(); ++i) canon.push_back(i);
   } else {
     for (const int64_t a : axes) canon.push_back(in.CanonicalAxis(a));
   }
+  std::vector<int64_t> dims;
   for (int64_t i = 0; i < in.rank(); ++i) {
-    if (std::find(canon.begin(), canon.end(), i) == canon.end()) dims.push_back(in.dim(i));
+    if (std::find(canon.begin(), canon.end(), i) == canon.end()) {
+      dims.push_back(in.dim(i));
+    } else if (keepdims) {
+      dims.push_back(1);
+    }
   }
   return Shape(dims);
 }
@@ -113,24 +56,13 @@ class GraphRecorder : public autograd::record::TapeListener {
   GraphRecorder(CompiledPlan* plan, const std::vector<Tensor>& inputs)
       : plan_(plan), inputs_(inputs) {}
 
-  void OnOp(OpKind kind, const Variable& out, std::initializer_list<const Variable*> parents,
+  void OnOp(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
             const OpAttrs& attrs) override {
     if (!error_.empty()) return;
     if (kind == OpKind::kDropout) {
       error_ = "dropout draws a per-step RNG mask; the graph is not replayable";
       return;
     }
-    Instr instr;
-    instr.kind = kind;
-    instr.attrs = attrs;
-    for (const Variable* p : parents) instr.parents.push_back(SlotFor(*p));
-    if (!error_.empty()) return;
-    Finish(out, std::move(instr));
-  }
-
-  void OnOpN(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
-             const OpAttrs& attrs) override {
-    if (!error_.empty()) return;
     Instr instr;
     instr.kind = kind;
     instr.attrs = attrs;
@@ -270,10 +202,10 @@ bool CompiledPlan::InferShapes(std::string* error) {
     const Shape& got = shape_of(instr.out);
     Shape expect;
     bool known = true;
+    const std::string name = instr.is_alias ? "stop_gradient" : OpName(instr.kind);
     if (instr.is_alias) {
       expect = shape_of(instr.parents[0]);
     } else {
-      const std::string name = OpKindName(instr.kind);
       if (autograd::IsBroadcastBinary(name)) {
         if (!autograd::TryBroadcast(shape_of(instr.parents[0]), shape_of(instr.parents[1]),
                                     &expect)) {
@@ -356,47 +288,14 @@ bool CompiledPlan::InferShapes(std::string* error) {
       }
     }
     if (!known) {
-      *error = std::string("AOT shape inference: no rule for op ") + OpKindName(instr.kind);
+      *error = "AOT shape inference: no rule for op " + name;
       return false;
     }
     if (!(expect == got)) {
-      *error = std::string("AOT shape inference: ") + OpKindName(instr.kind) +
-               " disagrees with the captured output shape";
+      *error = "AOT shape inference: " + name + " disagrees with the captured output shape";
       return false;
     }
     instr.out_shape = got;
-    // Compile-time backward precomputation, mirroring the tape closures'
-    // captures.
-    const Shape& in0 = instr.parents.empty() ? got : shape_of(instr.parents[0]);
-    switch (instr.kind) {
-      case OpKind::kSum:
-        if (instr.is_alias) break;
-        instr.kept = KeepdimsShape(in0, instr.attrs.ints);
-        break;
-      case OpKind::kMean:
-        if (instr.is_alias) break;
-        instr.kept = KeepdimsShape(in0, instr.attrs.ints);
-        instr.scale = static_cast<float>(instr.kept.NumElements()) /
-                      static_cast<float>(in0.NumElements());
-        break;
-      case OpKind::kTranspose: {
-        if (instr.is_alias) break;
-        instr.inverse_perm.assign(instr.attrs.ints.size(), 0);
-        for (size_t i = 0; i < instr.attrs.ints.size(); ++i) {
-          instr.inverse_perm[static_cast<size_t>(in0.CanonicalAxis(instr.attrs.ints[i]))] =
-              static_cast<int64_t>(i);
-        }
-        break;
-      }
-      case OpKind::kConcat:
-      case OpKind::kPad:
-      case OpKind::kSoftmax:
-        if (instr.is_alias) break;
-        instr.canonical = in0.CanonicalAxis(instr.attrs.axis);
-        break;
-      default:
-        break;
-    }
   }
   return true;
 }
@@ -519,32 +418,14 @@ void CompiledPlan::AnalyzeLiveness() {
   if (with_backward_) {
     needed_in_backward_[static_cast<size_t>(root_)] = 1;
     for (const Instr& instr : instrs_) {
-      // Backward thunks run for every grad-carrying op, fused or not.
+      // Backward thunks run for every grad-carrying op, fused or not, and
+      // read what their definition's liveness facts name.
       if (instr.is_alias || !slots_[static_cast<size_t>(instr.out)].requires_grad) continue;
-      switch (instr.kind) {
-        case OpKind::kMul:
-        case OpKind::kDiv:
-        case OpKind::kMatMul:
-        case OpKind::kTemporalConv2d:
-          needed_in_backward_[static_cast<size_t>(instr.parents[0])] = 1;
-          needed_in_backward_[static_cast<size_t>(instr.parents[1])] = 1;
-          break;
-        case OpKind::kLog:
-        case OpKind::kAbs:
-        case OpKind::kRelu:
-        case OpKind::kLeakyRelu:
-        case OpKind::kSquare:
-          needed_in_backward_[static_cast<size_t>(instr.parents[0])] = 1;
-          break;
-        case OpKind::kExp:
-        case OpKind::kSqrt:
-        case OpKind::kTanh:
-        case OpKind::kSigmoid:
-        case OpKind::kSoftmax:
-          needed_in_backward_[static_cast<size_t>(instr.out)] = 1;
-          break;
-        default:
-          break;
+      if (autograd::record::OpReadsInputs(instr.kind)) {
+        for (const int p : instr.parents) needed_in_backward_[static_cast<size_t>(p)] = 1;
+      }
+      if (autograd::record::OpReadsOutput(instr.kind)) {
+        needed_in_backward_[static_cast<size_t>(instr.out)] = 1;
       }
     }
   }
@@ -669,51 +550,45 @@ void CompiledPlan::ClearRunState() {
   }
 }
 
-Tensor CompiledPlan::EvalForward(const Instr& instr) {
-  const auto V = [this, &instr](size_t i) -> const Tensor& {
-    return values_[static_cast<size_t>(instr.parents[i])];
-  };
-  if (instr.is_alias) return V(0);
-  switch (instr.kind) {
-    case OpKind::kAdd: return top::Add(V(0), V(1));
-    case OpKind::kSub: return top::Sub(V(0), V(1));
-    case OpKind::kMul: return top::Mul(V(0), V(1));
-    case OpKind::kDiv: return top::Div(V(0), V(1));
-    case OpKind::kAddScalar: return top::AddScalar(V(0), instr.attrs.scalar);
-    case OpKind::kMulScalar: return top::MulScalar(V(0), instr.attrs.scalar);
-    case OpKind::kExp: return top::Exp(V(0));
-    case OpKind::kLog: return top::Log(V(0));
-    case OpKind::kSqrt: return top::Sqrt(V(0));
-    case OpKind::kAbs: return top::Abs(V(0));
-    case OpKind::kTanh: return top::Tanh(V(0));
-    case OpKind::kSigmoid: return top::Sigmoid(V(0));
-    case OpKind::kRelu: return top::Relu(V(0));
-    case OpKind::kLeakyRelu: {
-      const float slope = instr.attrs.scalar;
-      return top::Map(V(0), [slope](float x) { return x > 0.0f ? x : slope * x; });
-    }
-    case OpKind::kSquare: return top::Square(V(0));
-    case OpKind::kMatMul: return top::MatMul(V(0), V(1));
-    case OpKind::kSum: return top::Sum(V(0), instr.attrs.ints, instr.attrs.flag);
-    case OpKind::kMean: return top::Mean(V(0), instr.attrs.ints, instr.attrs.flag);
-    case OpKind::kReshape: return V(0).Reshape(instr.out_shape);
-    case OpKind::kTranspose: return top::Transpose(V(0), instr.attrs.ints);
-    case OpKind::kSlice: return top::Slice(V(0), instr.attrs.ints, instr.attrs.ints2);
-    case OpKind::kConcat: {
-      std::vector<Tensor> parts;
-      parts.reserve(instr.parents.size());
-      for (const int p : instr.parents) parts.push_back(values_[static_cast<size_t>(p)]);
-      return top::Concat(parts, instr.attrs.axis);
-    }
-    case OpKind::kPad:
-      return top::Pad(V(0), instr.attrs.axis, instr.attrs.before, instr.attrs.after);
-    case OpKind::kBroadcastTo: return top::BroadcastTo(V(0), instr.out_shape);
-    case OpKind::kSoftmax: return top::Softmax(V(0), instr.attrs.axis);
-    case OpKind::kTemporalConv2d: return top::TemporalConv2d(V(0), V(1), instr.attrs.axis);
-    case OpKind::kDropout: break;
+// One instruction's slots as the op definition's operands. In backward the
+// view enforces the definition's liveness facts: AnalyzeLiveness keeps only
+// the values those facts name, so any other read aborts with the op's name.
+class CompiledPlan::SlotOperands final : public autograd::record::OpOperands {
+ public:
+  SlotOperands(CompiledPlan* plan, const Instr& instr, bool backward)
+      : plan_(plan), instr_(instr), backward_(backward) {}
+
+  size_t size() const override { return instr_.parents.size(); }
+  const Shape& shape(size_t i) const override { return plan_->slots_[slot(i)].shape; }
+  const Tensor& value(size_t i) const override {
+    URCL_CHECK(!backward_ || autograd::record::OpReadsInputs(instr_.kind))
+        << "backward of op '" << OpName(instr_.kind) << "' read input " << i
+        << ", which its liveness facts let the plan drop";
+    return plan_->values_[slot(i)];
   }
-  URCL_CHECK(false) << "unreplayable op in compiled plan";
-  return empty_;
+  const Tensor& output() const override {
+    URCL_CHECK(autograd::record::OpReadsOutput(instr_.kind))
+        << "backward of op '" << OpName(instr_.kind)
+        << "' read its output, which its liveness facts let the plan drop";
+    return plan_->values_[static_cast<size_t>(instr_.out)];
+  }
+  bool needs_grad(size_t i) const override { return plan_->slots_[slot(i)].requires_grad; }
+  void Accumulate(size_t i, const Tensor& delta) override {
+    plan_->AccumulateSlot(instr_.parents[i], delta);
+  }
+
+ private:
+  size_t slot(size_t i) const { return static_cast<size_t>(instr_.parents[i]); }
+
+  CompiledPlan* plan_;
+  const Instr& instr_;
+  bool backward_;
+};
+
+Tensor CompiledPlan::EvalForward(const Instr& instr) {
+  if (instr.is_alias) return values_[static_cast<size_t>(instr.parents[0])];
+  return autograd::record::OpForward(instr.kind, instr.attrs,
+                                     SlotOperands(this, instr, /*backward=*/false));
 }
 
 void CompiledPlan::RunFusedGate(const FusedGate& gate) {
@@ -778,163 +653,9 @@ void CompiledPlan::AccumulateSlot(int slot_index, const Tensor& delta) {
 }
 
 void CompiledPlan::ExecBackwardThunk(const Instr& instr) {
-  const Tensor& g = grads_[static_cast<size_t>(instr.out)];
-  const auto V = [this, &instr](size_t i) -> const Tensor& {
-    return values_[static_cast<size_t>(instr.parents[i])];
-  };
-  const auto needs = [this, &instr](size_t i) {
-    return slots_[static_cast<size_t>(instr.parents[i])].requires_grad;
-  };
-  const auto shape = [this, &instr](size_t i) -> const Shape& {
-    return slots_[static_cast<size_t>(instr.parents[i])].shape;
-  };
-  const int p0 = instr.parents.empty() ? -1 : instr.parents[0];
-  const int p1 = instr.parents.size() > 1 ? instr.parents[1] : -1;
-  switch (instr.kind) {
-    case OpKind::kAdd:
-      if (needs(0)) AccumulateSlot(p0, top::ReduceTo(g, shape(0)));
-      if (needs(1)) AccumulateSlot(p1, top::ReduceTo(g, shape(1)));
-      break;
-    case OpKind::kSub:
-      if (needs(0)) AccumulateSlot(p0, top::ReduceTo(g, shape(0)));
-      if (needs(1)) AccumulateSlot(p1, top::ReduceTo(top::Neg(g), shape(1)));
-      break;
-    case OpKind::kMul:
-      if (needs(0)) AccumulateSlot(p0, top::ReduceTo(top::Mul(g, V(1)), shape(0)));
-      if (needs(1)) AccumulateSlot(p1, top::ReduceTo(top::Mul(g, V(0)), shape(1)));
-      break;
-    case OpKind::kDiv:
-      if (needs(0)) AccumulateSlot(p0, top::ReduceTo(top::Div(g, V(1)), shape(0)));
-      if (needs(1)) {
-        const Tensor b2 = top::Square(V(1));
-        const Tensor db = top::Neg(top::Div(top::Mul(g, V(0)), b2));
-        AccumulateSlot(p1, top::ReduceTo(db, shape(1)));
-      }
-      break;
-    case OpKind::kAddScalar:
-      if (needs(0)) AccumulateSlot(p0, g);
-      break;
-    case OpKind::kMulScalar:
-      if (needs(0)) AccumulateSlot(p0, top::MulScalar(g, instr.attrs.scalar));
-      break;
-    case OpKind::kExp:
-      if (needs(0)) AccumulateSlot(p0, top::Mul(g, values_[static_cast<size_t>(instr.out)]));
-      break;
-    case OpKind::kLog:
-      if (needs(0)) AccumulateSlot(p0, top::Div(g, V(0)));
-      break;
-    case OpKind::kSqrt:
-      if (needs(0)) {
-        const Tensor& saved = values_[static_cast<size_t>(instr.out)];
-        AccumulateSlot(p0, top::Div(g, top::MulScalar(saved, 2.0f)));
-      }
-      break;
-    case OpKind::kAbs:
-      if (needs(0)) AccumulateSlot(p0, top::Mul(g, top::Sign(V(0))));
-      break;
-    case OpKind::kTanh:
-      if (needs(0)) {
-        const Tensor& saved = values_[static_cast<size_t>(instr.out)];
-        const Tensor one_minus = top::AddScalar(top::Neg(top::Square(saved)), 1.0f);
-        AccumulateSlot(p0, top::Mul(g, one_minus));
-      }
-      break;
-    case OpKind::kSigmoid:
-      if (needs(0)) {
-        const Tensor& saved = values_[static_cast<size_t>(instr.out)];
-        const Tensor ds = top::Mul(saved, top::AddScalar(top::Neg(saved), 1.0f));
-        AccumulateSlot(p0, top::Mul(g, ds));
-      }
-      break;
-    case OpKind::kRelu:
-      if (needs(0)) {
-        const Tensor mask = top::Map(V(0), [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
-        AccumulateSlot(p0, top::Mul(g, mask));
-      }
-      break;
-    case OpKind::kLeakyRelu:
-      if (needs(0)) {
-        const float slope = instr.attrs.scalar;
-        const Tensor mask = top::Map(V(0), [slope](float x) { return x > 0.0f ? 1.0f : slope; });
-        AccumulateSlot(p0, top::Mul(g, mask));
-      }
-      break;
-    case OpKind::kSquare:
-      if (needs(0)) AccumulateSlot(p0, top::Mul(g, top::MulScalar(V(0), 2.0f)));
-      break;
-    case OpKind::kMatMul: {
-      if (needs(0)) {
-        AccumulateSlot(p0, top::ReduceTo(top::MatMul(g, top::TransposeLast2(V(1))), shape(0)));
-      }
-      if (needs(1)) {
-        AccumulateSlot(p1, top::ReduceTo(top::MatMul(top::TransposeLast2(V(0)), g), shape(1)));
-      }
-      break;
-    }
-    case OpKind::kSum:
-      if (needs(0)) AccumulateSlot(p0, top::BroadcastTo(g.Reshape(instr.kept), shape(0)));
-      break;
-    case OpKind::kMean:
-      if (needs(0)) {
-        AccumulateSlot(
-            p0, top::MulScalar(top::BroadcastTo(g.Reshape(instr.kept), shape(0)), instr.scale));
-      }
-      break;
-    case OpKind::kReshape:
-      if (needs(0)) AccumulateSlot(p0, g.Reshape(shape(0)));
-      break;
-    case OpKind::kTranspose:
-      if (needs(0)) AccumulateSlot(p0, top::Transpose(g, instr.inverse_perm));
-      break;
-    case OpKind::kSlice:
-      if (needs(0)) AccumulateSlot(p0, top::UnSlice(g, shape(0), instr.attrs.ints));
-      break;
-    case OpKind::kConcat: {
-      int64_t offset = 0;
-      for (size_t i = 0; i < instr.parents.size(); ++i) {
-        const Shape& part = shape(i);
-        if (needs(i)) {
-          std::vector<int64_t> starts(static_cast<size_t>(g.rank()), 0);
-          starts[static_cast<size_t>(instr.canonical)] = offset;
-          AccumulateSlot(instr.parents[i], top::Slice(g, starts, part.dims()));
-        }
-        offset += part.dim(instr.canonical);
-      }
-      break;
-    }
-    case OpKind::kPad:
-      if (needs(0)) {
-        std::vector<int64_t> starts(static_cast<size_t>(g.rank()), 0);
-        starts[static_cast<size_t>(instr.canonical)] = instr.attrs.before;
-        AccumulateSlot(p0, top::Slice(g, starts, shape(0).dims()));
-      }
-      break;
-    case OpKind::kBroadcastTo:
-      if (needs(0)) AccumulateSlot(p0, top::ReduceTo(g, shape(0)));
-      break;
-    case OpKind::kSoftmax: {
-      if (needs(0)) {
-        const Tensor& saved = values_[static_cast<size_t>(instr.out)];
-        const Tensor gy = top::Mul(g, saved);
-        const Tensor total = top::Sum(gy, {instr.canonical}, /*keepdims=*/true);
-        AccumulateSlot(p0, top::Mul(top::Sub(g, total), saved));
-      }
-      break;
-    }
-    case OpKind::kTemporalConv2d: {
-      std::optional<Tensor> d_in, d_w;
-      if (needs(0)) d_in.emplace(shape(0));
-      if (needs(1)) d_w.emplace(shape(1));
-      top::TemporalConv2dBackward(g, V(0), V(1), instr.attrs.axis, d_in ? &*d_in : nullptr,
-                                  d_w ? &*d_w : nullptr);
-      if (d_in) AccumulateSlot(p0, *d_in);
-      if (d_w) AccumulateSlot(p1, *d_w);
-      break;
-    }
-    case OpKind::kDropout:
-      URCL_CHECK(false) << "dropout in compiled backward";
-      break;
-  }
+  SlotOperands operands(this, instr, /*backward=*/true);
+  autograd::record::OpBackward(instr.kind, instr.attrs, grads_[static_cast<size_t>(instr.out)],
+                               operands);
 }
 
 CompiledPlan* PlanCache::Lookup(const std::string& key) {

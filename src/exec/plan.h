@@ -26,12 +26,15 @@
 //   measure   One instrumented execution records every storage acquisition
 //             and its lifetime; exec::PlanArena packs them into a single
 //             arena block with lifetime-based slot reuse (arena.h).
-//   replay    Steady-state runs execute direct kernel thunks over arena
-//             slots: zero tape nodes, zero closures, zero BufferPool
-//             acquisitions. Results are bitwise-identical to the tape —
-//             forward values, gradients, and Adam state — because every
-//             thunk runs the same ops:: kernel sequence in the same order
-//             on the same operands (asserted by memcmp in tests/exec_test).
+//   replay    Steady-state runs execute one thunk per op (or fused gate)
+//             over arena slots: zero tape nodes, zero closures, zero
+//             BufferPool acquisitions. Results are bitwise-identical to the
+//             tape — forward values, gradients, and Adam state — because an
+//             op's thunk calls the op's one definition (OpForward/OpBackward
+//             in autograd/record.h) that the tape calls too, in the tape's
+//             order on the same operands, and a fused gate repeats the
+//             unfused kernels' scalar math (asserted by memcmp in
+//             tests/exec_test).
 //
 // The tape remains the reference path and the fallback: captures abort on
 // anything unreplayable (dropout's per-step RNG mask, graphs built outside
@@ -79,20 +82,14 @@ struct Slot {
   int producer = -1;                        // kOp: producing instruction
 };
 
-// One instruction: re-executes an op via the shared ops:: kernels.
+// One instruction: runs an op through its autograd/record.h definition.
 struct Instr {
   autograd::record::OpKind kind = autograd::record::OpKind::kAdd;
   bool is_alias = false;  // StopGradient: out aliases parents[0]'s value
   autograd::record::OpAttrs attrs;
   int out = -1;
   std::vector<int> parents;
-
-  // Compile-time precomputation (mirrors what the tape closures capture).
   Shape out_shape;
-  Shape kept;                        // sum/mean keepdims shape
-  float scale = 0.0f;                // mean re-broadcast scale
-  std::vector<int64_t> inverse_perm; // transpose backward
-  int64_t canonical = 0;             // concat/pad/softmax canonical axis
 
   bool skipped = false;   // forward covered by a fused instruction
   int fused_index = -1;   // >= 0: run fused_gates[fused_index] instead
@@ -157,6 +154,9 @@ class CompiledPlan {
 
  private:
   friend class GraphRecorder;
+
+  // The op definitions' operand view over one instruction's slots.
+  class SlotOperands;
 
   CompiledPlan() = default;
 

@@ -60,18 +60,12 @@ Status ParseModelSnapshot(const checkpoint::Container& container,
   Rng init_rng(config.seed);
   auto model = std::make_unique<core::UrclModel>(config, init_rng);
 
-  std::istringstream model_stream(*model_bytes);
-  const uint64_t count = io::ReadPod<uint64_t>(model_stream);
-  const size_t expected = model->StateDict().size();
-  if (count != expected) {
-    return Status::InvalidArgument(
-        "snapshot has " + std::to_string(count) + " tensors but the config " +
-                         "builds a model with " + std::to_string(expected) +
-                         " (architecture mismatch between trainer and server)");
-  }
   std::vector<Tensor> state;
-  state.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) state.push_back(LoadTensor(model_stream));
+  const Status parsed = core::ParseStateDict(*model_bytes, model->StateDict(), &state);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("snapshot does not fit the server's model config: " +
+                                   parsed.message());
+  }
   model->LoadStateDict(state);
 
   auto snapshot = std::make_shared<ModelSnapshot>();

@@ -9,6 +9,8 @@
 #include "graph/generator.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace baselines {
 namespace {
@@ -58,7 +60,7 @@ TEST(ArimaTest, PredictsArProcessWell) {
   ArimaPredictor arima(ArimaOptions{2, 0}, 1, 0);
   arima.TrainStage(dataset, 1);
   const auto [x, y] = dataset.MakeBatch({100, 200, 300});
-  const Tensor pred = arima.Predict(x);
+  const Tensor pred = FullForecast(arima, x);
   EXPECT_EQ(pred.shape(), y.shape());
   const data::EvalMetrics m = data::ComputeMetrics(pred, y);
   EXPECT_LT(m.mae, 0.15);
@@ -75,7 +77,7 @@ TEST(ArimaTest, DifferencingHandlesTrend) {
   ArimaPredictor arima(ArimaOptions{2, 1}, 1, 0);
   arima.TrainStage(dataset, 1);
   const auto [x, y] = dataset.MakeBatch({300});
-  const Tensor pred = arima.Predict(x);
+  const Tensor pred = FullForecast(arima, x);
   EXPECT_NEAR(pred.FlatAt(0), y.FlatAt(0), 1.5f);
 }
 
@@ -84,7 +86,7 @@ TEST(ArimaTest, MultiStepForecast) {
   ArimaPredictor arima(ArimaOptions{2, 0}, /*output_steps=*/3, 0);
   arima.TrainStage(dataset, 1);
   Tensor window = dataset.GetSample(50).inputs.Reshape(Shape{1, 12, 1, 1});
-  const Tensor pred = arima.Predict(window);
+  const Tensor pred = FullForecast(arima, window);
   EXPECT_EQ(pred.shape(), Shape({1, 3, 1, 1}));
   EXPECT_TRUE(ops::AllFinite(pred));
 }
@@ -92,7 +94,7 @@ TEST(ArimaTest, MultiStepForecast) {
 TEST(ArimaTest, PredictBeforeTrainDies) {
   ArimaPredictor arima(ArimaOptions{}, 1, 0);
   Tensor x = Tensor::Ones(Shape{1, 12, 2, 1});
-  EXPECT_DEATH(arima.Predict(x), "trained before prediction");
+  EXPECT_DEATH(FullForecast(arima, x), "trained before prediction");
 }
 
 TEST(HistoricalAverageTest, PredictsWindowMean) {
@@ -102,7 +104,7 @@ TEST(HistoricalAverageTest, PredictsWindowMean) {
     x.Set({0, t, 0, 0}, static_cast<float>(t + 1));  // mean = 2.5
     x.Set({0, t, 0, 1}, 100.0f);                     // other channel ignored
   }
-  const Tensor pred = ha.Predict(x);
+  const Tensor pred = FullForecast(ha, x);
   EXPECT_EQ(pred.shape(), Shape({1, 2, 1, 1}));
   EXPECT_FLOAT_EQ(pred.FlatAt(0), 2.5f);
   EXPECT_FLOAT_EQ(pred.FlatAt(1), 2.5f);
@@ -147,7 +149,7 @@ TEST_F(ZooTest, AllBaselinesTrainAndPredict) {
     EXPECT_FALSE(losses.empty()) << name;
     EXPECT_TRUE(std::isfinite(losses[0])) << name;
     const auto [x, y] = dataset_->MakeBatch({0, 1});
-    const Tensor pred = model->Predict(x);
+    const Tensor pred = FullForecast(*model, x);
     EXPECT_EQ(pred.shape(), y.shape()) << name;
     EXPECT_TRUE(ops::AllFinite(pred)) << name;
   }

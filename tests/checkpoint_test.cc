@@ -30,6 +30,8 @@
 #include "replay/replay_buffer.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace {
 
@@ -490,7 +492,7 @@ RunOutcome RunUninterrupted(const ProtocolFixture& f, const std::string& dir) {
   }
   core::RunContinualProtocol(trainer, *f.stream, f.normalizer, 0, FastProtocol());
   const auto [x, y] = f.dataset->MakeBatch({0, 5});
-  return RunOutcome{trainer.loss_history(), trainer.Predict(x)};
+  return RunOutcome{trainer.loss_history(), FullForecast(trainer, x)};
 }
 
 void ExpectBitwiseEqual(const RunOutcome& a, const RunOutcome& b, const std::string& what) {
@@ -564,7 +566,7 @@ TEST_P(KillResumeTest, ResumedRunIsBitwiseIdentical) {
   EXPECT_FALSE(resumed.TrainingInterrupted());
 
   const auto [x, y] = f.dataset->MakeBatch({0, 5});
-  ExpectBitwiseEqual(reference, RunOutcome{resumed.loss_history(), resumed.Predict(x)},
+  ExpectBitwiseEqual(reference, RunOutcome{resumed.loss_history(), FullForecast(resumed, x)},
                      "kill=" + tag);
 }
 

@@ -11,6 +11,8 @@
 #include "graph/generator.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace core {
 namespace {
@@ -198,7 +200,7 @@ class SimSiamTest : public ::testing::Test {
  protected:
   SimSiamTest() : graph_(graph::GridGraph(2, 3)), rng_(8) {
     encoder_ = std::make_unique<GraphWaveNetEncoder>(SmallConfig(), rng_);
-    simsiam_ = std::make_unique<StSimSiam>(encoder_.get(), 8, 8, 0.5f, rng_);
+    simsiam_ = std::make_unique<StSimSiam>(encoder_.get(), 8, 0.5f, rng_);
     Rng data_rng(9);
     obs_ = Tensor::RandomUniform(Shape{4, 12, 6, 2}, data_rng);
     adjacency_ = graph_.AdjacencyMatrix();
@@ -293,7 +295,7 @@ TEST_F(UrclTrainerTest, PredictShape) {
   UrclTrainer trainer(SmallUrcl(nodes), generator_->network());
   trainer.TrainStage(dataset, 1);
   const auto [x, y] = dataset.MakeBatch({0, 1, 2});
-  EXPECT_EQ(trainer.Predict(x).shape(), y.shape());
+  EXPECT_EQ(FullForecast(trainer, x).shape(), y.shape());
 }
 
 TEST_F(UrclTrainerTest, AblationTogglesAllRun) {
@@ -347,7 +349,7 @@ TEST_F(UrclTrainerTest, BackbonesInterchangeable) {
     const std::vector<float> losses = trainer.TrainStage(dataset, 1);
     EXPECT_TRUE(std::isfinite(losses[0])) << BackboneTypeName(type);
     const auto [x, y] = dataset.MakeBatch({0});
-    EXPECT_EQ(trainer.Predict(x).shape(), y.shape()) << BackboneTypeName(type);
+    EXPECT_EQ(FullForecast(trainer, x).shape(), y.shape()) << BackboneTypeName(type);
   }
 }
 

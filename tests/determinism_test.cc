@@ -14,6 +14,8 @@
 #include "runtime/parallel.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace {
 
@@ -70,7 +72,7 @@ TEST(DeterminismTest, SameSeedSameLossHistory) {
   }
   // And identical predictions.
   const auto [x, y] = p.dataset->MakeBatch({0, 1});
-  EXPECT_TRUE(ops::AllClose(a.Predict(x), b.Predict(x), 0.0f, 0.0f));
+  EXPECT_TRUE(ops::AllClose(FullForecast(a, x), FullForecast(b, x), 0.0f, 0.0f));
 }
 
 TEST(DeterminismTest, ThreadCountInvariantTraining) {
@@ -98,8 +100,8 @@ TEST(DeterminismTest, ThreadCountInvariantTraining) {
     EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0) << "step " << i;
   }
   const auto [x, y] = p.dataset->MakeBatch({0, 1});
-  const Tensor pred_serial = serial.Predict(x);
-  const Tensor pred_threaded = threaded.Predict(x);
+  const Tensor pred_serial = FullForecast(serial, x);
+  const Tensor pred_threaded = FullForecast(threaded, x);
   ASSERT_EQ(pred_serial.shape(), pred_threaded.shape());
   EXPECT_EQ(std::memcmp(pred_serial.data(), pred_threaded.data(),
                         static_cast<size_t>(pred_serial.NumElements()) * sizeof(float)),
@@ -117,7 +119,7 @@ TEST(DeterminismTest, DifferentSeedDiverges) {
   a.TrainStage(*p.dataset, 1);
   b.TrainStage(*p.dataset, 1);
   const auto [x, y] = p.dataset->MakeBatch({0, 1});
-  EXPECT_FALSE(ops::AllClose(a.Predict(x), b.Predict(x)));
+  EXPECT_FALSE(ops::AllClose(FullForecast(a, x), FullForecast(b, x)));
 }
 
 TEST(MultiStepTest, UrclPredictsThreeStepHorizon) {
@@ -126,7 +128,7 @@ TEST(MultiStepTest, UrclPredictsThreeStepHorizon) {
   const std::vector<float> losses = trainer.TrainStage(*p.dataset, 2);
   EXPECT_TRUE(std::isfinite(losses.back()));
   const auto [x, y] = p.dataset->MakeBatch({0, 5});
-  const Tensor pred = trainer.Predict(x);
+  const Tensor pred = FullForecast(trainer, x);
   EXPECT_EQ(pred.shape(), Shape({2, 3, 6, 1}));
   EXPECT_TRUE(ops::AllFinite(pred));
 }
@@ -148,7 +150,7 @@ TEST(MultiStepTest, DeepBaselinesHandleMultiStep) {
     auto model = baselines::MakeBaseline(name, options, p.generator->network());
     model->TrainStage(*p.dataset, 1);
     const auto [x, y] = p.dataset->MakeBatch({0, 1});
-    const Tensor pred = model->Predict(x);
+    const Tensor pred = FullForecast(*model, x);
     EXPECT_EQ(pred.shape(), y.shape()) << name;
     EXPECT_TRUE(ops::AllFinite(pred)) << name;
   }
@@ -165,7 +167,7 @@ TEST(MultiStepTest, LaterHorizonsHarder) {
   data::MetricsAccumulator step1, step3;
   for (int64_t i = 0; i + 16 < p.dataset->NumSamples(); i += 16) {
     const auto [x, y] = p.dataset->MakeBatch({i, i + 8});
-    const Tensor pred = trainer.Predict(x);
+    const Tensor pred = FullForecast(trainer, x);
     step1.Add(ops::Slice(pred, {0, 0, 0, 0}, {2, 1, 6, 1}),
               ops::Slice(y, {0, 0, 0, 0}, {2, 1, 6, 1}));
     step3.Add(ops::Slice(pred, {0, 2, 0, 0}, {2, 1, 6, 1}),

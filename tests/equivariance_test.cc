@@ -13,6 +13,8 @@
 #include "nn/gcn.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace {
 
@@ -169,7 +171,7 @@ TEST(FcLstmTest, InZooAndTrains) {
   const std::vector<float> losses = model->TrainStage(dataset, 2);
   EXPECT_TRUE(std::isfinite(losses.back()));
   const auto [x, y] = dataset.MakeBatch({0, 1});
-  EXPECT_EQ(model->Predict(x).shape(), y.shape());
+  EXPECT_EQ(FullForecast(*model, x).shape(), y.shape());
 }
 
 }  // namespace

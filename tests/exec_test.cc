@@ -1,6 +1,7 @@
 // Compiled-executor tests (ctest label `exec`, DESIGN.md §12): bitwise
 // plan-vs-tape equality of forward, backward and Adam state across thread
-// counts, zero steady-state BufferPool traffic, arena layout validation,
+// counts and for every op definition, zero steady-state BufferPool traffic
+// (also after an aborted run), arena layout validation,
 // the sNaN poison audit over arena slots, elementwise-gate fusion, and the
 // capture error paths (dropout RNG, graphs built outside the listener).
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -288,6 +290,141 @@ TEST_F(PlanUnitTest, ReplayMatchesTapeForwardAndGradBitwise) {
     EXPECT_TRUE(BitwiseEqual(out, loss_ref.value())) << "step " << step;
     plan.RunBackward();
     EXPECT_TRUE(BitwiseEqual(w.grad(), w_ref.grad())) << "step " << step;
+  }
+}
+
+// A run abandoned between forward and backward (the trainer's quarantine of
+// a non-finite loss) leaves the plan ready: the next step is still bitwise
+// the tape and still draws nothing from the BufferPool.
+TEST_F(PlanUnitTest, AbortedRunLeavesPlanBitwiseAndPoolFree) {
+  const Shape shape{8, 16};
+  Tensor x = Ramp(shape, -0.9f, 0.013f);
+  Variable w(Ramp(shape, 0.2f, 0.004f), /*requires_grad=*/true);
+  auto build = [&x](const Variable& weight) {
+    return ag::Sum(ag::Mul(ag::Tanh(Variable(x, /*requires_grad=*/false)), weight));
+  };
+
+  const std::vector<Tensor> inputs{x};
+  CompiledPlan::CaptureResult captured =
+      CompiledPlan::Capture(inputs, [&] { return build(w); }, /*with_backward=*/true);
+  ASSERT_NE(captured.plan, nullptr) << captured.error;
+  CompiledPlan& plan = *captured.plan;
+
+  Variable w_ref(w.value().Clone(), /*requires_grad=*/true);
+  Variable loss_ref = build(w_ref);
+  loss_ref.Backward();
+
+  w.ZeroGrad();
+  auto& pool = pool::BufferPool::Get();
+  pool.ResetCounters();
+  plan.BindInputs({x});
+  plan.RunForward();
+  plan.Abort();
+  plan.BindInputs({x});
+  const Tensor& out = plan.RunForward();
+  plan.RunBackward();
+  const pool::PoolStats stats = pool.Stats();
+  EXPECT_EQ(stats.hits, 0) << "aborted-then-replayed step hit the BufferPool";
+  EXPECT_EQ(stats.misses, 0) << "aborted-then-replayed step missed into the BufferPool";
+
+  EXPECT_TRUE(BitwiseEqual(out, loss_ref.value()));
+  EXPECT_TRUE(BitwiseEqual(w.grad(), w_ref.grad()));
+}
+
+// One application of an op for EveryOpReplaysBitwiseAgainstTheTape: input
+// shapes, an input value range clear of the op's poles, and attributes.
+struct OpCase {
+  ag::record::OpKind kind = ag::record::OpKind::kAdd;
+  std::vector<Shape> inputs = {};
+  ag::record::OpAttrs attrs = {};
+  float lo = -1.5f;
+  float hi = 1.5f;
+};
+
+std::vector<OpCase> EveryOpCases() {
+  using K = ag::record::OpKind;
+  return {
+      {.kind = K::kAdd, .inputs = {Shape{3, 4}, Shape{4}}},
+      {.kind = K::kSub, .inputs = {Shape{3, 4}, Shape{3, 1}}},
+      {.kind = K::kMul, .inputs = {Shape{2, 3, 4}, Shape{3, 1}}},
+      {.kind = K::kDiv, .inputs = {Shape{3, 4}, Shape{1, 4}}, .lo = 0.5f, .hi = 2.0f},
+      {.kind = K::kAddScalar, .inputs = {Shape{3, 4}}, .attrs = {.scalar = 0.75f}},
+      {.kind = K::kMulScalar, .inputs = {Shape{3, 4}}, .attrs = {.scalar = -1.25f}},
+      {.kind = K::kExp, .inputs = {Shape{3, 4}}},
+      {.kind = K::kLog, .inputs = {Shape{3, 4}}, .lo = 0.5f, .hi = 2.0f},
+      {.kind = K::kSqrt, .inputs = {Shape{3, 4}}, .lo = 0.5f, .hi = 2.0f},
+      {.kind = K::kAbs, .inputs = {Shape{3, 4}}},
+      {.kind = K::kTanh, .inputs = {Shape{3, 4}}},
+      {.kind = K::kSigmoid, .inputs = {Shape{3, 4}}},
+      {.kind = K::kRelu, .inputs = {Shape{3, 4}}},
+      {.kind = K::kLeakyRelu, .inputs = {Shape{3, 4}}, .attrs = {.scalar = 0.1f}},
+      {.kind = K::kSquare, .inputs = {Shape{3, 4}}},
+      {.kind = K::kMatMul, .inputs = {Shape{2, 3, 4}, Shape{4, 5}}},
+      {.kind = K::kSum, .inputs = {Shape{2, 3, 4}}, .attrs = {.ints = {-1}}},
+      {.kind = K::kMean, .inputs = {Shape{2, 3, 4}}, .attrs = {.flag = true, .ints = {0, 2}}},
+      {.kind = K::kReshape, .inputs = {Shape{2, 3, 4}}, .attrs = {.ints = {6, 4}}},
+      {.kind = K::kTranspose, .inputs = {Shape{2, 3, 4}}, .attrs = {.ints = {2, 0, -2}}},
+      {.kind = K::kSlice,
+       .inputs = {Shape{4, 5}},
+       .attrs = {.ints = {1, 2}, .ints2 = {2, 3}}},
+      {.kind = K::kConcat,
+       .inputs = {Shape{2, 3}, Shape{2, 1}, Shape{2, 2}},
+       .attrs = {.axis = -1}},
+      {.kind = K::kPad, .inputs = {Shape{2, 3}}, .attrs = {.axis = 1, .before = 1, .after = 2}},
+      {.kind = K::kBroadcastTo, .inputs = {Shape{1, 3}}, .attrs = {.ints = {4, 3}}},
+      {.kind = K::kSoftmax, .inputs = {Shape{3, 5}}, .attrs = {.axis = -1}},
+      {.kind = K::kTemporalConv2d,
+       .inputs = {Shape{2, 3, 4, 7}, Shape{5, 3, 1, 2}},
+       .attrs = {.axis = 2}},
+  };
+}
+
+// Every op definition on the plan against the tape, including ops no model
+// graph uses: capture with backward, replay twice, and memcmp the root and
+// every input gradient. Each op reads inputs that are themselves op outputs,
+// so a liveness fact that lets the plan drop a value its backward reads
+// aborts here with the op's name.
+TEST_F(PlanUnitTest, EveryOpReplaysBitwiseAgainstTheTape) {
+  std::vector<bool> covered(static_cast<size_t>(ag::record::OpKind::kDropout), false);
+  for (const OpCase& c : EveryOpCases()) {
+    SCOPED_TRACE(ag::record::OpName(c.kind));
+    Rng rng(17);
+    std::vector<Variable> params, twins;
+    for (const Shape& shape : c.inputs) {
+      const Tensor value = Tensor::RandomUniform(shape, rng, c.lo, c.hi);
+      params.emplace_back(value.Clone(), /*requires_grad=*/true);
+      twins.emplace_back(value.Clone(), /*requires_grad=*/true);
+    }
+    // root = sum(op(inputs) * weight): a non-uniform output gradient.
+    std::optional<Tensor> weight;
+    auto build = [&](const std::vector<Variable>& leaves) {
+      std::vector<Variable> inputs;
+      for (const Variable& leaf : leaves) inputs.push_back(ag::MulScalar(leaf, 1.0f));
+      const Variable out = ag::Apply(c.kind, inputs, c.attrs);
+      if (!weight) weight = Ramp(out.shape(), -0.7f, 0.013f);
+      return ag::Sum(ag::Mul(out, Variable(*weight, /*requires_grad=*/false)));
+    };
+    Variable reference = build(twins);
+    reference.Backward();
+
+    CompiledPlan::CaptureResult captured =
+        CompiledPlan::Capture({}, [&] { return build(params); }, /*with_backward=*/true);
+    ASSERT_NE(captured.plan, nullptr) << captured.error;
+    for (int run = 0; run < 2; ++run) {
+      for (const Variable& p : params) p.ZeroGrad();
+      captured.plan->BindInputs({});
+      EXPECT_TRUE(BitwiseEqual(captured.plan->RunForward(), reference.value())) << "run " << run;
+      captured.plan->RunBackward();
+      for (size_t i = 0; i < params.size(); ++i) {
+        EXPECT_TRUE(BitwiseEqual(params[i].grad(), twins[i].grad()))
+            << "run " << run << ", gradient of input " << i;
+      }
+    }
+    covered[static_cast<size_t>(c.kind)] = true;
+  }
+  for (size_t k = 0; k < covered.size(); ++k) {
+    EXPECT_TRUE(covered[k]) << "no case for op "
+                            << ag::record::OpName(static_cast<ag::record::OpKind>(k));
   }
 }
 

@@ -18,6 +18,8 @@
 #include "nn/layer_norm.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace {
 
@@ -133,7 +135,7 @@ TEST_F(TrainerFixture, EarlyStoppingStopsAndRestoresBest) {
   EXPECT_GE(losses.size(), 3u);
   // The restored model must be usable.
   const auto [x, y] = val_->MakeBatch({0, 1});
-  EXPECT_TRUE(top::AllFinite(trainer.Predict(x)));
+  EXPECT_TRUE(top::AllFinite(FullForecast(trainer, x)));
 }
 
 TEST_F(TrainerFixture, ValidationMaeComputes) {
@@ -154,9 +156,9 @@ TEST_F(TrainerFixture, CheckpointRoundTrip) {
   other.seed = 99;
   core::UrclTrainer b(other, generator_->network());
   const auto [x, y] = val_->MakeBatch({0, 1, 2});
-  EXPECT_FALSE(top::AllClose(a.Predict(x), b.Predict(x)));
+  EXPECT_FALSE(top::AllClose(FullForecast(a, x), FullForecast(b, x)));
   b.LoadCheckpoint(path);
-  EXPECT_TRUE(top::AllClose(a.Predict(x), b.Predict(x), 1e-6f));
+  EXPECT_TRUE(top::AllClose(FullForecast(a, x), FullForecast(b, x), 1e-6f));
   std::remove(path.c_str());
 }
 
@@ -183,7 +185,7 @@ TEST_F(TrainerFixture, EwcTrainsAndConsolidates) {
   // training once more and checking predictions still work.
   trainer.TrainStage(*val_, 1);
   const auto [x, y] = val_->MakeBatch({0});
-  EXPECT_TRUE(top::AllFinite(trainer.Predict(x)));
+  EXPECT_TRUE(top::AllFinite(FullForecast(trainer, x)));
 }
 
 TEST_F(TrainerFixture, EwcPenaltyResistsParameterDrift) {
@@ -198,19 +200,19 @@ TEST_F(TrainerFixture, EwcPenaltyResistsParameterDrift) {
   core::EwcTrainer with_ewc(config, generator_->network());
   with_ewc.TrainStage(*train_, 3);
   const auto [x, y] = train_->MakeBatch({0, 1, 2, 3});
-  const Tensor before = with_ewc.Predict(x);
+  const Tensor before = FullForecast(with_ewc, x);
   // Train on a very different slice; EWC should keep predictions on the
   // original data closer than a lambda=~0 run would.
   core::EwcConfig weak = config;
   weak.ewc_lambda = 1e-6f;
   core::EwcTrainer without_ewc(weak, generator_->network());
   without_ewc.TrainStage(*train_, 3);
-  const Tensor before_weak = without_ewc.Predict(x);
+  const Tensor before_weak = FullForecast(without_ewc, x);
 
   with_ewc.TrainStage(*val_, 3);
   without_ewc.TrainStage(*val_, 3);
-  const float drift_ewc = top::MaxAbsDiff(with_ewc.Predict(x), before);
-  const float drift_weak = top::MaxAbsDiff(without_ewc.Predict(x), before_weak);
+  const float drift_ewc = top::MaxAbsDiff(FullForecast(with_ewc, x), before);
+  const float drift_weak = top::MaxAbsDiff(FullForecast(without_ewc, x), before_weak);
   EXPECT_LE(drift_ewc, drift_weak * 1.5f)
       << "EWC drift " << drift_ewc << " vs unregularized " << drift_weak;
 }

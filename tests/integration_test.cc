@@ -11,6 +11,8 @@
 #include "data/synthetic.h"
 #include "tensor/tensor_ops.h"
 
+#include "predict_util.h"
+
 namespace urcl {
 namespace {
 
@@ -119,7 +121,7 @@ TEST(IntegrationTest, UrclModelIsSerializableAcrossInstances) {
   core::UrclTrainer b(other, p.generator->network());
   b.model().LoadStateDict(a.model().StateDict());
   const auto [x, y] = p.stream->Stage(0).test.MakeBatch({0, 1});
-  EXPECT_TRUE(ops::AllClose(a.Predict(x), b.Predict(x), 1e-5f));
+  EXPECT_TRUE(ops::AllClose(FullForecast(a, x), FullForecast(b, x), 1e-5f));
 }
 
 TEST(IntegrationTest, FlowDatasetPipelineWorks) {
@@ -138,7 +140,7 @@ TEST(IntegrationTest, FlowDatasetPipelineWorks) {
   core::UrclTrainer trainer(urcl_config, generator.network());
   trainer.TrainStage(dataset, 1);
   const auto [x, y] = dataset.MakeBatch({0, 1});
-  EXPECT_EQ(trainer.Predict(x).shape(), y.shape());
+  EXPECT_EQ(FullForecast(trainer, x).shape(), y.shape());
 }
 
 TEST(IntegrationTest, ReplayReducesForgettingOfBaseSet) {

@@ -26,7 +26,6 @@
 #include "serve/admission.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
-#include "tensor/serialize.h"
 
 namespace urcl {
 namespace serve {
@@ -52,16 +51,6 @@ core::UrclConfig TinyConfig(int64_t nodes, int64_t input_steps = 12) {
   return config;
 }
 
-// Re-serializes `state` in the trainer's publish layout (uint64 count + one
-// SaveTensor block per parameter) so tests can build containers with
-// deliberately poisoned weights.
-std::string SerializeState(const std::vector<Tensor>& state) {
-  std::ostringstream out;
-  io::WritePod<uint64_t>(out, static_cast<uint64_t>(state.size()));
-  for (const Tensor& tensor : state) SaveTensor(tensor, out);
-  return out.str();
-}
-
 // A copy of `container` whose "model" section holds the same architecture
 // with every parameter element overwritten by `value`.
 checkpoint::Container PoisonWeights(const checkpoint::Container& container,
@@ -75,7 +64,7 @@ checkpoint::Container PoisonWeights(const checkpoint::Container& container,
     for (int64_t i = 0; i < tensor.NumElements(); ++i) data[i] = value;
   }
   checkpoint::Container poisoned;
-  poisoned.Add("model", SerializeState(state));
+  poisoned.Add("model", core::SerializeStateDict(state));
   poisoned.Add("serve_meta", *container.Find("serve_meta"));
   return poisoned;
 }
@@ -180,6 +169,16 @@ TEST_F(ServeRobustnessTest, CorruptContainerBytesRejectedWithDistinctDiagnostics
   EXPECT_NE(arch.message().find("architecture mismatch"), std::string::npos)
       << arch.ToString();
 
+  // Width mismatch: same tensor count, different tensor shapes. Rejected as
+  // typed kInvalidArgument instead of aborting in Variable::SetValue.
+  core::UrclConfig wider = config;
+  wider.encoder.hidden_channels = 8;
+  const Status width = AdmitSnapshotBytes(bytes, wider, admission, probe, adjacency, &out);
+  ASSERT_FALSE(width.ok());
+  EXPECT_EQ(width.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(width.message().find("architecture mismatch"), std::string::npos)
+      << width.ToString();
+
   // Four distinct diagnostics plus the truncation: no two alike.
   const std::vector<std::string> messages = {truncated.message(), crc.message(),
                                              missing.message(), schema.message(),
@@ -220,6 +219,31 @@ TEST_F(ServeRobustnessTest, QuarantineLeavesLiveVersionUntouched) {
   EXPECT_EQ(service.hub().rollback_count(), 0);
 
   // The incumbent still answers.
+  core::PredictRequest request = MakeRequest();
+  core::PredictResponse response;
+  ASSERT_TRUE(service.Predict(request, &response).ok());
+  EXPECT_EQ(response.model_version, live);
+  EXPECT_FALSE(response.degraded);
+}
+
+// A snapshot from a trainer of another width has the server's tensor count
+// but not its shapes: the sink quarantines it and the incumbent keeps serving.
+TEST_F(ServeRobustnessTest, WidthMismatchedPublishIsQuarantined) {
+  ServiceConfig config;
+  config.model = TinyConfig(kNodes);
+  ForecastService service(config, generator_->network(), normalizer_);
+  auto sink = service.SnapshotSink();
+  sink(TrainAndCollect(config.model).back());
+  const std::shared_ptr<const ModelSnapshot> incumbent = service.hub().Current();
+  ASSERT_NE(incumbent, nullptr);
+  const int64_t live = incumbent->version;
+
+  core::UrclConfig wider = config.model;
+  wider.encoder.hidden_channels = 8;
+  sink(TrainAndCollect(wider).back());
+
+  EXPECT_EQ(service.quarantined_snapshots(), 1);
+  EXPECT_EQ(service.hub().Current(), incumbent);
   core::PredictRequest request = MakeRequest();
   core::PredictResponse response;
   ASSERT_TRUE(service.Predict(request, &response).ok());

@@ -396,8 +396,8 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("urcl_build_type", "debug");
 #endif
   benchmark::AddCustomContext("urcl_simd_backend", urcl::simd::kBackendName);
-  benchmark::AddCustomContext(
-      "urcl_executor", urcl::exec::ExecutorModeName(urcl::exec::DefaultExecutorMode()));
+  benchmark::AddCustomContext("urcl_executor",
+                              urcl::exec::ExecutorModeName(urcl::core::UrclConfig{}.executor));
   benchmark::AddCustomContext(
       "urcl_pool", urcl::pool::BufferPool::Get().enabled() ? "on" : "off");
   benchmark::AddCustomContext(

@@ -11,7 +11,7 @@
 //                   [--publish-every 4] [--deadline-us 0]
 //                   [--executor plan|tape] [--out BENCH_serving.json]
 //
-// --executor selects the inference executor (default: URCL_EXEC, else plan).
+// --executor selects the inference executor (default: plan).
 // Clients time every query themselves and split latencies into steady-state
 // vs hot-swap-window samples (a query lands in the swap window when it is the
 // client's first on a new model version or when the hub swapped mid-flight),
@@ -91,10 +91,7 @@ int Run(int argc, char** argv) {
   const int64_t deadline_us = flags.GetInt("deadline-us", 0);
   const std::string out_path = flags.GetString("out", "BENCH_serving.json");
   URCL_CHECK_GE(clients, 1);
-  std::string executor_name = flags.GetString("executor", "");
-  if (executor_name.empty()) {
-    executor_name = exec::ExecutorModeName(exec::DefaultExecutorMode());
-  }
+  const std::string executor_name = flags.GetString("executor", "plan");
   URCL_CHECK(executor_name == "plan" || executor_name == "tape")
       << "--executor must be plan or tape, got " << executor_name;
   const exec::ExecutorMode executor =

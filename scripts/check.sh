@@ -30,7 +30,9 @@
 #      pool from worker threads; observability covers the lock-striped flight
 #      recorder and the metrics registry, both written from every serving
 #      thread; kernels covers the tensor kernels, whose ParallelFor chunks
-#      must write disjoint output slots);
+#      must write disjoint output slots). Every test target carrying a
+#      selected label must be built in that tree: ctest only lists the cases
+#      of targets that were built, so an unbuilt suite is skipped silently;
 #   6. the `chaos`-labeled suite under both sanitizer builds with a serving
 #      fault storm injected via URCL_FAULT (fault-point names documented in
 #      src/common/fault_injector.h). The chaos tests assert the serving
@@ -132,8 +134,8 @@ cmake -B build-check-tsan -S . -DURCL_SANITIZE=thread \
   -DURCL_BUILD_BENCHMARKS=OFF -DURCL_BUILD_EXAMPLES=OFF >/dev/null
 # urcl_lint is built here too: the repo_lint ctest entry runs the binary.
 cmake --build build-check-tsan -j"$jobs" --target \
-  check_test lint_test serve_test exec_test obs_test blackbox_tool_test urcl_lint \
-  simd_test tensor_ops_test runtime_test
+  check_test lint_test serve_test serve_robustness_test exec_test obs_test blackbox_tool_test \
+  urcl_lint simd_test tensor_ops_test runtime_test
 # scripts/tsan.supp silences one libstdc++ atomic<shared_ptr> artifact
 # (relaxed reader unlock in _Sp_atomic::load); see the comment there.
 export TSAN_OPTIONS="suppressions=$root/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -62,19 +63,6 @@ TrainerMetrics& Metrics() {
   return *metrics;
 }
 
-// Flight-records how capturing one trainer plan family went: kPlanCompile
-// with the family and its shape key, or kPlanFallback with the capture error
-// (that shape then stays on the tape for good).
-void RecordCapture(const char* family, const std::string& key,
-                   const exec::CompiledPlan::CaptureResult& captured, int64_t stage,
-                   int64_t step) {
-  const bool compiled = captured.plan != nullptr;
-  const std::string detail = std::string(family) + ": " + (compiled ? key : captured.error);
-  obs::RecordFlightEvent(
-      compiled ? obs::FlightEventType::kPlanCompile : obs::FlightEventType::kPlanFallback, stage,
-      step, detail.c_str());
-}
-
 }  // namespace
 
 std::vector<std::string> UrclConfig::Validate() const {
@@ -128,7 +116,14 @@ UrclTrainer::UrclTrainer(const UrclConfig& config, const graph::SensorNetwork& n
       adjacency_(network.AdjacencyMatrix()),
       network_(network),
       buffer_(config.buffer_capacity, config.buffer_policy, config.seed + 17),
-      rmir_sampler_(replay::RmirConfig{config.rmir_candidate_pool, config.rmir_virtual_lr}) {
+      rmir_sampler_(replay::RmirConfig{config.rmir_candidate_pool, config.rmir_virtual_lr}),
+      // With SSL and augmentation both on, every step draws fresh augmented
+      // views, so the train graph is not step-invariant: it runs on the tape.
+      train_plans_("train", config.enable_ssl && config.enable_augmentation
+                                ? exec::ExecutorMode::kTape
+                                : config.executor),
+      virtual_plans_("virtual", config.executor),
+      per_item_plans_("per_item", config.executor) {
   URCL_CHECK_EQ(config.encoder.num_nodes, network.num_nodes())
       << "encoder config does not match the sensor network";
   model_ = std::make_unique<UrclModel>(config_, rng_);
@@ -145,37 +140,15 @@ UrclTrainer::UrclTrainer(const UrclConfig& config, const graph::SensorNetwork& n
 std::vector<float> UrclTrainer::PerItemLosses(const std::vector<int64_t>& indices) {
   const auto [inputs, targets] = buffer_.MakeBatch(indices);
   // RMIR scores the whole scan set twice per refresh, so this forward is the
-  // hottest inference path in training — compiled when the executor allows.
-  Tensor predictions;
-  bool have_predictions = false;
-  if (config_.executor == exec::ExecutorMode::kPlan) {
-    const std::string key = exec::PlanCache::ShapeKey({&inputs});
-    exec::CompiledPlan* plan = per_item_plans_.Lookup(key);
-    if (plan == nullptr && per_item_plans_.ShouldCapture(key)) {
-      const std::vector<Tensor> plan_inputs{inputs};
-      exec::CompiledPlan::CaptureResult captured = exec::CompiledPlan::Capture(
-          plan_inputs,
-          [&inputs, this] {
-            return model_->Forward(Variable(inputs, /*requires_grad=*/false), adjacency_);
-          },
-          /*with_backward=*/false);
-      RecordCapture("per_item", key, captured, current_stage_, step_count_);
-      per_item_plans_.Insert(key, std::move(captured.plan));
-      // The capturing call completes on the tape build's result.
-      predictions = captured.root->value();
-      have_predictions = true;
-    } else if (plan != nullptr) {
-      plan->BindInputs({inputs});
-      predictions = plan->RunForward();  // plan-owned; fully consumed below
-      have_predictions = true;
-    }
-  }
-  if (!have_predictions) {
-    Variable x(inputs, /*requires_grad=*/false);
-    predictions = model_->Forward(x, adjacency_).value();
-  }
+  // hottest inference path in training.
+  const exec::PlanRun run = per_item_plans_.Run(
+      {inputs},
+      [&inputs, this] {
+        return model_->Forward(Variable(inputs, /*requires_grad=*/false), adjacency_);
+      },
+      /*with_backward=*/false, current_stage_, step_count_);
   // Per-item MAE: mean |pred - y| over all but the batch axis.
-  const Tensor abs_err = ops::Abs(ops::Sub(predictions, targets));
+  const Tensor abs_err = ops::Abs(ops::Sub(run.value(), targets));
   const Tensor per_item = ops::Mean(abs_err, {1, 2, 3});
   std::vector<float> losses(static_cast<size_t>(per_item.NumElements()));
   for (int64_t i = 0; i < per_item.NumElements(); ++i)
@@ -207,40 +180,15 @@ UrclTrainer::ReplayDraw UrclTrainer::DrawReplaySamples(const Tensor& current_inp
     for (const Variable& p : params) snapshot.push_back(p.value().Clone());
 
     for (const Variable& p : params) p.ZeroGrad();
-    bool virtual_done = false;
-    if (config_.executor == exec::ExecutorMode::kPlan) {
-      const std::string key = exec::PlanCache::ShapeKey({&current_inputs, &current_targets});
-      exec::CompiledPlan* plan = virtual_plans_.Lookup(key);
-      if (plan == nullptr && virtual_plans_.ShouldCapture(key)) {
-        const std::vector<Tensor> plan_inputs{current_inputs, current_targets};
-        exec::CompiledPlan::CaptureResult captured = exec::CompiledPlan::Capture(
-            plan_inputs,
-            [&] {
-              Variable x(current_inputs, /*requires_grad=*/false);
-              Variable y(current_targets, /*requires_grad=*/false);
-              return nn::MaeLoss(model_->Forward(x, adjacency_), y);
-            },
-            /*with_backward=*/true);
-        RecordCapture("virtual", key, captured, current_stage_, step_count_);
-        virtual_plans_.Insert(key, std::move(captured.plan));
-        // The measure run accumulated real gradients; restart from zero and
-        // complete this refresh on the tape build.
-        for (const Variable& p : params) p.ZeroGrad();
-        captured.root->Backward();
-        virtual_done = true;
-      } else if (plan != nullptr) {
-        plan->BindInputs({current_inputs, current_targets});
-        plan->RunForward();
-        plan->RunBackward();
-        virtual_done = true;
-      }
-    }
-    if (!virtual_done) {
-      Variable x(current_inputs, /*requires_grad=*/false);
-      Variable y(current_targets, /*requires_grad=*/false);
-      Variable loss = nn::MaeLoss(model_->Forward(x, adjacency_), y);
-      loss.Backward();
-    }
+    virtual_plans_
+        .Run({current_inputs, current_targets},
+             [&] {
+               Variable x(current_inputs, /*requires_grad=*/false);
+               Variable y(current_targets, /*requires_grad=*/false);
+               return nn::MaeLoss(model_->Forward(x, adjacency_), y);
+             },
+             /*with_backward=*/true, current_stage_, step_count_)
+        .Backward();
     for (const Variable& p : params) {
       Tensor updated = p.value().Clone();
       Tensor grad = p.grad();
@@ -342,58 +290,19 @@ std::optional<float> UrclTrainer::TrainStep(const Tensor& inputs, const Tensor& 
   optimizer_->ZeroGrad();
 
   // Prediction branch (Eq. 17, 28), compiled or on the tape.
-  exec::CompiledPlan* plan = nullptr;
-  std::string plan_key;
-  if (TrainStepPlannable()) {
-    plan_key = exec::PlanCache::ShapeKey({&mixed.inputs, &mixed.targets});
-    plan = train_plans_.Lookup(plan_key);
-  }
   float loss_value = 0.0f;
-  if (plan != nullptr) {
-    {
+  {
+    exec::PlanRun run = [&] {
       URCL_TRACE_SCOPE("forward");
-      plan->BindInputs({mixed.inputs, mixed.targets});
-      loss_value = plan->RunForward().Item();
-    }
-    // Quarantine gate 2: a diverged/overflowed loss is not backpropagated.
-    if (!std::isfinite(loss_value)) {
-      plan->Abort();
-      ++quarantined_batches_;
-      if (metrics) Metrics().quarantined_loss.Add(1);
-      obs::RecordFlightEvent(obs::FlightEventType::kNonFiniteQuarantine, current_stage_,
-                             step_count_, "trainer: loss (plan)");
-      std::fprintf(stderr,
-                   "[urcl] quarantined batch at stage %lld step %lld: non-finite loss\n",
-                   static_cast<long long>(current_stage_), static_cast<long long>(step_count_));
-      return std::nullopt;
-    }
-    {
-      URCL_TRACE_SCOPE("backward");
-      plan->RunBackward();
-    }
-  } else {
-    Variable total_loss;
-    {
-      URCL_TRACE_SCOPE("forward");
-      if (TrainStepPlannable() && train_plans_.ShouldCapture(plan_key)) {
-        const std::vector<Tensor> plan_inputs{mixed.inputs, mixed.targets};
-        exec::CompiledPlan::CaptureResult captured = exec::CompiledPlan::Capture(
-            plan_inputs, [&] { return BuildTrainLoss(mixed.inputs, mixed.targets); },
-            /*with_backward=*/true);
-        RecordCapture("train", plan_key, captured, current_stage_, step_count_);
-        train_plans_.Insert(plan_key, std::move(captured.plan));
-        // The measure run accumulated real gradients; discard them and
-        // complete this step on the tape build (the plan serves the next
-        // same-shape batch).
-        optimizer_->ZeroGrad();
-        total_loss = *captured.root;
-      } else {
-        total_loss = BuildTrainLoss(mixed.inputs, mixed.targets);
-      }
-    }
+      return train_plans_.Run({mixed.inputs, mixed.targets},
+                              [&] { return BuildTrainLoss(mixed.inputs, mixed.targets); },
+                              /*with_backward=*/true, current_stage_, step_count_);
+    }();
+    loss_value = run.value().Item();
 
-    // Quarantine gate 2: a diverged/overflowed loss is not backpropagated.
-    if (!nn::LossIsFinite(total_loss)) {
+    // Quarantine gate 2: a diverged/overflowed loss is not backpropagated
+    // (destroying the run aborts a replayed plan).
+    if (!std::isfinite(loss_value)) {
       ++quarantined_batches_;
       if (metrics) Metrics().quarantined_loss.Add(1);
       obs::RecordFlightEvent(obs::FlightEventType::kNonFiniteQuarantine, current_stage_,
@@ -404,19 +313,18 @@ std::optional<float> UrclTrainer::TrainStep(const Tensor& inputs, const Tensor& 
       return std::nullopt;
     }
 
-    if (check::GraphChecksEnabled()) {
+    if (check::GraphChecksEnabled() && run.tape_root() != nullptr) {
       // URCL_CHECK env gate: full static lint of the recorded loss graph
       // before differentiating through it (autograd/lint.h). Zero cost when
       // disabled. Tape-only: a compiled plan was linted by its own AOT shape
       // inference at capture time.
       URCL_TRACE_SCOPE("graph_lint");
-      autograd::CheckGraph(total_loss);
+      autograd::CheckGraph(*run.tape_root());
     }
     {
       URCL_TRACE_SCOPE("backward");
-      total_loss.Backward();
+      run.Backward();
     }
-    loss_value = total_loss.value().Item();
   }
   {
     URCL_TRACE_SCOPE("optimizer_step");
@@ -681,8 +589,19 @@ std::string SerializeStateDict(const std::vector<Tensor>& state) {
 
 Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expected,
                       std::vector<Tensor>* state) {
-  std::istringstream in(bytes);
-  const uint64_t count = io::ReadPod<uint64_t>(in);
+  // Every field is read only when its bytes are present, so a short or
+  // damaged section is kDataLoss instead of an abort.
+  size_t pos = 0;
+  const auto read = [&bytes, &pos](void* dst, size_t size) {
+    if (bytes.size() - pos < size) return false;
+    if (size > 0) std::memcpy(dst, bytes.data() + pos, size);
+    pos += size;
+    return true;
+  };
+  uint64_t count = 0;
+  if (!read(&count, sizeof(count))) {
+    return Status::DataLoss("model section is too short to hold its tensor count");
+  }
   if (count != expected.size()) {
     return Status::InvalidArgument("model section holds " + std::to_string(count) +
                                    " tensors but the model has " +
@@ -691,13 +610,34 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
   std::vector<Tensor> loaded;
   loaded.reserve(expected.size());
   for (const Tensor& like : expected) {
-    loaded.push_back(LoadTensor(in));
-    if (!(loaded.back().shape() == like.shape())) {
-      return Status::InvalidArgument(
-          "model tensor " + std::to_string(loaded.size() - 1) + " has shape " +
-          loaded.back().shape().ToString() + " but the model expects " +
-          like.shape().ToString() + " (architecture mismatch)");
+    const std::string which = "model tensor " + std::to_string(loaded.size());
+    uint32_t magic = 0;
+    int64_t rank = 0;
+    if (!read(&magic, sizeof(magic)) || !read(&rank, sizeof(rank))) {
+      return Status::DataLoss(which + " header is truncated in the model section");
     }
+    if (magic != kTensorMagic) {
+      return Status::DataLoss(which + " has a bad magic in the model section");
+    }
+    if (rank != like.rank()) {
+      return Status::InvalidArgument(which + " has rank " + std::to_string(rank) +
+                                     " but the model expects " + like.shape().ToString() +
+                                     " (architecture mismatch)");
+    }
+    std::vector<int64_t> dims(static_cast<size_t>(rank));
+    if (!read(dims.data(), dims.size() * sizeof(int64_t))) {
+      return Status::DataLoss(which + " dims are truncated in the model section");
+    }
+    if (dims != like.shape().dims()) {
+      return Status::InvalidArgument(which + " has shape " + Shape(dims).ToString() +
+                                     " but the model expects " + like.shape().ToString() +
+                                     " (architecture mismatch)");
+    }
+    Tensor tensor = Tensor::Uninitialized(like.shape());
+    if (!read(tensor.mutable_data(), static_cast<size_t>(tensor.NumElements()) * sizeof(float))) {
+      return Status::DataLoss(which + " data is truncated in the model section");
+    }
+    loaded.push_back(std::move(tensor));
   }
   *state = std::move(loaded);
   return Status::Ok();

@@ -75,12 +75,11 @@ struct UrclConfig {
   // Executor for steady-state graphs (DESIGN.md §12): kPlan compiles the
   // training step, the RMIR virtual step and the per-item scoring forward
   // into replayed arena programs; kTape runs everything on the autograd
-  // tape. Defaults from the URCL_EXEC environment variable. The training
-  // step itself is only plannable when its graph is step-invariant, i.e.
-  // when SSL or augmentation is off (augmented views draw fresh RNG and
-  // perturb the adjacency every step); otherwise it stays on the tape while
-  // the RMIR families still run compiled.
-  exec::ExecutorMode executor = exec::DefaultExecutorMode();
+  // tape. The training step's own cache runs in kTape mode when SSL and
+  // augmentation are both on (augmented views draw fresh RNG and perturb the
+  // adjacency every step, so that graph is not step-invariant); the RMIR
+  // families still run compiled.
+  exec::ExecutorMode executor = exec::ExecutorMode::kPlan;
 
   uint64_t seed = 1;
 
@@ -114,7 +113,8 @@ class UrclModel : public nn::Module {
 std::string SerializeStateDict(const std::vector<Tensor>& state);
 // Reads a "model" section into `state`, checked against `expected` (the
 // receiving model's StateDict()): a differing tensor count or any differing
-// shape is kInvalidArgument naming the architecture mismatch.
+// shape is kInvalidArgument naming the architecture mismatch; a missing or
+// short count, header or payload, or a bad tensor magic, is kDataLoss.
 Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expected,
                       std::vector<Tensor>* state);
 
@@ -246,13 +246,6 @@ class UrclTrainer : public StPredictor {
   // captured by the compiled executor and replayed on the tape fallback.
   Variable BuildTrainLoss(const Tensor& inputs, const Tensor& targets);
 
-  // True when the training-step graph is step-invariant and may be compiled
-  // (see UrclConfig::executor).
-  bool TrainStepPlannable() const {
-    return config_.executor == exec::ExecutorMode::kPlan &&
-           (!config_.enable_ssl || !config_.enable_augmentation);
-  }
-
   // RMIR / random retrieval from the buffer (Sec. IV-B1).
   ReplayDraw DrawReplaySamples(const Tensor& current_inputs, const Tensor& current_targets);
 
@@ -278,8 +271,7 @@ class UrclTrainer : public StPredictor {
   std::vector<int64_t> cached_selection_;
 
   // Compiled-executor plan caches, one per graph family, keyed by input
-  // shapes (DESIGN.md §12). A null cache entry is a permanent tape fallback
-  // for that shape.
+  // shapes (DESIGN.md §12).
   exec::PlanCache train_plans_;
   exec::PlanCache virtual_plans_;
   exec::PlanCache per_item_plans_;

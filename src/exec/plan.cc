@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "autograd/lint.h"
 #include "common/check.h"
+#include "obs/flight_recorder.h"
 #include "runtime/parallel.h"
 
 namespace urcl {
@@ -16,12 +16,6 @@ using autograd::Variable;
 using autograd::record::OpAttrs;
 using autograd::record::OpKind;
 using autograd::record::OpName;
-
-ExecutorMode DefaultExecutorMode() {
-  const char* value = std::getenv("URCL_EXEC");
-  if (value != nullptr && std::string(value) == "tape") return ExecutorMode::kTape;
-  return ExecutorMode::kPlan;
-}
 
 const char* ExecutorModeName(ExecutorMode mode) {
   return mode == ExecutorMode::kPlan ? "plan" : "tape";
@@ -189,7 +183,14 @@ CompiledPlan::CaptureResult CompiledPlan::Capture(
   plan->DetectFusion();
   if (with_backward && !plan->CompileBackward(&result.error)) return result;
   plan->AnalyzeLiveness();
-  if (!plan->Measure(inputs, &result.error)) return result;
+  const bool measured = plan->Measure(inputs, &result.error);
+  if (with_backward) {
+    // The measure run accumulated real parameter gradients; clear them.
+    for (const Slot& slot : plan->slots_) {
+      if (slot.kind == Slot::Kind::kParam) slot.param->ZeroGrad();
+    }
+  }
+  if (!measured) return result;
   result.plan = std::move(plan);
   return result;
 }
@@ -658,46 +659,98 @@ void CompiledPlan::ExecBackwardThunk(const Instr& instr) {
                                operands);
 }
 
-CompiledPlan* PlanCache::Lookup(const std::string& key) {
-  auto it = entries_.find(key);
-  return it == entries_.end() || it->second.idle.empty() ? nullptr
-                                                         : it->second.idle.back().get();
+PlanRun::~PlanRun() {
+  if (plan_ == nullptr) return;
+  if (backward_pending_) plan_->Abort();
+  MutexLock lock(cache_->mu_);
+  idle_->push_back(std::move(plan_));
 }
 
-std::unique_ptr<CompiledPlan> PlanCache::Take(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.idle.empty()) return nullptr;
-  std::unique_ptr<CompiledPlan> plan = std::move(it->second.idle.back());
-  it->second.idle.pop_back();
-  return plan;
-}
-
-bool PlanCache::ShouldCapture(const std::string& key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? entries_.size() < capacity_ : !it->second.failed;
-}
-
-void PlanCache::Insert(const std::string& key, std::unique_ptr<CompiledPlan> plan) {
-  Entry& entry = entries_[key];
-  if (plan == nullptr) {
-    entry.failed = true;
+void PlanRun::Backward() {
+  URCL_CHECK(backward_pending_) << "PlanRun::Backward without a pending backward";
+  backward_pending_ = false;
+  if (plan_ != nullptr) {
+    plan_->RunBackward();
   } else {
-    entry.idle.push_back(std::move(plan));
+    tape_root_->Backward();
   }
 }
 
-std::string PlanCache::ShapeKey(std::initializer_list<const Tensor*> tensors) {
-  std::string key;
-  for (const Tensor* t : tensors) {
-    if (!key.empty()) key += '|';
-    bool first = true;
-    for (const int64_t d : t->shape().dims()) {
-      if (!first) key += 'x';
-      first = false;
-      key += std::to_string(d);
+PlanRun PlanCache::Run(const std::vector<Tensor>& inputs, const std::function<Variable()>& build,
+                       bool with_backward, int64_t event_a, int64_t event_b) {
+  PlanRun run(this, with_backward);
+  Entry* entry = nullptr;
+  bool capture = false;
+  if (mode_ == ExecutorMode::kPlan) {
+    std::vector<int64_t> key;
+    for (const Tensor& t : inputs) {
+      key.push_back(t.rank());
+      key.insert(key.end(), t.shape().dims().begin(), t.shape().dims().end());
+    }
+    MutexLock lock(mu_);
+    auto it = entries_.find(key);
+    if (it == entries_.end() && entries_.size() < kCapacity) {
+      it = entries_.emplace(std::move(key), Entry{}).first;
+    }
+    if (it != entries_.end()) {
+      entry = &it->second;
+      run.idle_ = &entry->idle;
+      capture = entry->idle.empty() && !entry->failed;
+      if (!entry->idle.empty()) {
+        run.plan_ = std::move(entry->idle.back());
+        entry->idle.pop_back();
+      }
     }
   }
-  return key;
+  if (run.plan_ != nullptr) {
+    run.plan_->BindInputs(inputs);
+    run.value_ = run.plan_->RunForward();
+    return run;
+  }
+  if (!capture) {
+    run.tape_root_ = build();
+    return run;
+  }
+
+  CompiledPlan::CaptureResult captured = CompiledPlan::Capture(inputs, build, with_backward);
+  const bool compiled = captured.plan != nullptr;
+  std::string detail = family_ + ": ";
+  if (!compiled) detail += captured.error;
+  for (size_t i = 0; compiled && i < inputs.size(); ++i) {
+    if (i > 0) detail += '|';
+    for (int64_t d = 0; d < inputs[i].rank(); ++d) {
+      if (d > 0) detail += 'x';
+      detail += std::to_string(inputs[i].dim(d));
+    }
+  }
+  obs::RecordFlightEvent(
+      compiled ? obs::FlightEventType::kPlanCompile : obs::FlightEventType::kPlanFallback,
+      event_a, event_b, detail.c_str());
+  {
+    MutexLock lock(mu_);
+    ++captures_;
+    if (compiled) {
+      entry->idle.push_back(std::move(captured.plan));
+    } else {
+      entry->failed = true;
+    }
+  }
+  // The capturing run completes on the tape build.
+  run.tape_root_ = std::move(captured.root);
+  run.captured_ = true;
+  return run;
+}
+
+size_t PlanCache::num_compiled() const {
+  MutexLock lock(mu_);
+  size_t n = 0;
+  for (const auto& [key, entry] : entries_) n += entry.idle.size();
+  return n;
+}
+
+int64_t PlanCache::captures() const {
+  MutexLock lock(mu_);
+  return captures_;
 }
 
 }  // namespace exec

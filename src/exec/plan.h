@@ -38,8 +38,8 @@
 //
 // The tape remains the reference path and the fallback: captures abort on
 // anything unreplayable (dropout's per-step RNG mask, graphs built outside
-// the listener) and callers fall back per the contract in DESIGN.md §12.
-// URCL_EXEC=tape disables the compiled executor process-wide.
+// the listener). PlanCache::Run, which every graph family calls, is the one
+// place that decides between them (the contract in DESIGN.md §12).
 #ifndef URCL_EXEC_PLAN_H_
 #define URCL_EXEC_PLAN_H_
 
@@ -49,23 +49,22 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/record.h"
 #include "autograd/variable.h"
+#include "common/thread_annotations.h"
 #include "exec/arena.h"
 #include "tensor/tensor.h"
 
 namespace urcl {
 namespace exec {
 
-// Process-wide executor selection. kPlan compiles steady-state graphs;
-// kTape is the escape hatch (URCL_EXEC=tape).
+// Executor of one PlanCache: kPlan compiles steady-state graphs; kTape runs
+// every build on the autograd tape (the reference executor).
 enum class ExecutorMode { kPlan, kTape };
 
-// Initial mode from the URCL_EXEC environment variable ("tape" selects the
-// tape; anything else, including unset, selects the compiled executor).
-ExecutorMode DefaultExecutorMode();
 const char* ExecutorModeName(ExecutorMode mode);
 
 // One value slot in the compiled program: an op output, or one of the three
@@ -120,8 +119,9 @@ class CompiledPlan {
   // returned so the capturing step can still complete on the tape.
   //
   // When `with_backward`, the gradient program is compiled too and the
-  // measure run executes forward+backward — accumulating real parameter
-  // gradients as a side effect. Callers must ZeroGrad afterwards.
+  // measure run executes forward+backward; the parameter gradients it
+  // accumulated are cleared again, so the tape build's backward starts from
+  // the zero gradients a caller sets before its forward.
   static CaptureResult Capture(const std::vector<Tensor>& inputs,
                                const std::function<autograd::Variable()>& build,
                                bool with_backward);
@@ -145,11 +145,6 @@ class CompiledPlan {
   // loss between forward and backward) and resets the arena.
   void Abort();
 
-  bool with_backward() const { return with_backward_; }
-  int num_inputs() const { return static_cast<int>(input_shapes_.size()); }
-  const Shape& input_shape(int index) const { return input_shapes_[static_cast<size_t>(index)]; }
-  const PlanArena& arena() const { return arena_; }
-  int64_t num_instrs() const { return static_cast<int64_t>(instrs_.size()); }
   int64_t num_fused() const { return static_cast<int64_t>(fused_gates_.size()); }
 
  private:
@@ -196,45 +191,79 @@ class CompiledPlan {
   Tensor root_out_{Shape{}}; // pool-backed output buffer, reused every run
 };
 
-// A small shape-keyed cache of compiled plans for one graph family. The
-// trainer keys its train/virtual/per-item families separately and keeps one
-// plan per key (Lookup). Serving keeps a list of idle plans per key: a query
-// Takes one, runs it with no lock held and Inserts it back, so concurrent
-// queries on one shape each run their own plan. Not thread-safe; callers
-// serialize externally.
-class PlanCache {
- public:
-  explicit PlanCache(size_t capacity = 8) : capacity_(capacity) {}
+class PlanCache;
 
-  // An idle plan for this key, left in the cache, or null.
-  CompiledPlan* Lookup(const std::string& key);
-  // Removes and returns an idle plan for this key, or null.
-  std::unique_ptr<CompiledPlan> Take(const std::string& key);
-  // True when the caller should capture a plan for this key: no capture of
-  // it has failed, and it already has an entry or the cache has room for
-  // one. Keys beyond capacity, and keys whose capture failed, stay on the
-  // tape permanently.
-  bool ShouldCapture(const std::string& key) const;
-  // Adds a plan to this key's idle list (a fresh capture, or one returned
-  // after Take). A null plan records a failed capture.
-  void Insert(const std::string& key, std::unique_ptr<CompiledPlan> plan);
-  // Idle plans held across all keys.
-  size_t num_compiled() const {
-    size_t n = 0;
-    for (const auto& [key, entry] : entries_) n += entry.idle.size();
-    return n;
+// One run through PlanCache::Run: a replayed plan, or the tape build (which
+// may have captured a plan for later runs). Destruction hands the plan back
+// to its cache, aborting it first when a with_backward run skipped its
+// backward (the trainer's quarantine of a non-finite loss).
+class PlanRun {
+ public:
+  PlanRun(PlanRun&&) = default;
+  PlanRun& operator=(PlanRun&&) = delete;
+  ~PlanRun();
+
+  // The root's value. A plan's next run overwrites it: Clone to keep it.
+  const Tensor& value() const { return plan_ != nullptr ? *value_ : tape_root_->value(); }
+  // The with_backward gradient program: the plan's, or the tape's.
+  void Backward();
+  bool compiled() const { return plan_ != nullptr; }  // false: the tape answered
+  bool captured() const { return captured_; }  // this run attempted a capture
+  // The tape build's root; null when a plan answered.
+  const autograd::Variable* tape_root() const {
+    return tape_root_.has_value() ? &*tape_root_ : nullptr;
   }
 
-  // Cache key from tensor shapes, e.g. "8x2x6x12|8x2x6x3".
-  static std::string ShapeKey(std::initializer_list<const Tensor*> tensors);
+ private:
+  friend class PlanCache;
+  PlanRun(PlanCache* cache, bool with_backward)
+      : cache_(cache), backward_pending_(with_backward) {}
+
+  PlanCache* cache_;
+  std::vector<std::unique_ptr<CompiledPlan>>* idle_ = nullptr;  // where plan_ returns
+  std::unique_ptr<CompiledPlan> plan_;
+  std::optional<Tensor> value_;  // plan_'s root output
+  std::optional<autograd::Variable> tape_root_;
+  bool backward_pending_;
+  bool captured_ = false;
+};
+
+// The compiled plans of one graph family (the trainer's train, virtual and
+// per_item families; serving's forward), each shape keeping a list of idle
+// plans so concurrent runs on one shape each take their own. Thread-safe.
+class PlanCache {
+ public:
+  PlanCache(std::string family, ExecutorMode mode)
+      : family_(std::move(family)), mode_(mode) {}
+
+  // The one executor decision. Replays an idle plan compiled for the shapes
+  // of `inputs` (the per-step tensors a plan rebinds by position). Otherwise
+  // runs `build` on the tape, capturing it into a plan when no capture of
+  // these shapes failed and the cache has room; a kPlanCompile/kPlanFallback
+  // flight event (event_a, event_b, "<family>: <shapes | capture error>")
+  // records each capture, and a failed shape stays on the tape. kTape mode
+  // always runs the tape.
+  PlanRun Run(const std::vector<Tensor>& inputs, const std::function<autograd::Variable()>& build,
+              bool with_backward, int64_t event_a, int64_t event_b);
+
+  size_t num_compiled() const;  // idle plans across all shapes
+  int64_t captures() const;     // captures attempted since construction
 
  private:
+  friend class PlanRun;
+  static constexpr size_t kCapacity = 8;  // shapes; later shapes stay on the tape
+
   struct Entry {
     std::vector<std::unique_ptr<CompiledPlan>> idle;
-    bool failed = false;  // a capture failed: this key stays on the tape
+    bool failed = false;
   };
-  size_t capacity_;
-  std::map<std::string, Entry> entries_;
+
+  const std::string family_;
+  const ExecutorMode mode_;
+  mutable Mutex mu_;
+  // Keyed by each input's rank and dims. Never erased: runs point into it.
+  std::map<std::vector<int64_t>, Entry> entries_ URCL_GUARDED_BY(mu_);
+  int64_t captures_ URCL_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace exec

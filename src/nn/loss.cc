@@ -81,7 +81,5 @@ Variable GraphClLoss(const Variable& p1, const Variable& p2, const Variable& z1,
   return ag::Mean(ag::Sub(negative_mass, positives));
 }
 
-bool LossIsFinite(const Variable& loss) { return loss.value().AllFinite(); }
-
 }  // namespace nn
 }  // namespace urcl

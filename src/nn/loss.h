@@ -32,12 +32,6 @@ Variable CosineSimilarityRows(const Variable& a, const Variable& b, float eps = 
 Variable GraphClLoss(const Variable& p1, const Variable& p2, const Variable& z1,
                      const Variable& z2, float temperature);
 
-// Cheap post-forward guard: true when every element of the computed loss is
-// finite. Training loops call this before Backward()/Step() so a diverged or
-// corrupted batch is quarantined (skipped + counted) instead of silently
-// training on NaNs.
-bool LossIsFinite(const Variable& loss);
-
 }  // namespace nn
 }  // namespace urcl
 

@@ -40,11 +40,10 @@ enum class FlightEventType : uint8_t {
   kHotSwap = 3,           // a: new live version
   kRollback = 4,          // a: bad version, b: restored version (-1 = none)
   kHealthTransition = 5,  // a: previous HealthState, b: new HealthState
-  // Plan events come from serving (a: snapshot version; detail: shape key
-  // or, on fallback, the shape key of the failed capture) and from the
-  // trainer (a: stage, b: step; detail: "<family>: <shape key>" on compile,
-  // "<family>: <capture error>" on fallback, family = train, virtual or
-  // per_item).
+  // Plan events come from exec::PlanCache::Run, once per capture: detail
+  // "<family>: <shape key>" on compile, "<family>: <capture error>" on
+  // fallback. Family serve (a: snapshot version) or the trainer's train,
+  // virtual and per_item (a: stage, b: step).
   kPlanCompile = 6,       // a compiled plan now serves this shape
   kPlanFallback = 7,      // the capture failed; this shape stays on the tape
   kCheckpointWrite = 8,   // a: stage, b: step; detail: path tail

@@ -90,7 +90,8 @@ ForecastService::ForecastService(const ServiceConfig& config,
       adjacency_(network.AdjacencyMatrix()),
       hub_(config.history_depth),
       health_(config.health),
-      fallback_(config.model.output_steps, /*target_channel=*/0) {
+      fallback_(config.model.output_steps, /*target_channel=*/0),
+      serve_plans_("serve", config.executor) {
   const std::vector<std::string> errors = config.Validate();
   URCL_CHECK(errors.empty()) << "invalid ServiceConfig: " << errors.front();
   URCL_CHECK_EQ(num_nodes_, config.model.encoder.num_nodes)
@@ -234,54 +235,24 @@ HealthState ForecastService::health_state() const {
 
 Tensor ForecastService::Forward(const ModelSnapshot& snapshot, const Tensor& inputs,
                                 core::AnswerExecutor* executor) const {
-  const auto tape_forward = [&] {
-    return snapshot.model->Forward(autograd::Variable(inputs, /*requires_grad=*/false),
-                                   adjacency_);
-  };
-  *executor = core::AnswerExecutor::kTape;
-  if (config_.executor != exec::ExecutorMode::kPlan) return tape_forward().value();
-
   // Plan inputs are the query and then the snapshot's weights, all rebound
   // by position on every run, so one plan serves every snapshot.
   std::vector<Tensor> plan_inputs{inputs};
   for (const autograd::Variable& param : snapshot.model->Parameters()) {
     plan_inputs.push_back(param.value());
   }
-  const std::string key = exec::PlanCache::ShapeKey({&inputs});
-  std::unique_ptr<exec::CompiledPlan> plan;
-  bool capture = false;
-  {
-    MutexLock lock(plan_mu_);
-    plan = serve_plans_.Take(key);
-    capture = plan == nullptr && serve_plans_.ShouldCapture(key);
-  }
-  if (plan != nullptr) {
-    plan->BindInputs(plan_inputs);
-    // Clone: the plan owns (and its next run overwrites) the returned
-    // storage, while the response outlives this call.
-    Tensor predictions = plan->RunForward().Clone();
-    MutexLock lock(plan_mu_);
-    serve_plans_.Insert(key, std::move(plan));
-    *executor = core::AnswerExecutor::kPlan;
-    return predictions;
-  }
-  if (!capture) return tape_forward().value();  // capture failed, or no room
-
-  // No idle plan: capture one for the pool and answer from the tape build.
-  exec::CompiledPlan::CaptureResult captured =
-      exec::CompiledPlan::Capture(plan_inputs, tape_forward, /*with_backward=*/false);
-  // A failed capture is recorded once, here; later queries on this shape
-  // take the tape without capturing again.
-  obs::RecordFlightEvent(captured.plan == nullptr ? obs::FlightEventType::kPlanFallback
-                                                  : obs::FlightEventType::kPlanCompile,
-                         snapshot.version, /*b=*/0, key.c_str());
-  plan_compiles_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().plan_compiles.Add();
-  {
-    MutexLock lock(plan_mu_);
-    serve_plans_.Insert(key, std::move(captured.plan));
-  }
-  return captured.root->value();
+  const exec::PlanRun run = serve_plans_.Run(
+      plan_inputs,
+      [&] {
+        return snapshot.model->Forward(autograd::Variable(inputs, /*requires_grad=*/false),
+                                       adjacency_);
+      },
+      /*with_backward=*/false, snapshot.version, /*event_b=*/0);
+  if (run.captured()) Metrics().plan_compiles.Add();
+  *executor = run.compiled() ? core::AnswerExecutor::kPlan : core::AnswerExecutor::kTape;
+  // Clone a plan's answer: the plan owns (and its next run overwrites) that
+  // storage, while the response outlives this call.
+  return run.compiled() ? run.value().Clone() : run.value();
 }
 
 std::shared_ptr<const ModelSnapshot> ForecastService::AcquireSnapshot() const {
@@ -438,6 +409,19 @@ Status ForecastService::Predict(const core::PredictRequest& request,
     if (request.inputs.dim(0) > config_.max_batch) {
       return Status::InvalidArgument("Predict: batch " + std::to_string(request.inputs.dim(0)) +
                                      " exceeds max_batch " + std::to_string(config_.max_batch));
+    }
+    // Any other window length, node count or channel count would abort the
+    // encoder.
+    const core::BackboneConfig& encoder = config_.model.encoder;
+    const int64_t expected[] = {encoder.input_steps, encoder.num_nodes, encoder.in_channels};
+    const char* const names[] = {"window length M", "node count N", "channel count C"};
+    for (int axis = 1; axis <= 3; ++axis) {
+      if (request.inputs.dim(axis) != expected[axis - 1]) {
+        return Status::InvalidArgument(
+            std::string("Predict: ") + names[axis - 1] + " is " +
+            std::to_string(request.inputs.dim(axis)) + " but the model expects " +
+            std::to_string(expected[axis - 1]));
+      }
     }
     // A client sending NaN/Inf observations is a malformed request, not a model
     // failure — it must not count against the live version's error window.

@@ -96,8 +96,7 @@ struct ServiceConfig {
   // compiled arena programs, one per query shape and concurrent query, that
   // take each snapshot's weights as inputs and so survive hot-swaps; kTape
   // always runs the tape forward. Both produce bitwise-identical forecasts.
-  // Defaults from URCL_EXEC.
-  exec::ExecutorMode executor = exec::DefaultExecutorMode();
+  exec::ExecutorMode executor = exec::ExecutorMode::kPlan;
 
   // Human-readable message per invalid field; empty when usable.
   std::vector<std::string> Validate() const;
@@ -184,17 +183,16 @@ class ForecastService {
   int64_t nonfinite_outputs() const { return nonfinite_.load(std::memory_order_relaxed); }
   int64_t rollback_count() const { return hub_.rollback_count(); }
 
-  // Compiled inference plans built since construction (also the
+  // Inference plan captures since construction (also the
   // urcl.serve.plan_compiles counter). Advances when a plan-mode query finds
   // no idle plan for its shape, so it is bounded by query shapes times peak
   // concurrent queries and does not grow with hot-swaps.
-  int64_t plan_compiles() const { return plan_compiles_.load(std::memory_order_relaxed); }
+  int64_t plan_compiles() const { return serve_plans_.captures(); }
 
  private:
-  // Answers `inputs` with `snapshot`'s weights from an idle compiled plan for
-  // this shape and stamps `executor`. Falls back to the tape forward in tape
-  // mode, when this shape's capture failed, or when no plan is idle; the last
-  // case also captures a new plan for the pool.
+  // Answers `inputs` with `snapshot`'s weights through the serving plan cache
+  // (exec::PlanCache::Run: an idle compiled plan, else the tape forward) and
+  // stamps the executor that answered.
   Tensor Forward(const ModelSnapshot& snapshot, const Tensor& inputs,
                  core::AnswerExecutor* executor) const;
 
@@ -247,13 +245,11 @@ class ForecastService {
   // observe-decide-rollback sequence in AttemptRollback atomic.
   mutable Mutex rollback_mu_;
 
-  // Compiled-executor state: idle plans keyed by input shape. A query takes
-  // a plan out under plan_mu_, runs it with no lock held and puts it back,
-  // so the mutex is never held while a plan runs. Plans take the weights as
-  // inputs, so they serve every snapshot and survive hot-swaps.
-  mutable Mutex plan_mu_;
-  mutable exec::PlanCache serve_plans_ URCL_GUARDED_BY(plan_mu_);
-  mutable std::atomic<int64_t> plan_compiles_{0};
+  // Compiled-executor state: idle plans keyed by the shapes of the query and
+  // the weights. A query takes a plan out, runs it with no lock held and
+  // hands it back. Plans take the weights as inputs, so they serve every
+  // snapshot and survive hot-swaps.
+  mutable exec::PlanCache serve_plans_;
 
   // Cached snapshot for snapshot_poll_every > 1 (refreshed every Nth query).
   mutable std::atomic<std::shared_ptr<const ModelSnapshot>> cached_snapshot_;

@@ -62,10 +62,7 @@ Status ParseModelSnapshot(const checkpoint::Container& container,
 
   std::vector<Tensor> state;
   const Status parsed = core::ParseStateDict(*model_bytes, model->StateDict(), &state);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("snapshot does not fit the server's model config: " +
-                                   parsed.message());
-  }
+  if (!parsed.ok()) return parsed;
   model->LoadStateDict(state);
 
   auto snapshot = std::make_shared<ModelSnapshot>();

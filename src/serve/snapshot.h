@@ -40,9 +40,10 @@ struct ModelSnapshot {
 // Parses a trainer-published container (sections "model" + "serve_meta", as
 // written by UrclTrainer::PublishSnapshot) into a fresh immutable snapshot.
 // `config` must describe the same architecture the trainer was built with;
-// mismatched tensor counts, unknown serve_meta schema versions and missing
-// sections come back as an error Status (the serving loop quarantines the
-// snapshot and keeps the previous version live).
+// mismatched tensor counts or shapes, malformed model sections (typed as
+// core::ParseStateDict types them), unknown serve_meta schema versions and
+// missing sections come back as an error Status (the serving loop
+// quarantines the snapshot and keeps the previous version live).
 Status ParseModelSnapshot(const checkpoint::Container& container,
                           const core::UrclConfig& config,
                           std::shared_ptr<const ModelSnapshot>* out);

@@ -53,7 +53,6 @@ namespace {
 using io::ReadPod;
 using io::WritePod;
 
-constexpr uint32_t kTensorMagic = 0x4c435255;  // "URCL"
 // 2^40 elements (4 TiB of float32) — far above any real tensor; guards the
 // element-count product against int64 overflow from hostile dim fields.
 constexpr int64_t kMaxElements = int64_t{1} << 40;

@@ -3,6 +3,7 @@
 #ifndef URCL_TENSOR_SERIALIZE_H_
 #define URCL_TENSOR_SERIALIZE_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -10,6 +11,9 @@
 #include "tensor/tensor.h"
 
 namespace urcl {
+
+// First field of every serialized tensor ("URCL").
+inline constexpr uint32_t kTensorMagic = 0x4c435255;
 
 // Writes `tensor` to `out` in a little-endian [magic, rank, dims..., data]
 // layout. Aborts on stream failure.

@@ -2,12 +2,13 @@
 // plan-vs-tape equality of forward, backward and Adam state across thread
 // counts and for every op definition, zero steady-state BufferPool traffic
 // (also after an aborted run), arena layout validation,
-// the sNaN poison audit over arena slots, elementwise-gate fusion, and the
-// capture error paths (dropout RNG, graphs built outside the listener).
+// the sNaN poison audit over arena slots, elementwise-gate fusion, the
+// capture error paths (dropout RNG, graphs built outside the listener), and
+// PlanCache::Run's executor decision (permanent fallback, abort on a dropped
+// backward).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -182,7 +183,7 @@ TEST_F(ExecTrainerTest, PaperConfigStageRecordsPlanCompileEvents) {
   data::StDataset dataset = SmallDataset(6);
   core::UrclTrainer trainer(config, generator_->network());
   obs::FlightRecorder::Get().Clear();
-  trainer.BeginStage(0);
+  trainer.BeginStage(1);
   trainer.TrainStage(dataset, 1);
 
   std::vector<std::string> compiled;
@@ -190,7 +191,7 @@ TEST_F(ExecTrainerTest, PaperConfigStageRecordsPlanCompileEvents) {
     const std::string detail(event.detail);
     EXPECT_NE(event.type, obs::FlightEventType::kPlanFallback) << detail;
     if (event.type != obs::FlightEventType::kPlanCompile) continue;
-    EXPECT_EQ(event.a, 0) << "stage operand";
+    EXPECT_EQ(event.a, 1) << "stage operand";
     compiled.push_back(detail.substr(0, detail.find(':')));
   }
   EXPECT_NE(std::find(compiled.begin(), compiled.end(), "per_item"), compiled.end());
@@ -505,6 +506,85 @@ TEST_F(PlanUnitTest, DropoutGraphRefusesCapture) {
   EXPECT_NE(captured.error.find("not replayable"), std::string::npos) << captured.error;
 }
 
+// A capture's measure run executes the backward once; the gradients it
+// accumulated are cleared again, so parameters zeroed before the capture
+// are still zero after it.
+TEST_F(PlanUnitTest, CaptureWithBackwardLeavesZeroedGradientsZero) {
+  const Shape shape{8, 16};
+  Tensor x = Ramp(shape, -0.9f, 0.013f);
+  Variable w(Ramp(shape, 0.2f, 0.004f), /*requires_grad=*/true);
+  w.ZeroGrad();
+  CompiledPlan::CaptureResult captured = CompiledPlan::Capture(
+      {x}, [&] { return ag::Sum(ag::Mul(ag::Tanh(Variable(x, false)), w)); },
+      /*with_backward=*/true);
+  ASSERT_NE(captured.plan, nullptr) << captured.error;
+  EXPECT_TRUE(BitwiseEqual(w.grad(), Tensor::Zeros(shape)));
+}
+
+// PlanCache::Run over a graph that cannot be captured: the first run tries,
+// flight-records one kPlanFallback naming the family and answers from the
+// tape; later runs on that shape go straight to the tape.
+TEST_F(PlanUnitTest, FailedCaptureIsRecordedOnceAndNeverRetried) {
+  Tensor x = Ramp(Shape{4, 4}, 0.0f, 0.1f);
+  Rng rng(3);
+  const auto build = [&] {
+    return ag::Dropout(Variable(x, false), 0.5f, rng, /*training=*/true);
+  };
+  PlanCache cache("dropout", ExecutorMode::kPlan);
+  obs::FlightRecorder::Get().Clear();
+  {
+    const PlanRun first = cache.Run({x}, build, /*with_backward=*/false, 3, 4);
+    EXPECT_TRUE(first.captured());
+    EXPECT_FALSE(first.compiled());
+    ASSERT_NE(first.tape_root(), nullptr);
+    EXPECT_TRUE(BitwiseEqual(first.value(), first.tape_root()->value()));
+  }
+  const PlanRun second = cache.Run({x}, build, /*with_backward=*/false, 5, 6);
+  EXPECT_FALSE(second.captured());
+  EXPECT_FALSE(second.compiled());
+  EXPECT_EQ(cache.captures(), 1);
+  EXPECT_EQ(cache.num_compiled(), 0u);
+
+  int fallbacks = 0;
+  for (const obs::FlightEvent& event : obs::FlightRecorder::Get().Snapshot()) {
+    EXPECT_NE(event.type, obs::FlightEventType::kPlanCompile);
+    if (event.type != obs::FlightEventType::kPlanFallback) continue;
+    ++fallbacks;
+    EXPECT_EQ(std::string(event.detail).rfind("dropout: ", 0), 0u) << event.detail;
+    EXPECT_EQ(event.a, 3);
+    EXPECT_EQ(event.b, 4);
+  }
+  EXPECT_EQ(fallbacks, 1);
+}
+
+// A with_backward run dropped before its backward (the trainer's quarantine
+// of a non-finite loss) aborts its plan on the way back into the cache: the
+// next run replays that plan and is still bitwise the tape.
+TEST_F(PlanUnitTest, RunDroppedBeforeBackwardAbortsItsPlan) {
+  const Shape shape{8, 16};
+  Tensor x = Ramp(shape, -0.9f, 0.013f);
+  Variable w(Ramp(shape, 0.2f, 0.004f), /*requires_grad=*/true);
+  auto build = [&x](const Variable& weight) {
+    return ag::Sum(ag::Mul(ag::Tanh(Variable(x, /*requires_grad=*/false)), weight));
+  };
+  Variable w_ref(w.value().Clone(), /*requires_grad=*/true);
+  Variable loss_ref = build(w_ref);
+  loss_ref.Backward();
+
+  PlanCache cache("train", ExecutorMode::kPlan);
+  const auto run = [&] {
+    w.ZeroGrad();
+    return cache.Run({x}, [&] { return build(w); }, /*with_backward=*/true, 0, 0);
+  };
+  run().Backward();  // captures
+  EXPECT_TRUE(run().compiled());  // replays forward only, then is dropped
+  PlanRun replay = run();
+  ASSERT_TRUE(replay.compiled());
+  EXPECT_TRUE(BitwiseEqual(replay.value(), loss_ref.value()));
+  replay.Backward();
+  EXPECT_TRUE(BitwiseEqual(w.grad(), w_ref.grad()));
+}
+
 // A Variable with a backward function that predates the capture means part
 // of the graph was built outside the listener — the plan would silently
 // miss those ops, so capture must reject it.
@@ -518,13 +598,7 @@ TEST_F(PlanUnitTest, GraphBuiltOutsideListenerRefusesCapture) {
   EXPECT_NE(captured.error.find("outside the capture"), std::string::npos) << captured.error;
 }
 
-TEST(ExecutorModeTest, DefaultsFollowUrclExecEnv) {
-  ::setenv("URCL_EXEC", "tape", 1);
-  EXPECT_EQ(DefaultExecutorMode(), ExecutorMode::kTape);
-  ::setenv("URCL_EXEC", "plan", 1);
-  EXPECT_EQ(DefaultExecutorMode(), ExecutorMode::kPlan);
-  ::unsetenv("URCL_EXEC");
-  EXPECT_EQ(DefaultExecutorMode(), ExecutorMode::kPlan);
+TEST(ExecutorModeTest, NamesExecutors) {
   EXPECT_STREQ(ExecutorModeName(ExecutorMode::kPlan), "plan");
   EXPECT_STREQ(ExecutorModeName(ExecutorMode::kTape), "tape");
 }

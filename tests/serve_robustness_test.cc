@@ -179,10 +179,39 @@ TEST_F(ServeRobustnessTest, CorruptContainerBytesRejectedWithDistinctDiagnostics
   EXPECT_NE(width.message().find("architecture mismatch"), std::string::npos)
       << width.ToString();
 
-  // Four distinct diagnostics plus the truncation: no two alike.
-  const std::vector<std::string> messages = {truncated.message(), crc.message(),
-                                             missing.message(), schema.message(),
-                                             arch.message()};
+  // Malformed model sections under a valid CRC: cut in half, the first
+  // tensor's magic flipped, and empty. Each is typed kDataLoss.
+  const std::string& model = *published.back().Find("model");
+  std::string bad_magic = model;
+  bad_magic[sizeof(uint64_t)] ^= 0x01;  // first tensor's magic follows the count
+  std::vector<std::string> model_messages;
+  for (const std::string& section : {model.substr(0, model.size() / 2), bad_magic,
+                                     std::string()}) {
+    checkpoint::Container malformed;
+    malformed.Add("model", section);
+    malformed.Add("serve_meta", *published.back().Find("serve_meta"));
+    const Status status = AdmitSnapshotBytes(malformed.SerializeToString(), config, admission,
+                                             probe, adjacency, &out);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    EXPECT_NE(status.message().find("model section"), std::string::npos) << status.ToString();
+    model_messages.push_back(status.message());
+
+    // A serving sink quarantines it instead of aborting.
+    ServiceConfig service_config;
+    service_config.model = config;
+    ForecastService service(service_config, generator_->network(), normalizer_);
+    service.SnapshotSink()(malformed);
+    EXPECT_EQ(service.quarantined_snapshots(), 1);
+    EXPECT_EQ(service.hub().Current(), nullptr);
+  }
+
+  // Four distinct diagnostics plus the truncation and the three malformed
+  // model sections: no two alike.
+  std::vector<std::string> messages = {truncated.message(), crc.message(),
+                                       missing.message(), schema.message(),
+                                       arch.message()};
+  messages.insert(messages.end(), model_messages.begin(), model_messages.end());
   for (size_t i = 0; i < messages.size(); ++i) {
     for (size_t j = i + 1; j < messages.size(); ++j) {
       EXPECT_NE(messages[i], messages[j]) << "diagnostics " << i << " and " << j << " collide";
@@ -480,6 +509,18 @@ TEST_F(ServeRobustnessTest, TypedStatusesForBadInputAndLameDuck) {
   EXPECT_EQ(bad_input.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(service.health().window_errors(), 0);
   EXPECT_EQ(service.nonfinite_outputs(), 0);
+
+  // A window length, node count or channel count other than the model's is
+  // the client's fault too, not an abort in the encoder.
+  for (const Shape& shape : {Shape{1, 11, kNodes, 2}, Shape{1, 12, kNodes - 1, 2},
+                             Shape{1, 12, kNodes, 3}}) {
+    core::PredictRequest misshaped;
+    misshaped.inputs = Tensor::Zeros(shape);
+    const Status status = service.Predict(misshaped, &response);
+    ASSERT_FALSE(status.ok()) << shape.ToString();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
+  EXPECT_EQ(service.health().window_errors(), 0);
 
   // Draining: every query is shed with kUnavailable, terminally.
   service.EnterLameDuck();

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "data/synthetic.h"
 #include "exec/plan.h"
 #include "graph/generator.h"
+#include "obs/flight_recorder.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "tensor/tensor_ops.h"
@@ -414,6 +416,7 @@ TEST_F(ServeTrainerTest, HotSwapReusesPlanAndStaysBitwise) {
 
   auto plan_sink = plan_service.SnapshotSink();
   auto tape_sink = tape_service.SnapshotSink();
+  obs::FlightRecorder::Get().Clear();
   core::PredictRequest request;
   Rng rng(17);
   request.inputs = Tensor::RandomUniform(Shape{2, 12, kNodes, 2}, rng, 0.0f, 1.0f);
@@ -454,6 +457,16 @@ TEST_F(ServeTrainerTest, HotSwapReusesPlanAndStaysBitwise) {
   EXPECT_GE(plan_service.hub().swap_count(), 3);
   EXPECT_EQ(plan_service.hub().rollback_count(), 1);
   EXPECT_EQ(tape_service.plan_compiles(), 0);
+
+  // The one capture is flight-recorded with the version that made it.
+  int compile_events = 0;
+  for (const obs::FlightEvent& event : obs::FlightRecorder::Get().Snapshot()) {
+    if (event.type != obs::FlightEventType::kPlanCompile) continue;
+    ++compile_events;
+    EXPECT_EQ(std::string(event.detail).rfind("serve: ", 0), 0u) << event.detail;
+    EXPECT_EQ(event.a, 1) << "snapshot version operand";
+  }
+  EXPECT_EQ(compile_events, 1);
 }
 
 TEST(ServiceConfigTest, ValidateFlagsBadFields) {

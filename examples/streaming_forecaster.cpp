@@ -15,7 +15,7 @@
 // version/stage stamps in its responses.
 //
 //   ./streaming_forecaster [--nodes 12] [--days 8] [--epochs 2]
-//                          [--max-batch 16] [--queue-depth 64] [--poll-every 1]
+//                          [--max-batch 16] [--queue-depth 64]
 //                          [--log-jsonl FILE] [--metrics-out FILE]
 //                          [--trace-out FILE] [--profile-out FILE]
 #include <atomic>
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   config.model.seed = seed;
   config.max_batch = flags.GetInt("max-batch", 16);
   config.queue_depth = flags.GetInt("queue-depth", 64);
-  config.snapshot_poll_every = flags.GetInt("poll-every", 1);
   const std::vector<std::string> errors = config.Validate();
   if (!errors.empty()) {
     for (const std::string& error : errors) {

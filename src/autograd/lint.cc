@@ -1,13 +1,10 @@
 #include "autograd/lint.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "autograd/record.h"
 #include "common/check.h"
-#include "tensor/shape.h"
 
 namespace urcl {
 namespace autograd {
@@ -16,126 +13,42 @@ namespace {
 using internal::Node;
 using internal::ParentEdge;
 
-// Parent-count invariant per op name; max -1 means unbounded. Ops recorded
-// without grad (no closure) drop their parents by design and are exempt.
-struct ArityRule {
-  int min;
-  int max;
-};
-
-const std::unordered_map<std::string, ArityRule>& ArityRules() {
-  static const auto* rules = new std::unordered_map<std::string, ArityRule>{
-      {"add", {2, 2}},        {"sub", {2, 2}},
-      {"mul", {2, 2}},        {"div", {2, 2}},
-      {"matmul", {2, 2}},     {"temporal_conv2d", {2, 2}},
-      {"add_scalar", {1, 1}}, {"mul_scalar", {1, 1}},
-      {"exp", {1, 1}},        {"log", {1, 1}},
-      {"sqrt", {1, 1}},       {"abs", {1, 1}},
-      {"tanh", {1, 1}},       {"sigmoid", {1, 1}},
-      {"relu", {1, 1}},       {"leaky_relu", {1, 1}},
-      {"square", {1, 1}},     {"sum", {1, 1}},
-      {"mean", {1, 1}},       {"reshape", {1, 1}},
-      {"transpose", {1, 1}},  {"slice", {1, 1}},
-      {"pad", {1, 1}},        {"broadcast_to", {1, 1}},
-      {"softmax", {1, 1}},    {"dropout", {1, 1}},
-      {"concat", {1, -1}},    {"leaf", {0, 0}},
-  };
-  return *rules;
-}
-
-}  // namespace
-
-// Ops whose output shape must equal their (single) parent's shape.
-bool IsShapePreserving(const std::string& op) {
-  static const auto* set = new std::unordered_set<std::string>{
-      "add_scalar", "mul_scalar", "exp",  "log",        "sqrt",    "abs",
-      "tanh",       "sigmoid",    "relu", "leaky_relu", "square",  "softmax",
-      "dropout"};
-  return set->count(op) > 0;
-}
-
-bool IsBroadcastBinary(const std::string& op) {
-  return op == "add" || op == "sub" || op == "mul" || op == "div";
-}
-
-// Non-fatal variant of BroadcastShapes: false when incompatible.
-bool TryBroadcast(const Shape& a, const Shape& b, Shape* out) {
-  const int64_t rank = std::max(a.rank(), b.rank());
-  std::vector<int64_t> dims(static_cast<size_t>(rank), 1);
-  for (int64_t i = 0; i < rank; ++i) {
-    const int64_t da = i < a.rank() ? a.dim(a.rank() - 1 - i) : 1;
-    const int64_t db = i < b.rank() ? b.dim(b.rank() - 1 - i) : 1;
-    if (da != db && da != 1 && db != 1) return false;
-    dims[static_cast<size_t>(rank - 1 - i)] = da == 1 ? db : da;
-  }
-  *out = Shape(std::move(dims));
-  return true;
-}
-
-namespace {
-
 void AddIssue(std::vector<LintIssue>* issues, const Node* node, std::string rule,
               std::string detail) {
-  issues->push_back(LintIssue{std::move(rule), node->op_name, std::move(detail)});
+  issues->push_back(LintIssue{std::move(rule), internal::NodeName(*node), std::move(detail)});
 }
 
-// Output-shape agreement with the parent shapes for the ops where the rule is
-// closed-form. A mismatch means some AccumulateGrad call during backward is
-// guaranteed to receive a gradient whose shape disagrees with its value.
-void CheckShapes(const Node* node, std::vector<LintIssue>* issues) {
-  const Shape& out = node->value.shape();
-  const auto parent_shape = [node](size_t i) -> const Shape& {
-    return node->parents[i].node->value.shape();
-  };
-  if (IsBroadcastBinary(node->op_name) && node->parents.size() == 2) {
-    Shape expected;
-    if (!TryBroadcast(parent_shape(0), parent_shape(1), &expected)) {
-      AddIssue(issues, node, "shape",
-               "parent shapes " + parent_shape(0).ToString() + " and " +
-                   parent_shape(1).ToString() + " do not broadcast together");
-    } else if (expected != out) {
-      AddIssue(issues, node, "shape",
-               "value shape " + out.ToString() + " does not match broadcast of parents (" +
-                   expected.ToString() + ")");
-    }
-  } else if (IsShapePreserving(node->op_name) && node->parents.size() == 1) {
-    if (parent_shape(0) != out) {
-      AddIssue(issues, node, "shape",
-               "value shape " + out.ToString() + " does not match parent shape " +
-                   parent_shape(0).ToString() + " for a shape-preserving op");
-    }
-  } else if (node->op_name == "reshape" && node->parents.size() == 1) {
-    if (parent_shape(0).NumElements() != out.NumElements()) {
-      AddIssue(issues, node, "shape",
-               "reshape element count " + out.ToString() + " differs from parent " +
-                   parent_shape(0).ToString());
-    }
-  } else if (node->op_name == "broadcast_to" && node->parents.size() == 1) {
-    if (!IsBroadcastableTo(parent_shape(0), out)) {
-      AddIssue(issues, node, "shape",
-               "parent shape " + parent_shape(0).ToString() + " is not broadcastable to " +
-                   out.ToString());
-    }
-  } else if (node->op_name == "matmul" && node->parents.size() == 2) {
-    const Shape& a = parent_shape(0);
-    const Shape& b = parent_shape(1);
-    if (a.rank() < 2 || b.rank() < 2 || out.rank() < 2) {
-      AddIssue(issues, node, "shape", "matmul operands/output must have rank >= 2");
-    } else if (a.dim(-1) != b.dim(-2) || out.dim(-2) != a.dim(-2) ||
-               out.dim(-1) != b.dim(-1)) {
-      AddIssue(issues, node, "shape",
-               "matmul shapes disagree: " + a.ToString() + " x " + b.ToString() + " -> " +
-                   out.ToString());
-    }
-  } else if (node->op_name == "concat") {
-    for (const ParentEdge& edge : node->parents) {
-      if (edge.node->value.shape().rank() != out.rank()) {
-        AddIssue(issues, node, "shape",
-                 "concat parent rank " + edge.node->value.shape().ToString() +
-                     " differs from output " + out.ToString());
-        break;
-      }
-    }
+std::string ShapeList(const std::vector<Shape>& shapes) {
+  std::string out;
+  for (const Shape& shape : shapes) out += (out.empty() ? "" : ", ") + shape.ToString();
+  return out;
+}
+
+// Arity and output-shape agreement with the op's definition. A mismatch means
+// the op's gradient would read operands it does not have, or some
+// AccumulateGrad call during backward is guaranteed to receive a gradient
+// whose shape disagrees with its value.
+void CheckAgainstDefinition(const Node* node, std::vector<LintIssue>* issues) {
+  const record::OpKind kind = *node->kind;
+  const int arity = record::OpArity(kind);
+  const size_t count = node->parents.size();
+  if (arity != record::kVariadic && count != static_cast<size_t>(arity)) {
+    AddIssue(issues, node, "arity",
+             "op expects " + std::to_string(arity) + " parents, node has " +
+                 std::to_string(count));
+    return;
+  }
+  std::vector<Shape> inputs;
+  inputs.reserve(count);
+  for (const ParentEdge& edge : node->parents) inputs.push_back(edge.node->value.shape());
+  Shape expected;
+  if (!record::OpOutputShape(kind, node->attrs, inputs, &expected)) {
+    AddIssue(issues, node, "shape",
+             "parent shapes " + ShapeList(inputs) + " are invalid operands of the op");
+  } else if (expected != node->value.shape()) {
+    AddIssue(issues, node, "shape",
+             "value shape " + node->value.shape().ToString() + " does not match " +
+                 expected.ToString() + ", the op's output for parents " + ShapeList(inputs));
   }
 }
 
@@ -147,20 +60,18 @@ void CheckNode(const Node* node, bool reaches_trainable_leaf,
     if (!stale.empty()) AddIssue(issues, node, "version", stale);
   }
 
-  // Closure / requires_grad consistency.
-  if (node->backward_fn && !node->requires_grad) {
-    AddIssue(issues, node, "requires-grad",
-             "node has a backward closure but requires_grad is false");
+  // Parent records / requires_grad consistency: an op node records its
+  // parents exactly when gradients flow through it.
+  const bool records_parents = !node->parents.empty();
+  if (records_parents && !node->kind) {
+    AddIssue(issues, node, "requires-grad", "leaf node records parents");
   }
-  if (node->backward_fn && node->parents.empty()) {
-    AddIssue(issues, node, "requires-grad", "leaf node has a backward closure");
-  }
-  if (!node->backward_fn && !node->parents.empty()) {
-    AddIssue(issues, node, "requires-grad", "node records parents but has no backward closure");
+  if (records_parents && !node->requires_grad) {
+    AddIssue(issues, node, "requires-grad", "node records parents but requires_grad is false");
   }
   if (node->requires_grad && !reaches_trainable_leaf) {
     AddIssue(issues, node, "requires-grad",
-             "backward closure on a subgraph with no trainable leaves");
+             "gradients flow into a subgraph with no trainable leaves");
   }
 
   // An accumulated gradient must always match its value's shape.
@@ -170,27 +81,9 @@ void CheckNode(const Node* node, bool reaches_trainable_leaf,
                  " does not match value shape " + node->value.shape().ToString());
   }
 
-  // Arity + shape rules only apply to nodes that will run a closure: ops
+  // Arity + shape rules only apply to op nodes that will run backward: ops
   // recorded without grad legitimately drop their parents.
-  if (!node->backward_fn) return;
-  const auto rule = ArityRules().find(node->op_name);
-  if (rule != ArityRules().end()) {
-    const int count = static_cast<int>(node->parents.size());
-    if (count < rule->second.min || (rule->second.max >= 0 && count > rule->second.max)) {
-      std::ostringstream detail;
-      detail << "op expects ";
-      if (rule->second.max < 0) {
-        detail << ">= " << rule->second.min;
-      } else if (rule->second.min == rule->second.max) {
-        detail << rule->second.min;
-      } else {
-        detail << rule->second.min << ".." << rule->second.max;
-      }
-      detail << " parents, node has " << count;
-      AddIssue(issues, node, "arity", detail.str());
-    }
-  }
-  CheckShapes(node, issues);
+  if (records_parents && node->kind) CheckAgainstDefinition(node, issues);
 }
 
 }  // namespace
@@ -222,8 +115,8 @@ std::vector<LintIssue> LintGraph(const Variable& root) {
         stack.push_back({parent, 0});
       } else if (it->second == Color::kGray) {
         issues.push_back(LintIssue{
-            "cycle", frame.node->op_name,
-            "graph contains a cycle through op '" + parent->op_name +
+            "cycle", internal::NodeName(*frame.node),
+            "graph contains a cycle through op '" + std::string(internal::NodeName(*parent)) +
                 "' — backward's topological order would visit a node before its parents"});
       }
     } else {

@@ -4,20 +4,26 @@
 // the class of bug that otherwise only surfaces as a wrong gradient:
 //
 //   version        a captured operand was mutated in place (or replaced via
-//                  SetValue) after op-record time, so the backward closure
+//                  SetValue) after op-record time, so the op's gradient
 //                  would differentiate through values the forward pass never
 //                  produced;
-//   arity          a node's parent count does not match its op (e.g. a
-//                  binary 'mul' recorded with one parent);
-//   shape          a node's value shape disagrees with what its op computes
-//                  from the parent shapes, so AccumulateGrad would be fed a
+//   arity          a node's parent count does not match its op's
+//                  record::OpArity (e.g. a binary 'mul' recorded with one
+//                  parent);
+//   shape          a node's value shape disagrees with its op's
+//                  record::OpOutputShape over the parent shapes and the
+//                  node's attributes, so AccumulateGrad would be fed a
 //                  mismatched gradient during backward;
 //   grad-shape     an already-accumulated gradient does not match its node's
 //                  value shape;
-//   requires-grad  closure/requires_grad inconsistencies, including a
-//                  backward closure on a subgraph with no trainable leaves;
+//   requires-grad  parent-record/requires_grad inconsistencies, including
+//                  gradients flowing into a subgraph with no trainable
+//                  leaves;
 //   cycle          the "DAG" has a cycle, which backward's topological order
 //                  silently mis-handles.
+//
+// Every op fact the linter checks comes from the op's definition
+// (autograd/record.h), the same table the tape and the compiled plan run.
 //
 // Usable directly in tests, and wired into the trainer behind the URCL_CHECK
 // environment gate (zero cost when disabled). CheckGraph aborts with the full
@@ -32,17 +38,6 @@
 
 namespace urcl {
 namespace autograd {
-
-// Closed-form output-shape rules, shared with the compiled executor's
-// ahead-of-time shape inference (src/exec/): the same predicates the linter
-// uses to re-derive a node's expected shape from its parents.
-//
-// Ops whose output shape must equal their (single) parent's shape.
-bool IsShapePreserving(const std::string& op);
-// The four broadcasting binary elementwise ops (add/sub/mul/div).
-bool IsBroadcastBinary(const std::string& op);
-// Non-fatal broadcast-shape computation: false when incompatible.
-bool TryBroadcast(const Shape& a, const Shape& b, Shape* out);
 
 // One linter finding. `rule` is the stable machine-readable name listed
 // above; `op` is the op_name of the offending node.

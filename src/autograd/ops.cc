@@ -1,12 +1,6 @@
 #include "autograd/ops.h"
 
-#include <algorithm>
-#include <functional>
-#include <optional>
-
 #include "common/check.h"
-#include "obs/profiler.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace autograd {
@@ -15,23 +9,26 @@ using record::OpKind;
 
 namespace {
 
-// The tape's operand view: the op's parent Variables and, in backward, the
-// output value the closure kept.
+// The tape's forward operands: the op's parent Variables. OpForward reads
+// only their values; the op has no output yet and no gradient to pass on.
 class TapeOperands final : public record::OpOperands {
  public:
-  explicit TapeOperands(const std::vector<Variable>& parents, const Tensor* output = nullptr)
-      : parents_(parents), output_(output) {}
+  explicit TapeOperands(const std::vector<Variable>& parents) : parents_(parents) {}
 
   size_t size() const override { return parents_.size(); }
   const Shape& shape(size_t i) const override { return parents_[i].shape(); }
   const Tensor& value(size_t i) const override { return parents_[i].value(); }
-  const Tensor& output() const override { return *output_; }
+  const Tensor& output() const override {
+    URCL_CHECK(false) << "OpForward read its own output";
+    return parents_[0].value();
+  }
   bool needs_grad(size_t i) const override { return parents_[i].requires_grad(); }
-  void Accumulate(size_t i, const Tensor& delta) override { parents_[i].AccumulateGrad(delta); }
+  void Accumulate(size_t, const Tensor&) override {
+    URCL_CHECK(false) << "OpForward accumulated a gradient";
+  }
 
  private:
   const std::vector<Variable>& parents_;
-  const Tensor* output_;
 };
 
 // Capture hook: one branch when no listener is installed (the steady-state
@@ -45,20 +42,8 @@ void Note(OpKind kind, const Variable& out, const std::vector<Variable>& parents
 }  // namespace
 
 Variable Apply(OpKind kind, const std::vector<Variable>& parents, const record::OpAttrs& attrs) {
-  URCL_PROFILE_OP();
-  Tensor value = record::OpForward(kind, attrs, TapeOperands(parents));
-  std::function<void(const Tensor&)> backward;
-  if (std::any_of(parents.begin(), parents.end(),
-                  [](const Variable& p) { return p.requires_grad(); })) {
-    std::optional<Tensor> output;
-    if (record::OpReadsOutput(kind)) output = value;
-    backward = [kind, parents, attrs, output = std::move(output)](const Tensor& g) {
-      TapeOperands operands(parents, output ? &*output : nullptr);
-      record::OpBackward(kind, attrs, g, operands);
-    };
-  }
-  Variable out =
-      Variable::MakeOp(std::move(value), record::OpName(kind), parents, std::move(backward));
+  Variable out = Variable::MakeOp(record::OpForward(kind, attrs, TapeOperands(parents)), kind,
+                                  parents, attrs);
   Note(kind, out, parents, attrs);
   return out;
 }
@@ -138,7 +123,6 @@ Variable StopGradient(const Variable& a) {
 }
 
 Variable Dropout(const Variable& a, float p, Rng& rng, bool training) {
-  URCL_PROFILE_OP();
   if (!training || p <= 0.0f) return a;
   URCL_CHECK_LT(p, 1.0f) << "dropout rate must be < 1";
   Tensor mask(a.shape());
@@ -147,12 +131,8 @@ Variable Dropout(const Variable& a, float p, Rng& rng, bool training) {
   for (int64_t i = 0; i < mask.NumElements(); ++i) {
     pm[i] = rng.Bernoulli(p) ? 0.0f : keep_scale;
   }
-  Tensor value = ops::Mul(a.value(), mask);
-  const std::vector<Variable> parents{a};
-  Variable out = Variable::MakeOp(std::move(value), "dropout", parents,
-                                  [a, mask](const Tensor& g) {
-                                    a.AccumulateGrad(ops::Mul(g, mask));
-                                  });
+  const std::vector<Variable> parents{a, Variable(std::move(mask))};
+  Variable out = Apply(OpKind::kMul, parents);
   // Per-step RNG draws make dropout unreplayable; the recorder aborts capture.
   Note(OpKind::kDropout, out, parents, {});
   return out;

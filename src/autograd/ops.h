@@ -1,9 +1,10 @@
-// Differentiable operations over Variables. Every op but StopGradient and
-// Dropout is one Apply of its single definition in autograd/record.h: the
-// forward kernel call computes the value, and the recorded backward closure
-// runs the op's gradient formula, which accumulates into the parents
-// (reducing broadcast gradients back to the parent shapes). The compiled
-// executor (src/exec/) replays the same two functions.
+// Differentiable operations over Variables. Every op but StopGradient is one
+// Apply of its single definition in autograd/record.h: the forward kernel
+// call computes the value, and the tape node records the op's kind and
+// attributes, so Backward runs the op's gradient formula over the node,
+// accumulating into the parents (reducing broadcast gradients back to the
+// parent shapes). The compiled executor (src/exec/) replays the same two
+// functions.
 #ifndef URCL_AUTOGRAD_OPS_H_
 #define URCL_AUTOGRAD_OPS_H_
 
@@ -17,9 +18,9 @@
 namespace urcl {
 namespace autograd {
 
-// Records op `kind` over `parents` on the tape: its forward value, a backward
-// closure running its gradient formula, and the capture hook. Every op
-// function below except StopGradient and Dropout is one call of this.
+// Records op `kind` over `parents` on the tape: its forward value, the node's
+// op record, and the capture hook. Every op function below except
+// StopGradient is one call of this.
 Variable Apply(record::OpKind kind, const std::vector<Variable>& parents,
                const record::OpAttrs& attrs = {});
 
@@ -67,7 +68,8 @@ Variable Softmax(const Variable& a, int64_t axis);
 // (the SimSiam stop-gradient operator SG(.) of Eq. 13).
 Variable StopGradient(const Variable& a);
 
-// Inverted dropout; identity when !training or p == 0.
+// Inverted dropout; identity when !training or p == 0. Records as a Mul by
+// the drawn mask, then tells a capturing listener the graph holds dropout.
 Variable Dropout(const Variable& a, float p, Rng& rng, bool training);
 
 // --- Convolution -------------------------------------------------------------------------------

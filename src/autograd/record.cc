@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/check.h"
+#include "obs/profiler.h"
 #include "tensor/tensor_ops.h"
 
 namespace urcl {
@@ -16,26 +17,152 @@ namespace top = ::urcl::ops;
 
 thread_local TapeListener* t_listener = nullptr;
 
-// One op, defined once: everything the tape and the compiled plan run.
+using Shapes = std::vector<Shape>;
+
+// One op, defined once: everything the tape, the compiled plan, the linter
+// and the profiler know about it.
 struct OpDef {
   OpKind kind;
   const char* name;
+  int arity;  // input count, or kVariadic
+  // Output shape from the input shapes; false on inputs the kernel rejects.
+  bool (*shape)(const Shapes& in, const OpAttrs& attrs, Shape* out);
   bool reads_inputs;  // backward reads value(i)
   bool reads_output;  // backward reads output()
   Tensor (*forward)(const OpOperands& x, const OpAttrs& attrs);
   void (*backward)(const Tensor& g, const OpAttrs& attrs, OpOperands& x);
 };
 
-// Shape of a keepdims=true reduction of `in` over `axes` (all when empty),
-// for re-broadcasting the gradient.
-Shape KeepdimsShape(const Shape& in, const std::vector<int64_t>& axes) {
-  std::vector<int64_t> dims = in.dims();
-  if (axes.empty()) {
-    for (auto& d : dims) d = 1;
-  } else {
-    for (const int64_t axis : axes) dims[static_cast<size_t>(in.CanonicalAxis(axis))] = 1;
+// --- Output-shape rules. Each mirrors its kernel's preconditions but answers
+// false where the kernel would abort.
+
+bool AxisInRange(const Shape& shape, int64_t axis) {
+  return axis >= -shape.rank() && axis < shape.rank();
+}
+
+bool NonNegative(const std::vector<int64_t>& dims) {
+  for (const int64_t d : dims) {
+    if (d < 0) return false;
   }
-  return Shape(dims);
+  return true;
+}
+
+bool SameShape(const Shapes& in, const OpAttrs&, Shape* out) {
+  *out = in[0];
+  return true;
+}
+
+bool BroadcastShape(const Shapes& in, const OpAttrs&, Shape* out) {
+  return TryBroadcastShapes(in[0], in[1], out);
+}
+
+bool MatMulShape(const Shapes& in, const OpAttrs&, Shape* out) {
+  const Shape& a = in[0];
+  const Shape& b = in[1];
+  if (a.rank() < 2 || b.rank() < 2 || a.dim(-1) != b.dim(-2)) return false;
+  const Shape a_batch(std::vector<int64_t>(a.dims().begin(), a.dims().end() - 2));
+  const Shape b_batch(std::vector<int64_t>(b.dims().begin(), b.dims().end() - 2));
+  Shape batch;
+  if (!TryBroadcastShapes(a_batch, b_batch, &batch)) return false;
+  std::vector<int64_t> dims = batch.dims();
+  dims.push_back(a.dim(-2));
+  dims.push_back(b.dim(-1));
+  *out = Shape(std::move(dims));
+  return true;
+}
+
+bool ReductionShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  for (const int64_t axis : a.ints) {
+    if (!AxisInRange(in[0], axis)) return false;
+  }
+  *out = top::ReducedShape(in[0], a.ints, /*keepdims=*/a.flag);
+  return true;
+}
+
+bool ReshapeShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  const Shape target(a.ints);
+  if (!NonNegative(a.ints) || target.NumElements() != in[0].NumElements()) return false;
+  *out = target;
+  return true;
+}
+
+bool TransposeShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  const Shape& shape = in[0];
+  if (static_cast<int64_t>(a.ints.size()) != shape.rank()) return false;
+  std::vector<int64_t> dims;
+  std::vector<bool> seen(a.ints.size(), false);
+  for (const int64_t axis : a.ints) {
+    if (!AxisInRange(shape, axis)) return false;
+    const int64_t canonical = shape.CanonicalAxis(axis);
+    if (seen[static_cast<size_t>(canonical)]) return false;
+    seen[static_cast<size_t>(canonical)] = true;
+    dims.push_back(shape.dim(canonical));
+  }
+  *out = Shape(std::move(dims));
+  return true;
+}
+
+bool SliceShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  const Shape& shape = in[0];
+  const auto rank = static_cast<size_t>(shape.rank());
+  if (a.ints.size() != rank || a.ints2.size() != rank) return false;
+  for (size_t i = 0; i < rank; ++i) {
+    const int64_t start = a.ints[i];
+    const int64_t size = a.ints2[i];
+    if (start < 0 || size < 0 || start + size > shape.dim(static_cast<int64_t>(i))) return false;
+  }
+  *out = Shape(a.ints2);
+  return true;
+}
+
+bool ConcatShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  const Shape& first = in[0];
+  if (!AxisInRange(first, a.axis)) return false;
+  const int64_t axis = first.CanonicalAxis(a.axis);
+  std::vector<int64_t> dims = first.dims();
+  dims[static_cast<size_t>(axis)] = 0;
+  for (const Shape& part : in) {
+    if (part.rank() != first.rank()) return false;
+    for (int64_t i = 0; i < part.rank(); ++i) {
+      if (i != axis && part.dim(i) != first.dim(i)) return false;
+    }
+    dims[static_cast<size_t>(axis)] += part.dim(axis);
+  }
+  *out = Shape(std::move(dims));
+  return true;
+}
+
+bool PadShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  if (!AxisInRange(in[0], a.axis) || a.before < 0 || a.after < 0) return false;
+  std::vector<int64_t> dims = in[0].dims();
+  dims[static_cast<size_t>(in[0].CanonicalAxis(a.axis))] += a.before + a.after;
+  *out = Shape(std::move(dims));
+  return true;
+}
+
+bool BroadcastToShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  const Shape target(a.ints);
+  if (!NonNegative(a.ints) || !IsBroadcastableTo(in[0], target)) return false;
+  *out = target;
+  return true;
+}
+
+bool SoftmaxShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  if (!AxisInRange(in[0], a.axis)) return false;
+  *out = in[0];
+  return true;
+}
+
+// Input [B, C_in, N, T], weight [C_out, C_in, 1, K], dilation in attrs.axis.
+bool TemporalConv2dShape(const Shapes& in, const OpAttrs& a, Shape* out) {
+  const Shape& x = in[0];
+  const Shape& w = in[1];
+  if (x.rank() != 4 || w.rank() != 4 || a.axis < 1) return false;
+  if (w.dim(1) != x.dim(1) || w.dim(2) != 1) return false;
+  const int64_t t_out = x.dim(3) - a.axis * (w.dim(3) - 1);
+  if (t_out <= 0) return false;
+  *out = Shape{x.dim(0), w.dim(0), x.dim(2), t_out};
+  return true;
 }
 
 // Slice starts selecting offset `offset` along `axis` of a rank-`rank` tensor.
@@ -50,28 +177,28 @@ void AccumulateReduced(OpOperands& x, size_t i, const Tensor& g) {
   x.Accumulate(i, top::ReduceTo(g, x.shape(i)));
 }
 
-// Listed in OpKind order (checked below); each entry is {kind, tape name,
-// reads inputs, reads output, forward, backward}.
+// Listed in OpKind order (checked below); each entry is {kind, name, arity,
+// shape rule, reads inputs, reads output, forward, backward}.
 constexpr OpDef kOps[] = {
-    {OpKind::kAdd, "add", false, false,
+    {OpKind::kAdd, "add", 2, BroadcastShape, false, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Add(x.value(0), x.value(1)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) AccumulateReduced(x, 0, g);
        if (x.needs_grad(1)) AccumulateReduced(x, 1, g);
      }},
-    {OpKind::kSub, "sub", false, false,
+    {OpKind::kSub, "sub", 2, BroadcastShape, false, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Sub(x.value(0), x.value(1)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) AccumulateReduced(x, 0, g);
        if (x.needs_grad(1)) AccumulateReduced(x, 1, top::Neg(g));
      }},
-    {OpKind::kMul, "mul", true, false,
+    {OpKind::kMul, "mul", 2, BroadcastShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Mul(x.value(0), x.value(1)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) AccumulateReduced(x, 0, top::Mul(g, x.value(1)));
        if (x.needs_grad(1)) AccumulateReduced(x, 1, top::Mul(g, x.value(0)));
      }},
-    {OpKind::kDiv, "div", true, false,
+    {OpKind::kDiv, "div", 2, BroadcastShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Div(x.value(0), x.value(1)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) AccumulateReduced(x, 0, top::Div(g, x.value(1)));
@@ -80,37 +207,37 @@ constexpr OpDef kOps[] = {
          AccumulateReduced(x, 1, top::Neg(top::Div(top::Mul(g, x.value(0)), b2)));
        }
      }},
-    {OpKind::kAddScalar, "add_scalar", false, false,
+    {OpKind::kAddScalar, "add_scalar", 1, SameShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) { return top::AddScalar(x.value(0), a.scalar); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, g);
      }},
-    {OpKind::kMulScalar, "mul_scalar", false, false,
+    {OpKind::kMulScalar, "mul_scalar", 1, SameShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) { return top::MulScalar(x.value(0), a.scalar); },
      [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::MulScalar(g, a.scalar));
      }},
-    {OpKind::kExp, "exp", false, true,
+    {OpKind::kExp, "exp", 1, SameShape, false, true,
      [](const OpOperands& x, const OpAttrs&) { return top::Exp(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::Mul(g, x.output()));
      }},
-    {OpKind::kLog, "log", true, false,
+    {OpKind::kLog, "log", 1, SameShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Log(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::Div(g, x.value(0)));
      }},
-    {OpKind::kSqrt, "sqrt", false, true,
+    {OpKind::kSqrt, "sqrt", 1, SameShape, false, true,
      [](const OpOperands& x, const OpAttrs&) { return top::Sqrt(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::Div(g, top::MulScalar(x.output(), 2.0f)));
      }},
-    {OpKind::kAbs, "abs", true, false,  // subgradient 0 at 0
+    {OpKind::kAbs, "abs", 1, SameShape, true, false,  // subgradient 0 at 0
      [](const OpOperands& x, const OpAttrs&) { return top::Abs(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::Mul(g, top::Sign(x.value(0))));
      }},
-    {OpKind::kTanh, "tanh", false, true,
+    {OpKind::kTanh, "tanh", 1, SameShape, false, true,
      [](const OpOperands& x, const OpAttrs&) { return top::Tanh(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (!x.needs_grad(0)) return;
@@ -118,7 +245,7 @@ constexpr OpDef kOps[] = {
        const Tensor one_minus = top::AddScalar(top::Neg(top::Square(x.output())), 1.0f);
        x.Accumulate(0, top::Mul(g, one_minus));
      }},
-    {OpKind::kSigmoid, "sigmoid", false, true,
+    {OpKind::kSigmoid, "sigmoid", 1, SameShape, false, true,
      [](const OpOperands& x, const OpAttrs&) { return top::Sigmoid(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (!x.needs_grad(0)) return;
@@ -126,14 +253,14 @@ constexpr OpDef kOps[] = {
        const Tensor& s = x.output();
        x.Accumulate(0, top::Mul(g, top::Mul(s, top::AddScalar(top::Neg(s), 1.0f))));
      }},
-    {OpKind::kRelu, "relu", true, false,
+    {OpKind::kRelu, "relu", 1, SameShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Relu(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (!x.needs_grad(0)) return;
        const Tensor mask = top::Map(x.value(0), [](float v) { return v > 0.0f ? 1.0f : 0.0f; });
        x.Accumulate(0, top::Mul(g, mask));
      }},
-    {OpKind::kLeakyRelu, "leaky_relu", true, false,
+    {OpKind::kLeakyRelu, "leaky_relu", 1, SameShape, true, false,
      [](const OpOperands& x, const OpAttrs& a) {
        const float slope = a.scalar;
        return top::Map(x.value(0), [slope](float v) { return v > 0.0f ? v : slope * v; });
@@ -145,12 +272,12 @@ constexpr OpDef kOps[] = {
            top::Map(x.value(0), [slope](float v) { return v > 0.0f ? 1.0f : slope; });
        x.Accumulate(0, top::Mul(g, mask));
      }},
-    {OpKind::kSquare, "square", true, false,
+    {OpKind::kSquare, "square", 1, SameShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Square(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::Mul(g, top::MulScalar(x.value(0), 2.0f)));
      }},
-    {OpKind::kMatMul, "matmul", true, false,
+    {OpKind::kMatMul, "matmul", 2, MatMulShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::MatMul(x.value(0), x.value(1)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) {
@@ -160,29 +287,30 @@ constexpr OpDef kOps[] = {
          AccumulateReduced(x, 1, top::MatMul(top::TransposeLast2(x.value(0)), g));
        }
      }},
-    {OpKind::kSum, "sum", false, false,
+    {OpKind::kSum, "sum", 1, ReductionShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) { return top::Sum(x.value(0), a.ints, a.flag); },
      [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
        if (!x.needs_grad(0)) return;
        const Shape& in = x.shape(0);
-       x.Accumulate(0, top::BroadcastTo(g.Reshape(KeepdimsShape(in, a.ints)), in));
+       const Shape kept = top::ReducedShape(in, a.ints, /*keepdims=*/true);
+       x.Accumulate(0, top::BroadcastTo(g.Reshape(kept), in));
      }},
-    {OpKind::kMean, "mean", false, false,
+    {OpKind::kMean, "mean", 1, ReductionShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) { return top::Mean(x.value(0), a.ints, a.flag); },
      [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
        if (!x.needs_grad(0)) return;
        const Shape& in = x.shape(0);
-       const Shape kept = KeepdimsShape(in, a.ints);
+       const Shape kept = top::ReducedShape(in, a.ints, /*keepdims=*/true);
        const float scale =
            static_cast<float>(kept.NumElements()) / static_cast<float>(in.NumElements());
        x.Accumulate(0, top::MulScalar(top::BroadcastTo(g.Reshape(kept), in), scale));
      }},
-    {OpKind::kReshape, "reshape", false, false,
+    {OpKind::kReshape, "reshape", 1, ReshapeShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) { return x.value(0).Reshape(Shape(a.ints)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, g.Reshape(x.shape(0)));
      }},
-    {OpKind::kTranspose, "transpose", false, false,
+    {OpKind::kTranspose, "transpose", 1, TransposeShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) { return top::Transpose(x.value(0), a.ints); },
      [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
        if (!x.needs_grad(0)) return;
@@ -193,14 +321,14 @@ constexpr OpDef kOps[] = {
        }
        x.Accumulate(0, top::Transpose(g, inverse));
      }},
-    {OpKind::kSlice, "slice", false, false,
+    {OpKind::kSlice, "slice", 1, SliceShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) {
        return top::Slice(x.value(0), a.ints, a.ints2);
      },
      [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
        if (x.needs_grad(0)) x.Accumulate(0, top::UnSlice(g, x.shape(0), a.ints));
      }},
-    {OpKind::kConcat, "concat", false, false,
+    {OpKind::kConcat, "concat", kVariadic, ConcatShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) {
        std::vector<Tensor> parts;
        parts.reserve(x.size());
@@ -217,7 +345,7 @@ constexpr OpDef kOps[] = {
          offset += x.shape(i).dim(axis);
        }
      }},
-    {OpKind::kPad, "pad", false, false,
+    {OpKind::kPad, "pad", 1, PadShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) {
        return top::Pad(x.value(0), a.axis, a.before, a.after);
      },
@@ -226,14 +354,14 @@ constexpr OpDef kOps[] = {
        const int64_t axis = x.shape(0).CanonicalAxis(a.axis);
        x.Accumulate(0, top::Slice(g, StartsAt(g.rank(), axis, a.before), x.shape(0).dims()));
      }},
-    {OpKind::kBroadcastTo, "broadcast_to", false, false,
+    {OpKind::kBroadcastTo, "broadcast_to", 1, BroadcastToShape, false, false,
      [](const OpOperands& x, const OpAttrs& a) {
        return top::BroadcastTo(x.value(0), Shape(a.ints));
      },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
        if (x.needs_grad(0)) AccumulateReduced(x, 0, g);
      }},
-    {OpKind::kSoftmax, "softmax", false, true,
+    {OpKind::kSoftmax, "softmax", 1, SoftmaxShape, false, true,
      [](const OpOperands& x, const OpAttrs& a) { return top::Softmax(x.value(0), a.axis); },
      [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
        if (!x.needs_grad(0)) return;
@@ -243,7 +371,7 @@ constexpr OpDef kOps[] = {
            top::Sum(top::Mul(g, y), {x.shape(0).CanonicalAxis(a.axis)}, /*keepdims=*/true);
        x.Accumulate(0, top::Mul(top::Sub(g, total), y));
      }},
-    {OpKind::kTemporalConv2d, "temporal_conv2d", true, false,
+    {OpKind::kTemporalConv2d, "temporal_conv2d", 2, TemporalConv2dShape, true, false,
      [](const OpOperands& x, const OpAttrs& a) {
        return top::TemporalConv2d(x.value(0), x.value(1), /*dilation=*/a.axis);
      },
@@ -275,16 +403,40 @@ const OpDef& Def(OpKind kind) {
 
 const char* OpName(OpKind kind) { return Def(kind).name; }
 
+int OpArity(OpKind kind) { return Def(kind).arity; }
+
+bool OpOutputShape(OpKind kind, const OpAttrs& attrs, const std::vector<Shape>& inputs,
+                   Shape* out) {
+  const OpDef& def = Def(kind);
+  const bool counted = def.arity == kVariadic ? !inputs.empty()
+                                              : inputs.size() == static_cast<size_t>(def.arity);
+  return counted && def.shape(inputs, attrs, out);
+}
+
 bool OpReadsInputs(OpKind kind) { return Def(kind).reads_inputs; }
 
 bool OpReadsOutput(OpKind kind) { return Def(kind).reads_output; }
 
 Tensor OpForward(OpKind kind, const OpAttrs& attrs, const OpOperands& operands) {
-  return Def(kind).forward(operands, attrs);
+  const OpDef& def = Def(kind);
+  if (!obs::ProfilerEnabled()) return def.forward(operands, attrs);
+  const int64_t start = obs::internal::ProfileTicksNow();
+  Tensor out = def.forward(operands, attrs);
+  obs::internal::RecordForward(def.name, obs::internal::ElapsedNs(start),
+                               static_cast<uint64_t>(out.NumElements()) * sizeof(float));
+  return out;
 }
 
 void OpBackward(OpKind kind, const OpAttrs& attrs, const Tensor& grad, OpOperands& operands) {
-  Def(kind).backward(grad, attrs, operands);
+  const OpDef& def = Def(kind);
+  if (!obs::ProfilerEnabled()) {
+    def.backward(grad, attrs, operands);
+    return;
+  }
+  const int64_t start = obs::internal::ProfileTicksNow();
+  def.backward(grad, attrs, operands);
+  obs::internal::RecordBackward(def.name, obs::internal::ElapsedNs(start),
+                                static_cast<uint64_t>(grad.NumElements()) * sizeof(float));
 }
 
 TapeListener* ActiveListener() { return t_listener; }

@@ -1,16 +1,21 @@
 // The replayable autograd ops, each defined once, and the capture hook of the
 // compiled executor (src/exec/).
 //
-// Every op except Dropout has exactly one definition (record.cc): its tape
-// name, OpForward (its single ops:: kernel call), OpBackward (its gradient
-// formula, written against the OpOperands view below) and the two liveness
-// facts of that formula (whether it reads its input values, whether it reads
-// its output). Both executors run ops only through these functions: the tape
-// (autograd/ops.cc, Apply) over the parent Variables, the compiled plan
-// (exec/plan.cc) over its slots. The plan therefore matches the tape bit for
-// bit because there is no second copy of any kernel call or gradient
-// formula, and the plan's liveness analysis reads the same facts its operand
-// view enforces.
+// Every op (autograd/op_kind.h) has exactly one definition (record.cc): its
+// name, its arity and output-shape rule, OpForward (its single ops:: kernel
+// call), OpBackward (its gradient formula, written against the OpOperands
+// view below) and the two liveness facts of that formula (whether it reads
+// its input values, whether it reads its output). Every consumer reads op
+// facts only from here: the tape runs OpForward in Apply (autograd/ops.cc)
+// and OpBackward over each recorded node (autograd/variable.cc); the
+// compiled plan (exec/plan.cc) runs both over its slots and infers its
+// shapes with OpOutputShape; the graph linter (autograd/lint.cc) checks
+// nodes against OpArity and OpOutputShape; and the per-op profiler
+// (obs/profiler.h) times OpForward and OpBackward, so it charges the same
+// cells whichever executor ran the op. The plan therefore matches the tape
+// bit for bit because there is no second copy of any kernel call or
+// gradient formula, and the plan's liveness analysis reads the same facts
+// its operand view enforces.
 //
 // Capture: every op notifies the thread-local TapeListener (when one is
 // installed) with its kind, output Variable, parent Variables and attributes.
@@ -21,7 +26,8 @@
 // cannot recover the program: capture must observe the op stream as it
 // happens. StopGradient bypasses Variable::MakeOp entirely (it returns a
 // fresh leaf aliasing the input's storage) and gets the dedicated OnAlias
-// hook.
+// hook. Dropout records as a kMul by its mask and then sends the kDropout
+// notice.
 #ifndef URCL_AUTOGRAD_RECORD_H_
 #define URCL_AUTOGRAD_RECORD_H_
 
@@ -29,66 +35,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "autograd/op_kind.h"
 #include "autograd/variable.h"
+#include "tensor/shape.h"
 
 namespace urcl {
 namespace autograd {
 namespace record {
-
-// One enumerator per op function in autograd/ops.h (Neg delegates to
-// MulScalar and records as kMulScalar). kDropout is recorded so a capture
-// that encounters it can abort deterministically: its mask is drawn from the
-// trainer RNG per step, so a replayed plan could never reproduce it. It has
-// no definition and stays the last enumerator.
-enum class OpKind : uint8_t {
-  kAdd,
-  kSub,
-  kMul,
-  kDiv,
-  kAddScalar,
-  kMulScalar,
-  kExp,
-  kLog,
-  kSqrt,
-  kAbs,
-  kTanh,
-  kSigmoid,
-  kRelu,
-  kLeakyRelu,
-  kSquare,
-  kMatMul,
-  kSum,
-  kMean,
-  kReshape,
-  kTranspose,
-  kSlice,
-  kConcat,
-  kPad,
-  kBroadcastTo,
-  kSoftmax,
-  kTemporalConv2d,
-  kDropout,
-};
-
-// Closed-form op parameters, enough to run the forward kernel and the
-// gradient formula. Fields are op-specific:
-//   scalar : AddScalar/MulScalar operand, LeakyRelu negative slope
-//   flag   : Sum/Mean keepdims
-//   axis   : Concat/Pad/Softmax axis (as passed, not canonicalized);
-//            TemporalConv2d dilation
-//   before/after : Pad amounts
-//   ints   : Sum/Mean axes, Reshape/BroadcastTo target dims, Transpose perm,
-//            Slice starts
-//   ints2  : Slice sizes
-struct OpAttrs {
-  float scalar = 0.0f;
-  bool flag = false;
-  int64_t axis = 0;
-  int64_t before = 0;
-  int64_t after = 0;
-  std::vector<int64_t> ints = {};
-  std::vector<int64_t> ints2 = {};
-};
 
 // The operands of one op application as OpForward and OpBackward see them.
 // Index i names the op's i-th input. OpForward reads only size() and
@@ -108,29 +61,40 @@ class OpOperands {
   virtual void Accumulate(size_t i, const Tensor& delta) = 0;
 };
 
-// The op's tape name (Variable::op_name, and the key of the autograd/lint.cc
-// shape rules).
+// The op's name (Variable::op_name, lint findings and profiler rows).
 const char* OpName(OpKind kind);
+
+// The op's input count; kVariadic for an op taking one or more (concat).
+inline constexpr int kVariadic = -1;
+int OpArity(OpKind kind);
+
+// The op's output shape for inputs shaped `inputs` under `attrs`. Returns
+// false, and never aborts, when the input count or shapes (or the attributes
+// against them) are ones the op's kernel would reject.
+bool OpOutputShape(OpKind kind, const OpAttrs& attrs, const std::vector<Shape>& inputs,
+                   Shape* out);
 
 // The liveness facts of OpBackward: whether it reads its input values, and
 // whether it reads its output.
 bool OpReadsInputs(OpKind kind);
 bool OpReadsOutput(OpKind kind);
 
-// Computes the op's output from its inputs.
+// Computes the op's output from its inputs. Timed into the op's forward
+// profiler row when obs::ProfilerEnabled().
 Tensor OpForward(OpKind kind, const OpAttrs& attrs, const OpOperands& operands);
 
 // Accumulates into every input that needs a gradient its share of `grad`,
-// the gradient of the op's output.
+// the gradient of the op's output. Timed into the op's backward profiler
+// row when obs::ProfilerEnabled().
 void OpBackward(OpKind kind, const OpAttrs& attrs, const Tensor& grad, OpOperands& operands);
 
 class TapeListener {
  public:
   virtual ~TapeListener() = default;
 
-  // One recorded op, from Apply or Dropout: `out` was produced from
-  // `parents` (any count) with `attrs`. Called after Variable::MakeOp, on
-  // the thread running the forward build.
+  // One recorded op, from Apply, or Dropout's kDropout notice: `out` was
+  // produced from `parents` (any count) with `attrs`. Called after
+  // Variable::MakeOp, on the thread running the forward build.
   virtual void OnOp(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
                     const OpAttrs& attrs) = 0;
 

@@ -3,28 +3,31 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "autograd/record.h"
 #include "common/check.h"
-#include "common/stopwatch.h"
-#include "obs/profiler.h"
 
 namespace urcl {
 namespace autograd {
 
 namespace internal {
 
+const char* NodeName(const Node& node) {
+  return node.kind ? record::OpName(*node.kind) : "leaf";
+}
+
 std::string DescribeStaleCapture(const Node& node, size_t parent_index) {
   const ParentEdge& edge = node.parents[parent_index];
   const Tensor& value = edge.node->value;
   std::ostringstream out;
   if (value.version_counter().get() != edge.counter.get()) {
-    out << "op '" << node.op_name << "' parent " << parent_index << " (op '"
-        << edge.node->op_name
+    out << "op '" << NodeName(node) << "' parent " << parent_index << " (op '"
+        << NodeName(*edge.node)
         << "'): captured value storage was replaced (SetValue) after record";
     return out.str();
   }
   if (value.version() != edge.version) {
-    out << "op '" << node.op_name << "' parent " << parent_index << " (op '"
-        << edge.node->op_name << "'): captured value was mutated in place after record "
+    out << "op '" << NodeName(node) << "' parent " << parent_index << " (op '"
+        << NodeName(*edge.node) << "'): captured value was mutated in place after record "
         << "(version " << edge.version << " at record, " << value.version() << " now)";
     return out.str();
   }
@@ -38,6 +41,42 @@ void VerifyCapturedVersions(const Node& node) {
   }
 }
 
+namespace {
+
+// Adds `delta` into `node`'s gradient (no-op unless it requires grad).
+void AccumulateInto(Node& node, const Tensor& delta) {
+  if (!node.requires_grad) return;
+  URCL_CHECK(delta.shape() == node.value.shape())
+      << "gradient shape " << delta.shape().ToString() << " does not match value shape "
+      << node.value.shape().ToString() << " at op " << NodeName(node);
+  if (!node.has_grad) {
+    node.grad = delta.Clone();
+    node.has_grad = true;
+  } else {
+    node.grad.AddInPlace(delta);
+  }
+}
+
+// A recorded node as its op's backward operands: the parents' values and
+// gradients, and the node's own value as the op's output.
+class NodeOperands final : public record::OpOperands {
+ public:
+  explicit NodeOperands(const Node& node) : node_(node) {}
+
+  size_t size() const override { return node_.parents.size(); }
+  const Shape& shape(size_t i) const override { return input(i).value.shape(); }
+  const Tensor& value(size_t i) const override { return input(i).value; }
+  const Tensor& output() const override { return node_.value; }
+  bool needs_grad(size_t i) const override { return input(i).requires_grad; }
+  void Accumulate(size_t i, const Tensor& delta) override { AccumulateInto(input(i), delta); }
+
+ private:
+  Node& input(size_t i) const { return *node_.parents[i].node; }
+
+  const Node& node_;
+};
+
+}  // namespace
 }  // namespace internal
 
 Variable::Variable(Tensor value, bool requires_grad)
@@ -46,26 +85,15 @@ Variable::Variable(Tensor value, bool requires_grad)
   node_->requires_grad = requires_grad;
 }
 
-Variable Variable::MakeOp(Tensor value, std::string op_name,
-                          const std::vector<Variable>& parents,
-                          std::function<void(const Tensor&)> backward_fn) {
+Variable Variable::MakeOp(Tensor value, record::OpKind kind,
+                          const std::vector<Variable>& parents, const record::OpAttrs& attrs) {
   bool needs_grad = false;
   for (const Variable& p : parents) {
-    URCL_CHECK(p.IsValid()) << "op " << op_name << " received an empty Variable";
+    URCL_CHECK(p.IsValid()) << "op " << record::OpName(kind) << " received an empty Variable";
     needs_grad = needs_grad || p.requires_grad();
   }
-  if (obs::ProfilerEnabled()) {
-    // Close the innermost URCL_PROFILE_OP interval: the elapsed time covers
-    // the op function body that computed `value`. Delegating ops (whose
-    // MakeOp runs in the inner op) attribute to the inner op's name.
-    const int64_t ns = obs::internal::PopForwardStart();
-    if (ns >= 0) {
-      obs::internal::RecordForward(
-          op_name, ns, static_cast<uint64_t>(value.NumElements()) * sizeof(float));
-    }
-  }
   Variable out(std::move(value), needs_grad);
-  out.node_->op_name = std::move(op_name);
+  out.node_->kind = kind;
   if (needs_grad) {
     out.node_->parents.reserve(parents.size());
     for (const Variable& p : parents) {
@@ -77,7 +105,7 @@ Variable Variable::MakeOp(Tensor value, std::string op_name,
       out.node_->parents.push_back(
           internal::ParentEdge{p.node_, v.version_counter(), v.version()});
     }
-    out.node_->backward_fn = std::move(backward_fn);
+    out.node_->attrs = attrs;
   }
   return out;
 }
@@ -100,16 +128,7 @@ Tensor Variable::grad() const {
 
 void Variable::AccumulateGrad(const Tensor& delta) const {
   URCL_CHECK(IsValid());
-  if (!node_->requires_grad) return;
-  URCL_CHECK(delta.shape() == node_->value.shape())
-      << "gradient shape " << delta.shape().ToString() << " does not match value shape "
-      << node_->value.shape().ToString() << " at op " << node_->op_name;
-  if (!node_->has_grad) {
-    node_->grad = delta.Clone();
-    node_->has_grad = true;
-  } else {
-    node_->grad.AddInPlace(delta);
-  }
+  internal::AccumulateInto(*node_, delta);
 }
 
 void Variable::ZeroGrad() const {
@@ -126,9 +145,9 @@ void Variable::SetValue(const Tensor& value) const {
   node_->value = value.Clone();
 }
 
-const std::string& Variable::op_name() const {
+const char* Variable::op_name() const {
   URCL_CHECK(IsValid());
-  return node_->op_name;
+  return internal::NodeName(*node_);
 }
 
 void Variable::Backward() {
@@ -167,26 +186,18 @@ void Variable::BackwardWithSeed(const Tensor& seed) {
 
   if (check::GraphChecksEnabled()) {
     // Verify every captured operand is byte-for-byte what the forward pass
-    // recorded before any backward closure re-reads it (URCL_CHECK env gate;
+    // recorded before any op gradient re-reads it (URCL_CHECK env gate;
     // see autograd/lint.h for the full static pass).
     for (const internal::Node* node : order) VerifyCapturedVersions(*node);
   }
 
   AccumulateGrad(seed);
-  const bool profiled = obs::ProfilerEnabled();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     internal::Node* node = *it;
-    if (!node->backward_fn || !node->has_grad) continue;
-    if (profiled) {
-      const int64_t start_ticks = obs::internal::ProfileTicksNow();
-      node->backward_fn(node->grad);
-      obs::internal::RecordBackward(
-          node->op_name,
-          obs::internal::TicksToNs(obs::internal::ProfileTicksNow() - start_ticks),
-          static_cast<uint64_t>(node->grad.NumElements()) * sizeof(float));
-    } else {
-      node->backward_fn(node->grad);
-    }
+    // Leaves, and ops recorded without gradients, have no inputs to feed.
+    if (!node->kind || node->parents.empty() || !node->has_grad) continue;
+    internal::NodeOperands operands(*node);
+    record::OpBackward(*node->kind, node->attrs, node->grad, operands);
   }
 }
 

@@ -1,17 +1,20 @@
 // Tape-free reverse-mode automatic differentiation. A Variable is a cheap
-// shared handle to a graph node holding a value, an accumulated gradient,
-// parent edges, and a backward closure. Calling Backward() on a scalar root
-// topologically sorts the reachable graph and propagates gradients.
+// shared handle to a graph node holding a value, an accumulated gradient and
+// the record of the op that produced it: its kind and, when gradients flow,
+// its attributes and parent edges. Calling Backward() on a scalar root
+// topologically sorts the reachable graph and runs each node's op gradient
+// (record::OpBackward) over that record.
 #ifndef URCL_AUTOGRAD_VARIABLE_H_
 #define URCL_AUTOGRAD_VARIABLE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "autograd/op_kind.h"
 #include "tensor/tensor.h"
 
 namespace urcl {
@@ -24,7 +27,7 @@ namespace internal {
 struct Node;
 
 // Parent link plus the write-version stamp of the parent's value at op-record
-// time. The backward closure will read the parent's value again at Backward()
+// time. The op's gradient will read the parent's value again at Backward()
 // time; the integrity checks (lint.h, and Backward itself when
 // check::GraphChecksEnabled()) compare these stamps against the live tensor
 // to catch in-place mutation — or wholesale replacement via SetValue — of a
@@ -36,17 +39,23 @@ struct ParentEdge {
   uint64_t version = 0;
 };
 
+// One value in the graph and the record of the op that produced it.
 struct Node {
   Tensor value;
   Tensor grad;  // allocated lazily on first accumulation
   bool has_grad = false;
   bool requires_grad = false;
-  std::string op_name = "leaf";
+  // The producing op; empty for a leaf.
+  std::optional<record::OpKind> kind;
+  // Recorded only when gradients flow through the op (some parent requires
+  // grad): its inputs in order, and its attributes. Backward hands both, with
+  // `value` as the op's output, to record::OpBackward.
   std::vector<ParentEdge> parents;
-  // Receives the gradient w.r.t. this node's value; must accumulate into the
-  // parents via Variable::AccumulateGrad (respecting requires_grad).
-  std::function<void(const Tensor& upstream)> backward_fn;
+  record::OpAttrs attrs;
 };
+
+// The node's op name (record::OpName), or "leaf".
+const char* NodeName(const Node& node);
 
 // Empty string when parent `parent_index` of `node` is still exactly as
 // captured; otherwise a human-readable description of how it went stale
@@ -69,10 +78,11 @@ class Variable {
   // Leaf node wrapping `value`. Set requires_grad for trainable parameters.
   explicit Variable(Tensor value, bool requires_grad = false);
 
-  // Interior node produced by an op.
-  static Variable MakeOp(Tensor value, std::string op_name,
-                         const std::vector<Variable>& parents,
-                         std::function<void(const Tensor&)> backward_fn);
+  // Interior node: `value` computed by op `kind` from `parents` with
+  // `attrs`. The node keeps the parents and attributes only when some parent
+  // requires grad.
+  static Variable MakeOp(Tensor value, record::OpKind kind, const std::vector<Variable>& parents,
+                         const record::OpAttrs& attrs);
 
   bool IsValid() const { return node_ != nullptr; }
 
@@ -105,7 +115,8 @@ class Variable {
   // white-box tests. Not part of the modeling API.
   const std::shared_ptr<internal::Node>& internal_node() const { return node_; }
 
-  const std::string& op_name() const;
+  // record::OpName of the producing op, or "leaf".
+  const char* op_name() const;
 
  private:
   std::shared_ptr<internal::Node> node_;

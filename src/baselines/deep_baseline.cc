@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "tensor/serialize.h"
 #include "nn/loss.h"
 
 namespace urcl {
@@ -103,14 +102,6 @@ std::vector<float> DeepBaseline::TrainStageWithValidation(const data::StDataset&
   }
   if (!best_state.empty()) LoadStateDict(best_state);
   return losses;
-}
-
-void DeepBaseline::SaveCheckpoint(const std::string& path) const {
-  SaveTensors(StateDict(), path);
-}
-
-void DeepBaseline::LoadCheckpoint(const std::string& path) {
-  LoadStateDict(LoadTensors(path));
 }
 
 Status DeepBaseline::Predict(const core::PredictRequest& request,

@@ -44,10 +44,6 @@ class DeepBaseline : public core::StPredictor, public nn::Module {
   Status Predict(const core::PredictRequest& request,
                  core::PredictResponse* response) const override;
 
-  // Saves/restores the model parameters (binary tensor file).
-  void SaveCheckpoint(const std::string& path) const;
-  void LoadCheckpoint(const std::string& path);
-
   core::StBackbone& encoder() { return *encoder_; }
 
  private:

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "checkpoint/crc32.h"
+#include "common/byte_reader.h"
 #include "common/check.h"
 
 namespace urcl {
@@ -19,29 +20,6 @@ template <typename T>
 void AppendPod(std::string* out, T value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
-
-// Cursor over the serialized bytes with bounds-checked POD reads.
-struct ByteReader {
-  const std::string& bytes;
-  size_t pos = 0;
-
-  size_t remaining() const { return bytes.size() - pos; }
-
-  template <typename T>
-  bool Read(T* value) {
-    if (remaining() < sizeof(T)) return false;
-    std::memcpy(value, bytes.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return true;
-  }
-
-  bool ReadString(size_t length, std::string* value) {
-    if (remaining() < length) return false;
-    value->assign(bytes, pos, length);
-    pos += length;
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -76,7 +54,7 @@ std::string Container::SerializeToString() const {
 }
 
 Status Container::Parse(const std::string& bytes, Container* out) {
-  ByteReader reader{bytes};
+  io::ByteReader reader(bytes);
   uint64_t magic = 0;
   if (!reader.Read(&magic)) return Status::Error("checkpoint truncated: no magic");
   if (magic != kMagic) return Status::Error("bad checkpoint magic: not a URCL checkpoint");

@@ -73,21 +73,24 @@ Status CheckpointManager::Save(const Container& container) {
   return Status::Ok();
 }
 
-Status CheckpointManager::LoadNewestValid(Container* out, std::string* diagnostics) const {
+Status CheckpointManager::LoadNewestValid(
+    Container* out, std::string* diagnostics,
+    const std::function<Status(const Container&)>& accept) const {
   const std::vector<std::string> all = ListCheckpoints();
+  if (all.empty()) return Status::Error("no valid checkpoint in " + options_.dir + " (empty)");
+  Status newest;
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
     Container container;
-    const Status status = Container::ReadFile(*it, &container);
+    Status status = Container::ReadFile(*it, &container);
+    if (status.ok() && accept) status = accept(container).Annotate(*it + ": ");
     if (status.ok()) {
       *out = std::move(container);
       return Status::Ok();
     }
-    if (diagnostics != nullptr) {
-      diagnostics->append("rejected " + status.message() + "\n");
-    }
+    if (diagnostics != nullptr) diagnostics->append("rejected " + status.message() + "\n");
+    if (it == all.rbegin()) newest = status;
   }
-  return Status::Error("no valid checkpoint in " + options_.dir + " (" +
-                       std::to_string(all.size()) + " candidate file(s))");
+  return newest;
 }
 
 }  // namespace checkpoint

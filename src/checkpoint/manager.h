@@ -1,12 +1,14 @@
 // Checkpoint rotation: numbered container files in a directory, atomic
 // writes, retention-N pruning, and newest-valid fallback on load. A corrupted
-// or truncated checkpoint (detected via the container CRCs) is skipped with a
-// diagnostic and the next-newest one is tried, so a crash mid-write — or a
+// or truncated checkpoint (detected via the container CRCs, or by the
+// caller's section decoders) is skipped with a diagnostic and the next-newest
+// one is tried, so a crash mid-write — or a
 // flipped byte on disk — costs at most one checkpoint interval of progress.
 #ifndef URCL_CHECKPOINT_MANAGER_H_
 #define URCL_CHECKPOINT_MANAGER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,10 +36,13 @@ class CheckpointManager {
   // save); write failures are returned.
   Status Save(const Container& container);
 
-  // Loads the newest checkpoint that parses and validates. Each rejected
-  // file appends one line to *diagnostics (may be nullptr). Returns an error
-  // when the directory holds no valid checkpoint.
-  Status LoadNewestValid(Container* out, std::string* diagnostics) const;
+  // Walks the checkpoints newest first and loads the first one that parses
+  // and validates and, when `accept` is set, that `accept` takes (returns
+  // Ok for). Each rejected file appends one "rejected <path>: <reason>" line
+  // to *diagnostics (may be nullptr). When every file is rejected, returns
+  // the newest file's status; an empty directory is an error too.
+  Status LoadNewestValid(Container* out, std::string* diagnostics,
+                         const std::function<Status(const Container&)>& accept = nullptr) const;
 
   // Checkpoint paths in the directory, oldest first.
   std::vector<std::string> ListCheckpoints() const;

@@ -72,6 +72,11 @@ class [[nodiscard]] Status {
     return Status(StatusCode::kDataLoss, std::move(message));
   }
 
+  // This status with `context` prepended to its message; Ok stays Ok.
+  Status Annotate(const std::string& context) const {
+    return ok() ? *this : Status(code_, context + message_);
+  }
+
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }

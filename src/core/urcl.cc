@@ -542,14 +542,6 @@ std::vector<float> UrclTrainer::TrainStageWithValidation(const data::StDataset& 
   return losses;
 }
 
-void UrclTrainer::SaveCheckpoint(const std::string& path) const {
-  SaveTensors(model_->StateDict(), path);
-}
-
-void UrclTrainer::LoadCheckpoint(const std::string& path) {
-  model_->LoadStateDict(LoadTensors(path));
-}
-
 namespace {
 
 // Version of the trainer's section schema inside the checkpoint container
@@ -565,16 +557,20 @@ void WriteFloatVector(std::ostream& out, const std::vector<float>& values) {
   for (const float v : values) io::WritePod(out, v);
 }
 
-Status ReadFloatVector(std::istream& in, uint64_t max_count, const char* what,
+// The "meta" section is short or damaged.
+Status TruncatedMeta() { return Status::DataLoss("meta section is truncated"); }
+
+Status ReadFloatVector(io::ByteReader& in, uint64_t max_count, const char* what,
                        std::vector<float>* out) {
-  const uint64_t count = io::ReadPod<uint64_t>(in);
+  uint64_t count = 0;
+  if (!in.Read(&count)) return TruncatedMeta();
   if (count > max_count) {
     return Status::Error(std::string(what) + " count " + std::to_string(count) +
                          " is implausible");
   }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) out->push_back(io::ReadPod<float>(in));
+  if (count > in.remaining() / sizeof(float)) return TruncatedMeta();
+  out->resize(count);
+  in.ReadBytes(out->data(), count * sizeof(float));
   return Status::Ok();
 }
 
@@ -591,15 +587,9 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
                       std::vector<Tensor>* state) {
   // Every field is read only when its bytes are present, so a short or
   // damaged section is kDataLoss instead of an abort.
-  size_t pos = 0;
-  const auto read = [&bytes, &pos](void* dst, size_t size) {
-    if (bytes.size() - pos < size) return false;
-    if (size > 0) std::memcpy(dst, bytes.data() + pos, size);
-    pos += size;
-    return true;
-  };
+  io::ByteReader in(bytes);
   uint64_t count = 0;
-  if (!read(&count, sizeof(count))) {
+  if (!in.Read(&count)) {
     return Status::DataLoss("model section is too short to hold its tensor count");
   }
   if (count != expected.size()) {
@@ -613,7 +603,7 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
     const std::string which = "model tensor " + std::to_string(loaded.size());
     uint32_t magic = 0;
     int64_t rank = 0;
-    if (!read(&magic, sizeof(magic)) || !read(&rank, sizeof(rank))) {
+    if (!in.Read(&magic) || !in.Read(&rank)) {
       return Status::DataLoss(which + " header is truncated in the model section");
     }
     if (magic != kTensorMagic) {
@@ -625,7 +615,7 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
                                      " (architecture mismatch)");
     }
     std::vector<int64_t> dims(static_cast<size_t>(rank));
-    if (!read(dims.data(), dims.size() * sizeof(int64_t))) {
+    if (!in.ReadBytes(dims.data(), dims.size() * sizeof(int64_t))) {
       return Status::DataLoss(which + " dims are truncated in the model section");
     }
     if (dims != like.shape().dims()) {
@@ -634,7 +624,8 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
                                      " (architecture mismatch)");
     }
     Tensor tensor = Tensor::Uninitialized(like.shape());
-    if (!read(tensor.mutable_data(), static_cast<size_t>(tensor.NumElements()) * sizeof(float))) {
+    if (!in.ReadBytes(tensor.mutable_data(),
+                      static_cast<size_t>(tensor.NumElements()) * sizeof(float))) {
       return Status::DataLoss(which + " data is truncated in the model section");
     }
     loaded.push_back(std::move(tensor));
@@ -743,10 +734,13 @@ Status UrclTrainer::RestoreFromCheckpointDir(std::string* diagnostics) {
   if (checkpoint_manager_ == nullptr) {
     return Status::Error("checkpointing not enabled (call EnableCheckpointing first)");
   }
-  checkpoint::Container container;
-  const Status loaded = checkpoint_manager_->LoadNewestValid(&container, diagnostics);
-  if (!loaded.ok()) return loaded;
+  checkpoint::Container newest_valid;
+  return checkpoint_manager_->LoadNewestValid(
+      &newest_valid, diagnostics,
+      [this](const checkpoint::Container& container) { return RestoreFrom(container); });
+}
 
+Status UrclTrainer::RestoreFrom(const checkpoint::Container& container) {
   const std::string* meta_bytes = container.Find("meta");
   const std::string* model_bytes = container.Find("model");
   const std::string* opt_bytes = container.Find("optimizer");
@@ -758,28 +752,30 @@ Status UrclTrainer::RestoreFromCheckpointDir(std::string* diagnostics) {
                          "(need meta/model/optimizer/rng/buffer)");
   }
 
-  // Parse everything into temporaries first; the live trainer is only touched
-  // once every section validates.
-  std::istringstream meta(*meta_bytes);
-  const uint32_t version = io::ReadPod<uint32_t>(meta);
+  // Decode everything into temporaries first; the live trainer is only
+  // touched once every section validates.
+  io::ByteReader meta(*meta_bytes);
+  uint32_t version = 0;
+  if (!meta.Read(&version)) return TruncatedMeta();
   if (version != kTrainerStateVersion) {
     return Status::Error("trainer state version " + std::to_string(version) +
                          " unsupported (expected " + std::to_string(kTrainerStateVersion) + ")");
   }
-  const uint64_t seed = io::ReadPod<uint64_t>(meta);
+  uint64_t seed = 0;
+  if (!meta.Read(&seed)) return TruncatedMeta();
   if (seed != config_.seed) {
     return Status::Error("checkpoint was written with seed " + std::to_string(seed) +
                          " but this trainer is configured with seed " +
                          std::to_string(config_.seed));
   }
-  const int64_t step_count = io::ReadPod<int64_t>(meta);
-  const int64_t quarantined = io::ReadPod<int64_t>(meta);
+  int64_t step_count = 0;
+  int64_t quarantined = 0;
   StageCursor cursor;
-  cursor.stage = io::ReadPod<int64_t>(meta);
-  cursor.epoch = io::ReadPod<int64_t>(meta);
-  cursor.offset = io::ReadPod<int64_t>(meta);
-  cursor.epoch_loss_sum = io::ReadPod<double>(meta);
-  cursor.epoch_steps = io::ReadPod<int64_t>(meta);
+  if (!meta.Read(&step_count) || !meta.Read(&quarantined) || !meta.Read(&cursor.stage) ||
+      !meta.Read(&cursor.epoch) || !meta.Read(&cursor.offset) ||
+      !meta.Read(&cursor.epoch_loss_sum) || !meta.Read(&cursor.epoch_steps)) {
+    return TruncatedMeta();
+  }
   if (step_count < 0 || quarantined < 0 || cursor.stage < 0 || cursor.epoch < 0 ||
       cursor.offset < 0 || cursor.epoch_steps < 0) {
     return Status::Error("checkpoint meta section has negative counters");
@@ -789,14 +785,14 @@ Status UrclTrainer::RestoreFromCheckpointDir(std::string* diagnostics) {
   std::vector<float> loss_history;
   st = ReadFloatVector(meta, 1u << 28, "loss history", &loss_history);
   if (!st.ok()) return st;
-  const uint64_t selection_count = io::ReadPod<uint64_t>(meta);
+  uint64_t selection_count = 0;
+  if (!meta.Read(&selection_count)) return TruncatedMeta();
   if (selection_count > static_cast<uint64_t>(config_.buffer_capacity)) {
     return Status::Error("checkpoint RMIR selection cache is larger than the buffer");
   }
-  std::vector<int64_t> cached_selection;
-  cached_selection.reserve(selection_count);
-  for (uint64_t i = 0; i < selection_count; ++i) {
-    cached_selection.push_back(io::ReadPod<int64_t>(meta));
+  std::vector<int64_t> cached_selection(selection_count);
+  if (!meta.ReadBytes(cached_selection.data(), selection_count * sizeof(int64_t))) {
+    return TruncatedMeta();
   }
 
   std::vector<Tensor> state;
@@ -805,18 +801,19 @@ Status UrclTrainer::RestoreFromCheckpointDir(std::string* diagnostics) {
 
   Rng rng(config_.seed);
   if (!rng.LoadState(*rng_bytes)) {
-    return Status::Error("checkpoint rng section failed to parse");
+    return Status::DataLoss("rng section failed to parse");
   }
 
-  // Optimizer and buffer restore directly (both validate before committing).
-  std::istringstream opt_in(*opt_bytes);
-  st = optimizer_->LoadState(opt_in);
-  if (!st.ok()) return st;
-  std::istringstream buffer_in(*buffer_bytes);
-  st = buffer_.Deserialize(buffer_in);
-  if (!st.ok()) return st;
+  replay::ReplayBuffer buffer = buffer_;
+  st = buffer.Deserialize(*buffer_bytes);
+  if (!st.ok()) return st.Annotate("buffer section: ");
+
+  // The last fallible step; it commits the optimizer only on success.
+  st = optimizer_->LoadState(*opt_bytes);
+  if (!st.ok()) return st.Annotate("optimizer section: ");
 
   model_->LoadStateDict(state);
+  buffer_ = std::move(buffer);
   rng_ = rng;
   step_count_ = step_count;
   quarantined_batches_ = quarantined;

@@ -150,11 +150,6 @@ class UrclTrainer : public StPredictor {
 
   Status Predict(const PredictRequest& request, PredictResponse* response) const override;
 
-  // Saves/restores the model parameters (binary tensor file). Legacy
-  // model-only snapshot; the crash-safe path is EnableCheckpointing below.
-  void SaveCheckpoint(const std::string& path) const;
-  void LoadCheckpoint(const std::string& path);
-
   // --- Crash-safe checkpoint/resume ---------------------------------------
 
   // Turns on rotated full-state checkpointing into `config.dir`. Call before
@@ -165,14 +160,17 @@ class UrclTrainer : public StPredictor {
   // rotation (atomic write + retention pruning).
   Status SaveFullCheckpoint();
 
-  // Restores the newest valid checkpoint from the configured directory.
-  // Rejected (corrupt/truncated/mismatched) files each append a line to
-  // *diagnostics (may be nullptr) and the next-newest is tried. On success
-  // the trainer resumes exactly where the saved run stopped: the protocol
-  // runner skips fully trained stages (ResumeStageIndex) and TrainStage
-  // continues mid-stage from the saved epoch/batch cursor, reproducing the
-  // uninterrupted run bit-for-bit. Returns an error (and leaves the trainer
-  // untouched) when no checkpoint is valid.
+  // Restores the newest valid checkpoint from the configured directory,
+  // walking the files newest first. A file is rejected when its container
+  // fails its CRCs or any section (meta, model, optimizer, rng, buffer) is
+  // short, damaged or mismatched; each rejected file appends a line naming
+  // the file and the failing section to *diagnostics (may be nullptr) and the
+  // next-newest is tried. On success the trainer resumes exactly where the
+  // saved run stopped: the protocol runner skips fully trained stages
+  // (ResumeStageIndex) and TrainStage continues mid-stage from the saved
+  // epoch/batch cursor, reproducing the uninterrupted run bit-for-bit.
+  // Returns the newest file's error (and leaves the trainer untouched) when
+  // no checkpoint is valid.
   Status RestoreFromCheckpointDir(std::string* diagnostics = nullptr);
 
   // --- Weight-snapshot publication (serving hot-swap) ----------------------
@@ -237,6 +235,10 @@ class UrclTrainer : public StPredictor {
     int64_t epoch_steps = 0;
     std::vector<float> epoch_losses;  // completed epochs of this stage
   };
+
+  // Restores the full training state from one checkpoint container; on any
+  // error the trainer is left untouched.
+  Status RestoreFrom(const checkpoint::Container& container);
 
   // Executes one training step on a batch; returns L_all, or nullopt when
   // the batch was quarantined (non-finite inputs, loss or gradients).

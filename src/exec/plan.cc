@@ -4,9 +4,9 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "autograd/lint.h"
 #include "common/check.h"
 #include "obs/flight_recorder.h"
+#include "obs/profiler.h"
 #include "runtime/parallel.h"
 
 namespace urcl {
@@ -20,29 +20,6 @@ using autograd::record::OpName;
 const char* ExecutorModeName(ExecutorMode mode) {
   return mode == ExecutorMode::kPlan ? "plan" : "tape";
 }
-
-namespace {
-
-// Output shape of a Sum/Mean over `axes` (all axes when empty).
-Shape ReducedShape(const Shape& in, const std::vector<int64_t>& axes, bool keepdims) {
-  std::vector<int64_t> canon;
-  if (axes.empty()) {
-    for (int64_t i = 0; i < in.rank(); ++i) canon.push_back(i);
-  } else {
-    for (const int64_t a : axes) canon.push_back(in.CanonicalAxis(a));
-  }
-  std::vector<int64_t> dims;
-  for (int64_t i = 0; i < in.rank(); ++i) {
-    if (std::find(canon.begin(), canon.end(), i) == canon.end()) {
-      dims.push_back(in.dim(i));
-    } else if (keepdims) {
-      dims.push_back(1);
-    }
-  }
-  return Shape(dims);
-}
-
-}  // namespace
 
 // Observes the capture build's op stream and assembles the plan's slot graph.
 class GraphRecorder : public autograd::record::TapeListener {
@@ -87,10 +64,11 @@ class GraphRecorder : public autograd::record::TapeListener {
     const auto* node = v.internal_node().get();
     auto it = slot_of_.find(node);
     if (it != slot_of_.end()) return it->second;
-    // An unseen leaf. If it carries a backward closure it is an op output
-    // produced before the listener was installed — capturing it as a
-    // constant would silently freeze a live subgraph, so abort instead.
-    if (v.internal_node()->backward_fn) {
+    // An unseen leaf. If it records parents it is an op output, with
+    // gradients flowing, produced before the listener was installed —
+    // capturing it as a constant would silently freeze a live subgraph, so
+    // abort instead.
+    if (!v.internal_node()->parents.empty()) {
       error_ = "graph region was built outside the capture listener";
       return 0;
     }
@@ -196,103 +174,19 @@ CompiledPlan::CaptureResult CompiledPlan::Capture(
 }
 
 bool CompiledPlan::InferShapes(std::string* error) {
-  const auto shape_of = [this](int s) -> const Shape& {
-    return slots_[static_cast<size_t>(s)].shape;
-  };
   for (Instr& instr : instrs_) {
-    const Shape& got = shape_of(instr.out);
-    Shape expect;
-    bool known = true;
+    std::vector<Shape> inputs;
+    for (const int p : instr.parents) inputs.push_back(slots_[static_cast<size_t>(p)].shape);
     const std::string name = instr.is_alias ? "stop_gradient" : OpName(instr.kind);
+    Shape expect;
     if (instr.is_alias) {
-      expect = shape_of(instr.parents[0]);
-    } else {
-      if (autograd::IsBroadcastBinary(name)) {
-        if (!autograd::TryBroadcast(shape_of(instr.parents[0]), shape_of(instr.parents[1]),
-                                    &expect)) {
-          *error = "AOT shape inference: incompatible broadcast for " + name;
-          return false;
-        }
-      } else if (autograd::IsShapePreserving(name)) {
-        expect = shape_of(instr.parents[0]);
-      } else {
-        switch (instr.kind) {
-          case OpKind::kMatMul: {
-            const Shape& a = shape_of(instr.parents[0]);
-            const Shape& b = shape_of(instr.parents[1]);
-            if (a.rank() < 2 || b.rank() < 2 || a.dim(a.rank() - 1) != b.dim(b.rank() - 2)) {
-              *error = "AOT shape inference: matmul inner-dimension mismatch";
-              return false;
-            }
-            std::vector<int64_t> a_batch(a.dims().begin(), a.dims().end() - 2);
-            std::vector<int64_t> b_batch(b.dims().begin(), b.dims().end() - 2);
-            Shape batch;
-            if (!autograd::TryBroadcast(Shape(a_batch), Shape(b_batch), &batch)) {
-              *error = "AOT shape inference: matmul batch dims incompatible";
-              return false;
-            }
-            std::vector<int64_t> dims = batch.dims();
-            dims.push_back(a.dim(a.rank() - 2));
-            dims.push_back(b.dim(b.rank() - 1));
-            expect = Shape(dims);
-            break;
-          }
-          case OpKind::kSum:
-          case OpKind::kMean:
-            expect = ReducedShape(shape_of(instr.parents[0]), instr.attrs.ints, instr.attrs.flag);
-            break;
-          case OpKind::kReshape:
-          case OpKind::kBroadcastTo:
-            expect = Shape(instr.attrs.ints);
-            break;
-          case OpKind::kTranspose: {
-            const Shape& in = shape_of(instr.parents[0]);
-            std::vector<int64_t> dims(instr.attrs.ints.size());
-            for (size_t i = 0; i < dims.size(); ++i) {
-              dims[i] = in.dim(in.CanonicalAxis(instr.attrs.ints[i]));
-            }
-            expect = Shape(dims);
-            break;
-          }
-          case OpKind::kSlice:
-            expect = Shape(instr.attrs.ints2);
-            break;
-          case OpKind::kConcat: {
-            const Shape& first = shape_of(instr.parents[0]);
-            const int64_t canonical = first.CanonicalAxis(instr.attrs.axis);
-            std::vector<int64_t> dims = first.dims();
-            for (size_t i = 1; i < instr.parents.size(); ++i) {
-              dims[static_cast<size_t>(canonical)] += shape_of(instr.parents[i]).dim(canonical);
-            }
-            expect = Shape(dims);
-            break;
-          }
-          case OpKind::kPad: {
-            const Shape& in = shape_of(instr.parents[0]);
-            const int64_t canonical = in.CanonicalAxis(instr.attrs.axis);
-            std::vector<int64_t> dims = in.dims();
-            dims[static_cast<size_t>(canonical)] += instr.attrs.before + instr.attrs.after;
-            expect = Shape(dims);
-            break;
-          }
-          case OpKind::kTemporalConv2d: {
-            const Shape& in = shape_of(instr.parents[0]);
-            const Shape& w = shape_of(instr.parents[1]);
-            const int64_t t_out = in.dim(3) - instr.attrs.axis * (w.dim(3) - 1);
-            expect = Shape{in.dim(0), w.dim(0), in.dim(2), t_out};
-            break;
-          }
-          default:
-            known = false;
-            break;
-        }
-      }
-    }
-    if (!known) {
-      *error = "AOT shape inference: no rule for op " + name;
+      expect = inputs[0];
+    } else if (!autograd::record::OpOutputShape(instr.kind, instr.attrs, inputs, &expect)) {
+      *error = "AOT shape inference: invalid input shapes for " + name;
       return false;
     }
-    if (!(expect == got)) {
+    const Shape& got = slots_[static_cast<size_t>(instr.out)].shape;
+    if (expect != got) {
       *error = "AOT shape inference: " + name + " disagrees with the captured output shape";
       return false;
     }
@@ -593,6 +487,8 @@ Tensor CompiledPlan::EvalForward(const Instr& instr) {
 }
 
 void CompiledPlan::RunFusedGate(const FusedGate& gate) {
+  const bool profiled = obs::ProfilerEnabled();
+  const int64_t start = profiled ? obs::internal::ProfileTicksNow() : 0;
   const Tensor& x = values_[static_cast<size_t>(gate.x)];
   const Tensor& b1 = values_[static_cast<size_t>(gate.b1)];
   const Tensor& y = values_[static_cast<size_t>(gate.y)];
@@ -633,6 +529,11 @@ void CompiledPlan::RunFusedGate(const FusedGate& gate) {
   values_[static_cast<size_t>(gate.tanh_out)] = t;
   values_[static_cast<size_t>(gate.sigmoid_out)] = s;
   values_[static_cast<size_t>(gate.mul_out)] = o;
+  if (profiled) {
+    // The one plan thunk outside record::OpForward: it writes three outputs.
+    obs::internal::RecordForward("fused_gate", obs::internal::ElapsedNs(start),
+                                 3 * static_cast<uint64_t>(x.NumElements()) * sizeof(float));
+  }
 }
 
 void CompiledPlan::AccumulateSlot(int slot_index, const Tensor& delta) {

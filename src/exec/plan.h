@@ -2,8 +2,8 @@
 //
 // The steady-state training/inference step replays the *same* autograd graph
 // thousands of times per stage; the tape re-discovers it every step: every op
-// heap-allocates a Node, a backward closure and a parents vector, acquires
-// pool storage under a mutex, and re-derives shapes. CompiledPlan captures
+// heap-allocates a Node and its parent edges and acquires pool storage under
+// a mutex. CompiledPlan captures
 // one tape build of the graph through the autograd/record.h listener and
 // turns it into a define-once/run-many program:
 //
@@ -16,8 +16,9 @@
 //             tape's), or captured constant (e.g. the dense graph supports,
 //             which are step-invariant for a fixed adjacency).
 //   compile   Ahead-of-time shape inference re-derives every op's output
-//             shape closed-form (reusing the autograd/lint.cc rules) and
-//             must agree with the captured shapes; the backward program is
+//             shape with the op definition's rule (record::OpOutputShape,
+//             which the graph linter checks too) and must agree with the
+//             captured shapes; the backward program is
 //             derived by replaying Variable::BackwardWithSeed's exact DFS
 //             over the slot graph; elementwise gate chains
 //             Mul(Tanh(Add(x,b1)), Sigmoid(Add(y,b2))) are fused into one
@@ -27,14 +28,16 @@
 //             and its lifetime; exec::PlanArena packs them into a single
 //             arena block with lifetime-based slot reuse (arena.h).
 //   replay    Steady-state runs execute one thunk per op (or fused gate)
-//             over arena slots: zero tape nodes, zero closures, zero
-//             BufferPool acquisitions. Results are bitwise-identical to the
+//             over arena slots: zero tape nodes, zero BufferPool
+//             acquisitions. Results are bitwise-identical to the
 //             tape — forward values, gradients, and Adam state — because an
 //             op's thunk calls the op's one definition (OpForward/OpBackward
 //             in autograd/record.h) that the tape calls too, in the tape's
 //             order on the same operands, and a fused gate repeats the
 //             unfused kernels' scalar math (asserted by memcmp in
-//             tests/exec_test).
+//             tests/exec_test). The per-op profiler times the same
+//             definitions, so a replay charges the tape's cells; the fused
+//             gate records its own "fused_gate" row.
 //
 // The tape remains the reference path and the fallback: captures abort on
 // anything unreplayable (dropout's per-step RNG mask, graphs built outside

@@ -1,7 +1,7 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
-#include <istream>
+#include <cstddef>
 #include <ostream>
 
 #include "common/check.h"
@@ -82,8 +82,8 @@ int64_t Optimizer::FirstNonFiniteParam() const {
 
 void Optimizer::SaveState(std::ostream& out) const { (void)out; }
 
-Status Optimizer::LoadState(std::istream& in) {
-  (void)in;
+Status Optimizer::LoadState(std::string_view bytes) {
+  (void)bytes;
   return Status::Ok();
 }
 
@@ -117,20 +117,26 @@ void Sgd::SaveState(std::ostream& out) const {
   for (const Tensor& v : velocity_) SaveTensor(v, out);
 }
 
-Status Sgd::LoadState(std::istream& in) {
-  const uint64_t count = io::ReadPod<uint64_t>(in);
+Status Sgd::LoadState(std::string_view bytes) {
+  io::ByteReader in(bytes);
+  uint64_t count = 0;
+  if (!in.Read(&count)) return Status::DataLoss("SGD state is truncated before its count");
   if (count != velocity_.size()) {
     return Status::Error("SGD state holds " + std::to_string(count) +
                          " velocity tensors, expected " + std::to_string(velocity_.size()));
   }
-  for (Tensor& v : velocity_) {
-    Tensor loaded = LoadTensor(in);
-    if (!(loaded.shape() == v.shape())) {
-      return Status::Error("SGD velocity shape mismatch: " + loaded.shape().ToString() +
-                           " vs " + v.shape().ToString());
+  std::vector<Tensor> velocity(velocity_.size());
+  for (size_t i = 0; i < velocity.size(); ++i) {
+    const Status read = io::ReadTensor(in, &velocity[i]);
+    if (!read.ok()) {
+      return Status::DataLoss("SGD velocity " + std::to_string(i) + ": " + read.message());
     }
-    v = std::move(loaded);
+    if (!(velocity[i].shape() == velocity_[i].shape())) {
+      return Status::Error("SGD velocity shape mismatch: " + velocity[i].shape().ToString() +
+                           " vs " + velocity_[i].shape().ToString());
+    }
   }
+  velocity_ = std::move(velocity);
   return Status::Ok();
 }
 
@@ -232,30 +238,35 @@ void Adam::SaveState(std::ostream& out) const {
   for (const Tensor& v : v_) SaveTensor(v, out);
 }
 
-Status Adam::LoadState(std::istream& in) {
-  const int64_t step_count = io::ReadPod<int64_t>(in);
+Status Adam::LoadState(std::string_view bytes) {
+  io::ByteReader in(bytes);
+  int64_t step_count = 0;
+  uint64_t count = 0;
+  if (!in.Read(&step_count) || !in.Read(&count)) {
+    return Status::DataLoss("Adam state is truncated before its moments");
+  }
   if (step_count < 0) {
     return Status::Error("Adam state has negative step count " + std::to_string(step_count));
   }
-  const uint64_t count = io::ReadPod<uint64_t>(in);
   const Status congruent = CheckCongruent(params_, count, "Adam");
   if (!congruent.ok()) return congruent;
-  std::vector<Tensor> m, v;
-  m.reserve(count);
-  v.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) m.push_back(LoadTensor(in));
-  for (uint64_t i = 0; i < count; ++i) v.push_back(LoadTensor(in));
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!(m[i].shape() == params_[i].value().shape()) ||
-        !(v[i].shape() == params_[i].value().shape())) {
-      return Status::Error("Adam moment shape mismatch at param " + std::to_string(i) + ": " +
-                           m[i].shape().ToString() + " vs " +
-                           params_[i].value().shape().ToString());
+  // First moments, then second moments, each in params() order.
+  std::vector<Tensor> moments(2 * count);
+  for (size_t i = 0; i < moments.size(); ++i) {
+    const Status read = io::ReadTensor(in, &moments[i]);
+    if (!read.ok()) {
+      return Status::DataLoss("Adam moment " + std::to_string(i) + ": " + read.message());
+    }
+    const Tensor& param = params_[i % count].value();
+    if (!(moments[i].shape() == param.shape())) {
+      return Status::Error("Adam moment shape mismatch at param " + std::to_string(i % count) +
+                           ": " + moments[i].shape().ToString() + " vs " +
+                           param.shape().ToString());
     }
   }
   step_count_ = step_count;
-  m_ = std::move(m);
-  v_ = std::move(v);
+  m_.assign(moments.begin(), moments.begin() + static_cast<std::ptrdiff_t>(count));
+  v_.assign(moments.begin() + static_cast<std::ptrdiff_t>(count), moments.end());
   return Status::Ok();
 }
 

@@ -4,6 +4,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -54,8 +55,9 @@ class Optimizer {
   // they come from the caller's config. Base implementation is stateless.
   virtual void SaveState(std::ostream& out) const;
   // Restores state written by SaveState of the same optimizer type over the
-  // same parameter list; returns an error on any mismatch.
-  virtual Status LoadState(std::istream& in);
+  // same parameter list from those bytes; returns an error (kDataLoss when the
+  // bytes are short or damaged) on any mismatch, leaving the state untouched.
+  virtual Status LoadState(std::string_view bytes);
 
   const std::vector<Variable>& params() const { return params_; }
 
@@ -76,7 +78,7 @@ class Sgd : public Optimizer {
   void Step() override;
 
   void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
+  Status LoadState(std::string_view bytes) override;
 
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
@@ -113,7 +115,7 @@ class Adam : public Optimizer {
 
   // State = step counter + first/second moments, in params() order.
   void SaveState(std::ostream& out) const override;
-  Status LoadState(std::istream& in) override;
+  Status LoadState(std::string_view bytes) override;
 
   float lr() const { return config_.lr; }
   void set_lr(float lr) { config_.lr = lr; }

@@ -42,7 +42,7 @@ ProfState& State() {
 
 // FNV-1a over the (short) op name: cheaper than std::hash<std::string> on
 // the record path, and integer-keyed map lookups beat string-keyed ones.
-uint64_t NameHash(const std::string& s) {
+uint64_t NameHash(std::string_view s) {
   uint64_t h = 1469598103934665603ull;
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
@@ -56,14 +56,14 @@ uint64_t NameHash(const std::string& s) {
 // keyed by the 64-bit name hash with an equality check on hit; the (in
 // practice never populated) string-keyed map catches hash collisions so two
 // colliding op names cannot silently merge.
-OpCell& CellFor(const std::string& op_name) {
+OpCell& CellFor(std::string_view op_name) {
   thread_local std::unordered_map<uint64_t, OpCell*> tl_fast;
   thread_local std::unordered_map<std::string, OpCell*> tl_collided;
   const uint64_t key = NameHash(op_name);
   const auto it = tl_fast.find(key);
   if (it != tl_fast.end()) {
     if (it->second->name == op_name) return *it->second;
-    const auto collided = tl_collided.find(op_name);
+    const auto collided = tl_collided.find(std::string(op_name));
     if (collided != tl_collided.end()) return *collided->second;
   }
   auto cell = std::make_shared<OpCell>();
@@ -76,7 +76,7 @@ OpCell& CellFor(const std::string& op_name) {
   if (it == tl_fast.end()) {
     tl_fast.emplace(key, cell.get());
   } else {
-    tl_collided.emplace(op_name, cell.get());
+    tl_collided.emplace(std::string(op_name), cell.get());
   }
   return *cell;
 }
@@ -89,8 +89,6 @@ void Bump(std::atomic<uint64_t>& cell, uint64_t delta) {
 void Bump(std::atomic<int64_t>& cell, int64_t delta) {
   cell.store(cell.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
 }
-
-thread_local std::vector<int64_t> tl_forward_starts;
 
 }  // namespace
 
@@ -115,30 +113,14 @@ int64_t TicksToNs(int64_t ticks) {
 int64_t TicksToNs(int64_t ticks) { return ticks; }
 #endif
 
-void PushForwardStart(int64_t start_ticks) { tl_forward_starts.push_back(start_ticks); }
-
-int64_t PopForwardStart() {
-  if (tl_forward_starts.empty()) return -1;
-  const int64_t start = tl_forward_starts.back();
-  tl_forward_starts.pop_back();
-  const int64_t ns = TicksToNs(ProfileTicksNow() - start);
-  return ns < 0 ? 0 : ns;  // -1 stays reserved for "stack was empty"
-}
-
-void UnwindForwardStarts(size_t depth) {
-  if (tl_forward_starts.size() > depth) tl_forward_starts.resize(depth);
-}
-
-size_t ForwardStackDepth() { return tl_forward_starts.size(); }
-
-void RecordForward(const std::string& op_name, int64_t ns, uint64_t bytes) {
+void RecordForward(std::string_view op_name, int64_t ns, uint64_t bytes) {
   OpCell& cell = CellFor(op_name);
   Bump(cell.forward_calls, 1);
   Bump(cell.forward_ns, ns);
   Bump(cell.forward_bytes, bytes);
 }
 
-void RecordBackward(const std::string& op_name, int64_t ns, uint64_t bytes) {
+void RecordBackward(std::string_view op_name, int64_t ns, uint64_t bytes) {
   OpCell& cell = CellFor(op_name);
   Bump(cell.backward_calls, 1);
   Bump(cell.backward_ns, ns);

@@ -1,17 +1,11 @@
-// Per-op autograd profiler. Hooked into the tape at two choke points:
-//
-//  forward — each differentiable op function in autograd/ops.cc opens with
-//    URCL_PROFILE_OP(); which pushes a start timestamp onto a thread-local
-//    stack. Variable::MakeOp (the single funnel every op result passes
-//    through) pops the innermost start, so the measured interval is
-//    [op function entry, tape-node creation] — the kernel work — keyed by
-//    the op_name the tape already carries. Ops that delegate entirely to
-//    another op (Neg -> MulScalar) attribute their time to the inner op;
-//    the timer RAII unwinds any start its MakeOp never consumed, so early
-//    returns (e.g. Dropout's identity path) cannot corrupt the stack.
-//
-//  backward — Variable::BackwardWithSeed times each node's backward closure
-//    directly; no per-op changes needed.
+// Per-op profiler. Hooked into the one place every op runs: the op
+// definition's record::OpForward and record::OpBackward (autograd/record.h)
+// time each call when ProfilerEnabled(). The tape (Apply, Backward) and the
+// compiled plan's thunks both run ops through those two functions, so they
+// charge the same per-op cells. The plan's fused gated-TCN pass, the one
+// plan thunk outside them, records its own "fused_gate" forward row.
+// Ops that delegate entirely to another op (Neg -> MulScalar) attribute
+// their time to the inner op.
 //
 // Records aggregate per op *type* (per-thread shards merged at snapshot):
 // wall ns, call count and output bytes, for each direction.
@@ -21,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/stopwatch.h"
 #include "obs/obs.h"
@@ -58,44 +53,19 @@ inline int64_t ProfileTicksNow() {
 // Converts a tick interval to nanoseconds (first call calibrates, ~2ms).
 int64_t TicksToNs(int64_t ticks);
 
-// Thread-local stack of forward start timestamps, in ProfileTicksNow units
-// (see header comment).
-void PushForwardStart(int64_t start_ticks);
-// Pops the innermost start and returns elapsed ns; -1 when the stack is
-// empty (MakeOp called outside any URCL_PROFILE_OP scope).
-int64_t PopForwardStart();
-// Unwinds the stack to `depth` (timer RAII cleanup).
-void UnwindForwardStarts(size_t depth);
-size_t ForwardStackDepth();
+// Nanoseconds since `start_ticks` (a ProfileTicksNow reading), never
+// negative.
+inline int64_t ElapsedNs(int64_t start_ticks) {
+  const int64_t ns = TicksToNs(ProfileTicksNow() - start_ticks);
+  return ns < 0 ? 0 : ns;
+}
 
-void RecordForward(const std::string& op_name, int64_t ns, uint64_t bytes);
-void RecordBackward(const std::string& op_name, int64_t ns, uint64_t bytes);
+// Adds one call of `op_name` taking `ns` and moving `bytes` (output bytes
+// forward, upstream-gradient bytes backward) to this thread's cell.
+void RecordForward(std::string_view op_name, int64_t ns, uint64_t bytes);
+void RecordBackward(std::string_view op_name, int64_t ns, uint64_t bytes);
 
 }  // namespace internal
-
-// RAII used via URCL_PROFILE_OP() at the top of each autograd op function.
-class OpTimer {
- public:
-  OpTimer() {
-    if (ProfilerEnabled()) {
-      armed_ = true;
-      depth_ = internal::ForwardStackDepth();
-      internal::PushForwardStart(internal::ProfileTicksNow());
-    }
-  }
-  ~OpTimer() {
-    if (armed_) internal::UnwindForwardStarts(depth_);
-  }
-
-  OpTimer(const OpTimer&) = delete;
-  OpTimer& operator=(const OpTimer&) = delete;
-
- private:
-  bool armed_ = false;
-  size_t depth_ = 0;
-};
-
-#define URCL_PROFILE_OP() ::urcl::obs::OpTimer urcl_profile_op_timer_
 
 // Aggregated per-op-type table, merged across threads, op name ascending.
 std::map<std::string, OpProfile> ProfilerSnapshot();

@@ -126,14 +126,18 @@ void ReplayBuffer::Serialize(std::ostream& out) const {
   }
 }
 
-Status ReplayBuffer::Deserialize(std::istream& in) {
-  const uint32_t version = io::ReadPod<uint32_t>(in);
+Status ReplayBuffer::Deserialize(std::string_view bytes) {
+  io::ByteReader in(bytes);
+  const Status truncated = Status::DataLoss("replay buffer state is truncated");
+  uint32_t version = 0;
+  if (!in.Read(&version)) return truncated;
   if (version != kBufferStateVersion && version != kBufferStateVersionNoStage) {
     return Status::Error("replay buffer state version " + std::to_string(version) +
                          " unsupported (expected " + std::to_string(kBufferStateVersion) + ")");
   }
-  const int64_t capacity = io::ReadPod<int64_t>(in);
-  const uint32_t policy = io::ReadPod<uint32_t>(in);
+  int64_t capacity = 0;
+  uint32_t policy = 0;
+  if (!in.Read(&capacity) || !in.Read(&policy)) return truncated;
   if (capacity != capacity_) {
     return Status::Error("replay buffer state capacity " + std::to_string(capacity) +
                          " does not match configured capacity " + std::to_string(capacity_));
@@ -143,21 +147,23 @@ Status ReplayBuffer::Deserialize(std::istream& in) {
                          " does not match configured policy " +
                          std::to_string(static_cast<uint32_t>(policy_)));
   }
-  const int64_t evictions = io::ReadPod<int64_t>(in);
-  const int64_t inserted = io::ReadPod<int64_t>(in);
+  int64_t evictions = 0;
+  int64_t inserted = 0;
+  if (!in.Read(&evictions) || !in.Read(&inserted)) return truncated;
   if (evictions < 0 || inserted < 0) {
     return Status::Error("replay buffer state has negative counters");
   }
-  const uint64_t rng_len = io::ReadPod<uint64_t>(in);
+  uint64_t rng_len = 0;
+  if (!in.Read(&rng_len)) return truncated;
   // mt19937_64 text state is ~7.5 KB; anything much larger is corruption.
   if (rng_len == 0 || rng_len > (1u << 20)) {
     return Status::Error("replay buffer RNG state has implausible length " +
                          std::to_string(rng_len));
   }
   std::string rng_state(rng_len, '\0');
-  in.read(rng_state.data(), static_cast<std::streamsize>(rng_len));
-  if (!in.good()) return Status::Error("replay buffer RNG state truncated");
-  const uint64_t count = io::ReadPod<uint64_t>(in);
+  if (!in.ReadBytes(rng_state.data(), rng_len)) return truncated;
+  uint64_t count = 0;
+  if (!in.Read(&count)) return truncated;
   if (count > static_cast<uint64_t>(capacity_)) {
     return Status::Error("replay buffer state holds " + std::to_string(count) +
                          " items, above capacity " + std::to_string(capacity_));
@@ -165,10 +171,15 @@ Status ReplayBuffer::Deserialize(std::istream& in) {
   std::deque<ReplayItem> items;
   for (uint64_t i = 0; i < count; ++i) {
     ReplayItem item;
-    item.inputs = LoadTensor(in);
-    item.targets = LoadTensor(in);
-    item.time_slot = io::ReadPod<int64_t>(in);
-    if (version >= kBufferStateVersion) item.stage = io::ReadPod<int64_t>(in);
+    for (Tensor* tensor : {&item.inputs, &item.targets}) {
+      const Status read = io::ReadTensor(in, tensor);
+      if (!read.ok()) {
+        return Status::DataLoss("replay buffer item " + std::to_string(i) + ": " +
+                                read.message());
+      }
+    }
+    if (!in.Read(&item.time_slot)) return truncated;
+    if (version >= kBufferStateVersion && !in.Read(&item.stage)) return truncated;
     if (item.inputs.rank() != 3 || item.targets.rank() != 3) {
       return Status::Error("replay buffer state item " + std::to_string(i) +
                            " has non rank-3 tensors");

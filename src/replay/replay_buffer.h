@@ -78,10 +78,11 @@ class ReplayBuffer {
   // counters and the reservoir RNG position — so a restored buffer continues
   // the eviction stream bit-for-bit.
   void Serialize(std::ostream& out) const;
-  // Restores state written by Serialize into a buffer constructed with the
-  // same capacity/policy; returns an error on any mismatch or implausible
-  // field instead of clobbering the live buffer.
-  Status Deserialize(std::istream& in);
+  // Restores state written by Serialize, from those bytes, into a buffer
+  // constructed with the same capacity/policy; returns an error (kDataLoss
+  // when the bytes are short or damaged) on any mismatch or implausible field
+  // instead of clobbering the live buffer.
+  Status Deserialize(std::string_view bytes);
 
  private:
   int64_t capacity_;

@@ -3,23 +3,17 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace urcl {
 namespace serve {
 
-std::vector<std::string> AdmissionConfig::Validate() const {
-  std::vector<std::string> errors;
-  if (!(canary_abs_bound > 0.0f)) {
-    errors.push_back("canary_abs_bound must be > 0");
-  }
-  return errors;
-}
+namespace {
 
+// Gates 2-4 over a container that passed gate 1.
 Status AdmitSnapshot(const checkpoint::Container& container, const core::UrclConfig& config,
                      const AdmissionConfig& admission, const Tensor& probe_window,
                      const Tensor& adjacency, std::shared_ptr<const ModelSnapshot>* out) {
-  if (out == nullptr) return Status::InvalidArgument("AdmitSnapshot: null output snapshot");
-
   // Gate 2: schema/architecture parse.
   std::shared_ptr<const ModelSnapshot> snapshot;
   {
@@ -29,14 +23,12 @@ Status AdmitSnapshot(const checkpoint::Container& container, const core::UrclCon
 
   // Gate 3: all-finite weight scan. A snapshot whose parameters already hold
   // NaN/Inf can only ever produce garbage; reject it before it serves.
-  if (admission.scan_weights) {
-    const std::vector<Tensor> state = snapshot->model->StateDict();
-    for (size_t i = 0; i < state.size(); ++i) {
-      if (!state[i].AllFinite()) {
-        return Status::DataLoss("snapshot v" + std::to_string(snapshot->version) +
-                                " rejected: parameter tensor " + std::to_string(i) +
-                                " holds non-finite values");
-      }
+  const std::vector<Tensor> state = snapshot->model->StateDict();
+  for (size_t i = 0; i < state.size(); ++i) {
+    if (!state[i].AllFinite()) {
+      return Status::DataLoss("snapshot v" + std::to_string(snapshot->version) +
+                              " rejected: parameter tensor " + std::to_string(i) +
+                              " holds non-finite values");
     }
   }
 
@@ -54,11 +46,10 @@ Status AdmitSnapshot(const checkpoint::Container& container, const core::UrclCon
     const float* data = canary.data();
     const int64_t count = canary.NumElements();
     for (int64_t i = 0; i < count; ++i) {
-      if (std::fabs(data[i]) > admission.canary_abs_bound) {
-        return Status::DataLoss(
-            "snapshot v" + std::to_string(snapshot->version) +
-            " rejected: canary output " + std::to_string(data[i]) +
-            " outside |y| <= " + std::to_string(admission.canary_abs_bound));
+      if (std::fabs(data[i]) > kCanaryAbsBound) {
+        return Status::DataLoss("snapshot v" + std::to_string(snapshot->version) +
+                                " rejected: canary output " + std::to_string(data[i]) +
+                                " outside |y| <= " + std::to_string(kCanaryAbsBound));
       }
     }
   }
@@ -67,9 +58,12 @@ Status AdmitSnapshot(const checkpoint::Container& container, const core::UrclCon
   return Status::Ok();
 }
 
+}  // namespace
+
 Status AdmitSnapshotBytes(const std::string& bytes, const core::UrclConfig& config,
                           const AdmissionConfig& admission, const Tensor& probe_window,
                           const Tensor& adjacency, std::shared_ptr<const ModelSnapshot>* out) {
+  if (out == nullptr) return Status::InvalidArgument("AdmitSnapshotBytes: null output snapshot");
   // Gate 1: container integrity — magic, section structure, per-section and
   // whole-body CRC32 (reused from src/checkpoint/).
   checkpoint::Container container;

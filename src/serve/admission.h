@@ -12,15 +12,16 @@
 //                   presence and architecture (tensor-count) agreement;
 //   3. weight scan — every parameter tensor is finite;
 //   4. canary     — one inference on a pinned probe window must produce an
-//                   all-finite output within |y| <= canary_abs_bound
+//                   all-finite output within |y| <= kCanaryAbsBound
 //                   (normalized space), so weights that are finite but
 //                   explosive are caught before live traffic sees them.
+//
+// Gates 1-3 always run; only the canary can be switched off.
 #ifndef URCL_SERVE_ADMISSION_H_
 #define URCL_SERVE_ADMISSION_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "checkpoint/container.h"
 #include "common/status.h"
@@ -31,41 +32,24 @@
 namespace urcl {
 namespace serve {
 
-// Which gates run and the canary bounds. Every gate defaults on; tests and
-// deliberately permissive deployments can switch individual gates off.
+// Canary output bound: |y| above this (in normalized space) fails the canary.
+// Normalized targets live in [0, 1]; the bound leaves generous headroom for
+// extrapolation while catching runaway weights.
+inline constexpr float kCanaryAbsBound = 1e3f;
+
 struct AdmissionConfig {
-  // Serialize + reparse the container so the checkpoint CRC/section checks
-  // run even for in-memory publishes (the honest check for snapshots that
-  // cross a file or network boundary).
-  bool verify_integrity = true;
-
-  // Reject snapshots with any non-finite parameter.
-  bool scan_weights = true;
-
   // Reject snapshots whose canary inference is non-finite or out of bounds.
+  // Every production path keeps it on; tests switch it off to let an
+  // explosive version go live.
   bool run_canary = true;
-
-  // Canary output bound: |y| above this (in normalized space) fails the
-  // canary. Normalized targets live in [0, 1]; the default leaves generous
-  // headroom for extrapolation while catching runaway weights.
-  float canary_abs_bound = 1e3f;
-
-  // Human-readable message per invalid field; empty when usable.
-  std::vector<std::string> Validate() const;
 };
 
-// Runs a parsed container through gates 2-4 (integrity is only meaningful on
-// bytes; use AdmitSnapshotBytes for gate 1). `probe_window` is the pinned
-// canary input [1, M, N, C]; `adjacency` the dense [N, N] graph handed to
-// inference. On success *out holds the validated snapshot, ready to publish.
-// Failures come back as typed statuses: kDataLoss for corrupt/non-finite
-// content, kInvalidArgument/kUnknown for schema and architecture mismatches.
-Status AdmitSnapshot(const checkpoint::Container& container, const core::UrclConfig& config,
-                     const AdmissionConfig& admission, const Tensor& probe_window,
-                     const Tensor& adjacency, std::shared_ptr<const ModelSnapshot>* out);
-
-// Bytes entry point: gate 1 (Container::Parse — magic, CRCs, section
-// structure) then AdmitSnapshot on the parsed container.
+// Runs published snapshot bytes through all four gates. `probe_window` is the
+// pinned canary input [1, M, N, C]; `adjacency` the dense [N, N] graph handed
+// to inference. On success *out holds the validated snapshot, ready to
+// publish. Failures come back as typed statuses: kDataLoss for corrupt or
+// non-finite content, kInvalidArgument/kUnknown for schema and architecture
+// mismatches.
 Status AdmitSnapshotBytes(const std::string& bytes, const core::UrclConfig& config,
                           const AdmissionConfig& admission, const Tensor& probe_window,
                           const Tensor& adjacency, std::shared_ptr<const ModelSnapshot>* out);

@@ -68,10 +68,6 @@ std::vector<std::string> ServiceConfig::Validate() const {
   }
   if (max_batch < 1) errors.push_back("max_batch must be >= 1");
   if (queue_depth < 1) errors.push_back("queue_depth must be >= 1");
-  if (snapshot_poll_every < 1) {
-    errors.push_back("snapshot_poll_every must be >= 1 (1 = poll on every query)");
-  }
-  for (const std::string& error : admission.Validate()) errors.push_back("admission: " + error);
   for (const std::string& error : health.Validate()) errors.push_back("health: " + error);
   if (history_depth < 0) errors.push_back("history_depth must be >= 0 (0 = rollback off)");
   if (default_deadline_ns < 0) {
@@ -117,23 +113,17 @@ core::UrclTrainer::SnapshotSink ForecastService::SnapshotSink() {
                        ? CurrentWindow()
                        : Tensor(Shape{1, window_steps_, num_nodes_, num_channels_});
 
-    std::shared_ptr<const ModelSnapshot> snapshot;
-    Status status = Status::Ok();
-    if (config_.admission.verify_integrity) {
-      // Serialize + reparse so the checkpoint CRC/section checks run even
-      // for in-memory publishes. This is also the chaos harness's corruption
-      // point: serve_bitflip faults flip one byte "in transit".
-      std::string bytes = container.SerializeToString();
-      auto& injector = fault::FaultInjector::Instance();
-      if (!bytes.empty() && injector.NextSnapshotBitflipped()) {
-        bytes[injector.PickByte(bytes.size())] ^= 0x04;
-      }
-      status = AdmitSnapshotBytes(bytes, config_.model, config_.admission, probe, adjacency_,
-                                  &snapshot);
-    } else {
-      status = AdmitSnapshot(container, config_.model, config_.admission, probe, adjacency_,
-                             &snapshot);
+    // Serialize + reparse so the checkpoint CRC/section checks run even for
+    // in-memory publishes. This is also the chaos harness's corruption point:
+    // serve_bitflip faults flip one byte "in transit".
+    std::string bytes = container.SerializeToString();
+    auto& injector = fault::FaultInjector::Instance();
+    if (!bytes.empty() && injector.NextSnapshotBitflipped()) {
+      bytes[injector.PickByte(bytes.size())] ^= 0x04;
     }
+    std::shared_ptr<const ModelSnapshot> snapshot;
+    const Status status = AdmitSnapshotBytes(bytes, config_.model, config_.admission, probe,
+                                             adjacency_, &snapshot);
 
     if (!status.ok()) {
       // Quarantine: count, log, and keep the incumbent version live. A bad
@@ -255,19 +245,6 @@ Tensor ForecastService::Forward(const ModelSnapshot& snapshot, const Tensor& inp
   return run.compiled() ? run.value().Clone() : run.value();
 }
 
-std::shared_ptr<const ModelSnapshot> ForecastService::AcquireSnapshot() const {
-  if (config_.snapshot_poll_every <= 1) return hub_.Current();
-  const int64_t seq = query_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (seq % config_.snapshot_poll_every == 0) {
-    std::shared_ptr<const ModelSnapshot> fresh = hub_.Current();
-    cached_snapshot_.store(fresh, std::memory_order_release);
-    return fresh;
-  }
-  std::shared_ptr<const ModelSnapshot> cached =
-      cached_snapshot_.load(std::memory_order_acquire);
-  return cached != nullptr ? cached : hub_.Current();
-}
-
 void ForecastService::AttemptRollback(int64_t observed_version) const {
   MutexLock lock(rollback_mu_);
   const std::shared_ptr<const ModelSnapshot> current = hub_.Current();
@@ -281,7 +258,6 @@ void ForecastService::AttemptRollback(int64_t observed_version) const {
                  "[urcl.serve] error spike on snapshot v%lld: rolled back to v%lld\n",
                  static_cast<long long>(observed_version),
                  static_cast<long long>(restored->version));
-    cached_snapshot_.store(restored, std::memory_order_release);
     health_.OnSwap(MonotonicNowNs());
     Metrics().rollbacks.Add();
     Metrics().model_version.Set(static_cast<double>(restored->version));
@@ -406,9 +382,10 @@ Status ForecastService::Predict(const core::PredictRequest& request,
       return Status::InvalidArgument("Predict: inputs must be [B, M, N, C], got rank " +
                                      std::to_string(request.inputs.rank()));
     }
-    if (request.inputs.dim(0) > config_.max_batch) {
+    if (request.inputs.dim(0) < 1 || request.inputs.dim(0) > config_.max_batch) {
       return Status::InvalidArgument("Predict: batch " + std::to_string(request.inputs.dim(0)) +
-                                     " exceeds max_batch " + std::to_string(config_.max_batch));
+                                     " is outside [1, max_batch " +
+                                     std::to_string(config_.max_batch) + "]");
     }
     // Any other window length, node count or channel count would abort the
     // encoder.
@@ -464,7 +441,7 @@ Status ForecastService::Predict(const core::PredictRequest& request,
     return status;
   }
 
-  const std::shared_ptr<const ModelSnapshot> snapshot = AcquireSnapshot();
+  const std::shared_ptr<const ModelSnapshot> snapshot = hub_.Current();
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("no model snapshot published yet");
   }

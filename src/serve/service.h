@@ -71,13 +71,7 @@ struct ServiceConfig {
   // urcl.serve.rejected) rather than queued without bound.
   int64_t queue_depth = 256;
 
-  // Snapshot poll policy: re-read the hub's current version every Nth query
-  // (1 = every query). Larger values trade bounded staleness — at most N-1
-  // queries on the retiring version after a swap — for fewer shared-pointer
-  // acquisitions on the hot path.
-  int64_t snapshot_poll_every = 1;
-
-  // Which admission gates a published snapshot must pass before going live.
+  // Whether a published snapshot must also pass the canary gate.
   AdmissionConfig admission;
 
   // Thresholds of the health state machine (error window, rollback trigger,
@@ -200,8 +194,6 @@ class ForecastService {
   // health_transition event when `state` differs from the last state this
   // service observed, and auto-dumps on the transition into LAME_DUCK.
   void NoteHealthState(HealthState state) const;
-  // Acquires the snapshot for one query, honoring snapshot_poll_every.
-  std::shared_ptr<const ModelSnapshot> AcquireSnapshot() const;
 
   // Serializes `observed_version`'s removal: rolls the hub back to the
   // previous version (resetting the health window) or, when no history
@@ -250,10 +242,6 @@ class ForecastService {
   // hands it back. Plans take the weights as inputs, so they serve every
   // snapshot and survive hot-swaps.
   mutable exec::PlanCache serve_plans_;
-
-  // Cached snapshot for snapshot_poll_every > 1 (refreshed every Nth query).
-  mutable std::atomic<std::shared_ptr<const ModelSnapshot>> cached_snapshot_;
-  mutable std::atomic<int64_t> query_seq_{0};
 
   // Last health state this service observed (int of HealthState), for flight
   // recorder transition events. Evaluate() computes state on the fly; this

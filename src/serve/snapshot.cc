@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,22 +32,25 @@ Status ParseModelSnapshot(const checkpoint::Container& container,
   if (meta_bytes == nullptr) {
     return Status::DataLoss("snapshot container is missing the serve_meta section");
   }
-  // Fixed layout: uint32 schema + int64 {version, stage, step_count}. Size is
-  // checked up front because io::ReadPod aborts on truncation.
+  // Fixed layout: uint32 schema + int64 {version, stage, step_count}.
   constexpr size_t kMetaSize = sizeof(uint32_t) + 3 * sizeof(int64_t);
   if (meta_bytes->size() != kMetaSize) {
     return Status::DataLoss("serve_meta section has unexpected size " +
                             std::to_string(meta_bytes->size()));
   }
-  std::istringstream meta(*meta_bytes);
-  const uint32_t schema = io::ReadPod<uint32_t>(meta);
+  io::ByteReader meta(*meta_bytes);
+  uint32_t schema = 0;
+  int64_t version = 0;
+  int64_t stage = 0;
+  int64_t step_count = 0;
+  meta.Read(&schema);
   if (schema != kSupportedServeMetaVersion) {
     return Status::InvalidArgument("unsupported serve_meta schema version " +
                                    std::to_string(schema));
   }
-  const int64_t version = io::ReadPod<int64_t>(meta);
-  const int64_t stage = io::ReadPod<int64_t>(meta);
-  const int64_t step_count = io::ReadPod<int64_t>(meta);
+  meta.Read(&version);
+  meta.Read(&stage);
+  meta.Read(&step_count);
 
   const std::string* model_bytes = container.Find("model");
   if (model_bytes == nullptr) {

@@ -1,9 +1,10 @@
 #include "tensor/serialize.h"
 
-#include <cstdint>
-#include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 
@@ -16,42 +17,14 @@ void WritePod(std::ostream& out, T value) {
   URCL_CHECK(out.good()) << "stream write failed";
 }
 
-template <typename T>
-T ReadPod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  URCL_CHECK(in.good()) << "tensor stream truncated";
-  return value;
-}
-
 // Explicit instantiations for the POD types the checkpoint encoders use.
 template void WritePod<uint32_t>(std::ostream&, uint32_t);
 template void WritePod<uint64_t>(std::ostream&, uint64_t);
 template void WritePod<int64_t>(std::ostream&, int64_t);
 template void WritePod<float>(std::ostream&, float);
 template void WritePod<double>(std::ostream&, double);
-template uint32_t ReadPod<uint32_t>(std::istream&);
-template uint64_t ReadPod<uint64_t>(std::istream&);
-template int64_t ReadPod<int64_t>(std::istream&);
-template float ReadPod<float>(std::istream&);
-template double ReadPod<double>(std::istream&);
-
-int64_t StreamRemaining(std::istream& in) {
-  const std::streampos pos = in.tellg();
-  if (pos < 0) return -1;
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.seekg(pos);
-  if (end < 0 || !in.good()) return -1;
-  return static_cast<int64_t>(end - pos);
-}
-
-}  // namespace io
 
 namespace {
-
-using io::ReadPod;
-using io::WritePod;
 
 // 2^40 elements (4 TiB of float32) — far above any real tensor; guards the
 // element-count product against int64 overflow from hostile dim fields.
@@ -59,73 +32,65 @@ constexpr int64_t kMaxElements = int64_t{1} << 40;
 
 }  // namespace
 
+Status ReadTensor(ByteReader& in, Tensor* out) {
+  uint32_t magic = 0;
+  int64_t rank = 0;
+  if (!in.Read(&magic)) return Status::DataLoss("tensor stream truncated before its magic");
+  if (magic != kTensorMagic) return Status::DataLoss("bad tensor magic");
+  if (!in.Read(&rank)) return Status::DataLoss("tensor stream truncated before its rank");
+  if (rank < 0 || rank > 16) {
+    return Status::DataLoss("implausible tensor rank " + std::to_string(rank));
+  }
+  const auto header_bytes = static_cast<size_t>(rank) * sizeof(int64_t);
+  if (in.remaining() < header_bytes) {
+    return Status::DataLoss("tensor stream truncated: rank " + std::to_string(rank) +
+                            " needs " + std::to_string(header_bytes) +
+                            " header bytes but only " + std::to_string(in.remaining()) +
+                            " remain");
+  }
+  std::vector<int64_t> dims(static_cast<size_t>(rank));
+  int64_t elements = 1;
+  for (int64_t& d : dims) {
+    in.Read(&d);
+    if (d < 0) return Status::DataLoss("negative tensor dim " + std::to_string(d));
+    if (d != 0 && elements > kMaxElements / d) {
+      return Status::DataLoss("tensor header dims overflow (dim " + std::to_string(d) + ")");
+    }
+    elements *= d;
+  }
+  const auto payload_bytes = static_cast<size_t>(elements) * sizeof(float);
+  if (in.remaining() < payload_bytes) {
+    return Status::DataLoss("tensor data truncated: header claims " +
+                            std::to_string(payload_bytes) + " bytes but only " +
+                            std::to_string(in.remaining()) + " remain");
+  }
+  Tensor tensor = Tensor::Uninitialized(Shape(std::move(dims)));
+  in.ReadBytes(tensor.mutable_data(), payload_bytes);
+  *out = std::move(tensor);
+  return Status::Ok();
+}
+
+}  // namespace io
+
 void SaveTensor(const Tensor& tensor, std::ostream& out) {
-  WritePod(out, kTensorMagic);
-  WritePod(out, static_cast<int64_t>(tensor.rank()));
-  for (const int64_t d : tensor.shape().dims()) WritePod(out, d);
+  io::WritePod(out, kTensorMagic);
+  io::WritePod(out, static_cast<int64_t>(tensor.rank()));
+  for (const int64_t d : tensor.shape().dims()) io::WritePod(out, d);
   out.write(reinterpret_cast<const char*>(tensor.data()),
             static_cast<std::streamsize>(tensor.NumElements() * sizeof(float)));
   URCL_CHECK(out.good()) << "tensor write failed";
 }
 
 Tensor LoadTensor(std::istream& in) {
-  const uint32_t magic = ReadPod<uint32_t>(in);
-  URCL_CHECK_EQ(magic, kTensorMagic) << "bad tensor magic";
-  const int64_t rank = ReadPod<int64_t>(in);
-  URCL_CHECK(rank >= 0 && rank <= 16) << "implausible tensor rank " << rank;
-
-  // Validate the header against the bytes actually present before allocating:
-  // a corrupt dim field must not trigger a huge allocation or a short read.
-  const int64_t remaining_header = io::StreamRemaining(in);
-  URCL_CHECK(remaining_header < 0 ||
-             remaining_header >= rank * static_cast<int64_t>(sizeof(int64_t)))
-      << "tensor stream truncated: rank " << rank << " needs "
-      << rank * static_cast<int64_t>(sizeof(int64_t)) << " header bytes but only "
-      << remaining_header << " remain";
-
-  std::vector<int64_t> dims(static_cast<size_t>(rank));
-  int64_t elements = 1;
-  for (auto& d : dims) {
-    d = ReadPod<int64_t>(in);
-    URCL_CHECK_GE(d, 0);
-    URCL_CHECK(d == 0 || elements <= kMaxElements / d)
-        << "tensor header dims overflow (dim " << d << ")";
-    elements *= d;
-  }
-  const int64_t payload_bytes = elements * static_cast<int64_t>(sizeof(float));
-  const int64_t remaining = io::StreamRemaining(in);
-  URCL_CHECK(remaining < 0 || payload_bytes <= remaining)
-      << "tensor data truncated: header claims " << payload_bytes << " bytes but only "
-      << remaining << " remain";
-
-  Tensor tensor{Shape(dims)};
-  in.read(reinterpret_cast<char*>(tensor.mutable_data()),
-          static_cast<std::streamsize>(payload_bytes));
-  URCL_CHECK(in.good() || (payload_bytes == 0 && !in.bad())) << "tensor data truncated";
+  const std::string rest{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  io::ByteReader reader(rest);
+  Tensor tensor;
+  const Status status = io::ReadTensor(reader, &tensor);
+  URCL_CHECK(status.ok()) << status.message();
+  // Hand the bytes after this tensor back to the stream.
+  in.clear();
+  in.seekg(-static_cast<std::streamoff>(reader.remaining()), std::ios::cur);
   return tensor;
-}
-
-void SaveTensors(const std::vector<Tensor>& tensors, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  URCL_CHECK(out.is_open()) << "cannot open " << path << " for writing";
-  WritePod(out, static_cast<int64_t>(tensors.size()));
-  for (const Tensor& t : tensors) SaveTensor(t, out);
-}
-
-std::vector<Tensor> LoadTensors(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  URCL_CHECK(in.is_open()) << "cannot open " << path << " for reading";
-  const int64_t count = ReadPod<int64_t>(in);
-  // Every tensor occupies at least magic + rank = 12 bytes; a corrupt count
-  // field cannot pass this bound.
-  const int64_t remaining = io::StreamRemaining(in);
-  URCL_CHECK(count >= 0 && (remaining < 0 || count <= remaining / 12))
-      << "bad tensor count " << count << " for " << remaining << " remaining bytes in "
-      << path;
-  std::vector<Tensor> tensors;
-  tensors.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) tensors.push_back(LoadTensor(in));
-  return tensors;
 }
 
 }  // namespace urcl

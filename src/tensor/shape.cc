@@ -45,17 +45,25 @@ std::string Shape::ToString() const {
   return out.str();
 }
 
-Shape BroadcastShapes(const Shape& a, const Shape& b) {
+bool TryBroadcastShapes(const Shape& a, const Shape& b, Shape* out) {
   const int64_t rank = std::max(a.rank(), b.rank());
   std::vector<int64_t> dims(static_cast<size_t>(rank), 1);
   for (int64_t i = 0; i < rank; ++i) {
     const int64_t da = i < a.rank() ? a.dim(a.rank() - 1 - i) : 1;
     const int64_t db = i < b.rank() ? b.dim(b.rank() - 1 - i) : 1;
-    URCL_CHECK(da == db || da == 1 || db == 1)
-        << "cannot broadcast " << a.ToString() << " with " << b.ToString();
-    dims[static_cast<size_t>(rank - 1 - i)] = std::max(da, db);
+    if (da != db && da != 1 && db != 1) return false;
+    // The non-1 extent wins, so an empty axis stays empty against a 1.
+    dims[static_cast<size_t>(rank - 1 - i)] = da == 1 ? db : da;
   }
-  return Shape(std::move(dims));
+  *out = Shape(std::move(dims));
+  return true;
+}
+
+Shape BroadcastShapes(const Shape& a, const Shape& b) {
+  Shape out;
+  const bool compatible = TryBroadcastShapes(a, b, &out);
+  URCL_CHECK(compatible) << "cannot broadcast " << a.ToString() << " with " << b.ToString();
+  return out;
 }
 
 bool IsBroadcastableTo(const Shape& from, const Shape& to) {

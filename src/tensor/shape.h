@@ -39,7 +39,12 @@ class Shape {
   std::vector<int64_t> dims_;
 };
 
-// NumPy-style broadcast of two shapes; aborts if incompatible.
+// NumPy-style broadcast of two shapes into *out: per axis the extents must
+// match or one must be 1, and the other extent wins (so 0 against 1 is 0).
+// Returns false, leaving *out untouched, when the shapes are incompatible.
+bool TryBroadcastShapes(const Shape& a, const Shape& b, Shape* out);
+
+// TryBroadcastShapes that aborts when the shapes are incompatible.
 Shape BroadcastShapes(const Shape& a, const Shape& b);
 
 // True when `from` can broadcast to `to`.

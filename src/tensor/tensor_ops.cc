@@ -30,19 +30,6 @@ std::vector<int64_t> CanonicalAxes(const Shape& shape, const std::vector<int64_t
   return result;
 }
 
-Shape ReducedShape(const Shape& shape, const std::vector<int64_t>& axes, bool keepdims) {
-  std::vector<int64_t> dims;
-  for (int64_t i = 0; i < shape.rank(); ++i) {
-    const bool reduced = std::binary_search(axes.begin(), axes.end(), i);
-    if (reduced) {
-      if (keepdims) dims.push_back(1);
-    } else {
-      dims.push_back(shape.dim(i));
-    }
-  }
-  return Shape(std::move(dims));
-}
-
 // Generic reduction: combine with `fn`, starting at `init`; optional
 // post-scale (for Mean). Output-major so it parallelizes over output slots:
 // each slot accumulates its reduced elements in increasing input-offset
@@ -403,6 +390,19 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
 }
 Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
   return detail::UnaryElementwise(a, fn);
+}
+
+Shape ReducedShape(const Shape& shape, const std::vector<int64_t>& axes, bool keepdims) {
+  const std::vector<int64_t> reduced = CanonicalAxes(shape, axes);
+  std::vector<int64_t> dims;
+  for (int64_t i = 0; i < shape.rank(); ++i) {
+    if (std::binary_search(reduced.begin(), reduced.end(), i)) {
+      if (keepdims) dims.push_back(1);
+    } else {
+      dims.push_back(shape.dim(i));
+    }
+  }
+  return Shape(std::move(dims));
 }
 
 Tensor Sum(const Tensor& a, const std::vector<int64_t>& axes, bool keepdims) {

@@ -71,6 +71,10 @@ Tensor Mean(const Tensor& a, const std::vector<int64_t>& axes = {}, bool keepdim
 Tensor Max(const Tensor& a, const std::vector<int64_t>& axes = {}, bool keepdims = false);
 Tensor Min(const Tensor& a, const std::vector<int64_t>& axes = {}, bool keepdims = false);
 
+// Output shape of those reductions of `shape` over `axes` (empty = all axes;
+// negative axes count from the back). Aborts on an out-of-range axis.
+Shape ReducedShape(const Shape& shape, const std::vector<int64_t>& axes, bool keepdims);
+
 // Sums `a` down so the result has shape `target` (inverse of broadcasting).
 Tensor ReduceTo(const Tensor& a, const Shape& target);
 

@@ -150,8 +150,8 @@ TEST_F(GraphChecksTest, LintReportsStaleCaptureNonFatally) {
 TEST_F(GraphChecksTest, LintFlagsArityMismatch) {
   // Seeded defect: a binary 'mul' recorded with a single parent.
   ag::Variable x(Tensor::Ones(Shape{2}), /*requires_grad=*/true);
-  ag::Variable bad = ag::Variable::MakeOp(Tensor::Ones(Shape{2}), "mul", {x},
-                                          [](const Tensor&) {});
+  ag::Variable bad =
+      ag::Variable::MakeOp(Tensor::Ones(Shape{2}), ag::record::OpKind::kMul, {x}, {});
   const std::vector<ag::LintIssue> issues = ag::LintGraph(bad);
   EXPECT_TRUE(HasRule(issues, "arity")) << ag::FormatLintIssues(issues);
 }
@@ -161,8 +161,30 @@ TEST_F(GraphChecksTest, LintFlagsShapeMismatch) {
   // parents — backward would feed AccumulateGrad a mismatched gradient.
   ag::Variable a(Tensor::Ones(Shape{2, 3}), /*requires_grad=*/true);
   ag::Variable b(Tensor::Ones(Shape{2, 3}), /*requires_grad=*/true);
-  ag::Variable bad = ag::Variable::MakeOp(Tensor::Ones(Shape{4}), "add", {a, b},
-                                          [](const Tensor&) {});
+  ag::Variable bad =
+      ag::Variable::MakeOp(Tensor::Ones(Shape{4}), ag::record::OpKind::kAdd, {a, b}, {});
+  const std::vector<ag::LintIssue> issues = ag::LintGraph(bad);
+  EXPECT_TRUE(HasRule(issues, "shape")) << ag::FormatLintIssues(issues);
+}
+
+TEST_F(GraphChecksTest, LintChecksTransposeShapeAgainstItsPerm) {
+  // Seeded defect: a 'transpose' by perm {1, 0} whose value keeps its
+  // parent's [2, 3] shape instead of [3, 2].
+  ag::Variable x(Tensor::Ones(Shape{2, 3}), /*requires_grad=*/true);
+  ag::Variable bad = ag::Variable::MakeOp(Tensor::Ones(Shape{2, 3}),
+                                          ag::record::OpKind::kTranspose, {x}, {.ints = {1, 0}});
+  const std::vector<ag::LintIssue> issues = ag::LintGraph(bad);
+  EXPECT_TRUE(HasRule(issues, "shape")) << ag::FormatLintIssues(issues);
+}
+
+TEST_F(GraphChecksTest, LintChecksTemporalConvTimeExtent) {
+  // Seeded defect: input [1, 2, 3, 7] convolved by a width-2 kernel at
+  // dilation 2 leaves 7 - 2 = 5 steps, but the value claims 6.
+  ag::Variable input(Tensor::Ones(Shape{1, 2, 3, 7}), /*requires_grad=*/true);
+  ag::Variable weight(Tensor::Ones(Shape{4, 2, 1, 2}), /*requires_grad=*/true);
+  ag::Variable bad =
+      ag::Variable::MakeOp(Tensor::Ones(Shape{1, 4, 3, 6}), ag::record::OpKind::kTemporalConv2d,
+                           {input, weight}, {.axis = 2});
   const std::vector<ag::LintIssue> issues = ag::LintGraph(bad);
   EXPECT_TRUE(HasRule(issues, "shape")) << ag::FormatLintIssues(issues);
 }

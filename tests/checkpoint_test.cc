@@ -264,8 +264,7 @@ TEST(StateRoundTripTest, AdamContinuesBitwise) {
   a.SaveState(saved);
   nn::Adam b(params_b, 0.01f);
   for (size_t i = 0; i < params_b.size(); ++i) params_b[i].SetValue(params_a[i].value().Clone());
-  std::istringstream in(saved.str());
-  ASSERT_TRUE(b.LoadState(in).ok());
+  ASSERT_TRUE(b.LoadState(saved.str()).ok());
   EXPECT_EQ(b.step_count(), a.step_count());
 
   for (int i = 0; i < 5; ++i) {
@@ -294,8 +293,7 @@ TEST(StateRoundTripTest, AdamRejectsMismatchedState) {
       autograd::Variable(Tensor::RandomNormal(Shape{2, 2}, rng), true),
       autograd::Variable(Tensor::RandomNormal(Shape{3}, rng), true)};
   nn::Adam b(other, 0.01f);
-  std::istringstream in(saved.str());
-  const Status status = b.LoadState(in);
+  const Status status = b.LoadState(saved.str());
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("parameters"), std::string::npos) << status.message();
 }
@@ -319,8 +317,7 @@ TEST(StateRoundTripTest, ReplayBufferContinuesBitwise) {
   std::ostringstream saved;
   a.Serialize(saved);
   replay::ReplayBuffer b(8, replay::BufferPolicy::kReservoir, 1);  // different seed
-  std::istringstream in(saved.str());
-  ASSERT_TRUE(b.Deserialize(in).ok());
+  ASSERT_TRUE(b.Deserialize(saved.str()).ok());
 
   EXPECT_EQ(b.size(), a.size());
   EXPECT_EQ(b.inserted(), a.inserted());
@@ -351,8 +348,7 @@ TEST(StateRoundTripTest, ReplayBufferRejectsCapacityMismatch) {
   std::ostringstream saved;
   a.Serialize(saved);
   replay::ReplayBuffer b(16, replay::BufferPolicy::kReservoir, 1);
-  std::istringstream in(saved.str());
-  const Status status = b.Deserialize(in);
+  const Status status = b.Deserialize(saved.str());
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("capacity"), std::string::npos) << status.message();
 }
@@ -626,6 +622,68 @@ TEST_F(TrainerCheckpointTest, SeedMismatchIsRejected) {
   const Status status = restored.RestoreFromCheckpointDir(nullptr);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("seed"), std::string::npos) << status.message();
+}
+
+// A newest checkpoint whose CRCs pass but whose section is cut in half is
+// rejected with a diagnostic naming that section, and restore falls back to
+// the older checkpoint: the trainer ends in exactly the state a restore of
+// that intact checkpoint gives.
+TEST_F(TrainerCheckpointTest, TruncatedSectionFallsBackToOlderCheckpoint) {
+  ProtocolFixture f = MakeProtocolFixture(6, 31);
+  const std::string train_dir = ScratchDir("truncated_train");
+  {
+    core::UrclTrainer trainer(TinyConfig(6), f.generator->network());
+    trainer.EnableCheckpointing({train_dir, 3, 3});
+    trainer.TrainStage(f.stream->Stage(0).train, 1);
+  }
+  checkpoint::Container intact;
+  ASSERT_TRUE(checkpoint::CheckpointManager({train_dir, 3, "ckpt"})
+                  .LoadNewestValid(&intact, nullptr)
+                  .ok());
+
+  // Restores a fresh trainer from `dir` and returns its full state, as the
+  // sections of a checkpoint it writes right after.
+  const auto restored_state = [&f](const std::string& dir, std::string* diagnostics) {
+    core::UrclTrainer trainer(TinyConfig(6), f.generator->network());
+    trainer.EnableCheckpointing({dir, 3, 3});
+    const Status restored = trainer.RestoreFromCheckpointDir(diagnostics);
+    EXPECT_TRUE(restored.ok()) << restored.ToString() << "\n" << *diagnostics;
+    EXPECT_TRUE(trainer.SaveFullCheckpoint().ok());
+    checkpoint::Container state;
+    EXPECT_TRUE(
+        checkpoint::CheckpointManager({dir, 3, "ckpt"}).LoadNewestValid(&state, nullptr).ok());
+    return state.sections();
+  };
+
+  const std::string reference_dir = ScratchDir("truncated_reference");
+  ASSERT_TRUE(checkpoint::CheckpointManager({reference_dir, 3, "ckpt"}).Save(intact).ok());
+  std::string reference_diagnostics;
+  const std::vector<checkpoint::Section> reference =
+      restored_state(reference_dir, &reference_diagnostics);
+  EXPECT_TRUE(reference_diagnostics.empty()) << reference_diagnostics;
+
+  int case_index = 0;
+  for (const std::string section : {"meta", "model", "optimizer", "rng", "buffer"}) {
+    SCOPED_TRACE(section);
+    checkpoint::Container cut;
+    for (const checkpoint::Section& s : intact.sections()) {
+      cut.Add(s.name, s.name == section ? s.payload.substr(0, s.payload.size() / 2) : s.payload);
+    }
+    const std::string dir = ScratchDir("truncated_" + std::to_string(case_index++));
+    {
+      checkpoint::CheckpointManager manager({dir, 3, "ckpt"});
+      ASSERT_TRUE(manager.Save(intact).ok());
+      ASSERT_TRUE(manager.Save(cut).ok());  // newest, CRC-valid, one section short
+    }
+    std::string diagnostics;
+    const std::vector<checkpoint::Section> state = restored_state(dir, &diagnostics);
+    EXPECT_NE(diagnostics.find(section + " section"), std::string::npos) << diagnostics;
+    ASSERT_EQ(state.size(), reference.size());
+    for (size_t i = 0; i < state.size(); ++i) {
+      EXPECT_EQ(state[i].name, reference[i].name);
+      EXPECT_TRUE(state[i].payload == reference[i].payload) << state[i].name << " differs";
+    }
+  }
 }
 
 TEST_F(TrainerCheckpointTest, NanInjectionQuarantinesAndKeepsLossFinite) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/lint.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "core/urcl.h"
@@ -384,7 +385,8 @@ std::vector<OpCase> EveryOpCases() {
 // graph uses: capture with backward, replay twice, and memcmp the root and
 // every input gradient. Each op reads inputs that are themselves op outputs,
 // so a liveness fact that lets the plan drop a value its backward reads
-// aborts here with the op's name.
+// aborts here with the op's name. The tape graph must also lint clean, so
+// every op's shape rule is checked against its kernel by both consumers.
 TEST_F(PlanUnitTest, EveryOpReplaysBitwiseAgainstTheTape) {
   std::vector<bool> covered(static_cast<size_t>(ag::record::OpKind::kDropout), false);
   for (const OpCase& c : EveryOpCases()) {
@@ -407,6 +409,10 @@ TEST_F(PlanUnitTest, EveryOpReplaysBitwiseAgainstTheTape) {
     };
     Variable reference = build(twins);
     reference.Backward();
+    // The op's shape rule (which the plan's shape inference also runs)
+    // agrees with its kernel on the tape graph.
+    const std::vector<ag::LintIssue> issues = ag::LintGraph(reference);
+    EXPECT_TRUE(issues.empty()) << ag::FormatLintIssues(issues);
 
     CompiledPlan::CaptureResult captured =
         CompiledPlan::Capture({}, [&] { return build(params); }, /*with_backward=*/true);

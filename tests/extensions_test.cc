@@ -146,22 +146,6 @@ TEST_F(TrainerFixture, ValidationMaeComputes) {
   EXPECT_LT(mae, 1.0);  // normalized space
 }
 
-TEST_F(TrainerFixture, CheckpointRoundTrip) {
-  core::UrclTrainer a(SmallConfig(), generator_->network());
-  a.TrainStage(*train_, 1);
-  const std::string path = ::testing::TempDir() + "/urcl_ckpt_test.bin";
-  a.SaveCheckpoint(path);
-
-  core::UrclConfig other = SmallConfig();
-  other.seed = 99;
-  core::UrclTrainer b(other, generator_->network());
-  const auto [x, y] = val_->MakeBatch({0, 1, 2});
-  EXPECT_FALSE(top::AllClose(FullForecast(a, x), FullForecast(b, x)));
-  b.LoadCheckpoint(path);
-  EXPECT_TRUE(top::AllClose(FullForecast(a, x), FullForecast(b, x), 1e-6f));
-  std::remove(path.c_str());
-}
-
 TEST_F(TrainerFixture, EwcTrainsAndConsolidates) {
   core::EwcConfig config;
   const core::UrclConfig base = SmallConfig();

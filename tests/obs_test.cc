@@ -28,6 +28,7 @@
 #include "data/presets.h"
 #include "data/stream.h"
 #include "data/synthetic.h"
+#include "exec/plan.h"
 #include "obs/facade.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -566,8 +567,8 @@ TEST_F(ObsTest, ProfilerAttributesDelegatingOpsToTheInnerOp) {
   config.profiler = true;
   obs::Configure(config);
 
-  // Neg delegates to MulScalar: its time lands on mul_scalar and the stack
-  // unwinds cleanly (no phantom "neg" row, no stuck starts).
+  // Neg delegates to MulScalar: its time lands on mul_scalar (no phantom
+  // "neg" row).
   autograd::Variable x(Tensor::Ones(Shape{8}), true);
   autograd::Variable y = autograd::Neg(x);
   ASSERT_TRUE(y.IsValid());
@@ -575,7 +576,6 @@ TEST_F(ObsTest, ProfilerAttributesDelegatingOpsToTheInnerOp) {
   EXPECT_EQ(snapshot.count("neg"), 0u);
   ASSERT_TRUE(snapshot.count("mul_scalar"));
   EXPECT_EQ(snapshot.at("mul_scalar").forward_calls, 1u);
-  EXPECT_EQ(obs::internal::ForwardStackDepth(), 0u);
 }
 
 TEST_F(ObsTest, ProfilerJsonParsesAndMatchesSnapshot) {
@@ -594,6 +594,71 @@ TEST_F(ObsTest, ProfilerJsonParsesAndMatchesSnapshot) {
   EXPECT_DOUBLE_EQ(relu.At("forward").At("calls").number, 1.0);
   EXPECT_DOUBLE_EQ(relu.At("forward").At("bytes").number, 4.0 * 4.0 * sizeof(float));
   EXPECT_DOUBLE_EQ(relu.At("backward").At("calls").number, 1.0);
+}
+
+TEST_F(ObsTest, ProfilerChargesPlanReplaysToTheOpCells) {
+  // Capture unprofiled, then profile one replay: every thunk runs through its
+  // op's definition, so each op records exactly one call per direction.
+  autograd::Variable w(Tensor::Full(Shape{8, 8}, 0.25f), /*requires_grad=*/true);
+  const Tensor x = Tensor::Ones(Shape{4, 8});
+  exec::CompiledPlan::CaptureResult captured = exec::CompiledPlan::Capture(
+      {x},
+      [&] { return autograd::Sum(autograd::Tanh(autograd::MatMul(autograd::Variable(x), w))); },
+      /*with_backward=*/true);
+  ASSERT_NE(captured.plan, nullptr) << captured.error;
+  ASSERT_TRUE(obs::ProfilerSnapshot().empty());
+
+  obs::ObsConfig config;
+  config.profiler = true;
+  obs::Configure(config);
+  captured.plan->BindInputs({x});
+  captured.plan->RunForward();
+  captured.plan->RunBackward();
+
+  const std::map<std::string, obs::OpProfile> snapshot = obs::ProfilerSnapshot();
+  EXPECT_EQ(snapshot.size(), 3u);
+  for (const char* op : {"matmul", "tanh", "sum"}) {
+    ASSERT_TRUE(snapshot.count(op)) << op;
+    EXPECT_EQ(snapshot.at(op).forward_calls, 1u) << op;
+    EXPECT_EQ(snapshot.at(op).backward_calls, 1u) << op;
+  }
+  EXPECT_EQ(snapshot.at("matmul").forward_bytes, 4u * 8u * sizeof(float));
+}
+
+TEST_F(ObsTest, ProfilerRecordsAFusedGateAsOneForwardCall) {
+  // Mul(Tanh(x + b1), Sigmoid(y + b2)) fuses into one pass, which records one
+  // "fused_gate" forward writing three [2, 3, 4, 5] outputs and nothing for
+  // the four ops it covers.
+  const Shape shape{2, 3, 4, 5};
+  const Tensor x = Tensor::Full(shape, 0.3f);
+  const Tensor y = Tensor::Full(shape, -0.2f);
+  const Tensor b1 = Tensor::Full(Shape{1, 3, 1, 1}, 0.1f);
+  const Tensor b2 = Tensor::Full(Shape{1, 3, 1, 1}, -0.4f);
+  const auto build = [&] {
+    const autograd::Variable t =
+        autograd::Tanh(autograd::Add(autograd::Variable(x), autograd::Variable(b1)));
+    const autograd::Variable s =
+        autograd::Sigmoid(autograd::Add(autograd::Variable(y), autograd::Variable(b2)));
+    return autograd::Mul(t, s);
+  };
+  exec::CompiledPlan::CaptureResult captured =
+      exec::CompiledPlan::Capture({x, y}, build, /*with_backward=*/false);
+  ASSERT_NE(captured.plan, nullptr) << captured.error;
+  ASSERT_EQ(captured.plan->num_fused(), 1);
+
+  obs::ObsConfig config;
+  config.profiler = true;
+  obs::Configure(config);
+  captured.plan->BindInputs({x, y});
+  captured.plan->RunForward();
+
+  const std::map<std::string, obs::OpProfile> snapshot = obs::ProfilerSnapshot();
+  EXPECT_EQ(snapshot.size(), 1u);
+  ASSERT_TRUE(snapshot.count("fused_gate"));
+  EXPECT_EQ(snapshot.at("fused_gate").forward_calls, 1u);
+  EXPECT_EQ(snapshot.at("fused_gate").forward_bytes,
+            3u * static_cast<uint64_t>(shape.NumElements()) * sizeof(float));
+  EXPECT_EQ(snapshot.at("fused_gate").backward_calls, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -195,8 +195,7 @@ TEST(SgdStateTest, MomentumRoundTripContinuesBitwise) {
   a.SaveState(saved);
   Variable w2(w1.value().Clone(), true);
   Sgd b({w2}, 0.05f, 0.9f);
-  std::istringstream in(saved.str());
-  ASSERT_TRUE(b.LoadState(in).ok());
+  ASSERT_TRUE(b.LoadState(saved.str()).ok());
 
   MinimizeQuadratic(a, w1, 5);
   MinimizeQuadratic(b, w2, 5);

@@ -510,10 +510,10 @@ TEST_F(ServeRobustnessTest, TypedStatusesForBadInputAndLameDuck) {
   EXPECT_EQ(service.health().window_errors(), 0);
   EXPECT_EQ(service.nonfinite_outputs(), 0);
 
-  // A window length, node count or channel count other than the model's is
-  // the client's fault too, not an abort in the encoder.
-  for (const Shape& shape : {Shape{1, 11, kNodes, 2}, Shape{1, 12, kNodes - 1, 2},
-                             Shape{1, 12, kNodes, 3}}) {
+  // An empty batch, or a window length, node count or channel count other
+  // than the model's, is the client's fault too, not an abort in the encoder.
+  for (const Shape& shape : {Shape{0, 12, kNodes, 2}, Shape{1, 11, kNodes, 2},
+                             Shape{1, 12, kNodes - 1, 2}, Shape{1, 12, kNodes, 3}}) {
     core::PredictRequest misshaped;
     misshaped.inputs = Tensor::Zeros(shape);
     const Status status = service.Predict(misshaped, &response);

@@ -278,9 +278,6 @@ TEST_F(ServeTrainerTest, StaleVersionStampingAcrossSwap) {
   data::StDataset dataset = MakeDataset();
   ServiceConfig config;
   config.model = TinyConfig(kNodes);
-  // Poll the hub only every 8th query: queries between polls keep serving
-  // (and stamping) the cached, possibly-retired version.
-  config.snapshot_poll_every = 8;
   ForecastService service(config, generator_->network(), normalizer_);
 
   core::UrclTrainer trainer(config.model, generator_->network());
@@ -297,7 +294,7 @@ TEST_F(ServeTrainerTest, StaleVersionStampingAcrossSwap) {
   Rng rng(9);
   request.inputs = Tensor::RandomUniform(Shape{1, 12, kNodes, 2}, rng, 0.0f, 1.0f);
   core::PredictResponse response;
-  ASSERT_TRUE(service.Predict(request, &response).ok());  // seq 0: polls, caches v1
+  ASSERT_TRUE(service.Predict(request, &response).ok());
   EXPECT_EQ(response.model_version, v1);
 
   trainer.TrainStage(dataset, 1);  // publish a newer version
@@ -309,17 +306,10 @@ TEST_F(ServeTrainerTest, StaleVersionStampingAcrossSwap) {
   EXPECT_EQ(service.hub().Previous()->version, v1);
   EXPECT_EQ(service.hub().swap_count(), 2);
 
-  // Next queries sit between polls: they stamp the stale cached version.
+  // Every query reads the hub's current version: the first one after the
+  // swap already serves and stamps the new version.
   ASSERT_TRUE(service.Predict(request, &response).ok());
-  EXPECT_EQ(response.model_version, v1);
-  // Drive past the poll boundary; the new version must be picked up.
-  int64_t last_version = response.model_version;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(service.Predict(request, &response).ok());
-    EXPECT_GE(response.model_version, last_version);  // monotone pickup
-    last_version = response.model_version;
-  }
-  EXPECT_EQ(last_version, v2);
+  EXPECT_EQ(response.model_version, v2);
 }
 
 TEST_F(ServeTrainerTest, HotSwapUnderConcurrentReaders) {
@@ -480,9 +470,8 @@ TEST(ServiceConfigTest, ValidateFlagsBadFields) {
 
   config.max_batch = 0;
   config.queue_depth = 0;
-  config.snapshot_poll_every = 0;
   const std::vector<std::string> errors = config.Validate();
-  EXPECT_EQ(errors.size(), 3u);
+  EXPECT_EQ(errors.size(), 2u);
 
   ServiceConfig bad_model;
   bad_model.model = TinyConfig(4);

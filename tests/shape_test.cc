@@ -52,6 +52,16 @@ TEST(ShapeTest, BroadcastOnes) {
   EXPECT_EQ(BroadcastShapes(Shape{3}, Shape{2, 1}), Shape({2, 3}));
 }
 
+TEST(ShapeTest, BroadcastKeepsEmptyAxisAgainstOne) {
+  // The non-1 extent wins: an empty batch broadcast against a [1, ...] bias
+  // stays empty instead of growing to one row read from an empty buffer.
+  EXPECT_EQ(BroadcastShapes(Shape{0, 3}, Shape{1, 3}), Shape({0, 3}));
+  EXPECT_EQ(BroadcastShapes(Shape{1, 3}, Shape{0, 3}), Shape({0, 3}));
+  Shape out{7};
+  EXPECT_FALSE(TryBroadcastShapes(Shape{2, 3}, Shape{2, 4}, &out));
+  EXPECT_EQ(out, Shape({7}));
+}
+
 TEST(ShapeTest, BroadcastIncompatibleDies) {
   EXPECT_DEATH(BroadcastShapes(Shape{2, 3}, Shape{2, 4}), "cannot broadcast");
 }

@@ -244,6 +244,45 @@ void BM_AddBroadcastThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_AddBroadcastThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// The diffusion GCN's adaptive-support hop at the benchmark's encoder scale
+// (batch 8, 8 channels, 64 nodes, 11 steps): forward plus backward with a
+// grad-requiring adjacency and input, as in a training step.
+void BM_GraphMatMulBackwardThreads(benchmark::State& state) {
+  ThreadSweep sweep(static_cast<int>(state.range(0)));
+  Rng rng(26);
+  const Tensor adjacency = Tensor::RandomNormal(Shape{64, 64}, rng);
+  const Tensor x = Tensor::RandomNormal(Shape{8, 8, 64, 11}, rng);
+  const Tensor seed = Tensor::RandomNormal(x.shape(), rng);
+  for (auto _ : state) {
+    ag::Variable a(adjacency, /*requires_grad=*/true);
+    ag::Variable in(x, /*requires_grad=*/true);
+    ag::Variable out = nn::GraphMatMul(a, in);
+    out.BackwardWithSeed(seed);
+    benchmark::DoNotOptimize(a.grad());
+    benchmark::DoNotOptimize(in.grad());
+  }
+}
+BENCHMARK(BM_GraphMatMulBackwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// A channel bias broadcast over an encoder activation, [8, 8, 64, 11] + [1, 8, 1, 1].
+void BM_BiasAddThreads(benchmark::State& state) {
+  ThreadSweep sweep(static_cast<int>(state.range(0)));
+  Rng rng(27);
+  const Tensor x = Tensor::RandomNormal(Shape{8, 8, 64, 11}, rng);
+  const Tensor bias = Tensor::RandomNormal(Shape{1, 8, 1, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(ops::Add(x, bias));
+}
+BENCHMARK(BM_BiasAddThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// That bias's gradient: the [8, 8, 64, 11] upstream gradient summed to [1, 8, 1, 1].
+void BM_BiasGradThreads(benchmark::State& state) {
+  ThreadSweep sweep(static_cast<int>(state.range(0)));
+  Rng rng(28);
+  const Tensor g = Tensor::RandomNormal(Shape{8, 8, 64, 11}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(ops::ReduceTo(g, Shape{1, 8, 1, 1}));
+}
+BENCHMARK(BM_BiasGradThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
 void BM_AdamStep(benchmark::State& state) {
   // Adam over a realistic mix of parameter sizes (odd lengths exercise the
   // SIMD tail path). Gradients are re-filled each iteration so Step() always

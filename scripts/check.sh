@@ -125,8 +125,8 @@ echo "== [4/6] ASan+UBSan: analysis/exec/kernels/serving/autograd/robustness tes
   "poisoning + checks on =="
 cmake --build build-check-asan -j"$jobs" --target \
   check_test lint_test exec_test pool_test autograd_test grad_check_test urcl_header_selfcheck \
-  simd_test tensor_ops_test runtime_test serve_test serve_robustness_test checkpoint_test \
-  serialize_test
+  simd_test tensor_ops_test runtime_test golden_test serve_test serve_robustness_test \
+  checkpoint_test serialize_test
 # Force every gate on so the sanitizer sees the poisoned free lists and the
 # gated verification paths, not the Release defaults.
 URCL_CHECK=1 URCL_POOL_POISON=1 \
@@ -140,7 +140,7 @@ cmake -B build-check-tsan -S . -DURCL_SANITIZE=thread \
 # urcl_lint is built here too: the repo_lint ctest entry runs the binary.
 cmake --build build-check-tsan -j"$jobs" --target \
   check_test lint_test serve_test serve_robustness_test exec_test obs_test blackbox_tool_test \
-  urcl_lint simd_test tensor_ops_test runtime_test
+  urcl_lint simd_test tensor_ops_test runtime_test golden_test
 # scripts/tsan.supp silences one libstdc++ atomic<shared_ptr> artifact
 # (relaxed reader unlock in _Sp_atomic::load); see the comment there.
 export TSAN_OPTIONS="suppressions=$root/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"

@@ -47,6 +47,7 @@ enum class OpKind : uint8_t {
   kBroadcastTo,
   kSoftmax,
   kTemporalConv2d,
+  kGraphMatMul,
   kDropout,
 };
 

@@ -142,5 +142,9 @@ Variable TemporalConv2d(const Variable& input, const Variable& weight, int64_t d
   return Apply(OpKind::kTemporalConv2d, {input, weight}, {.axis = dilation});
 }
 
+Variable NodeMatMul(const Variable& adjacency, const Variable& x) {
+  return Apply(OpKind::kGraphMatMul, {adjacency, x});
+}
+
 }  // namespace autograd
 }  // namespace urcl

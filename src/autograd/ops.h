@@ -78,6 +78,14 @@ Variable Dropout(const Variable& a, float p, Rng& rng, bool training);
 // output [B, C_out, N, T - dilation*(K-1)] (no padding, stride 1).
 Variable TemporalConv2d(const Variable& input, const Variable& weight, int64_t dilation);
 
+// --- Graph convolution -------------------------------------------------------------------------
+// The graph operator along the node axis: y[b, c, n, t] = sum over m of
+// adjacency[n, m] * x[b, c, m, t], for adjacency [N, N] and x [B, C, N, T]
+// (a diffusion-GCN support applied to its input, Eq. 21-24). Not named
+// GraphMatMul: nn/ calls nn::GraphMatMul unqualified on Variables, and
+// argument-dependent lookup would find an autograd overload too.
+Variable NodeMatMul(const Variable& adjacency, const Variable& x);
+
 // --- Operator sugar ----------------------------------------------------------------------------
 inline Variable operator+(const Variable& a, const Variable& b) { return Add(a, b); }
 inline Variable operator-(const Variable& a, const Variable& b) { return Sub(a, b); }

@@ -165,6 +165,16 @@ bool TemporalConv2dShape(const Shapes& in, const OpAttrs& a, Shape* out) {
   return true;
 }
 
+// Adjacency [N, N], input [B, C, N, T].
+bool GraphMatMulShape(const Shapes& in, const OpAttrs&, Shape* out) {
+  const Shape& adjacency = in[0];
+  const Shape& x = in[1];
+  if (adjacency.rank() != 2 || x.rank() != 4) return false;
+  if (adjacency.dim(0) != x.dim(2) || adjacency.dim(1) != x.dim(2)) return false;
+  *out = x;
+  return true;
+}
+
 // Slice starts selecting offset `offset` along `axis` of a rank-`rank` tensor.
 std::vector<int64_t> StartsAt(int64_t rank, int64_t axis, int64_t offset) {
   std::vector<int64_t> starts(static_cast<size_t>(rank), 0);
@@ -383,6 +393,17 @@ constexpr OpDef kOps[] = {
                                    d_in ? &*d_in : nullptr, d_w ? &*d_w : nullptr);
        if (d_in) x.Accumulate(0, *d_in);
        if (d_w) x.Accumulate(1, *d_w);
+     }},
+    {OpKind::kGraphMatMul, "graph_matmul", 2, GraphMatMulShape, true, false,
+     [](const OpOperands& x, const OpAttrs&) { return top::GraphMatMul(x.value(0), x.value(1)); },
+     [](const Tensor& g, const OpAttrs&, OpOperands& x) {
+       std::optional<Tensor> d_adjacency, d_x;
+       if (x.needs_grad(0)) d_adjacency.emplace(Tensor::Uninitialized(x.shape(0)));
+       if (x.needs_grad(1)) d_x.emplace(Tensor::Uninitialized(x.shape(1)));
+       top::GraphMatMulBackward(g, x.value(0), x.value(1), d_adjacency ? &*d_adjacency : nullptr,
+                                d_x ? &*d_x : nullptr);
+       if (d_adjacency) x.Accumulate(0, *d_adjacency);
+       if (d_x) x.Accumulate(1, *d_x);
      }},
 };
 

@@ -17,6 +17,14 @@
 // gradient formula, and the plan's liveness analysis reads the same facts
 // its operand view enforces.
 //
+// An op may stand for a composition of others when one kernel does the same
+// work in the data's own layout: graph_matmul is the diffusion GCN's
+// Transpose -> MatMul -> Transpose in the [B, C, N, T] layout. Such an op
+// keeps the composition's bits: its kernels keep every product and
+// summation order, and its node sits where the chain would in the backward
+// DFS, so each input receives its gradient contributions in the chain's
+// order.
+//
 // Capture: every op notifies the thread-local TapeListener (when one is
 // installed) with its kind, output Variable, parent Variables and attributes.
 // The listener lives here — not in src/exec/ — so autograd never depends on

@@ -30,15 +30,7 @@ Variable GraphMatMul(const Tensor& adjacency, const Variable& x) {
 }
 
 Variable GraphMatMul(const Variable& adjacency, const Variable& x) {
-  URCL_CHECK_EQ(x.shape().rank(), 4) << "GraphMatMul expects [B, C, N, T]";
-  URCL_CHECK_EQ(adjacency.shape().rank(), 2);
-  URCL_CHECK_EQ(adjacency.shape().dim(0), x.shape().dim(2))
-      << "adjacency " << adjacency.shape().ToString() << " does not match node count of "
-      << x.shape().ToString();
-  // [B, C, N, T] -> [B, C, T, N]; y' = x' A^T so y'[.., n] = sum_m A[n, m] x'[.., m].
-  Variable xt = ag::Transpose(x, {0, 1, 3, 2});
-  Variable yt = ag::MatMul(xt, ag::Transpose(adjacency, {1, 0}));
-  return ag::Transpose(yt, {0, 1, 3, 2});
+  return ag::NodeMatMul(adjacency, x);
 }
 
 DiffusionGcn::DiffusionGcn(int64_t in_channels, int64_t out_channels,

@@ -56,8 +56,10 @@ class DiffusionGcn : public Module {
 };
 
 // Multiplies a graph operator over the node axis: y = A · x where
-// x is [B, C, N, T] and A is [N, N] (constant overload precomputes nothing
-// differentiable; Variable overload lets gradients reach A).
+// x is [B, C, N, T] and A is [N, N]. One graph_matmul op
+// (autograd::NodeMatMul) in the encoder's own layout, with no transposes;
+// the Variable overload lets gradients reach A, the constant overload wraps
+// A as a non-trainable Variable.
 Variable GraphMatMul(const Tensor& adjacency, const Variable& x);
 Variable GraphMatMul(const Variable& adjacency, const Variable& x);
 

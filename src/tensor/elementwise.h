@@ -1,8 +1,9 @@
-// Shared broadcasting machinery and template elementwise kernels. The
-// templates here are the inlining fast path used by the hot ops in
-// tensor_ops.cc (no std::function dispatch per element); the std::function
-// overloads of ops::ZipWith / ops::Map in tensor_ops.h are thin wrappers over
-// these for generic callers.
+// Shared broadcasting machinery, the coalesced two-stride walk that strided
+// copies, broadcast binaries and reductions share, and template elementwise
+// kernels. The templates here are the inlining fast path used by the hot ops
+// in tensor_ops.cc (no std::function dispatch per element); the
+// std::function overloads of ops::ZipWith / ops::Map in tensor_ops.h are thin
+// wrappers over these for generic callers.
 //
 // All loops go through runtime::ParallelFor with shape-derived grains, so
 // results are bitwise identical at any thread count (each output element is
@@ -19,11 +20,13 @@
 #define URCL_TENSOR_ELEMENTWISE_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
+#include "common/check.h"
 #include "runtime/parallel.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -176,6 +179,97 @@ class MultiCursor {
   std::vector<int64_t> offsets_;
 };
 
+// --- Coalesced walks --------------------------------------------------------
+// A strided copy (source and destination), a broadcast binary op (its two
+// operands) and a reduction (its reduced axes, one stride set given twice)
+// each walk an index space with two stride sets. Coalescing drops size-1
+// axes and merges each axis into its outer neighbour when both stride sets
+// walk the pair as one run (contiguous across it, or 0 along both), so a
+// channel-axis Concat copies one run per batch item, [B, C, N, T] +
+// [1, C, 1, 1] adds one broadcast scalar per contiguous N*T run, and a
+// [1, C, 1, 1] bias gradient sums B runs of N*T.
+
+inline constexpr int kMaxWalkRank = 8;
+
+// An index space after coalescing: extents plus both strides in elements,
+// outermost axis first.
+struct WalkAxes {
+  int rank = 0;
+  std::array<int64_t, kMaxWalkRank> dims{};
+  std::array<int64_t, kMaxWalkRank> a{};
+  std::array<int64_t, kMaxWalkRank> b{};
+
+  void Push(int64_t dim, int64_t a_stride, int64_t b_stride) {
+    URCL_CHECK_LT(rank, kMaxWalkRank) << "strided walk: more than " << kMaxWalkRank
+                                      << " axes that cannot be merged";
+    dims[static_cast<size_t>(rank)] = dim;
+    a[static_cast<size_t>(rank)] = a_stride;
+    b[static_cast<size_t>(rank)] = b_stride;
+    ++rank;
+  }
+};
+
+inline WalkAxes Coalesce(const std::vector<int64_t>& dims, const std::vector<int64_t>& a,
+                         const std::vector<int64_t>& b) {
+  WalkAxes axes;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    if (dims[i] == 1) continue;
+    if (axes.rank > 0) {
+      const auto last = static_cast<size_t>(axes.rank - 1);
+      if (axes.a[last] == a[i] * dims[i] && axes.b[last] == b[i] * dims[i]) {
+        axes.dims[last] *= dims[i];
+        axes.a[last] = a[i];
+        axes.b[last] = b[i];
+        continue;
+      }
+    }
+    axes.Push(dims[i], a[i], b[i]);
+  }
+  return axes;
+}
+
+// Row-major walk over coalesced axes, tracking both offsets. Fixed size,
+// unlike MultiCursor, so a parallel body that copies one never allocates.
+struct Walk {
+  WalkAxes axes;
+  std::array<int64_t, kMaxWalkRank> index{};
+  int64_t a = 0;
+  int64_t b = 0;
+
+  // Every axis of `all` but the innermost (its run).
+  static Walk Outer(const WalkAxes& all) {
+    Walk walk;
+    for (int i = 0; i + 1 < all.rank; ++i) {
+      const auto s = static_cast<size_t>(i);
+      walk.axes.Push(all.dims[s], all.a[s], all.b[s]);
+    }
+    return walk;
+  }
+
+  void SeekTo(int64_t flat) {
+    a = b = 0;
+    for (int i = axes.rank - 1; i >= 0; --i) {
+      const auto s = static_cast<size_t>(i);
+      index[s] = flat % axes.dims[s];
+      flat /= axes.dims[s];
+      a += index[s] * axes.a[s];
+      b += index[s] * axes.b[s];
+    }
+  }
+
+  void Advance() {
+    for (int i = axes.rank - 1; i >= 0; --i) {
+      const auto s = static_cast<size_t>(i);
+      a += axes.a[s];
+      b += axes.b[s];
+      if (++index[s] < axes.dims[s]) return;
+      a -= axes.a[s] * axes.dims[s];
+      b -= axes.b[s] * axes.dims[s];
+      index[s] = 0;
+    }
+  }
+};
+
 template <typename Fn>
 Tensor BinaryElementwise(const Tensor& a, const Tensor& b, Fn fn) {
   if (a.shape() == b.shape()) {  // fast path, no broadcasting
@@ -198,66 +292,58 @@ Tensor BinaryElementwise(const Tensor& a, const Tensor& b, Fn fn) {
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   Tensor out = Tensor::Uninitialized(out_shape);
   if (out.NumElements() == 0) return out;
-  const std::vector<int64_t> a_strides = BroadcastStrides(a.shape(), out_shape);
-  const std::vector<int64_t> b_strides = BroadcastStrides(b.shape(), out_shape);
+  // Row walk over the coalesced output axes: the innermost one has operand
+  // strides of 0 or 1 (a broadcast stride is 0 where the input dim is 1 and
+  // the contiguous stride otherwise, and every axis inside it has size 1), so
+  // each output row is elementwise over two dense-or-broadcast operand rows
+  // and vectorizes when Fn has the vector form. Chunks are flat element
+  // ranges and may start or end mid-row; every element is the scalar
+  // expression of its two operands, so the result is bitwise identical to a
+  // flat walk at any thread count.
+  const WalkAxes axes = Coalesce(out_shape.dims(), BroadcastStrides(a.shape(), out_shape),
+                                 BroadcastStrides(b.shape(), out_shape));
+  const auto last = static_cast<size_t>(std::max(axes.rank - 1, 0));
+  const int64_t inner = axes.rank > 0 ? axes.dims[last] : 1;  // rank 0: one element
+  const int64_t sa = axes.a[last];
+  const int64_t sb = axes.b[last];
+  const Walk outer = Walk::Outer(axes);
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.mutable_data();
-  if constexpr (kHasVectorForm2<Fn>) {
-    // Row path: the innermost output axis has operand strides of 0 or 1 by
-    // construction (a broadcast stride is 0 where the input dim is 1 and the
-    // contiguous stride — 1 on the last axis — otherwise), so each output row
-    // is elementwise over two dense-or-broadcast operand rows and vectorizes.
-    // Parallelism is over whole rows; per-element values match the scalar
-    // expression exactly, so the result is bitwise identical to the flat walk.
-    const int64_t inner = out_shape.dims().back();
-    const int64_t rows = out.NumElements() / inner;
-    const int64_t sa = a_strides.back();
-    const int64_t sb = b_strides.back();
-    const std::vector<int64_t> outer_dims(out_shape.dims().begin(), out_shape.dims().end() - 1);
-    const std::vector<int64_t> a_outer(a_strides.begin(), a_strides.end() - 1);
-    const std::vector<int64_t> b_outer(b_strides.begin(), b_strides.end() - 1);
-    const int64_t row_grain = std::max<int64_t>(1, kStridedGrain / inner);
-    runtime::ParallelFor(0, rows, row_grain, [&](int64_t row_begin, int64_t row_end) {
-      MultiCursor cursor(outer_dims, {a_outer, b_outer});
-      cursor.SeekTo(row_begin);
-      for (int64_t r = row_begin; r < row_end; ++r) {
-        const float* ra = pa + cursor.offset(0);
-        const float* rb = pb + cursor.offset(1);
-        float* ro = po + r * inner;
-        int64_t j = 0;
+  runtime::ParallelFor(0, out.NumElements(), kStridedGrain, [&](int64_t begin, int64_t end) {
+    int64_t row = begin / inner;
+    Walk cursor = outer;
+    cursor.SeekTo(row);
+    for (int64_t i = begin; i < end; ++row) {
+      const int64_t j0 = i - row * inner;
+      const int64_t j1 = std::min(inner, j0 + (end - i));
+      const float* ra = pa + cursor.a;
+      const float* rb = pb + cursor.b;
+      float* ro = po + row * inner;
+      int64_t j = j0;
+      if constexpr (kHasVectorForm2<Fn>) {
         if (sa == 1 && sb == 1) {
-          for (; j + simd::kLanes <= inner; j += simd::kLanes) {
+          for (; j + simd::kLanes <= j1; j += simd::kLanes) {
             simd::StoreU(ro + j, fn(simd::LoadU(ra + j), simd::LoadU(rb + j)));
           }
         } else if (sa == 1 && sb == 0) {
           const simd::F32x8 vb = simd::Broadcast(rb[0]);
-          for (; j + simd::kLanes <= inner; j += simd::kLanes) {
+          for (; j + simd::kLanes <= j1; j += simd::kLanes) {
             simd::StoreU(ro + j, fn(simd::LoadU(ra + j), vb));
           }
         } else if (sa == 0 && sb == 1) {
           const simd::F32x8 va = simd::Broadcast(ra[0]);
-          for (; j + simd::kLanes <= inner; j += simd::kLanes) {
+          for (; j + simd::kLanes <= j1; j += simd::kLanes) {
             simd::StoreU(ro + j, fn(va, simd::LoadU(rb + j)));
           }
-        }  // (0, 0) implies inner == 1; the scalar tail covers it.
-        for (; j < inner; ++j) ro[j] = fn(ra[j * sa], rb[j * sb]);
-        cursor.Advance();
+        }  // (0, 0) only for a one-element output; the scalar loop covers it.
       }
-    });
-    return out;
-  } else {
-    runtime::ParallelFor(0, out.NumElements(), kStridedGrain,
-                         [&](int64_t chunk_begin, int64_t chunk_end) {
-                           MultiCursor cursor(out_shape.dims(), {a_strides, b_strides});
-                           cursor.SeekTo(chunk_begin);
-                           for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-                             po[i] = fn(pa[cursor.offset(0)], pb[cursor.offset(1)]);
-                             cursor.Advance();
-                           }
-                         });
-    return out;
-  }
+      for (; j < j1; ++j) ro[j] = fn(ra[j * sa], rb[j * sb]);
+      i += j1 - j0;
+      cursor.Advance();
+    }
+  });
+  return out;
 }
 
 template <typename Fn>

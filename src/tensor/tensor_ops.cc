@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
 #include "runtime/parallel.h"
@@ -14,7 +15,10 @@ namespace ops {
 namespace {
 
 using detail::BroadcastStrides;
+using detail::Coalesce;
 using detail::MultiCursor;
+using detail::Walk;
+using detail::WalkAxes;
 
 // Canonicalizes reduction axes; empty input means "all axes".
 std::vector<int64_t> CanonicalAxes(const Shape& shape, const std::vector<int64_t>& axes) {
@@ -34,7 +38,11 @@ std::vector<int64_t> CanonicalAxes(const Shape& shape, const std::vector<int64_t
 // post-scale (for Mean). Output-major so it parallelizes over output slots:
 // each slot accumulates its reduced elements in increasing input-offset
 // order — the same per-slot order a serial input-major walk produces — so
-// results are bitwise identical at any thread count.
+// results are bitwise identical at any thread count. The reduced axes are
+// walked as runs (size-1 axes dropped, each axis merged into its outer
+// neighbour when the pair is contiguous), so a slot combines each run in a
+// plain loop and moves its cursor once per run, not once per element: the
+// [1, C, 1, 1] bias gradient of a [B, C, N, T] tensor sums B runs of N*T.
 //
 // When the innermost KEPT axis is the input's stride-1 axis and `fn` has a
 // vector form, groups of 8 adjacent output slots accumulate together: each
@@ -48,7 +56,8 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
   Tensor accum = Tensor::Full(kept, init);
   if (a.NumElements() > 0) {
     // Split the input axes into kept (outer, one output slot each) and
-    // reduced (inner, walked per slot) parts.
+    // reduced (inner, walked per slot as runs of `run` elements `run_stride`
+    // apart, at the offsets of a walk over the other reduced axes) parts.
     const std::vector<int64_t> in_strides = a.shape().Strides();
     std::vector<int64_t> outer_dims, outer_strides, inner_dims, inner_strides;
     for (int64_t i = 0; i < a.rank(); ++i) {
@@ -63,6 +72,12 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
     }
     int64_t inner_count = 1;
     for (const int64_t d : inner_dims) inner_count *= d;
+    const WalkAxes inner = Coalesce(inner_dims, inner_strides, inner_strides);
+    const auto last = static_cast<size_t>(std::max(inner.rank - 1, 0));
+    const int64_t run = inner.rank > 0 ? inner.dims[last] : 1;  // rank 0: reduced dims all 1
+    const int64_t run_stride = inner.a[last];
+    const int64_t runs = inner_count / run;
+    const Walk runs_walk = Walk::Outer(inner);
     const int64_t outer_count = accum.NumElements();
     const float* pa = a.data();
     float* po = accum.mutable_data();
@@ -71,9 +86,9 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
     runtime::ParallelFor(0, outer_count, grain, [&](int64_t chunk_begin, int64_t chunk_end) {
       MultiCursor outer(outer_dims, {outer_strides});
       outer.SeekTo(chunk_begin);
-      // The inner cursor wraps back to the origin after a full walk, so it is
+      // The run walk wraps back to the origin after a full pass, so it is
       // seeded once per chunk rather than once per slot (or slot group).
-      MultiCursor inner(inner_dims, {inner_strides});
+      Walk runs_at = runs_walk;
       int64_t o = chunk_begin;
       if constexpr (detail::kHasVectorForm2<Fn>) {
         if (!outer_strides.empty() && outer_strides.back() == 1) {
@@ -88,17 +103,19 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
             int64_t s = o;
             for (; s + simd::kLanes <= group_end; s += simd::kLanes) {
               simd::F32x8 acc = simd::LoadU(po + s);
-              for (int64_t i = 0; i < inner_count; ++i) {
-                acc = fn(acc, simd::LoadU(pa + base + (s - o) + inner.offset(0)));
-                inner.Advance();
+              for (int64_t r = 0; r < runs; ++r) {
+                const float* src = pa + base + (s - o) + runs_at.a;
+                for (int64_t i = 0; i < run; ++i) acc = fn(acc, simd::LoadU(src + i * run_stride));
+                runs_at.Advance();
               }
               simd::StoreU(po + s, acc);
             }
             for (; s < group_end; ++s) {
               float acc = po[s];
-              for (int64_t i = 0; i < inner_count; ++i) {
-                acc = fn(acc, pa[base + (s - o) + inner.offset(0)]);
-                inner.Advance();
+              for (int64_t r = 0; r < runs; ++r) {
+                const float* src = pa + base + (s - o) + runs_at.a;
+                for (int64_t i = 0; i < run; ++i) acc = fn(acc, src[i * run_stride]);
+                runs_at.Advance();
               }
               po[s] = acc;
             }
@@ -111,9 +128,10 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
       for (; o < chunk_end; ++o) {
         const int64_t base = outer.offset(0);
         float acc = po[o];
-        for (int64_t i = 0; i < inner_count; ++i) {
-          acc = fn(acc, pa[base + inner.offset(0)]);
-          inner.Advance();
+        for (int64_t r = 0; r < runs; ++r) {
+          const float* src = pa + base + runs_at.a;
+          for (int64_t i = 0; i < run; ++i) acc = fn(acc, src[i * run_stride]);
+          runs_at.Advance();
         }
         po[o] = acc;
         outer.Advance();
@@ -132,80 +150,7 @@ Tensor Reduce(const Tensor& a, const std::vector<int64_t>& axes_in, bool keepdim
 // walk order writes the same bytes; the routine picks the walk with the
 // longest contiguous runs.
 
-constexpr int kMaxCopyRank = 8;
 constexpr int64_t kCopyTile = 16;
-
-// A copy's index space after coalescing: extents plus source and destination
-// strides in elements, outermost axis first.
-struct CopyAxes {
-  int rank = 0;
-  std::array<int64_t, kMaxCopyRank> dims{};
-  std::array<int64_t, kMaxCopyRank> src{};
-  std::array<int64_t, kMaxCopyRank> dst{};
-
-  void Push(int64_t dim, int64_t src_stride, int64_t dst_stride) {
-    URCL_CHECK_LT(rank, kMaxCopyRank) << "strided copy: more than " << kMaxCopyRank
-                                      << " axes that cannot be merged";
-    dims[static_cast<size_t>(rank)] = dim;
-    src[static_cast<size_t>(rank)] = src_stride;
-    dst[static_cast<size_t>(rank)] = dst_stride;
-    ++rank;
-  }
-};
-
-// Drops size-1 axes and merges each axis into its outer neighbour when the
-// pair is contiguous on both sides, so a channel-axis Concat copies one run
-// per batch item and a time-axis Slice one run per row.
-CopyAxes Coalesce(const std::vector<int64_t>& dims, const std::vector<int64_t>& src,
-                  const std::vector<int64_t>& dst) {
-  CopyAxes axes;
-  for (size_t i = 0; i < dims.size(); ++i) {
-    if (dims[i] == 1) continue;
-    if (axes.rank > 0) {
-      const auto last = static_cast<size_t>(axes.rank - 1);
-      if (axes.src[last] == src[i] * dims[i] && axes.dst[last] == dst[i] * dims[i]) {
-        axes.dims[last] *= dims[i];
-        axes.src[last] = src[i];
-        axes.dst[last] = dst[i];
-        continue;
-      }
-    }
-    axes.Push(dims[i], src[i], dst[i]);
-  }
-  return axes;
-}
-
-// Row-major walk over the outer axes of a copy, tracking both offsets. Fixed
-// size, unlike detail::MultiCursor, so a copy's parallel body never allocates.
-struct CopyWalk {
-  CopyAxes axes;
-  std::array<int64_t, kMaxCopyRank> index{};
-  int64_t src = 0;
-  int64_t dst = 0;
-
-  void SeekTo(int64_t flat) {
-    src = dst = 0;
-    for (int a = axes.rank - 1; a >= 0; --a) {
-      const auto s = static_cast<size_t>(a);
-      index[s] = flat % axes.dims[s];
-      flat /= axes.dims[s];
-      src += index[s] * axes.src[s];
-      dst += index[s] * axes.dst[s];
-    }
-  }
-
-  void Advance() {
-    for (int a = axes.rank - 1; a >= 0; --a) {
-      const auto s = static_cast<size_t>(a);
-      src += axes.src[s];
-      dst += axes.dst[s];
-      if (++index[s] < axes.dims[s]) return;
-      src -= axes.src[s] * axes.dims[s];
-      dst -= axes.dst[s] * axes.dims[s];
-      index[s] = 0;
-    }
-  }
-};
 
 // Copies n contiguous floats. Runs are often one short time row, so this
 // stays inline rather than calling memcpy: whole vectors, then one vector
@@ -228,37 +173,38 @@ inline void CopyRun(const float* src, float* dst, int64_t n) {
 // both sides touch whole cache lines. Anything else walks element by element.
 void CopyStrided(const std::vector<int64_t>& dims, const std::vector<int64_t>& src_strides,
                  const std::vector<int64_t>& dst_strides, const float* src, float* dst) {
-  const CopyAxes axes = Coalesce(dims, src_strides, dst_strides);
+  // Stride set a is the source, b the destination.
+  const WalkAxes axes = Coalesce(dims, src_strides, dst_strides);
   if (axes.rank == 0) {
     *dst = *src;
     return;
   }
   const auto inner = static_cast<size_t>(axes.rank - 1);
   const int64_t cols = axes.dims[inner];
-  const int64_t src_col = axes.src[inner];
-  const int64_t dst_col = axes.dst[inner];
+  const int64_t src_col = axes.a[inner];
+  const int64_t dst_col = axes.b[inner];
   int swap = -1;
   if (src_col != 1 && dst_col == 1) {
-    for (int a = 0; a < axes.rank - 1; ++a) {
-      if (axes.src[static_cast<size_t>(a)] == 1) swap = a;
+    for (int i = 0; i < axes.rank - 1; ++i) {
+      if (axes.a[static_cast<size_t>(i)] == 1) swap = i;
     }
   }
-  CopyWalk outer;
-  for (int a = 0; a < axes.rank - 1; ++a) {
-    const auto s = static_cast<size_t>(a);
-    if (a != swap) outer.axes.Push(axes.dims[s], axes.src[s], axes.dst[s]);
+  Walk outer;
+  for (int i = 0; i < axes.rank - 1; ++i) {
+    const auto s = static_cast<size_t>(i);
+    if (i != swap) outer.axes.Push(axes.dims[s], axes.a[s], axes.b[s]);
   }
   const int64_t rows = swap >= 0 ? axes.dims[static_cast<size_t>(swap)] : 1;
-  const int64_t dst_row = swap >= 0 ? axes.dst[static_cast<size_t>(swap)] : 0;
+  const int64_t dst_row = swap >= 0 ? axes.b[static_cast<size_t>(swap)] : 0;
   int64_t outer_count = 1;
-  for (int a = 0; a < outer.axes.rank; ++a) outer_count *= outer.axes.dims[static_cast<size_t>(a)];
+  for (int i = 0; i < outer.axes.rank; ++i) outer_count *= outer.axes.dims[static_cast<size_t>(i)];
   const int64_t grain = std::max<int64_t>(1, detail::kContiguousGrain / (rows * cols));
   runtime::ParallelFor(0, outer_count, grain, [&](int64_t begin, int64_t end) {
-    CopyWalk walk = outer;
+    Walk walk = outer;
     walk.SeekTo(begin);
     for (int64_t o = begin; o < end; ++o) {
-      const float* s = src + walk.src;
-      float* d = dst + walk.dst;
+      const float* s = src + walk.a;
+      float* d = dst + walk.b;
       if (swap >= 0) {
         for (int64_t i0 = 0; i0 < rows; i0 += kCopyTile) {
           const int64_t i1 = std::min(rows, i0 + kCopyTile);
@@ -280,18 +226,20 @@ void CopyStrided(const std::vector<int64_t>& dims, const std::vector<int64_t>& s
 }
 
 // --- MatMul row -----------------------------------------------------------
-// out_row[j] = sum over kk of a_row[kk] * b[kk, j], each column summed from +0
-// in increasing kk with zero a_row[kk] skipped — the scalar i-k-j loop's
-// per-element order. Lanes run over output columns; a block of columns keeps
-// its accumulators in registers for the whole kk loop, so each output element
-// is stored once instead of loaded and stored once per kk.
+// out_row[j] = sum over kk of a_row[kk * a_step] * b[kk, j], each column
+// summed from +0 in increasing kk with zero a_row entries skipped — the
+// scalar i-k-j loop's per-element order. Lanes run over output columns; a
+// block of columns keeps its accumulators in registers for the whole kk loop,
+// so each output element is stored once instead of loaded and stored once
+// per kk. MatMul reads a row (a_step 1); GraphMatMul reads a node column of
+// an [N, T] plane (a_step T) in place.
 template <int kVectors>
-inline void MatMulColumns(const float* a_row, const float* b, int64_t k, int64_t n,
-                          float* out) {
+inline void MatMulColumns(const float* a_row, int64_t a_step, const float* b, int64_t k,
+                          int64_t n, float* out) {
   simd::F32x8 acc[kVectors];
   for (int v = 0; v < kVectors; ++v) acc[v] = simd::Zero();
   for (int64_t kk = 0; kk < k; ++kk) {
-    const float scale = a_row[kk];
+    const float scale = a_row[kk * a_step];
     if (scale == 0.0f) continue;
     const simd::F32x8 vs = simd::Broadcast(scale);
     const float* row_b = b + kk * n;
@@ -302,12 +250,13 @@ inline void MatMulColumns(const float* a_row, const float* b, int64_t k, int64_t
   for (int v = 0; v < kVectors; ++v) simd::StoreU(out + v * simd::kLanes, acc[v]);
 }
 
-void MatMulRow(const float* a_row, const float* b, int64_t k, int64_t n, float* out_row) {
+void MatMulRow(const float* a_row, int64_t a_step, const float* b, int64_t k, int64_t n,
+               float* out_row) {
   if (n < simd::kLanes) {
     for (int64_t j = 0; j < n; ++j) {
       float acc = 0.0f;
       for (int64_t kk = 0; kk < k; ++kk) {
-        const float scale = a_row[kk];
+        const float scale = a_row[kk * a_step];
         if (scale == 0.0f) continue;
         acc += scale * b[kk * n + j];
       }
@@ -315,15 +264,80 @@ void MatMulRow(const float* a_row, const float* b, int64_t k, int64_t n, float* 
     }
     return;
   }
-  constexpr int64_t kBlock = 4 * simd::kLanes;
+  // Blocks of 64 columns (8 independent accumulator chains per kk), then at
+  // most one block of 32.
   int64_t j = 0;
-  for (; j + kBlock <= n; j += kBlock) MatMulColumns<4>(a_row, b + j, k, n, out_row + j);
+  for (; j + 8 * simd::kLanes <= n; j += 8 * simd::kLanes) {
+    MatMulColumns<8>(a_row, a_step, b + j, k, n, out_row + j);
+  }
+  if (j + 4 * simd::kLanes <= n) {
+    MatMulColumns<4>(a_row, a_step, b + j, k, n, out_row + j);
+    j += 4 * simd::kLanes;
+  }
   // Leftover columns in single vectors; the last one ends at column n and may
   // overlap columns already stored, which it rewrites with identical bits.
   for (; j < n; j += simd::kLanes) {
     const int64_t start = std::min(j, n - simd::kLanes);
-    MatMulColumns<1>(a_row, b + start, k, n, out_row + start);
+    MatMulColumns<1>(a_row, a_step, b + start, k, n, out_row + start);
   }
+}
+
+// --- Graph operator along the node axis -------------------------------------
+// The [N, T] plane of one (batch, channel) is contiguous. Output column
+// y[b, c, :, t] is the MatMulRow of node column x[b, c, :, t], read in place
+// as an a-row with step T, against an [N, N] matrix, so every element has
+// the products, the order from +0 and the zero skip of MatMul over x
+// transposed to [B, C, T, N]. A plane's T output rows are staged and then
+// transposed into its [N, T] layout.
+
+// Transposes the row-major [rows, cols] block src into dst as [cols, rows],
+// eight source columns at a time.
+void TransposeBlock(const float* src, int64_t rows, int64_t cols, float* dst) {
+  for (int64_t c0 = 0; c0 < cols; c0 += simd::kLanes) {
+    const int64_t c1 = std::min(cols, c0 + simd::kLanes);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+    }
+  }
+}
+
+// out[b, c, i, t] = sum over j of x[b, c, j, t] * matrix[j, i]: the
+// transposed adjacency for GraphMatMul, the adjacency for its input gradient
+// (x is then the upstream gradient). Each task owns whole planes.
+void NodeAxisMatMul(const Tensor& x, const Tensor& matrix, Tensor* out) {
+  const int64_t nodes = x.dim(2), time = x.dim(3);
+  const int64_t plane = nodes * time;
+  const float* px = x.data();
+  const float* pm = matrix.data();
+  float* po = out->mutable_data();
+  const int64_t grain = std::max<int64_t>(1, (1 << 16) / std::max<int64_t>(1, plane * nodes));
+  runtime::ParallelFor(0, x.dim(0) * x.dim(1), grain, [&](int64_t begin, int64_t end) {
+    std::vector<float> rows(static_cast<size_t>(plane));
+    for (int64_t p = begin; p < end; ++p) {
+      for (int64_t t = 0; t < time; ++t) {
+        MatMulRow(px + p * plane + t, time, pm, nodes, nodes, rows.data() + t * nodes);
+      }
+      TransposeBlock(rows.data(), time, nodes, po + p * plane);
+    }
+  });
+}
+
+// total[i] = total[i] + row[i] for i < n.
+void AccumulateRow(const float* row, int64_t n, float* total) {
+  int64_t i = 0;
+  for (; i + simd::kLanes <= n; i += simd::kLanes) {
+    simd::StoreU(total + i, simd::Add(simd::LoadU(total + i), simd::LoadU(row + i)));
+  }
+  for (; i < n; ++i) total[i] += row[i];
+}
+
+void CheckGraphOperands(const Tensor& adjacency, const Tensor& x) {
+  URCL_CHECK_EQ(x.rank(), 4) << "GraphMatMul expects x as [B, C, N, T], got "
+                             << x.shape().ToString();
+  URCL_CHECK(adjacency.rank() == 2 && adjacency.dim(0) == x.dim(2) &&
+             adjacency.dim(1) == x.dim(2))
+      << "adjacency " << adjacency.shape().ToString() << " does not match node count of "
+      << x.shape().ToString();
 }
 
 }  // namespace
@@ -501,13 +515,60 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       const int64_t batch_row_end = std::min(row_end, (batch_index + 1) * m);
       for (; row < batch_row_end; ++row) {
         const int64_t i = row - batch_index * m;
-        MatMulRow(ma + i * k, mb, k, n, mo + i * n);
+        MatMulRow(ma + i * k, 1, mb, k, n, mo + i * n);
       }
       ++batch_index;
       cursor.Advance();
     }
   });
   return out;
+}
+
+Tensor GraphMatMul(const Tensor& adjacency, const Tensor& x) {
+  CheckGraphOperands(adjacency, x);
+  Tensor out = Tensor::Uninitialized(x.shape());
+  if (out.NumElements() == 0) return out;
+  NodeAxisMatMul(x, Transpose(adjacency, {1, 0}), &out);
+  return out;
+}
+
+void GraphMatMulBackward(const Tensor& g, const Tensor& adjacency, const Tensor& x,
+                         Tensor* d_adjacency, Tensor* d_x) {
+  CheckGraphOperands(adjacency, x);
+  URCL_CHECK(g.shape() == x.shape()) << "GraphMatMul gradient " << g.shape().ToString()
+                                     << " does not match " << x.shape().ToString();
+  if (d_x != nullptr) {
+    URCL_CHECK(d_x->shape() == x.shape());
+    if (x.NumElements() > 0) NodeAxisMatMul(g, adjacency, d_x);
+  }
+  if (d_adjacency == nullptr) return;
+  URCL_CHECK(d_adjacency->shape() == adjacency.shape());
+  const int64_t nodes = x.dim(2), time = x.dim(3);
+  if (nodes == 0) return;
+  // sums[m, n] is d_adjacency[n, m]: row m adds, plane by plane in (b, c)
+  // order from +0, the plane's MatMulRow of x[b, c, m, :] against g[b, c]
+  // as [T, N] — the per-plane product and the batch order of ReduceTo.
+  Tensor sums(Shape{nodes, nodes});
+  if (x.NumElements() > 0) {
+    const Tensor g_rows = Transpose(g, {0, 1, 3, 2});
+    const int64_t plane = nodes * time;
+    const int64_t planes = x.dim(0) * x.dim(1);
+    const float* px = x.data();
+    const float* pg = g_rows.data();
+    float* ps = sums.mutable_data();
+    const int64_t grain = std::max<int64_t>(1, (1 << 16) / (planes * plane));
+    runtime::ParallelFor(0, nodes, grain, [&](int64_t begin, int64_t end) {
+      std::vector<float> row(static_cast<size_t>(nodes));
+      for (int64_t m = begin; m < end; ++m) {
+        float* total = ps + m * nodes;
+        for (int64_t p = 0; p < planes; ++p) {
+          MatMulRow(px + p * plane + m * time, 1, pg + p * plane, time, nodes, row.data());
+          AccumulateRow(row.data(), nodes, total);
+        }
+      }
+    });
+  }
+  CopyStrided({nodes, nodes}, {1, nodes}, {nodes, 1}, sums.data(), d_adjacency->mutable_data());
 }
 
 Tensor BroadcastTo(const Tensor& a, const Shape& target) {

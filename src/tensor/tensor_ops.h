@@ -2,10 +2,10 @@
 // inputs are never mutated. Binary elementwise ops follow NumPy broadcasting.
 //
 // Execution model: the hot kernels (elementwise binaries, reductions, MatMul,
-// TemporalConv2d, the strided copies behind Transpose/Slice/UnSlice/Concat/
-// Pad) are data-parallel via runtime::ParallelFor with shape-derived
-// chunking — results are bitwise identical at any thread count. Ops never
-// spawn threads directly (see runtime/parallel.h).
+// GraphMatMul, TemporalConv2d, the strided copies behind Transpose/Slice/
+// UnSlice/Concat/Pad) are data-parallel via runtime::ParallelFor with
+// shape-derived chunking — results are bitwise identical at any thread count.
+// Ops never spawn threads directly (see runtime/parallel.h).
 #ifndef URCL_TENSOR_TENSOR_OPS_H_
 #define URCL_TENSOR_TENSOR_OPS_H_
 
@@ -82,6 +82,25 @@ Tensor ReduceTo(const Tensor& a, const Shape& target);
 // Batched matrix multiply: [..., M, K] x [..., K, N] -> [..., M, N] with
 // broadcasting over the leading batch dims.
 Tensor MatMul(const Tensor& a, const Tensor& b);
+
+// Graph operator along the node axis of the encoder's [B, C, N, T] layout:
+// y[b, c, n, t] = sum over m of adjacency[n, m] * x[b, c, m, t], with
+// adjacency [N, N]. Each output sums its products in increasing m from +0,
+// skipping zero x entries: the bits of MatMul over x transposed to
+// [B, C, T, N] times the transposed adjacency, transposed back.
+Tensor GraphMatMul(const Tensor& adjacency, const Tensor& x);
+
+// Gradient kernel for GraphMatMul; `g` is the upstream gradient
+// [B, C, N, T]. Writes *d_adjacency ([N, N]) and *d_x ([B, C, N, T]), which
+// must have those shapes; either pointer may be null, and that gradient is
+// then not computed. d_x[b, c, m, t] sums g[b, c, n, t] * adjacency[n, m] in
+// increasing n from +0, skipping zero g entries. d_adjacency[n, m] sums over
+// the (b, c) planes in order, from +0, each plane's sum over t of
+// x[b, c, m, t] * g[b, c, n, t] (increasing t from +0, zero x skipped): the
+// batch sum ReduceTo would take of the per-plane MatMul, without
+// materialising the [B, C, N, N] products.
+void GraphMatMulBackward(const Tensor& g, const Tensor& adjacency, const Tensor& x,
+                         Tensor* d_adjacency, Tensor* d_x);
 
 // 2-D convolution with kernel (1, K) and temporal dilation, as used by the
 // GraphWaveNet gated TCN. Input [B, C_in, N, T], weight [C_out, C_in, 1, K];

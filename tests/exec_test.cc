@@ -378,6 +378,7 @@ std::vector<OpCase> EveryOpCases() {
       {.kind = K::kTemporalConv2d,
        .inputs = {Shape{2, 3, 4, 7}, Shape{5, 3, 1, 2}},
        .attrs = {.axis = 2}},
+      {.kind = K::kGraphMatMul, .inputs = {Shape{5, 5}, Shape{2, 3, 5, 4}}},
   };
 }
 

@@ -158,6 +158,14 @@ TEST(GradCheckTest, GatedTcnComposite) {
       RandomInputs({Shape{1, 2, 2, 5}, Shape{3, 2, 1, 2}, Shape{3, 2, 1, 2}}, 19));
 }
 
+TEST(GradCheckTest, NodeMatMul) {
+  // Both inputs of the graph operator: the adjacency (as the learned
+  // adaptive support) and the [B, C, N, T] features.
+  ExpectGradOk(
+      [](const std::vector<Variable>& in) { return Sum(Square(NodeMatMul(in[0], in[1]))); },
+      RandomInputs({Shape{3, 3}, Shape{2, 2, 3, 4}}, 21));
+}
+
 TEST(GradCheckTest, StopGradientExcludesBranch) {
   // d/dx [ sg(x^2) * x ] = x^2 exactly (not 3x^2).
   Variable x(Tensor::Scalar(1.7f), true);

@@ -288,13 +288,13 @@ Tensor ReferenceMatMul(const Tensor& a, const Tensor& b) {
 }
 
 TEST(SimdMatMulTest, BitwiseMatchesIkjReference) {
-  // n sweeps the scalar path (n < 8), whole vectors, the 32-column register
-  // block and its vector/overlapping tails; zeros in `a` (including -0)
-  // exercise the skip branch.
+  // n sweeps the scalar path (n < 8), whole vectors, the 32- and 64-column
+  // register blocks and their vector/overlapping tails; zeros in `a`
+  // (including -0) exercise the skip branch.
   std::vector<std::pair<Shape, Shape>> cases = {
       {Shape{1, 1}, Shape{1, 1}}, {Shape{3, 5}, Shape{5, 9}}, {Shape{4, 7}, Shape{7, 17}},
       {Shape{2, 3}, Shape{3, 8}}};
-  for (const int64_t n : {1, 8, 31, 32, 33, 64, 65}) {
+  for (const int64_t n : {1, 8, 31, 32, 33, 64, 65, 96, 100}) {
     cases.push_back({Shape{3, 37, 64}, Shape{64, n}});      // shared right operand
     cases.push_back({Shape{2, 11, 13}, Shape{2, 13, n}});   // batched right operand
   }
@@ -528,6 +528,131 @@ TEST(SimdStridedCopyTest, BitwiseMatchesElementwiseReference) {
                     pad_strides);
       EXPECT_TRUE(BitEq(ops::Pad(y, axis, 2, 3, -0.0f), pad_ref))
           << "pad axis " << axis << " at " << threads << " threads";
+    }
+  }
+}
+
+// The operand index of flat output index `flat` when an operand shaped
+// `in` (rank 4, dims 1 or the output's) is broadcast to `out`.
+int64_t BroadcastSource(const Shape& in, const Shape& out, int64_t flat) {
+  int64_t index = 0;
+  int64_t stride = 1;
+  for (int64_t axis = out.rank() - 1; axis >= 0; --axis) {
+    const int64_t i = flat % out.dim(axis);
+    flat /= out.dim(axis);
+    if (in.dim(axis) != 1) index += i * stride;
+    stride *= in.dim(axis);
+  }
+  return index;
+}
+
+TEST(SimdBinaryTest, BroadcastRunsBitwiseMatchElementwiseReference) {
+  // The encoder's broadcasts: biases [1, C, 1, 1], per-item channel scales
+  // [B, C, 1, 1], node-time maps [1, 1, N, T] and node masks [B, 1, N, 1],
+  // on either side. N*T = 396 is no multiple of 8, and 9504 elements split
+  // into chunks that start mid-run.
+  ThreadCountGuard guard;
+  const Shape full{4, 6, 33, 12};
+  const Tensor x = MakeInput(full, 950);
+  const std::vector<Shape> partners = {Shape{1, 6, 1, 1}, Shape{4, 6, 1, 1}, Shape{1, 1, 33, 12},
+                                       Shape{4, 1, 33, 1}};
+  uint64_t seed = 951;
+  for (const Shape& shape : partners) {
+    const Tensor y = MakeInput(shape, seed++);
+    Tensor add_ref(full), mul_ref(full), add_rev(full), mul_rev(full);
+    for (int64_t i = 0; i < full.NumElements(); ++i) {
+      const float a = x.data()[i];
+      const float b = y.data()[BroadcastSource(shape, full, i)];
+      add_ref.mutable_data()[i] = a + b;
+      mul_ref.mutable_data()[i] = a * b;
+      add_rev.mutable_data()[i] = b + a;
+      mul_rev.mutable_data()[i] = b * a;
+    }
+    for (const int threads : kThreadCounts) {
+      runtime::SetNumThreads(threads);
+      const std::string label = shape.ToString() + " at " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(BitEq(ops::Add(x, y), add_ref)) << label;
+      EXPECT_TRUE(BitEq(ops::Mul(x, y), mul_ref)) << label;
+      EXPECT_TRUE(BitEq(ops::Add(y, x), add_rev)) << label;
+      EXPECT_TRUE(BitEq(ops::Mul(y, x), mul_rev)) << label;
+    }
+  }
+}
+
+TEST(SimdReduceTest, BiasGradientRunsBitwiseMatchSerialOrder) {
+  // The bias-gradient reductions of a [B, C, N, T] gradient: down to
+  // [1, C, 1, 1] (ReduceTo and Sum), to [C], and to [1, C, N, 1], whose
+  // reduced axes are walked as runs of N*T, and of T, per slot.
+  ThreadCountGuard guard;
+  const Tensor g = MakeInput(Shape{4, 6, 33, 12}, 960, /*with_specials=*/false);
+  const auto add = [](float acc, float v) { return acc + v; };
+  const Tensor per_channel = ReferenceReduce(g, {0, 2, 3}, 0.0f, add);
+  const Tensor per_node = ReferenceReduce(g, {0, 3}, 0.0f, add);
+  for (const int threads : kThreadCounts) {
+    runtime::SetNumThreads(threads);
+    const std::string label = "at " + std::to_string(threads) + " threads";
+    EXPECT_TRUE(BitEq(ops::ReduceTo(g, Shape{1, 6, 1, 1}), per_channel)) << label;
+    EXPECT_TRUE(BitEq(ops::Sum(g, {0, 2, 3}, /*keepdims=*/true), per_channel)) << label;
+    EXPECT_TRUE(BitEq(ops::Sum(g, {0, 2, 3}), per_channel.Reshape(Shape{6}))) << label;
+    EXPECT_TRUE(BitEq(ops::ReduceTo(g, Shape{1, 6, 33, 1}), per_node)) << label;
+  }
+}
+
+// The composition GraphMatMul replaced: x transposed to [B, C, T, N] times
+// the transposed adjacency, transposed back; its gradients as the MatMul
+// backward of that chain produced them.
+struct GraphMatMulReference {
+  Tensor y, d_adjacency, d_x;
+};
+
+GraphMatMulReference ReferenceGraphMatMul(const Tensor& adjacency, const Tensor& x,
+                                          const Tensor& g) {
+  const std::vector<int64_t> swap{0, 1, 3, 2};
+  const Tensor g_rows = ops::Transpose(g, swap);
+  return {ops::Transpose(ops::MatMul(ops::Transpose(x, swap), ops::Transpose(adjacency, {1, 0})),
+                         swap),
+          ops::Transpose(ops::ReduceTo(ops::MatMul(x, g_rows), adjacency.shape()), {1, 0}),
+          ops::Transpose(ops::MatMul(g_rows, adjacency), swap)};
+}
+
+TEST(SimdGraphMatMulTest, ForwardAndBackwardBitwiseMatchComposition) {
+  // N spans the scalar columns (N < 8), whole vectors, the 32-column block
+  // and the overlapping tails; T = 1 makes each node column one element.
+  // Zeros (+0 and -0) in x and g exercise the zero skip of every output; the
+  // single-plane inputs carry NaN and +-Inf too (with them in every plane,
+  // most sums of the larger shapes would be NaN and pin down no order).
+  ThreadCountGuard guard;
+  uint64_t seed = 1000;
+  for (const int64_t nodes : {1, 7, 8, 9, 33, 64}) {
+    for (const int64_t time : {1, 2, 5, 12}) {
+      for (const Shape& planes : {Shape{1, 1}, Shape{2, 3}}) {
+        const Shape shape{planes.dim(0), planes.dim(1), nodes, time};
+        const bool specials = planes.NumElements() == 1;
+        const Tensor adjacency = MakeInput(Shape{nodes, nodes}, seed++, specials);
+        Tensor x = MakeInput(shape, seed++, specials);
+        Tensor g = MakeInput(shape, seed++, specials);
+        for (int64_t i = 1; i < x.NumElements(); i += 5) {
+          x.mutable_data()[i] = i % 2 ? 0.0f : -0.0f;
+          g.mutable_data()[i] = i % 2 ? -0.0f : 0.0f;
+        }
+        const GraphMatMulReference ref = ReferenceGraphMatMul(adjacency, x, g);
+        for (const int threads : kThreadCounts) {
+          runtime::SetNumThreads(threads);
+          const std::string label = adjacency.shape().ToString() + " x " + shape.ToString() +
+                                    " at " + std::to_string(threads) + " threads";
+          EXPECT_TRUE(BitEq(ops::GraphMatMul(adjacency, x), ref.y)) << label;
+          Tensor d_adjacency(adjacency.shape()), d_x(shape);
+          ops::GraphMatMulBackward(g, adjacency, x, &d_adjacency, &d_x);
+          EXPECT_TRUE(BitEq(d_adjacency, ref.d_adjacency)) << label;
+          EXPECT_TRUE(BitEq(d_x, ref.d_x)) << label;
+          // Each gradient alone, as a backward pass whose other input needs none.
+          Tensor only_adjacency(adjacency.shape()), only_x(shape);
+          ops::GraphMatMulBackward(g, adjacency, x, &only_adjacency, nullptr);
+          ops::GraphMatMulBackward(g, adjacency, x, nullptr, &only_x);
+          EXPECT_TRUE(BitEq(only_adjacency, ref.d_adjacency)) << label;
+          EXPECT_TRUE(BitEq(only_x, ref.d_x)) << label;
+        }
+      }
     }
   }
 }

@@ -438,8 +438,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("urcl_executor",
                               urcl::exec::ExecutorModeName(urcl::core::UrclConfig{}.executor));
   benchmark::AddCustomContext(
-      "urcl_pool", urcl::pool::BufferPool::Get().enabled() ? "on" : "off");
-  benchmark::AddCustomContext(
       "urcl_obs_overhead",
       "compare BM_TrainStep (observability off) with BM_TrainStepObserved "
       "(metrics+trace+profiler on); budget <2% on real_time");

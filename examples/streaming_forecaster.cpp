@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(steps), preset.name.c_str(),
               static_cast<long long>(nodes));
 
-  // Structured JSONL log: one record per served forecast.
+  // Structured JSONL log: one record per observed model version (the first
+  // live model, then each hot-swap).
   const std::string log_jsonl_path = flags.GetString("log-jsonl", "");
   std::ofstream log_jsonl;
   if (!log_jsonl_path.empty()) {

@@ -41,6 +41,31 @@ void VerifyCapturedVersions(const Node& node) {
   }
 }
 
+std::vector<Node*> BackwardOrder(Node* root) {
+  std::vector<Node*> order;
+  std::unordered_set<Node*> visited;
+  struct Frame {
+    Node* node;
+    size_t next_parent;
+  };
+  std::vector<Frame> stack;
+  visited.insert(root);
+  stack.push_back({root, 0});
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next_parent < frame.node->parents.size()) {
+      Node* parent = frame.node->parents[frame.next_parent++].node.get();
+      if (parent->requires_grad && visited.insert(parent).second) {
+        stack.push_back({parent, 0});
+      }
+    } else {
+      order.push_back(frame.node);
+      stack.pop_back();
+    }
+  }
+  return order;
+}
+
 namespace {
 
 // Adds `delta` into `node`'s gradient (no-op unless it requires grad).
@@ -161,29 +186,7 @@ void Variable::BackwardWithSeed(const Tensor& seed) {
   URCL_CHECK(IsValid());
   URCL_CHECK(requires_grad()) << "Backward on a node that does not require grad";
 
-  // Iterative post-order DFS to get a topological order (parents before
-  // children in `order`; we then walk it from the back).
-  std::vector<internal::Node*> order;
-  std::unordered_set<internal::Node*> visited;
-  struct Frame {
-    internal::Node* node;
-    size_t next_parent;
-  };
-  std::vector<Frame> stack;
-  if (visited.insert(node_.get()).second) stack.push_back({node_.get(), 0});
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_parent < frame.node->parents.size()) {
-      internal::Node* parent = frame.node->parents[frame.next_parent++].node.get();
-      if (parent->requires_grad && visited.insert(parent).second) {
-        stack.push_back({parent, 0});
-      }
-    } else {
-      order.push_back(frame.node);
-      stack.pop_back();
-    }
-  }
-
+  const std::vector<internal::Node*> order = internal::BackwardOrder(node_.get());
   if (check::GraphChecksEnabled()) {
     // Verify every captured operand is byte-for-byte what the forward pass
     // recorded before any op gradient re-reads it (URCL_CHECK env gate;

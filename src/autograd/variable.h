@@ -67,6 +67,13 @@ std::string DescribeStaleCapture(const Node& node, size_t parent_index);
 // captured operand of `node`.
 void VerifyCapturedVersions(const Node& node);
 
+// The backward schedule: `root` and every node reachable from it through
+// parents that require grad, in iterative DFS post-order (each node after
+// its parents, parents visited in recorded order). Backward runs op
+// gradients walking it from the back; the compiled plan maps the same list
+// onto its slots, so both executors accumulate gradients in one order.
+std::vector<Node*> BackwardOrder(Node* root);
+
 }  // namespace internal
 
 // Value-semantics handle; copying shares the underlying node.

@@ -1,13 +1,9 @@
 #include "exec/plan.h"
 
-#include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "obs/flight_recorder.h"
-#include "obs/profiler.h"
-#include "runtime/parallel.h"
 
 namespace urcl {
 namespace exec {
@@ -51,9 +47,9 @@ class GraphRecorder : public autograd::record::TapeListener {
     Finish(out, std::move(instr));
   }
 
-  // Slot index of a Variable seen during capture, or -1.
-  int SlotIndexOf(const Variable& v) const {
-    auto it = slot_of_.find(v.internal_node().get());
+  // Slot index of a node seen during capture, or -1.
+  int SlotIndexOf(const autograd::internal::Node* node) const {
+    auto it = slot_of_.find(node);
     return it == slot_of_.end() ? -1 : it->second;
   }
 
@@ -142,7 +138,7 @@ CompiledPlan::CaptureResult CompiledPlan::Capture(
     result.error = recorder.error();
     return result;
   }
-  plan->root_ = recorder.SlotIndexOf(*result.root);
+  plan->root_ = recorder.SlotIndexOf(result.root->internal_node().get());
   if (plan->root_ < 0 || plan->slots_[static_cast<size_t>(plan->root_)].kind != Slot::Kind::kOp) {
     result.error = "root was not produced under the capture listener";
     return result;
@@ -156,10 +152,18 @@ CompiledPlan::CaptureResult CompiledPlan::Capture(
       result.error = "backward requires a scalar root";
       return result;
     }
+    // The tape's own backward schedule, each node mapped to its slot.
+    for (autograd::internal::Node* node :
+         autograd::internal::BackwardOrder(result.root->internal_node().get())) {
+      const int slot = recorder.SlotIndexOf(node);
+      if (slot < 0) {
+        result.error = "backward reaches a node the capture did not record";
+        return result;
+      }
+      plan->backward_order_.push_back(slot);
+    }
   }
   if (!plan->InferShapes(&result.error)) return result;
-  plan->DetectFusion();
-  if (with_backward && !plan->CompileBackward(&result.error)) return result;
   plan->AnalyzeLiveness();
   const bool measured = plan->Measure(inputs, &result.error);
   if (with_backward) {
@@ -174,7 +178,7 @@ CompiledPlan::CaptureResult CompiledPlan::Capture(
 }
 
 bool CompiledPlan::InferShapes(std::string* error) {
-  for (Instr& instr : instrs_) {
+  for (const Instr& instr : instrs_) {
     std::vector<Shape> inputs;
     for (const int p : instr.parents) inputs.push_back(slots_[static_cast<size_t>(p)].shape);
     const std::string name = instr.is_alias ? "stop_gradient" : OpName(instr.kind);
@@ -190,106 +194,6 @@ bool CompiledPlan::InferShapes(std::string* error) {
       *error = "AOT shape inference: " + name + " disagrees with the captured output shape";
       return false;
     }
-    instr.out_shape = got;
-  }
-  return true;
-}
-
-void CompiledPlan::DetectFusion() {
-  std::vector<int> consumers(slots_.size(), 0);
-  for (const Instr& instr : instrs_) {
-    for (const int p : instr.parents) ++consumers[static_cast<size_t>(p)];
-  }
-  ++consumers[static_cast<size_t>(root_)];  // the root is always a consumer
-  const auto producer_of = [this](int slot) -> Instr* {
-    const Slot& s = slots_[static_cast<size_t>(slot)];
-    if (s.kind != Slot::Kind::kOp) return nullptr;
-    Instr* instr = &instrs_[static_cast<size_t>(s.producer)];
-    return instr->is_alias ? nullptr : instr;
-  };
-  for (Instr& mul : instrs_) {
-    if (mul.is_alias || mul.kind != OpKind::kMul || mul.out_shape.rank() != 4) continue;
-    Instr* tanh = producer_of(mul.parents[0]);
-    Instr* sigmoid = producer_of(mul.parents[1]);
-    if (tanh == nullptr || sigmoid == nullptr) continue;
-    if (tanh->kind != OpKind::kTanh || sigmoid->kind != OpKind::kSigmoid) continue;
-    Instr* add1 = producer_of(tanh->parents[0]);
-    Instr* add2 = producer_of(sigmoid->parents[0]);
-    if (add1 == nullptr || add2 == nullptr) continue;
-    if (add1->kind != OpKind::kAdd || add2->kind != OpKind::kAdd) continue;
-    // Every intermediate must have exactly one consumer (the chain itself).
-    if (consumers[static_cast<size_t>(tanh->out)] != 1 ||
-        consumers[static_cast<size_t>(sigmoid->out)] != 1 ||
-        consumers[static_cast<size_t>(add1->out)] != 1 ||
-        consumers[static_cast<size_t>(add2->out)] != 1) {
-      continue;
-    }
-    // Shape discipline: full [B,C,N,T] data path, [1,C,1,1] channel biases.
-    const Shape& out = mul.out_shape;
-    const Shape bias_shape = Shape{1, out.dim(1), 1, 1};
-    const auto shape_of = [this](int s) -> const Shape& {
-      return slots_[static_cast<size_t>(s)].shape;
-    };
-    if (!(shape_of(add1->parents[0]) == out) || !(shape_of(add2->parents[0]) == out) ||
-        !(shape_of(add1->parents[1]) == bias_shape) ||
-        !(shape_of(add2->parents[1]) == bias_shape)) {
-      continue;
-    }
-    FusedGate gate;
-    gate.x = add1->parents[0];
-    gate.b1 = add1->parents[1];
-    gate.y = add2->parents[0];
-    gate.b2 = add2->parents[1];
-    gate.tanh_out = tanh->out;
-    gate.sigmoid_out = sigmoid->out;
-    gate.mul_out = mul.out;
-    mul.fused_index = static_cast<int>(fused_gates_.size());
-    fused_gates_.push_back(gate);
-    tanh->skipped = true;
-    sigmoid->skipped = true;
-    add1->skipped = true;
-    add2->skipped = true;
-  }
-}
-
-bool CompiledPlan::CompileBackward(std::string* error) {
-  // Byte-for-byte replication of Variable::BackwardWithSeed's iterative
-  // post-order DFS over the slot graph: same visitation rule, same parent
-  // order, hence the same closure execution and gradient accumulation order.
-  struct Frame {
-    int slot;
-    size_t next_parent;
-  };
-  std::vector<uint8_t> visited(slots_.size(), 0);
-  std::vector<Frame> stack;
-  visited[static_cast<size_t>(root_)] = 1;
-  stack.push_back({root_, 0});
-  const std::vector<int> no_parents;
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const Slot& slot = slots_[static_cast<size_t>(frame.slot)];
-    // Tape nodes record parents only when gradients flow; leaves and
-    // grad-free regions have none.
-    const std::vector<int>& parents =
-        (slot.kind == Slot::Kind::kOp && slot.requires_grad &&
-         !instrs_[static_cast<size_t>(slot.producer)].is_alias)
-            ? instrs_[static_cast<size_t>(slot.producer)].parents
-            : no_parents;
-    if (frame.next_parent < parents.size()) {
-      const int parent = parents[frame.next_parent++];
-      const auto parent_index = static_cast<size_t>(parent);
-      if (slots_[parent_index].requires_grad && !visited[parent_index]) {
-        visited[parent_index] = 1;
-        stack.push_back({parent, 0});
-      }
-    } else {
-      backward_order_.push_back(frame.slot);
-      stack.pop_back();
-    }
-  }
-  if (backward_order_.empty()) {
-    *error = "empty backward program";
-    return false;
   }
   return true;
 }
@@ -298,23 +202,14 @@ void CompiledPlan::AnalyzeLiveness() {
   drop_after_.assign(instrs_.size(), {});
   std::vector<int> last_use(slots_.size(), -1);
   for (size_t i = 0; i < instrs_.size(); ++i) {
-    const Instr& instr = instrs_[i];
-    if (instr.skipped) continue;  // reads happen at the fused site instead
-    if (instr.fused_index >= 0) {
-      const FusedGate& gate = fused_gates_[static_cast<size_t>(instr.fused_index)];
-      for (const int s : {gate.x, gate.b1, gate.y, gate.b2}) {
-        last_use[static_cast<size_t>(s)] = static_cast<int>(i);
-      }
-      continue;
-    }
-    for (const int p : instr.parents) last_use[static_cast<size_t>(p)] = static_cast<int>(i);
+    for (const int p : instrs_[i].parents) last_use[static_cast<size_t>(p)] = static_cast<int>(i);
   }
   needed_in_backward_.assign(slots_.size(), 0);
   if (with_backward_) {
     needed_in_backward_[static_cast<size_t>(root_)] = 1;
     for (const Instr& instr : instrs_) {
-      // Backward thunks run for every grad-carrying op, fused or not, and
-      // read what their definition's liveness facts name.
+      // Backward thunks run for every grad-carrying op and read what their
+      // definition's liveness facts name.
       if (instr.is_alias || !slots_[static_cast<size_t>(instr.out)].requires_grad) continue;
       if (autograd::record::OpReadsInputs(instr.kind)) {
         for (const int p : instr.parents) needed_in_backward_[static_cast<size_t>(p)] = 1;
@@ -384,14 +279,7 @@ Tensor CompiledPlan::RunForward() {
   {
     pool::StorageHookScope hook(&arena_);
     for (size_t i = 0; i < instrs_.size(); ++i) {
-      const Instr& instr = instrs_[i];
-      if (instr.skipped) {
-        // covered by a fused gate
-      } else if (instr.fused_index >= 0) {
-        RunFusedGate(fused_gates_[static_cast<size_t>(instr.fused_index)]);
-      } else {
-        values_[static_cast<size_t>(instr.out)] = EvalForward(instr);
-      }
+      values_[static_cast<size_t>(instrs_[i].out)] = EvalForward(instrs_[i]);
       for (const int dead : drop_after_[i]) values_[static_cast<size_t>(dead)] = empty_;
     }
     root_out_.CopyFrom(values_[static_cast<size_t>(root_)]);
@@ -484,56 +372,6 @@ Tensor CompiledPlan::EvalForward(const Instr& instr) {
   if (instr.is_alias) return values_[static_cast<size_t>(instr.parents[0])];
   return autograd::record::OpForward(instr.kind, instr.attrs,
                                      SlotOperands(this, instr, /*backward=*/false));
-}
-
-void CompiledPlan::RunFusedGate(const FusedGate& gate) {
-  const bool profiled = obs::ProfilerEnabled();
-  const int64_t start = profiled ? obs::internal::ProfileTicksNow() : 0;
-  const Tensor& x = values_[static_cast<size_t>(gate.x)];
-  const Tensor& b1 = values_[static_cast<size_t>(gate.b1)];
-  const Tensor& y = values_[static_cast<size_t>(gate.y)];
-  const Tensor& b2 = values_[static_cast<size_t>(gate.b2)];
-  Tensor t = Tensor::Uninitialized(x.shape());
-  Tensor s = Tensor::Uninitialized(x.shape());
-  Tensor o = Tensor::Uninitialized(x.shape());
-  const int64_t channels = x.dim(1);
-  const int64_t rows = x.dim(0) * channels;
-  const int64_t row_len = x.dim(2) * x.dim(3);
-  const float* px = x.data();
-  const float* py = y.data();
-  const float* pb1 = b1.data();
-  const float* pb2 = b2.data();
-  float* pt = t.mutable_data();
-  float* ps = s.mutable_data();
-  float* po = o.mutable_data();
-  const int64_t grain = std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, row_len));
-  runtime::ParallelFor(0, rows, grain, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      const int64_t c = r % channels;
-      const float bias1 = pb1[c];
-      const float bias2 = pb2[c];
-      const int64_t base = r * row_len;
-      for (int64_t i = 0; i < row_len; ++i) {
-        // Exactly the unfused scalar math: one rounding per add (IEEE, same
-        // as the SIMD broadcast add), std::tanh / the sigmoid expression
-        // verbatim from tensor_ops.cc, then the product — so the three
-        // written slots are bitwise what Tanh(Add(...)) etc. would produce.
-        const float tv = std::tanh(px[base + i] + bias1);
-        const float sv = 1.0f / (1.0f + std::exp(-(py[base + i] + bias2)));
-        pt[base + i] = tv;
-        ps[base + i] = sv;
-        po[base + i] = tv * sv;
-      }
-    }
-  });
-  values_[static_cast<size_t>(gate.tanh_out)] = t;
-  values_[static_cast<size_t>(gate.sigmoid_out)] = s;
-  values_[static_cast<size_t>(gate.mul_out)] = o;
-  if (profiled) {
-    // The one plan thunk outside record::OpForward: it writes three outputs.
-    obs::internal::RecordForward("fused_gate", obs::internal::ElapsedNs(start),
-                                 3 * static_cast<uint64_t>(x.NumElements()) * sizeof(float));
-  }
 }
 
 void CompiledPlan::AccumulateSlot(int slot_index, const Tensor& delta) {

@@ -18,26 +18,21 @@
 //   compile   Ahead-of-time shape inference re-derives every op's output
 //             shape with the op definition's rule (record::OpOutputShape,
 //             which the graph linter checks too) and must agree with the
-//             captured shapes; the backward program is
-//             derived by replaying Variable::BackwardWithSeed's exact DFS
-//             over the slot graph; elementwise gate chains
-//             Mul(Tanh(Add(x,b1)), Sigmoid(Add(y,b2))) are fused into one
-//             parallel pass; value lifetimes are analyzed so dead
+//             captured shapes; the backward program is the tape's own
+//             schedule (autograd::internal::BackwardOrder over the captured
+//             graph) mapped onto slots; value lifetimes are analyzed so dead
 //             intermediates are dropped at their last use.
 //   measure   One instrumented execution records every storage acquisition
 //             and its lifetime; exec::PlanArena packs them into a single
 //             arena block with lifetime-based slot reuse (arena.h).
-//   replay    Steady-state runs execute one thunk per op (or fused gate)
-//             over arena slots: zero tape nodes, zero BufferPool
-//             acquisitions. Results are bitwise-identical to the
-//             tape — forward values, gradients, and Adam state — because an
-//             op's thunk calls the op's one definition (OpForward/OpBackward
-//             in autograd/record.h) that the tape calls too, in the tape's
-//             order on the same operands, and a fused gate repeats the
-//             unfused kernels' scalar math (asserted by memcmp in
-//             tests/exec_test). The per-op profiler times the same
-//             definitions, so a replay charges the tape's cells; the fused
-//             gate records its own "fused_gate" row.
+//   replay    Steady-state runs execute one thunk per op over arena slots:
+//             zero tape nodes, zero BufferPool acquisitions. Results are
+//             bitwise-identical to the tape — forward values, gradients, and
+//             Adam state — because each thunk calls the op's one definition
+//             (OpForward/OpBackward in autograd/record.h) that the tape calls
+//             too, in the tape's order on the same operands (asserted by
+//             memcmp in tests/exec_test). The per-op profiler times the same
+//             definitions, so a replay charges exactly the tape's cells.
 //
 // The tape remains the reference path and the fallback: captures abort on
 // anything unreplayable (dropout's per-step RNG mask, graphs built outside
@@ -91,21 +86,6 @@ struct Instr {
   autograd::record::OpAttrs attrs;
   int out = -1;
   std::vector<int> parents;
-  Shape out_shape;
-
-  bool skipped = false;   // forward covered by a fused instruction
-  int fused_index = -1;   // >= 0: run fused_gates[fused_index] instead
-  int last_fwd_use = -1;  // liveness: last instr reading this instr's out
-};
-
-// A fused Mul(Tanh(Add(x,b1)), Sigmoid(Add(y,b2))) gate: one parallel pass
-// writes the tanh, sigmoid and product slots, eliding both broadcast adds.
-// Per-element math is exactly the unfused kernels' scalar form, so results
-// are bitwise identical.
-struct FusedGate {
-  int x = -1, b1 = -1;  // tanh branch: full-shape input, [1,C,1,1] bias
-  int y = -1, b2 = -1;  // sigmoid branch
-  int tanh_out = -1, sigmoid_out = -1, mul_out = -1;
 };
 
 class CompiledPlan {
@@ -141,14 +121,15 @@ class CompiledPlan {
 
   // Executes the gradient program, seeding the (scalar) root with ones.
   // Parameter gradients accumulate through Variable::AccumulateGrad, so
-  // ClipGradNorm/Adam behave exactly as after a tape backward.
+  // ClipGradNorm/Adam behave exactly as after a tape backward. They must be
+  // zero before Capture and before every run, as the trainer leaves them:
+  // their first accumulation allocates, and the arena aborts a replay whose
+  // allocations differ from the measure run's.
   void RunBackward();
 
   // Abandons a started run (e.g. the trainer quarantined a non-finite
   // loss between forward and backward) and resets the arena.
   void Abort();
-
-  int64_t num_fused() const { return static_cast<int64_t>(fused_gates_.size()); }
 
  private:
   friend class GraphRecorder;
@@ -160,25 +141,21 @@ class CompiledPlan {
 
   // Compilation stages (see plan.cc).
   bool InferShapes(std::string* error);
-  void DetectFusion();
-  bool CompileBackward(std::string* error);
   void AnalyzeLiveness();
   bool Measure(const std::vector<Tensor>& inputs, std::string* error);
 
   // Execution.
   Tensor EvalForward(const Instr& instr);
-  void RunFusedGate(const FusedGate& gate);
   void ExecBackwardThunk(const Instr& instr);
   void AccumulateSlot(int slot, const Tensor& delta);
   void ClearRunState();
 
   std::vector<Slot> slots_;
   std::vector<Instr> instrs_;
-  std::vector<FusedGate> fused_gates_;
   std::vector<Shape> input_shapes_;
   int root_ = -1;
   bool with_backward_ = false;
-  std::vector<int> backward_order_;  // post-order slots, executed in reverse
+  std::vector<int> backward_order_;  // BackwardOrder as slots, executed in reverse
   std::vector<uint8_t> needed_in_backward_;
   std::vector<std::vector<int>> drop_after_;  // instr -> slots dead after it
 

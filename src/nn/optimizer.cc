@@ -25,6 +25,26 @@ Status CheckCongruent(const std::vector<Variable>& params, uint64_t count, const
   return Status::Ok();
 }
 
+// Registry handles for the optimizer's metrics, resolved on first use and
+// gated on obs::MetricsEnabled() at every use site.
+struct OptimizerMetrics {
+  obs::Gauge& grad_norm;
+  obs::Counter& clip_events;
+  obs::Counter& nonfinite_grad;
+  obs::Counter& nonfinite_param;
+};
+
+OptimizerMetrics& Metrics() {
+  auto& registry = obs::MetricsRegistry::Get();
+  static OptimizerMetrics* metrics = new OptimizerMetrics{
+      registry.GetGauge("urcl.optimizer.grad_norm"),
+      registry.GetCounter("urcl.optimizer.clip_events"),
+      registry.GetCounter("urcl.optimizer.nonfinite_grad"),
+      registry.GetCounter("urcl.optimizer.nonfinite_param"),
+  };
+  return *metrics;
+}
+
 }  // namespace
 
 Optimizer::Optimizer(std::vector<Variable> params) : params_(std::move(params)) {
@@ -47,12 +67,12 @@ float Optimizer::ClipGradNorm(float max_norm) {
   }
   const float norm = static_cast<float>(std::sqrt(total_sq));
   if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Get().GetGauge("urcl.optimizer.grad_norm").Set(norm);
+    Metrics().grad_norm.Set(norm);
   }
   if (!std::isfinite(norm)) return norm;
   if (norm > max_norm && norm > 0.0f) {
     if (obs::MetricsEnabled()) {
-      obs::MetricsRegistry::Get().GetCounter("urcl.optimizer.clip_events").Add(1);
+      Metrics().clip_events.Add(1);
     }
     const float scale = max_norm / norm;
     for (Variable& p : params_) {
@@ -166,7 +186,7 @@ void Adam::Step() {
       // parameters inconsistent across params.
       last_report_ = NonFiniteReport{bad, NonFiniteReport::Kind::kGradient};
       if (obs::MetricsEnabled()) {
-        obs::MetricsRegistry::Get().GetCounter("urcl.optimizer.nonfinite_grad").Add(1);
+        Metrics().nonfinite_grad.Add(1);
       }
       return;
     }
@@ -225,7 +245,7 @@ void Adam::Step() {
     if (bad >= 0) {
       last_report_ = NonFiniteReport{bad, NonFiniteReport::Kind::kParameter};
       if (obs::MetricsEnabled()) {
-        obs::MetricsRegistry::Get().GetCounter("urcl.optimizer.nonfinite_param").Add(1);
+        Metrics().nonfinite_param.Add(1);
       }
     }
   }

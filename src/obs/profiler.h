@@ -1,9 +1,8 @@
 // Per-op profiler. Hooked into the one place every op runs: the op
 // definition's record::OpForward and record::OpBackward (autograd/record.h)
 // time each call when ProfilerEnabled(). The tape (Apply, Backward) and the
-// compiled plan's thunks both run ops through those two functions, so they
-// charge the same per-op cells. The plan's fused gated-TCN pass, the one
-// plan thunk outside them, records its own "fused_gate" forward row.
+// compiled plan's thunks both run every op through those two functions, so
+// a plan replay charges exactly the tape's per-op cells.
 // Ops that delegate entirely to another op (Neg -> MulScalar) attribute
 // their time to the inner op.
 //

@@ -42,7 +42,6 @@ struct ServeMetrics {
   obs::CounterHandle plan_compiles{"urcl.serve.plan_compiles"};
   obs::CounterHandle snapshots{"urcl.serve.snapshots"};
   obs::CounterHandle snapshots_quarantined{"urcl.serve.snapshots_quarantined"};
-  obs::CounterHandle snapshot_parse_failures{"urcl.serve.snapshot_parse_failures"};
   obs::GaugeHandle model_version{"urcl.serve.model_version"};
   obs::GaugeHandle health_state{"urcl.serve.health_state"};
   obs::HistogramHandle latency_ns{"urcl.serve.latency_ns",
@@ -132,7 +131,6 @@ core::UrclTrainer::SnapshotSink ForecastService::SnapshotSink() {
       std::fprintf(stderr, "[urcl.serve] snapshot quarantined: %s\n",
                    status.ToString().c_str());
       Metrics().snapshots_quarantined.Add();
-      Metrics().snapshot_parse_failures.Add();  // legacy alias
       obs::RecordFlightEvent(obs::FlightEventType::kSnapshotQuarantine, /*a=*/-1,
                              /*b=*/0, status.message().c_str());
       return;

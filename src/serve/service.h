@@ -112,9 +112,8 @@ class ForecastService {
   // Callback for UrclTrainer::SetSnapshotSink: runs the published container
   // through the admission gate and hot-swaps it into the hub on success.
   // Failures quarantine the snapshot — counted in
-  // urcl.serve.snapshots_quarantined (and the legacy
-  // urcl.serve.snapshot_parse_failures), logged to stderr — and keep the
-  // previous version live.
+  // urcl.serve.snapshots_quarantined, logged to stderr and flight-recorded
+  // — and keep the previous version live.
   core::UrclTrainer::SnapshotSink SnapshotSink();
 
   // Appends one tick of raw sensor readings ([N, C], unnormalized) to every

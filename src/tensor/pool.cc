@@ -121,14 +121,12 @@ BufferPool::BufferPool()
       live_bytes_(obs::MetricsRegistry::Get().GetGauge("urcl.pool.live_bytes")),
       pooled_bytes_(obs::MetricsRegistry::Get().GetGauge("urcl.pool.pooled_bytes")),
       capacity_bytes_(kDefaultCapacityBytes),
-      enabled_(true),
 #ifdef NDEBUG
       poison_enabled_(false)
 #else
       poison_enabled_(true)
 #endif
 {
-  if (const char* env = std::getenv("URCL_POOL")) enabled_ = ParseEnabled(env);
   if (const char* env = std::getenv("URCL_POOL_POISON")) poison_enabled_ = ParseEnabled(env);
   if (const char* env = std::getenv("URCL_POOL_CAP_MB")) {
     char* end = nullptr;
@@ -155,7 +153,7 @@ BufferPool::Acquisition BufferPool::AcquireWithVersion(int64_t count, bool zero_
   {
     MutexLock lock(mu_);
     auto& list = free_lists_[static_cast<size_t>(cls)];
-    if (enabled_ && !list.empty()) {
+    if (!list.empty()) {
       ptr = list.back();
       list.pop_back();
       pooled = true;
@@ -200,8 +198,7 @@ void BufferPool::Release(float* ptr, int size_class) {
   {
     MutexLock lock(mu_);
     live_bytes_.Add(-static_cast<double>(bytes));
-    if (enabled_ &&
-        static_cast<uint64_t>(pooled_bytes_.Value()) + bytes <= capacity_bytes_) {
+    if (static_cast<uint64_t>(pooled_bytes_.Value()) + bytes <= capacity_bytes_) {
       // Poison before the push makes the buffer visible to other acquirers;
       // the fill runs under the lock only when poisoning is on (debug/test
       // builds), so the release fast path is unchanged.
@@ -258,19 +255,6 @@ int64_t BufferPool::Trim() {
   }
   for (float* ptr : to_free) FreeRaw(ptr);
   return static_cast<int64_t>(freed);
-}
-
-bool BufferPool::enabled() const {
-  MutexLock lock(mu_);
-  return enabled_;
-}
-
-void BufferPool::set_enabled(bool enabled) {
-  {
-    MutexLock lock(mu_);
-    enabled_ = enabled;
-  }
-  if (!enabled) Trim();
 }
 
 bool BufferPool::poison_enabled() const {

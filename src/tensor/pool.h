@@ -10,9 +10,6 @@
 //    the same class even when augmentation jitters sizes slightly;
 //  - cap-with-trim: cached bytes are bounded (URCL_POOL_CAP_MB, default 256);
 //    a buffer whose return would exceed the cap is freed instead of cached;
-//  - `URCL_POOL=off` in the environment disables pooling entirely (every
-//    acquire mallocs, every release frees) — the escape hatch for debugging
-//    with ASan heap tooling or auditing allocator behaviour;
 //  - buffers are 64-byte aligned (cache line, and any vector ISA's natural
 //    alignment — the SIMD kernels use unaligned loads, so this is a
 //    performance nicety, not a correctness requirement).
@@ -31,9 +28,10 @@
 // a released buffer is a hard ASan crash.
 //
 // The pool affects only *where* storage comes from, never its contents, so
-// it is invisible to the numerics: results are bitwise identical with the
-// pool on or off. (Poisoning only ever changes bytes a correct kernel never
-// reads; with it disabled the contents are untouched.)
+// it is invisible to the numerics: results are bitwise identical whether a
+// buffer is recycled or freshly allocated. (Poisoning only ever changes
+// bytes a correct kernel never reads; with it disabled the contents are
+// untouched.)
 #ifndef URCL_TENSOR_POOL_H_
 #define URCL_TENSOR_POOL_H_
 
@@ -132,10 +130,6 @@ class BufferPool {
   // Frees every cached buffer; returns the number of bytes released.
   int64_t Trim();
 
-  bool enabled() const;
-  // Test/benchmark hook; the URCL_POOL env var sets the initial value.
-  void set_enabled(bool enabled);
-
   bool poison_enabled() const;
   // Test hook; URCL_POOL_POISON (else NDEBUG) sets the initial value.
   void set_poison_enabled(bool enabled);
@@ -164,7 +158,6 @@ class BufferPool {
   obs::Gauge& live_bytes_;
   obs::Gauge& pooled_bytes_;
   uint64_t capacity_bytes_ URCL_GUARDED_BY(mu_);
-  bool enabled_ URCL_GUARDED_BY(mu_);
   bool poison_enabled_ URCL_GUARDED_BY(mu_);
 };
 

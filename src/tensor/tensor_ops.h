@@ -104,13 +104,14 @@ void GraphMatMulBackward(const Tensor& g, const Tensor& adjacency, const Tensor&
 
 // 2-D convolution with kernel (1, K) and temporal dilation, as used by the
 // GraphWaveNet gated TCN. Input [B, C_in, N, T], weight [C_out, C_in, 1, K];
-// output [B, C_out, N, T - dilation*(K-1)] (no padding, stride 1). This is
-// the single forward kernel shared by the autograd op and the inference-only
-// serving executor, so both paths are bitwise identical by construction.
+// output [B, C_out, N, T - dilation*(K-1)] (no padding, stride 1). The one
+// forward kernel of the temporal_conv2d op: record::OpForward calls it for
+// the tape and the compiled plan alike, so both are bitwise identical by
+// construction.
 Tensor TemporalConv2d(const Tensor& input, const Tensor& weight, int64_t dilation);
 
-// Gradient kernel for TemporalConv2d, shared by the autograd tape closure and
-// the compiled executor's backward program. Accumulates (+=) into *d_in
+// Gradient kernel for TemporalConv2d, called by the op's record::OpBackward
+// for the tape and the compiled plan alike. Accumulates (+=) into *d_in
 // ([B, Ci, N, T]) and *d_w ([Co, Ci, 1, K]), which the caller must have
 // zero-initialized; `g` is the upstream gradient [B, Co, N, T_out]. Either
 // pointer may be null, and that gradient is then not computed.

@@ -1,14 +1,15 @@
 // Compiled-executor tests (ctest label `exec`, DESIGN.md §12): bitwise
 // plan-vs-tape equality of forward, backward and Adam state across thread
-// counts and for every op definition, zero steady-state BufferPool traffic
-// (also after an aborted run), arena layout validation,
-// the sNaN poison audit over arena slots, elementwise-gate fusion, the
-// capture error paths (dropout RNG, graphs built outside the listener), and
-// PlanCache::Run's executor decision (permanent fallback, abort on a dropped
-// backward).
+// counts and for every op definition, the tape's gradient accumulation
+// order, zero steady-state BufferPool traffic
+// (also after an aborted run), arena layout validation, the sNaN poison
+// audit over arena slots, the capture error paths (dropout RNG, graphs built
+// outside the listener), and PlanCache::Run's executor decision (permanent
+// fallback, abort on a dropped backward).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -295,6 +296,36 @@ TEST_F(PlanUnitTest, ReplayMatchesTapeForwardAndGradBitwise) {
   }
 }
 
+// The plan runs backward in the tape's own order, not merely in some
+// topological order. One parameter feeds three products whose gradients
+// (1, 3 * 2^-26, -1) sum to 0 in the tape's order and to 2^-24 in reverse
+// creation order, another valid schedule, so only the tape's order matches.
+TEST_F(PlanUnitTest, BackwardAccumulatesInTheTapesOrder) {
+  const Shape shape{4};
+  Variable w(Tensor::Full(shape, 0.5f), /*requires_grad=*/true);
+  const Tensor ca = Tensor::Full(shape, 1.0f);
+  const Tensor cb = Tensor::Full(shape, std::ldexp(3.0f, -26));
+  const Tensor cd = Tensor::Full(shape, -1.0f);
+  auto build = [&] {
+    Variable a = ag::Mul(w, Variable(ca, false));
+    Variable b = ag::Mul(w, Variable(cb, false));
+    Variable d = ag::Mul(w, Variable(cd, false));
+    return ag::Sum(ag::Add(ag::Add(d, b), a));
+  };
+  w.ZeroGrad();
+  build().Backward();
+  const Tensor reference = w.grad().Clone();
+  ASSERT_TRUE(BitwiseEqual(reference, Tensor::Zeros(shape)));
+
+  w.ZeroGrad();
+  CompiledPlan::CaptureResult captured = CompiledPlan::Capture({}, build, /*with_backward=*/true);
+  ASSERT_NE(captured.plan, nullptr) << captured.error;
+  captured.plan->BindInputs({});
+  captured.plan->RunForward();
+  captured.plan->RunBackward();
+  EXPECT_TRUE(BitwiseEqual(w.grad(), reference));
+}
+
 // A run abandoned between forward and backward (the trainer's quarantine of
 // a non-finite loss) leaves the plan ready: the next step is still bitwise
 // the tape and still draws nothing from the BufferPool.
@@ -433,36 +464,6 @@ TEST_F(PlanUnitTest, EveryOpReplaysBitwiseAgainstTheTape) {
   for (size_t k = 0; k < covered.size(); ++k) {
     EXPECT_TRUE(covered[k]) << "no case for op "
                             << ag::record::OpName(static_cast<ag::record::OpKind>(k));
-  }
-}
-
-// The gated-TCN elementwise chain Mul(Tanh(x + b1), Sigmoid(y + b2)) fuses
-// into one pass; fusion must be detected and stay bitwise-identical to the
-// unfused tape ops.
-TEST_F(PlanUnitTest, GateFusionDetectedAndBitwiseEqual) {
-  const Shape shape{2, 3, 4, 5};
-  Tensor x = Ramp(shape, -0.8f, 0.011f);
-  Tensor y = Ramp(shape, 0.7f, -0.009f);
-  Tensor b1 = Ramp(Shape{1, 3, 1, 1}, 0.1f, 0.05f);
-  Tensor b2 = Ramp(Shape{1, 3, 1, 1}, -0.2f, 0.07f);
-
-  auto build = [&] {
-    Variable t = ag::Tanh(ag::Add(Variable(x, false), Variable(b1, false)));
-    Variable s = ag::Sigmoid(ag::Add(Variable(y, false), Variable(b2, false)));
-    return ag::Mul(t, s);
-  };
-
-  const std::vector<Tensor> inputs{x, y};
-  CompiledPlan::CaptureResult captured =
-      CompiledPlan::Capture(inputs, build, /*with_backward=*/false);
-  ASSERT_NE(captured.plan, nullptr) << captured.error;
-  CompiledPlan& plan = *captured.plan;
-  EXPECT_EQ(plan.num_fused(), 1);
-
-  const Tensor reference = build().value();
-  for (int run = 0; run < 2; ++run) {
-    plan.BindInputs({x, y});
-    EXPECT_TRUE(BitwiseEqual(plan.RunForward(), reference)) << "run " << run;
   }
 }
 

@@ -625,40 +625,47 @@ TEST_F(ObsTest, ProfilerChargesPlanReplaysToTheOpCells) {
   EXPECT_EQ(snapshot.at("matmul").forward_bytes, 4u * 8u * sizeof(float));
 }
 
-TEST_F(ObsTest, ProfilerRecordsAFusedGateAsOneForwardCall) {
-  // Mul(Tanh(x + b1), Sigmoid(y + b2)) fuses into one pass, which records one
-  // "fused_gate" forward writing three [2, 3, 4, 5] outputs and nothing for
-  // the four ops it covers.
+TEST_F(ObsTest, ProfilerRecordsTheSameGateChainRowsOnTapeAndPlan) {
+  // The gated-TCN chain Mul(Tanh(x + b1), Sigmoid(y + b2)) with trainable
+  // biases: a plan replay records exactly the rows, call counts and bytes of
+  // a tape run, in each direction.
   const Shape shape{2, 3, 4, 5};
   const Tensor x = Tensor::Full(shape, 0.3f);
   const Tensor y = Tensor::Full(shape, -0.2f);
-  const Tensor b1 = Tensor::Full(Shape{1, 3, 1, 1}, 0.1f);
-  const Tensor b2 = Tensor::Full(Shape{1, 3, 1, 1}, -0.4f);
+  const autograd::Variable b1(Tensor::Full(Shape{1, 3, 1, 1}, 0.1f), /*requires_grad=*/true);
+  const autograd::Variable b2(Tensor::Full(Shape{1, 3, 1, 1}, -0.4f), /*requires_grad=*/true);
   const auto build = [&] {
-    const autograd::Variable t =
-        autograd::Tanh(autograd::Add(autograd::Variable(x), autograd::Variable(b1)));
-    const autograd::Variable s =
-        autograd::Sigmoid(autograd::Add(autograd::Variable(y), autograd::Variable(b2)));
-    return autograd::Mul(t, s);
+    const autograd::Variable t = autograd::Tanh(autograd::Add(autograd::Variable(x), b1));
+    const autograd::Variable s = autograd::Sigmoid(autograd::Add(autograd::Variable(y), b2));
+    return autograd::Sum(autograd::Mul(t, s));
   };
   exec::CompiledPlan::CaptureResult captured =
-      exec::CompiledPlan::Capture({x, y}, build, /*with_backward=*/false);
+      exec::CompiledPlan::Capture({x, y}, build, /*with_backward=*/true);
   ASSERT_NE(captured.plan, nullptr) << captured.error;
-  ASSERT_EQ(captured.plan->num_fused(), 1);
 
   obs::ObsConfig config;
   config.profiler = true;
   obs::Configure(config);
+  build().Backward();
+  const std::map<std::string, obs::OpProfile> tape = obs::ProfilerSnapshot();
+  obs::ResetProfiler();
+  b1.ZeroGrad();  // as before every step: a replay starts from zero gradients
+  b2.ZeroGrad();
   captured.plan->BindInputs({x, y});
   captured.plan->RunForward();
+  captured.plan->RunBackward();
+  const std::map<std::string, obs::OpProfile> plan = obs::ProfilerSnapshot();
 
-  const std::map<std::string, obs::OpProfile> snapshot = obs::ProfilerSnapshot();
-  EXPECT_EQ(snapshot.size(), 1u);
-  ASSERT_TRUE(snapshot.count("fused_gate"));
-  EXPECT_EQ(snapshot.at("fused_gate").forward_calls, 1u);
-  EXPECT_EQ(snapshot.at("fused_gate").forward_bytes,
-            3u * static_cast<uint64_t>(shape.NumElements()) * sizeof(float));
-  EXPECT_EQ(snapshot.at("fused_gate").backward_calls, 0u);
+  EXPECT_EQ(tape.size(), 5u);  // add, tanh, sigmoid, mul, sum
+  ASSERT_EQ(plan.size(), tape.size());
+  for (const auto& [op, row] : tape) {
+    ASSERT_TRUE(plan.count(op)) << op;
+    const obs::OpProfile& replay = plan.at(op);
+    EXPECT_EQ(replay.forward_calls, row.forward_calls) << op;
+    EXPECT_EQ(replay.forward_bytes, row.forward_bytes) << op;
+    EXPECT_EQ(replay.backward_calls, row.backward_calls) << op;
+    EXPECT_EQ(replay.backward_bytes, row.backward_bytes) << op;
+  }
 }
 
 // ---------------------------------------------------------------------------

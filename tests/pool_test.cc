@@ -1,6 +1,6 @@
-// BufferPool behaviour: reuse, stats accounting, cap-with-trim, the
-// URCL_POOL=off escape hatch, steady-state training hitting the free lists
-// instead of the allocator, and concurrent acquire/release (run this binary
+// BufferPool behaviour: reuse, stats accounting, cap-with-trim, the env-flag
+// parser, steady-state training hitting the free lists instead of the
+// allocator, and concurrent acquire/release (run this binary
 // under -DURCL_SANITIZE=thread to check the locking).
 //
 // The pool is process-global and shared with every tensor gtest allocates,
@@ -29,8 +29,6 @@ class PoolTest : public ::testing::Test {
   void SetUp() override {
     BufferPool& pool = BufferPool::Get();
     saved_capacity_ = pool.capacity_bytes();
-    saved_enabled_ = pool.enabled();
-    pool.set_enabled(true);
     pool.Trim();
     pool.ResetCounters();
   }
@@ -38,12 +36,10 @@ class PoolTest : public ::testing::Test {
   void TearDown() override {
     BufferPool& pool = BufferPool::Get();
     pool.set_capacity_bytes(saved_capacity_);
-    pool.set_enabled(saved_enabled_);
     pool.Trim();
   }
 
   uint64_t saved_capacity_ = 0;
-  bool saved_enabled_ = true;
 };
 
 TEST_F(PoolTest, ReusesReleasedBuffer) {
@@ -100,17 +96,6 @@ TEST_F(PoolTest, CapacityCapTrimsInsteadOfCaching) {
   const PoolStats stats = pool.Stats();
   EXPECT_EQ(stats.returns, 0u);
   EXPECT_GE(stats.trims, 1u);
-  EXPECT_EQ(stats.pooled_bytes, 0u);
-}
-
-TEST_F(PoolTest, DisabledPoolAlwaysMissesAndCachesNothing) {
-  BufferPool& pool = BufferPool::Get();
-  pool.set_enabled(false);
-  { Tensor t(Shape{100}); }
-  { Tensor t(Shape{100}); }
-  const PoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.pooled_bytes, 0u);
 }
 

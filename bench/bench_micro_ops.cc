@@ -2,8 +2,9 @@
 // dominate URCL's runtime: tensor kernels, the GCN/TCN layers, a full
 // encoder forward/backward, augmentations, and RMIR components, plus
 // thread-count sweeps over the parallel kernels (the *Threads benchmarks,
-// Arg = thread count). Writes BENCH_micro_ops.json unless --benchmark_out
-// is given.
+// Arg = thread count) and over the pool's per-region hand-off
+// (BM_ParallelForHandoff). Writes BENCH_micro_ops.json unless
+// --benchmark_out is given.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -282,6 +283,24 @@ void BM_BiasGradThreads(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(ops::ReduceTo(g, Shape{1, 8, 1, 1}));
 }
 BENCHMARK(BM_BiasGradThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// The pool's hand-off alone: an empty-body region of range(0) one-index
+// chunks at range(1) threads. A region of n chunks runs on
+// runtime::RegionLanes(n, threads) lanes, so this times the wake-up,
+// claims and join a region pays before any kernel work. cpu_time is the
+// whole process's, workers included.
+void BM_ParallelForHandoff(benchmark::State& state) {
+  ThreadSweep sweep(static_cast<int>(state.range(1)));
+  const int64_t chunks = state.range(0);
+  for (auto _ : state) {
+    runtime::ParallelFor(0, chunks, 1,
+                         [](int64_t begin, int64_t) { benchmark::DoNotOptimize(begin); });
+  }
+}
+BENCHMARK(BM_ParallelForHandoff)
+    ->ArgsProduct({{2, 4, 16, 64}, {1, 2, 4}})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_AdamStep(benchmark::State& state) {
   // Adam over a realistic mix of parameter sizes (odd lengths exercise the

@@ -162,6 +162,10 @@ CompiledPlan::CaptureResult CompiledPlan::Capture(
       }
       plan->backward_order_.push_back(slot);
     }
+    // The measure run must see the zero gradients every replay will start
+    // from; zeroing a held one would drop what the tape accumulates into it.
+    result.error = plan->HeldGradient();
+    if (!result.error.empty()) return result;
   }
   if (!plan->InferShapes(&result.error)) return result;
   plan->AnalyzeLiveness();
@@ -319,6 +323,20 @@ void CompiledPlan::RunBackward() {
   ClearRunState();
 }
 
+std::string CompiledPlan::HeldGradient() const {
+  if (!with_backward_) return "";
+  int index = 0;
+  for (const Slot& slot : slots_) {
+    if (slot.kind != Slot::Kind::kParam) continue;
+    if (slot.param->internal_node()->has_grad) {
+      return "parameter " + std::to_string(index) + " " + slot.shape.ToString() +
+             " holds a gradient";
+    }
+    ++index;
+  }
+  return "";
+}
+
 void CompiledPlan::Abort() {
   if (run_open_ && !measuring_) arena_.AbortReplay();
   run_open_ = false;
@@ -440,6 +458,17 @@ PlanRun PlanCache::Run(const std::vector<Tensor>& inputs, const std::function<Va
         entry->idle.pop_back();
       }
     }
+  }
+  const std::string held = run.plan_ != nullptr ? run.plan_->HeldGradient() : "";
+  if (!held.empty()) {
+    {
+      MutexLock lock(mu_);
+      entry->idle.push_back(std::move(run.plan_));
+    }
+    obs::RecordFlightEvent(obs::FlightEventType::kPlanFallback, event_a, event_b,
+                           (family_ + ": " + held).c_str());
+    run.tape_root_ = build();
+    return run;
   }
   if (run.plan_ != nullptr) {
     run.plan_->BindInputs(inputs);

@@ -104,7 +104,8 @@ class CompiledPlan {
   // When `with_backward`, the gradient program is compiled too and the
   // measure run executes forward+backward; the parameter gradients it
   // accumulated are cleared again, so the tape build's backward starts from
-  // the zero gradients a caller sets before its forward.
+  // the zero gradients a caller sets before its forward. A parameter that
+  // already holds a gradient fails the capture (HeldGradient), untouched.
   static CaptureResult Capture(const std::vector<Tensor>& inputs,
                                const std::function<autograd::Variable()>& build,
                                bool with_backward);
@@ -122,10 +123,15 @@ class CompiledPlan {
   // Executes the gradient program, seeding the (scalar) root with ones.
   // Parameter gradients accumulate through Variable::AccumulateGrad, so
   // ClipGradNorm/Adam behave exactly as after a tape backward. They must be
-  // zero before Capture and before every run, as the trainer leaves them:
-  // their first accumulation allocates, and the arena aborts a replay whose
-  // allocations differ from the measure run's.
+  // zero before every run, as the trainer leaves them: their first
+  // accumulation allocates, and the arena aborts a replay whose allocations
+  // differ from the measure run's. PlanCache::Run checks HeldGradient first.
   void RunBackward();
+
+  // Empty when no parameter of a with_backward plan holds a gradient, else
+  // why the plan cannot run: "parameter <i> <shape> holds a gradient", i
+  // counting parameters in capture order.
+  std::string HeldGradient() const;
 
   // Abandons a started run (e.g. the trainer quarantined a non-finite
   // loss between forward and backward) and resets the arena.
@@ -221,8 +227,10 @@ class PlanCache {
   // runs `build` on the tape, capturing it into a plan when no capture of
   // these shapes failed and the cache has room; a kPlanCompile/kPlanFallback
   // flight event (event_a, event_b, "<family>: <shapes | capture error>")
-  // records each capture, and a failed shape stays on the tape. kTape mode
-  // always runs the tape.
+  // records each capture, and a failed shape stays on the tape. A
+  // with_backward call whose plan has a parameter holding a gradient runs on
+  // the tape, which adds into that gradient, and records a kPlanFallback
+  // with the plan's HeldGradient reason. kTape mode always runs the tape.
   PlanRun Run(const std::vector<Tensor>& inputs, const std::function<autograd::Variable()>& build,
               bool with_backward, int64_t event_a, int64_t event_b);
 

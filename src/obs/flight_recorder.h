@@ -42,10 +42,12 @@ enum class FlightEventType : uint8_t {
   kHealthTransition = 5,  // a: previous HealthState, b: new HealthState
   // Plan events come from exec::PlanCache::Run, once per capture: detail
   // "<family>: <shape key>" on compile, "<family>: <capture error>" on
-  // fallback. Family serve (a: snapshot version) or the trainer's train,
-  // virtual and per_item (a: stage, b: step).
+  // fallback; also on a fallback for a held gradient, "<family>:
+  // parameter <i> <shape> holds a gradient". Family serve (a: snapshot
+  // version) or the trainer's train, virtual and per_item (a: stage, b: step).
   kPlanCompile = 6,       // a compiled plan now serves this shape
-  kPlanFallback = 7,      // the capture failed; this shape stays on the tape
+  kPlanFallback = 7,      // the capture failed (this shape stays on the tape),
+                          // or a held gradient sent one call to the tape
   kCheckpointWrite = 8,   // a: stage, b: step; detail: path tail
   kDriftTrigger = 9,      // a: samples seen at the alarm
   kNonFiniteQuarantine = 10,  // a: version/stage, b: step; detail: which gate

@@ -29,8 +29,11 @@ int DefaultNumThreads() {
 
 }  // namespace
 
-ExecutionContext::ExecutionContext()
-    : pool_(std::make_unique<ThreadPool>(DefaultNumThreads())) {}
+ExecutionContext::ExecutionContext() {
+  MutexLock lock(mu_);
+  pool_ = std::make_unique<ThreadPool>(DefaultNumThreads());
+  num_threads_.store(pool_->num_threads(), std::memory_order_relaxed);
+}
 
 ExecutionContext& ExecutionContext::Get() {
   // Intentionally leaked: worker threads must never outlive their pool, and
@@ -39,10 +42,7 @@ ExecutionContext& ExecutionContext::Get() {
   return *context;
 }
 
-int ExecutionContext::num_threads() {
-  MutexLock lock(mu_);
-  return pool_->num_threads();
-}
+int ExecutionContext::num_threads() { return num_threads_.load(std::memory_order_relaxed); }
 
 void ExecutionContext::SetNumThreads(int num_threads) {
   num_threads = std::max(num_threads, 1);
@@ -50,6 +50,7 @@ void ExecutionContext::SetNumThreads(int num_threads) {
   if (pool_->num_threads() == num_threads) return;
   pool_.reset();  // join old workers before spawning the new pool
   pool_ = std::make_unique<ThreadPool>(num_threads);
+  num_threads_.store(num_threads, std::memory_order_relaxed);
 }
 
 void ExecutionContext::ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -65,6 +66,10 @@ void ExecutionContext::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   if (t_in_parallel_region || num_chunks == 1) {
     // Nested or trivially small region: same chunks, caller's thread.
     for (int64_t chunk = 0; chunk < num_chunks; ++chunk) run_chunk(chunk);
+    return;
+  }
+  if (RegionLanes(num_chunks, num_threads()) == 1) {
+    ThreadPool::RunOnCaller(num_chunks, run_chunk);
     return;
   }
   MutexLock lock(mu_);

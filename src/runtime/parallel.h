@@ -11,6 +11,7 @@
 #ifndef URCL_RUNTIME_PARALLEL_H_
 #define URCL_RUNTIME_PARALLEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,8 +40,9 @@ class ExecutionContext {
   void SetNumThreads(int num_threads);
 
   // Runs body(chunk_begin, chunk_end) over [begin, end) in chunks of `grain`
-  // indices (grain < 1 is treated as 1). Blocks until all chunks finish; the
-  // first exception thrown by the body is rethrown here. Nested calls (from
+  // indices (grain < 1 is treated as 1) on RegionLanes(chunks, threads)
+  // lanes (thread_pool.h). Blocks until all chunks finish; the first
+  // exception thrown by the body is rethrown here. Nested calls (from
   // inside a body) execute serially on the calling thread with the same
   // chunk boundaries.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -49,10 +51,13 @@ class ExecutionContext {
  private:
   ExecutionContext();
 
-  // mu_ serializes pool replacement against top-level regions; holding it for
-  // the whole Run keeps SetNumThreads from joining a pool mid-region.
+  // mu_ guards only regions that hand chunks to workers: it serializes them
+  // and keeps SetNumThreads from joining a pool mid-region. A one-lane
+  // region (every region of a 1-thread pool) reads num_threads_ and runs on
+  // the caller without it.
   Mutex mu_;
   std::unique_ptr<ThreadPool> pool_ URCL_GUARDED_BY(mu_);
+  std::atomic<int> num_threads_{1};  // pool_->num_threads(), written under mu_
 };
 
 // Convenience wrappers over ExecutionContext::Get().

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
@@ -14,20 +13,15 @@ namespace urcl {
 namespace runtime {
 namespace {
 
-std::atomic<bool> g_oversubscribe{[] {
-  const char* env = std::getenv("URCL_OVERSUBSCRIBE");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}()};
+std::atomic<bool> g_oversubscribe{false};
 
-}  // namespace
-
-void SetOversubscribe(bool enabled) {
-  g_oversubscribe.store(enabled, std::memory_order_relaxed);
+int HardwareThreads() {
+  static const int threads = [] {
+    const unsigned hardware = std::thread::hardware_concurrency();
+    return hardware == 0 ? 1 : static_cast<int>(hardware);
+  }();
+  return threads;
 }
-
-bool OversubscribeEnabled() { return g_oversubscribe.load(std::memory_order_relaxed); }
-
-namespace {
 
 // Registry handles for the pool's metrics, resolved once. Updates are gated
 // on obs::MetricsEnabled() so a disabled build pays one relaxed load per
@@ -36,6 +30,7 @@ struct RuntimeMetrics {
   obs::Counter& regions;
   obs::Counter& chunks;
   obs::Histogram& region_ns;
+  obs::Histogram& region_lanes;
   obs::Histogram& wake_delay_ns;
 };
 
@@ -46,21 +41,48 @@ RuntimeMetrics& Metrics() {
       registry.GetCounter("urcl.runtime.chunks"),
       registry.GetHistogram("urcl.runtime.region_ns",
                             obs::ExponentialBuckets(1024, 4, 12)),
+      registry.GetHistogram("urcl.runtime.region_lanes",
+                            {1, 2, 3, 4, 8, 16, 32, 64, 128, 256}),
       registry.GetHistogram("urcl.runtime.wake_delay_ns",
                             obs::ExponentialBuckets(256, 4, 12)),
   };
   return *metrics;
 }
 
+void RecordRegion(int64_t num_chunks, int lanes, int64_t start_ns) {
+  RuntimeMetrics& m = Metrics();
+  m.regions.Add(1);
+  m.chunks.Add(static_cast<uint64_t>(num_chunks));
+  m.region_ns.Observe(static_cast<double>(MonotonicNowNs() - start_ns));
+  m.region_lanes.Observe(static_cast<double>(lanes));
+}
+
 }  // namespace
 
+void SetOversubscribe(bool enabled) {
+  g_oversubscribe.store(enabled, std::memory_order_relaxed);
+}
+
+bool OversubscribeEnabled() { return g_oversubscribe.load(std::memory_order_relaxed); }
+
+int RegionLanes(int64_t num_chunks, int num_threads) {
+  int64_t lanes = std::min<int64_t>(num_threads,
+                                    (num_chunks + kMinChunksPerLane - 1) / kMinChunksPerLane);
+  if (!OversubscribeEnabled()) lanes = std::min<int64_t>(lanes, HardwareThreads());
+  return static_cast<int>(std::max<int64_t>(lanes, 1));
+}
+
 ThreadPool::ThreadPool(int num_threads) {
-  const unsigned hardware = std::thread::hardware_concurrency();
-  hardware_ = hardware == 0 ? 1 : static_cast<int>(hardware);
-  const int worker_count = num_threads > 1 ? num_threads - 1 : 0;
-  workers_.reserve(static_cast<size_t>(worker_count));
-  for (int i = 0; i < worker_count; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  const int lanes = std::max(num_threads, 1);
+  lanes_ = std::make_unique<Lane[]>(static_cast<size_t>(lanes));
+  wake_ = std::make_unique<CondVar[]>(static_cast<size_t>(lanes));
+  {
+    MutexLock lock(mu_);
+    posted_.assign(static_cast<size_t>(lanes), 0);
+  }
+  workers_.reserve(static_cast<size_t>(lanes - 1));
+  for (int lane = 1; lane < lanes; ++lane) {
+    workers_.emplace_back([this, lane] { WorkerLoop(lane); });
   }
 }
 
@@ -69,114 +91,114 @@ ThreadPool::~ThreadPool() {
     MutexLock lock(mu_);
     shutdown_ = true;
   }
-  start_cv_.NotifyAll();
+  for (int lane = 1; lane < num_threads(); ++lane) wake_[lane].NotifyOne();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::DrainChunks(const std::function<void(int64_t)>& chunk_fn,
-                             int64_t num_chunks) {
-  while (!failed_.load(std::memory_order_relaxed)) {
-    const int64_t chunk = next_chunk_.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= num_chunks) break;
-    try {
-      chunk_fn(chunk);
-    } catch (...) {
-      MutexLock lock(mu_);
-      if (!error_) error_ = std::current_exception();
-      failed_.store(true, std::memory_order_relaxed);
+void ThreadPool::Drain(int lane, int lanes, const std::function<void(int64_t)>& chunk_fn) {
+  for (int offset = 0; offset < lanes; ++offset) {
+    Lane& block = lanes_[(lane + offset) % lanes];
+    while (!failed_.load(std::memory_order_relaxed) &&
+           block.next.load(std::memory_order_relaxed) < block.end) {
+      const int64_t chunk = block.next.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= block.end) break;
+      try {
+        chunk_fn(chunk);
+      } catch (...) {
+        MutexLock lock(mu_);
+        if (!error_) error_ = std::current_exception();
+        failed_.store(true, std::memory_order_relaxed);
+      }
     }
   }
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
-  uint64_t seen_generation = 0;
+void ThreadPool::WorkerLoop(int lane) {
+  uint64_t seen_region = 0;
   bool named = false;
   for (;;) {
+    const std::function<void(int64_t)>* chunk_fn = nullptr;
+    int lanes = 0;
     int64_t region_start_ns = 0;
-    const std::function<void(int64_t)>* region_fn = nullptr;
-    int64_t region_chunks = 0;
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && generation_ == seen_generation) start_cv_.Wait(mu_);
+      while (!shutdown_ && posted_[lane] == seen_region) wake_[lane].Wait(mu_);
       if (shutdown_) return;
-      seen_generation = generation_;
-      // Capped out of this region: it was sized for fewer workers than the
-      // pool holds. Skip without touching busy accounting and wait for the
-      // next region.
-      if (claim_budget_ == 0) continue;
-      --claim_budget_;
+      seen_region = posted_[lane];
+      // Woken after the caller found every chunk claimed: nothing to join.
+      if (!open_ || seen_region != region_) continue;
+      ++joined_;
+      chunk_fn = chunk_fn_;
+      lanes = num_lanes_;
       region_start_ns = region_start_ns_;
-      region_fn = chunk_fn_;
-      region_chunks = num_chunks_;
     }
     // Lazily label this thread in the trace once tracing is actually on, so
     // idle workers never allocate a trace ring.
     if (!named && obs::TraceEnabled()) {
-      obs::SetThreadName("worker-" + std::to_string(worker_index));
+      obs::SetThreadName("worker-" + std::to_string(lane));
       named = true;
     }
     if (region_start_ns != 0 && obs::MetricsEnabled()) {
       Metrics().wake_delay_ns.Observe(
           static_cast<double>(MonotonicNowNs() - region_start_ns));
     }
-    DrainChunks(*region_fn, region_chunks);
+    Drain(lane, lanes, *chunk_fn);
+    bool last;
     {
       MutexLock lock(mu_);
-      --busy_workers_;
+      last = --joined_ == 0 && !open_;
     }
-    done_cv_.NotifyOne();
+    if (last) done_cv_.NotifyOne();
   }
+}
+
+void ThreadPool::RunOnCaller(int64_t num_chunks,
+                             const std::function<void(int64_t)>& chunk_fn) {
+  const bool metrics = obs::MetricsEnabled();
+  const int64_t start_ns = metrics ? MonotonicNowNs() : 0;
+  for (int64_t chunk = 0; chunk < num_chunks; ++chunk) chunk_fn(chunk);
+  if (metrics) RecordRegion(num_chunks, 1, start_ns);
 }
 
 void ThreadPool::Run(int64_t num_chunks, const std::function<void(int64_t)>& chunk_fn) {
   if (num_chunks <= 0) return;
-  const bool metrics = obs::MetricsEnabled();
-  const int64_t start_ns = metrics ? MonotonicNowNs() : 0;
-  // Workers actually worth waking: one lane is the calling thread, a chunk
-  // can occupy at most one worker, and — unless oversubscription is forced —
-  // lanes beyond the core count only add context switches.
-  int64_t active = std::min<int64_t>(static_cast<int64_t>(workers_.size()), num_chunks - 1);
-  if (!OversubscribeEnabled()) active = std::min<int64_t>(active, hardware_ - 1);
-  if (active <= 0) {
-    // Serial pool: same chunks, caller's thread, exceptions propagate as-is.
-    for (int64_t chunk = 0; chunk < num_chunks; ++chunk) chunk_fn(chunk);
-    if (metrics) {
-      RuntimeMetrics& m = Metrics();
-      m.regions.Add(1);
-      m.chunks.Add(static_cast<uint64_t>(num_chunks));
-      m.region_ns.Observe(static_cast<double>(MonotonicNowNs() - start_ns));
-    }
+  const int lanes = RegionLanes(num_chunks, num_threads());
+  if (lanes == 1) {
+    RunOnCaller(num_chunks, chunk_fn);
     return;
   }
+  const bool metrics = obs::MetricsEnabled();
+  const int64_t start_ns = metrics ? MonotonicNowNs() : 0;
+  // Every worker of the previous region has left (Run waited for them), so
+  // the blocks are rewritten without a lock; the hand-off below publishes
+  // them to the workers that join.
+  for (int lane = 0; lane < lanes; ++lane) {
+    lanes_[lane].next.store(num_chunks * lane / lanes, std::memory_order_relaxed);
+    lanes_[lane].end = num_chunks * (lane + 1) / lanes;
+  }
+  failed_.store(false, std::memory_order_relaxed);
   {
     MutexLock lock(mu_);
     chunk_fn_ = &chunk_fn;
-    num_chunks_ = num_chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    error_ = nullptr;
-    busy_workers_ = static_cast<int>(active);
-    claim_budget_ = static_cast<int>(active);
+    num_lanes_ = lanes;
     region_start_ns_ = start_ns;
-    ++generation_;
+    error_ = nullptr;
+    open_ = true;
+    ++region_;
+    for (int lane = 1; lane < lanes; ++lane) posted_[lane] = region_;
   }
-  start_cv_.NotifyAll();
-  DrainChunks(chunk_fn, num_chunks);
+  for (int lane = 1; lane < lanes; ++lane) wake_[lane].NotifyOne();
+  Drain(0, lanes, chunk_fn);
   std::exception_ptr error;
   {
     MutexLock lock(mu_);
-    while (busy_workers_ != 0) done_cv_.Wait(mu_);
+    open_ = false;
+    while (joined_ != 0) done_cv_.Wait(mu_);
     chunk_fn_ = nullptr;
-    error = error_;
-    error_ = nullptr;
+    error = std::exchange(error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
-  if (metrics) {
-    RuntimeMetrics& m = Metrics();
-    m.regions.Add(1);
-    m.chunks.Add(static_cast<uint64_t>(num_chunks));
-    m.region_ns.Observe(static_cast<double>(MonotonicNowNs() - start_ns));
-  }
+  if (metrics) RecordRegion(num_chunks, lanes, start_ns);
 }
 
 }  // namespace runtime

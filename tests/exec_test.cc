@@ -4,8 +4,9 @@
 // order, zero steady-state BufferPool traffic
 // (also after an aborted run), arena layout validation, the sNaN poison
 // audit over arena slots, the capture error paths (dropout RNG, graphs built
-// outside the listener), and PlanCache::Run's executor decision (permanent
-// fallback, abort on a dropped backward).
+// outside the listener, a parameter holding a gradient), and PlanCache::Run's
+// executor decision (permanent fallback, abort on a dropped backward, the
+// tape for a held gradient).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -591,6 +592,64 @@ TEST_F(PlanUnitTest, RunDroppedBeforeBackwardAbortsItsPlan) {
   EXPECT_TRUE(BitwiseEqual(replay.value(), loss_ref.value()));
   replay.Backward();
   EXPECT_TRUE(BitwiseEqual(w.grad(), w_ref.grad()));
+}
+
+// A parameter that already holds a gradient (here from the capturing run's
+// tape backward, not zeroed) cannot replay: the measure run allocated its
+// gradient, and adding into a held one would diverge from it. PlanCache::Run
+// answers that call on the tape, which adds into the held gradient exactly
+// as a tape-only run does, and flight-records why; Capture refuses it with
+// the same reason and leaves the gradient alone.
+TEST_F(PlanUnitTest, HeldGradientRunsOnTheTapeBitwise) {
+  const Shape shape{8, 16};
+  Tensor x = Ramp(shape, -0.9f, 0.013f);
+  Variable w(Ramp(shape, 0.2f, 0.004f), /*requires_grad=*/true);
+  auto build = [&x](const Variable& weight) {
+    return ag::Sum(ag::Mul(ag::Tanh(Variable(x, /*requires_grad=*/false)), weight));
+  };
+  Variable w_ref(w.value().Clone(), /*requires_grad=*/true);
+  build(w_ref).Backward();
+  const Tensor once = w_ref.grad().Clone();
+  build(w_ref).Backward();
+  const Tensor twice = w_ref.grad().Clone();
+
+  PlanCache cache("train", ExecutorMode::kPlan);
+  obs::FlightRecorder::Get().Clear();
+  w.ZeroGrad();
+  cache.Run({x}, [&] { return build(w); }, /*with_backward=*/true, 1, 2).Backward();
+  ASSERT_EQ(cache.num_compiled(), 1u);
+  EXPECT_TRUE(BitwiseEqual(w.grad(), once));
+
+  {
+    PlanRun held = cache.Run({x}, [&] { return build(w); }, /*with_backward=*/true, 3, 4);
+    EXPECT_FALSE(held.compiled());
+    EXPECT_FALSE(held.captured());
+    held.Backward();
+  }
+  EXPECT_TRUE(BitwiseEqual(w.grad(), twice));
+  EXPECT_EQ(cache.num_compiled(), 1u) << "the plan went back to the cache";
+  int fallbacks = 0;
+  for (const obs::FlightEvent& event : obs::FlightRecorder::Get().Snapshot()) {
+    if (event.type != obs::FlightEventType::kPlanFallback) continue;
+    ++fallbacks;
+    EXPECT_STREQ(event.detail, "train: parameter 0 [8, 16] holds a gradient");
+    EXPECT_EQ(event.a, 3);
+    EXPECT_EQ(event.b, 4);
+  }
+  EXPECT_EQ(fallbacks, 1);
+
+  CompiledPlan::CaptureResult refused =
+      CompiledPlan::Capture({x}, [&] { return build(w); }, /*with_backward=*/true);
+  EXPECT_EQ(refused.plan, nullptr);
+  EXPECT_EQ(refused.error, "parameter 0 [8, 16] holds a gradient");
+  EXPECT_TRUE(BitwiseEqual(w.grad(), twice));
+
+  // Zeroed again, the next call replays the plan, bitwise the tape.
+  w.ZeroGrad();
+  PlanRun replay = cache.Run({x}, [&] { return build(w); }, /*with_backward=*/true, 5, 6);
+  ASSERT_TRUE(replay.compiled());
+  replay.Backward();
+  EXPECT_TRUE(BitwiseEqual(w.grad(), once));
 }
 
 // A Variable with a backward function that predates the capture means part

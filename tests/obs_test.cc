@@ -719,10 +719,14 @@ TEST_F(ObsTest, TrainedTrainerExportsNestedTraceAndSubsystemMetrics) {
   // Metrics: every instrumented subsystem published under its prefix.
   const std::string prom = obs::MetricsRegistry::Get().ToPrometheus();
   for (const char* name : {"urcl_pool_hits", "urcl_runtime_parallel_regions",
-                           "urcl_trainer_steps", "urcl_replay_added", "urcl_replay_size"}) {
+                           "urcl_runtime_region_lanes", "urcl_trainer_steps",
+                           "urcl_replay_added", "urcl_replay_size"}) {
     EXPECT_NE(prom.find(name), std::string::npos) << "missing " << name << " in:\n" << prom;
   }
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
+  // Every counted region, caller-only ones included, records its lanes.
+  EXPECT_EQ(snapshot.histograms.at("urcl.runtime.region_lanes").count,
+            snapshot.counters.at("urcl.runtime.parallel_regions"));
   EXPECT_EQ(snapshot.counters.at("urcl.trainer.steps"), 5u);
   EXPECT_GT(snapshot.counters.at("urcl.replay.added"), 0u);
   EXPECT_EQ(snapshot.histograms.at("urcl.trainer.step_ns").count, 5u);

@@ -1,19 +1,23 @@
 // Tests for the parallel runtime (runtime/parallel.h): pool lifecycle,
-// deterministic chunking, exception propagation, nested-call safety, and the
+// deterministic chunking, lane sizing and chunk stealing, lock-free
+// one-lane regions, exception propagation, nested-call safety, and the
 // determinism contract — kernels must produce bitwise-identical results at
 // any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "runtime/parallel.h"
 #include "tensor/tensor_ops.h"
 
@@ -49,6 +53,15 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
   if (a.shape() != b.shape()) return false;
   return std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.NumElements()) * sizeof(float)) == 0;
+}
+
+// Waits up to 5 s for `flag`; true if it was set in time.
+bool AwaitFlag(const std::atomic<bool>& flag) {
+  const Stopwatch waited;
+  while (!flag.load() && waited.ElapsedSeconds() < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return flag.load();
 }
 
 TEST(RuntimeTest, SetAndGetNumThreads) {
@@ -152,9 +165,9 @@ TEST(RuntimeTest, HardwareCapSkipsWorkersWithoutLosingChunks) {
   ThreadCountGuard guard;  // the guard forces oversubscription; turn it off
   runtime::SetNumThreads(8);
   runtime::SetOversubscribe(false);
-  // With the cap active, a pool wider than the machine wakes at most
-  // cores - 1 workers per region; the excess workers skip via the claim
-  // budget. Coverage and pool reuse across many regions must be unaffected.
+  // With the cap active, a pool wider than the machine runs a region on at
+  // most as many lanes as there are cores; the excess workers are never
+  // woken. Coverage and pool reuse across many regions must be unaffected.
   for (int region = 0; region < 50; ++region) {
     std::vector<std::atomic<int>> hits(37);
     runtime::ParallelFor(0, 37, 3, [&](int64_t begin, int64_t end) {
@@ -170,6 +183,121 @@ TEST(RuntimeTest, HardwareCapSkipsWorkersWithoutLosingChunks) {
   runtime::ParallelFor(0, 64, 1,
                        [&](int64_t begin, int64_t end) { total.fetch_add(end - begin); });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(RuntimeTest, RegionLanesFollowTheChunkCount) {
+  ThreadCountGuard guard;  // oversubscribed: the core count does not cap lanes
+  EXPECT_EQ(runtime::RegionLanes(1, 4), 1);
+  EXPECT_EQ(runtime::RegionLanes(runtime::kMinChunksPerLane, 4), 1);
+  EXPECT_EQ(runtime::RegionLanes(runtime::kMinChunksPerLane + 1, 4), 2);
+  EXPECT_EQ(runtime::RegionLanes(64, 4), 4);
+  EXPECT_EQ(runtime::RegionLanes(64, 1), 1);
+  EXPECT_EQ(runtime::RegionLanes(1000, 256), 250);
+}
+
+// Lane 0 (the caller) owns chunks [0, 4) of this 16-chunk, 4-lane region
+// and stalls in its first chunk; the other lanes take the rest of its block.
+TEST(RuntimeTest, StolenChunksCoverTheRangeExactlyOnce) {
+  ThreadCountGuard guard;
+  runtime::SetNumThreads(4);
+  ASSERT_EQ(runtime::RegionLanes(16, 4), 4);
+  for (const int64_t slow_chunk : {0, 5, 15}) {
+    std::vector<std::atomic<int>> hits(16);
+    runtime::ParallelFor(0, 16, 1, [&](int64_t begin, int64_t end) {
+      if (begin == slow_chunk) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " with chunk " << slow_chunk << " slow";
+    }
+  }
+}
+
+// Every region of a 1-thread pool runs on its caller without the context
+// lock, so two callers' regions overlap in time: chunk A waits for chunk B
+// of the other caller's region to start. Were the regions serialized, A
+// would give up after 5 s and the test would fail instead of hanging.
+TEST(RuntimeTest, OneThreadPoolRegionsOfTwoCallersOverlap) {
+  ThreadCountGuard guard;
+  runtime::SetNumThreads(1);
+  std::atomic<bool> b_started{false};
+  std::atomic<bool> a_saw_b{false};
+  std::thread a_caller([&] {
+    runtime::ParallelFor(0, 2, 1, [&](int64_t begin, int64_t) {
+      if (begin == 0) a_saw_b.store(AwaitFlag(b_started));
+    });
+  });
+  std::thread b_caller([&] {
+    runtime::ParallelFor(0, 2, 1, [&](int64_t begin, int64_t) {
+      if (begin == 0) b_started.store(true);
+    });
+  });
+  a_caller.join();
+  b_caller.join();
+  EXPECT_TRUE(a_saw_b.load());
+}
+
+// In this 8-chunk, 2-lane region the caller owns chunks [0, 4) and worker 1
+// owns [4, 8). Worker 1's chunks wait until the caller is inside a chunk, so
+// the caller's first claim is chunk 0, where it waits until chunk 1 has
+// started: chunk 1 can only run on worker 1, stolen from the caller's block.
+// Chunk 1 throws, and the caller rethrows it.
+TEST(RuntimeTest, ExceptionInAStolenChunkReachesTheCaller) {
+  ThreadCountGuard guard;
+  runtime::SetNumThreads(4);
+  ASSERT_EQ(runtime::RegionLanes(8, 4), 2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_in_chunk{false};
+  std::atomic<bool> chunk1_started{false};
+  std::atomic<bool> chunk1_on_caller{false};
+  EXPECT_THROW(runtime::ParallelFor(0, 8, 1,
+                                    [&](int64_t begin, int64_t) {
+                                      const bool on_caller = std::this_thread::get_id() == caller;
+                                      if (on_caller) {
+                                        caller_in_chunk.store(true);
+                                      } else {
+                                        AwaitFlag(caller_in_chunk);
+                                      }
+                                      if (begin == 1) {
+                                        chunk1_on_caller.store(on_caller);
+                                        chunk1_started.store(true);
+                                        throw std::runtime_error("stolen boom");
+                                      }
+                                      if (on_caller) AwaitFlag(chunk1_started);
+                                    }),
+               std::runtime_error);
+  EXPECT_TRUE(chunk1_started.load());
+  EXPECT_FALSE(chunk1_on_caller.load());
+  // The pool must be reusable after the exception.
+  std::atomic<int64_t> total{0};
+  runtime::ParallelFor(0, 64, 1,
+                       [&](int64_t begin, int64_t end) { total.fetch_add(end - begin); });
+  EXPECT_EQ(total.load(), 64);
+}
+
+TEST(RuntimeTest, ResizingBetweenRegionsKeepsCoverage) {
+  ThreadCountGuard guard;
+  for (const int threads : {1, 4, 1}) {
+    runtime::SetNumThreads(threads);
+    EXPECT_EQ(runtime::GetNumThreads(), threads);
+    std::mutex mu;
+    std::set<std::thread::id> runners;
+    std::vector<std::atomic<int>> hits(64);
+    runtime::ParallelFor(0, 64, 1, [&](int64_t begin, int64_t end) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        runners.insert(std::this_thread::get_id());
+      }
+      for (int64_t i = begin; i < end; ++i) hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " at " << threads << " threads";
+    }
+    EXPECT_LE(runners.size(), static_cast<size_t>(threads));
+    if (threads == 1) {
+      EXPECT_EQ(runners.count(std::this_thread::get_id()), 1u);
+    }
+  }
 }
 
 // --- Determinism contract: bitwise-identical results at any thread count ----

@@ -1,13 +1,8 @@
-// Streaming deployment scenario, rebuilt on the urcl::serve layer.
+// Streaming deployment scenario on the urcl::serve layer.
 //
-// Before (PR-1..5): this example drove core::OnlineLearner synchronously —
-// ingest one observation, maybe block the stream for a full retrain, then
-// predict from the same thread that trains. Serving stalled for seconds
-// whenever drift fired.
-//
-// After (this PR): ingestion and queries run against a serve::ForecastService
-// while a background UrclTrainer trains through the stream's stages and
-// publishes immutable weight snapshots. The service normalizes raw ticks into
+// Ingestion and queries run against a serve::ForecastService while a
+// background UrclTrainer trains through the stream's stages and publishes
+// immutable weight snapshots. The service normalizes raw ticks into
 // per-sensor rolling windows, answers forecasts through compiled plans bound
 // to the live snapshot's weights (bitwise-equal to the training forward), and
 // hot-swaps model versions mid-stream via an atomic shared_ptr exchange — the

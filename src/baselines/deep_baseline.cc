@@ -33,26 +33,8 @@ std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_
   SetTraining(true);
 
   const int64_t batch = options_.batch_size;
-  int64_t budget = num_samples;
-  if (options_.max_batches_per_epoch > 0) {
-    budget = std::min(budget, options_.max_batches_per_epoch * batch);
-  }
-  // Evenly spaced windows across the stage, interleaved so every minibatch
-  // spans the whole stage: batch k = {base[k], base[num_batches + k], ...}.
-  // In-batch diversity matters for the GraphCL negatives (consecutive
-  // overlapping windows would be indistinguishable) and stabilizes SGD.
-  std::vector<int64_t> base;
-  base.reserve(static_cast<size_t>(budget));
-  for (int64_t i = 0; i < budget; ++i) base.push_back(i * num_samples / budget);
-  const int64_t num_batches = (budget + batch - 1) / batch;
-  std::vector<int64_t> schedule;
-  schedule.reserve(static_cast<size_t>(budget));
-  for (int64_t k = 0; k < num_batches; ++k) {
-    for (int64_t j = 0; j < batch; ++j) {
-      const int64_t index = j * num_batches + k;
-      if (index < budget) schedule.push_back(base[static_cast<size_t>(index)]);
-    }
-  }
+  const std::vector<int64_t> schedule =
+      core::EpochSchedule(num_samples, batch, options_.max_batches_per_epoch);
 
   std::vector<float> epoch_losses;
   for (int64_t epoch = 0; epoch < epochs; ++epoch) {

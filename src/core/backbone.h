@@ -31,8 +31,6 @@ struct BackboneConfig {
   // relies on the adaptive one only (MTGNN-style fully-learned graph).
   bool use_static_supports = true;
   bool directed_graph = false;
-  // Layer normalization after each spatio-temporal layer (GraphWaveNet-style).
-  bool use_layer_norm = false;
 
   // Returns a human-readable message per invalid field (empty when the config
   // is usable). Checked at MakeBackbone; call directly for early feedback.

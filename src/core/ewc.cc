@@ -88,20 +88,8 @@ std::vector<float> EwcTrainer::TrainStage(const data::StDataset& train, int64_t 
   decoder_->SetTraining(true);
 
   const int64_t batch = config_.batch_size;
-  int64_t budget = num_samples;
-  if (config_.max_batches_per_epoch > 0) {
-    budget = std::min(budget, config_.max_batches_per_epoch * batch);
-  }
-  std::vector<int64_t> base;
-  for (int64_t i = 0; i < budget; ++i) base.push_back(i * num_samples / budget);
-  const int64_t num_batches = (budget + batch - 1) / batch;
-  std::vector<int64_t> schedule;
-  for (int64_t k = 0; k < num_batches; ++k) {
-    for (int64_t j = 0; j < batch; ++j) {
-      const int64_t index = j * num_batches + k;
-      if (index < budget) schedule.push_back(base[static_cast<size_t>(index)]);
-    }
-  }
+  const std::vector<int64_t> schedule =
+      EpochSchedule(num_samples, batch, config_.max_batches_per_epoch);
 
   std::vector<float> epoch_losses;
   for (int64_t epoch = 0; epoch < epochs; ++epoch) {

@@ -67,6 +67,26 @@ void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test
   }
 }
 
+std::vector<int64_t> EpochSchedule(int64_t num_samples, int64_t batch_size,
+                                   int64_t max_batches_per_epoch) {
+  URCL_CHECK_GT(num_samples, 0);
+  URCL_CHECK_GT(batch_size, 0);
+  int64_t budget = num_samples;
+  if (max_batches_per_epoch > 0) {
+    budget = std::min(budget, max_batches_per_epoch * batch_size);
+  }
+  const int64_t num_batches = (budget + batch_size - 1) / batch_size;
+  std::vector<int64_t> schedule;
+  schedule.reserve(static_cast<size_t>(budget));
+  for (int64_t k = 0; k < num_batches; ++k) {
+    // Window i of the evenly spaced selection is i * num_samples / budget.
+    for (int64_t i = k; i < budget; i += num_batches) {
+      schedule.push_back(i * num_samples / budget);
+    }
+  }
+  return schedule;
+}
+
 double ValidationMae(const StPredictor& model, const data::StDataset& dataset,
                      int64_t batch_size) {
   URCL_CHECK_GT(batch_size, 0);

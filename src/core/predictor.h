@@ -138,6 +138,18 @@ class StPredictor {
 // remains the implementation's responsibility.
 Status FinishPrediction(const PredictRequest& request, Tensor full, PredictResponse* response);
 
+// The order in which one training epoch visits the stage's `num_samples`
+// windows; consecutive runs of `batch_size` entries form the minibatches
+// (Algorithm 1 line 5 selects batches sequentially). When
+// `max_batches_per_epoch` > 0 caps the epoch below the stage's size, the
+// epoch takes evenly spaced windows in temporal order, so it still covers the
+// whole stage. The windows are interleaved so every minibatch spans the whole
+// stage: batch k = {w[k], w[num_batches + k], ...}. In-batch diversity matters
+// for the GraphCL negatives (consecutive overlapping windows would be
+// indistinguishable) and steadies the stochastic gradient.
+std::vector<int64_t> EpochSchedule(int64_t num_samples, int64_t batch_size,
+                                   int64_t max_batches_per_epoch);
+
 // Mean absolute error of `model` on `dataset` in normalized space (no
 // denormalization; used for early stopping).
 double ValidationMae(const StPredictor& model, const data::StDataset& dataset,

@@ -45,10 +45,6 @@ GraphWaveNetEncoder::GraphWaveNetEncoder(const BackboneConfig& config, Rng& rng)
         config.hidden_channels, config.hidden_channels, num_static_supports,
         config.use_adaptive_adjacency, config.diffusion_steps, rng));
     RegisterChild("gcn" + std::to_string(layer), gcn_layers_.back().get());
-    if (config.use_layer_norm) {
-      norm_layers_.push_back(std::make_unique<nn::LayerNorm>(config.hidden_channels, rng));
-      RegisterChild("norm" + std::to_string(layer), norm_layers_.back().get());
-    }
   }
   latent_time_ = remaining + 1;
 
@@ -91,7 +87,6 @@ Variable GraphWaveNetEncoder::Encode(const Variable& observations,
         h, {0, 0, 0, t_in - t_out},
         {h.shape().dim(0), h.shape().dim(1), h.shape().dim(2), t_out});
     h = ag::Add(spatial, residual);
-    if (!norm_layers_.empty()) h = norm_layers_[layer]->Forward(h);
   }
 
   return output_projection_->Forward(ag::Relu(h));

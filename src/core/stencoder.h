@@ -10,7 +10,6 @@
 
 #include "core/backbone.h"
 #include "nn/gcn.h"
-#include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/tcn.h"
 
@@ -36,7 +35,6 @@ class GraphWaveNetEncoder : public StBackbone {
   std::unique_ptr<nn::ChannelLinear> input_projection_;
   std::vector<std::unique_ptr<nn::GatedTcn>> tcn_layers_;
   std::vector<std::unique_ptr<nn::DiffusionGcn>> gcn_layers_;
-  std::vector<std::unique_ptr<nn::LayerNorm>> norm_layers_;  // empty unless enabled
   std::unique_ptr<nn::AdaptiveAdjacency> adaptive_;
   std::unique_ptr<nn::ChannelLinear> output_projection_;
 };

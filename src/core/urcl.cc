@@ -391,30 +391,9 @@ std::vector<float> UrclTrainer::TrainStage(const data::StDataset& train, int64_t
   const int64_t num_samples = train.NumSamples();
   URCL_CHECK_GT(num_samples, 0) << "train split has no complete windows";
 
-  // Sequentially select batches (Algorithm 1 line 5). When the stage has
-  // more windows than the per-epoch budget, pick evenly spaced windows in
-  // temporal order so each epoch still covers the whole stage.
   const int64_t batch = config_.batch_size;
-  int64_t budget = num_samples;
-  if (config_.max_batches_per_epoch > 0) {
-    budget = std::min(budget, config_.max_batches_per_epoch * batch);
-  }
-  // Evenly spaced windows across the stage, interleaved so every minibatch
-  // spans the whole stage: batch k = {base[k], base[num_batches + k], ...}.
-  // In-batch diversity matters for the GraphCL negatives (consecutive
-  // overlapping windows would be indistinguishable) and stabilizes SGD.
-  std::vector<int64_t> base;
-  base.reserve(static_cast<size_t>(budget));
-  for (int64_t i = 0; i < budget; ++i) base.push_back(i * num_samples / budget);
-  const int64_t num_batches = (budget + batch - 1) / batch;
-  std::vector<int64_t> schedule;
-  schedule.reserve(static_cast<size_t>(budget));
-  for (int64_t k = 0; k < num_batches; ++k) {
-    for (int64_t j = 0; j < batch; ++j) {
-      const int64_t index = j * num_batches + k;
-      if (index < budget) schedule.push_back(base[static_cast<size_t>(index)]);
-    }
-  }
+  const std::vector<int64_t> schedule =
+      EpochSchedule(num_samples, batch, config_.max_batches_per_epoch);
 
   // Mid-stage resume: when the restored cursor points at this stage, pick up
   // at the saved epoch/batch position with the saved partial-epoch sums so

@@ -34,10 +34,11 @@
 //             memcmp in tests/exec_test). The per-op profiler times the same
 //             definitions, so a replay charges exactly the tape's cells.
 //
-// The tape remains the reference path and the fallback: captures abort on
+// The tape remains the reference path and the fallback: a capture fails on
 // anything unreplayable (dropout's per-step RNG mask, graphs built outside
-// the listener). PlanCache::Run, which every graph family calls, is the one
-// place that decides between them (the contract in DESIGN.md §12).
+// the listener), and a shape whose capture failed stays on the tape.
+// PlanCache::Run, which every graph family calls, is the one place that
+// decides between them (the contract in DESIGN.md §12).
 #ifndef URCL_EXEC_PLAN_H_
 #define URCL_EXEC_PLAN_H_
 

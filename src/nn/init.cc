@@ -13,11 +13,5 @@ Tensor GlorotUniform(const Shape& shape, Rng& rng, int64_t fan_in, int64_t fan_o
   return Tensor::RandomUniform(shape, rng, -limit, limit);
 }
 
-Tensor KaimingUniform(const Shape& shape, Rng& rng, int64_t fan_in) {
-  URCL_CHECK_GT(fan_in, 0);
-  const float limit = std::sqrt(3.0f / static_cast<float>(fan_in)) * std::sqrt(2.0f);
-  return Tensor::RandomUniform(shape, rng, -limit, limit);
-}
-
 }  // namespace nn
 }  // namespace urcl

@@ -11,9 +11,6 @@ namespace nn {
 // Glorot/Xavier uniform for a [fan_in, fan_out]-style weight.
 Tensor GlorotUniform(const Shape& shape, Rng& rng, int64_t fan_in, int64_t fan_out);
 
-// Kaiming/He uniform for ReLU-family layers.
-Tensor KaimingUniform(const Shape& shape, Rng& rng, int64_t fan_in);
-
 }  // namespace nn
 }  // namespace urcl
 

@@ -8,22 +8,10 @@
 #include "obs/metrics.h"
 #include "tensor/serialize.h"
 #include "tensor/simd.h"
-#include "tensor/tensor_ops.h"
 
 namespace urcl {
 namespace nn {
 namespace {
-
-// Validates that `tensors` read back from a state stream are congruent with
-// the optimizer's parameter list.
-Status CheckCongruent(const std::vector<Variable>& params, uint64_t count, const char* what) {
-  if (count != params.size()) {
-    return Status::Error(std::string(what) + " state holds " + std::to_string(count) +
-                         " tensors but the optimizer has " + std::to_string(params.size()) +
-                         " parameters");
-  }
-  return Status::Ok();
-}
 
 // Registry handles for the optimizer's metrics, resolved on first use and
 // gated on obs::MetricsEnabled() at every use site.
@@ -47,17 +35,27 @@ OptimizerMetrics& Metrics() {
 
 }  // namespace
 
-Optimizer::Optimizer(std::vector<Variable> params) : params_(std::move(params)) {
+Adam::Adam(std::vector<Variable> params, const AdamConfig& config)
+    : params_(std::move(params)), config_(config) {
+  URCL_CHECK_GT(config_.lr, 0.0f);
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
   for (const Variable& p : params_) {
     URCL_CHECK(p.IsValid() && p.requires_grad()) << "optimizer got a non-trainable parameter";
+    m_.push_back(Tensor::Zeros(p.value().shape()));
+    v_.push_back(Tensor::Zeros(p.value().shape()));
   }
 }
 
-void Optimizer::ZeroGrad() {
+Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2, float epsilon,
+           float weight_decay)
+    : Adam(std::move(params), AdamConfig{lr, beta1, beta2, epsilon, weight_decay, false}) {}
+
+void Adam::ZeroGrad() {
   for (Variable& p : params_) p.ZeroGrad();
 }
 
-float Optimizer::ClipGradNorm(float max_norm) {
+float Adam::ClipGradNorm(float max_norm) {
   URCL_CHECK_GT(max_norm, 0.0f);
   double total_sq = 0.0;
   for (const Variable& p : params_) {
@@ -86,97 +84,6 @@ float Optimizer::ClipGradNorm(float max_norm) {
   return norm;
 }
 
-int64_t Optimizer::FirstNonFiniteGrad() const {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    if (!params_[i].grad().AllFinite()) return static_cast<int64_t>(i);
-  }
-  return -1;
-}
-
-int64_t Optimizer::FirstNonFiniteParam() const {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    if (!params_[i].value().AllFinite()) return static_cast<int64_t>(i);
-  }
-  return -1;
-}
-
-void Optimizer::SaveState(std::ostream& out) const { (void)out; }
-
-Status Optimizer::LoadState(std::string_view bytes) {
-  (void)bytes;
-  return Status::Ok();
-}
-
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Variable& p : params_) velocity_.push_back(Tensor::Zeros(p.value().shape()));
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Variable& p = params_[i];
-    const Tensor g = p.grad();
-    Tensor update = g.Clone();
-    if (momentum_ != 0.0f) {
-      velocity_[i].MulInPlace(momentum_);
-      velocity_[i].AddInPlace(g);
-      update = velocity_[i].Clone();
-    }
-    Tensor value = p.value().Clone();
-    update.MulInPlace(-lr_);
-    value.AddInPlace(update);
-    p.SetValue(value);
-  }
-}
-
-void Sgd::SaveState(std::ostream& out) const {
-  io::WritePod(out, static_cast<uint64_t>(velocity_.size()));
-  for (const Tensor& v : velocity_) SaveTensor(v, out);
-}
-
-Status Sgd::LoadState(std::string_view bytes) {
-  io::ByteReader in(bytes);
-  uint64_t count = 0;
-  if (!in.Read(&count)) return Status::DataLoss("SGD state is truncated before its count");
-  if (count != velocity_.size()) {
-    return Status::Error("SGD state holds " + std::to_string(count) +
-                         " velocity tensors, expected " + std::to_string(velocity_.size()));
-  }
-  std::vector<Tensor> velocity(velocity_.size());
-  for (size_t i = 0; i < velocity.size(); ++i) {
-    const Status read = io::ReadTensor(in, &velocity[i]);
-    if (!read.ok()) {
-      return Status::DataLoss("SGD velocity " + std::to_string(i) + ": " + read.message());
-    }
-    if (!(velocity[i].shape() == velocity_[i].shape())) {
-      return Status::Error("SGD velocity shape mismatch: " + velocity[i].shape().ToString() +
-                           " vs " + velocity_[i].shape().ToString());
-    }
-  }
-  velocity_ = std::move(velocity);
-  return Status::Ok();
-}
-
-Adam::Adam(std::vector<Variable> params, const AdamConfig& config)
-    : Optimizer(std::move(params)), config_(config) {
-  URCL_CHECK_GT(config_.lr, 0.0f);
-  URCL_CHECK_GE(config_.clip_norm, 0.0f);
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const Variable& p : params_) {
-    m_.push_back(Tensor::Zeros(p.value().shape()));
-    v_.push_back(Tensor::Zeros(p.value().shape()));
-  }
-}
-
-Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2, float epsilon,
-           float weight_decay)
-    : Adam(std::move(params),
-           AdamConfig{lr, beta1, beta2, epsilon, weight_decay, 0.0f, false}) {}
-
 void Adam::Step() {
   last_report_.reset();
   if (config_.check_finite) {
@@ -191,7 +98,6 @@ void Adam::Step() {
       return;
     }
   }
-  if (config_.clip_norm > 0.0f) ClipGradNorm(config_.clip_norm);
   ++step_count_;
   const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(step_count_));
   const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(step_count_));
@@ -251,6 +157,20 @@ void Adam::Step() {
   }
 }
 
+int64_t Adam::FirstNonFiniteGrad() const {
+  for (size_t i = 0; i < params_.size(); ++i) {
+    if (!params_[i].grad().AllFinite()) return static_cast<int64_t>(i);
+  }
+  return -1;
+}
+
+int64_t Adam::FirstNonFiniteParam() const {
+  for (size_t i = 0; i < params_.size(); ++i) {
+    if (!params_[i].value().AllFinite()) return static_cast<int64_t>(i);
+  }
+  return -1;
+}
+
 void Adam::SaveState(std::ostream& out) const {
   io::WritePod(out, step_count_);
   io::WritePod(out, static_cast<uint64_t>(m_.size()));
@@ -268,9 +188,12 @@ Status Adam::LoadState(std::string_view bytes) {
   if (step_count < 0) {
     return Status::Error("Adam state has negative step count " + std::to_string(step_count));
   }
-  const Status congruent = CheckCongruent(params_, count, "Adam");
-  if (!congruent.ok()) return congruent;
-  // First moments, then second moments, each in params() order.
+  if (count != params_.size()) {
+    return Status::Error("Adam state holds " + std::to_string(count) +
+                         " tensors but the optimizer has " + std::to_string(params_.size()) +
+                         " parameters");
+  }
+  // First moments, then second moments, each in parameter order.
   std::vector<Tensor> moments(2 * count);
   for (size_t i = 0; i < moments.size(); ++i) {
     const Status read = io::ReadTensor(in, &moments[i]);

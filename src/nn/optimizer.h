@@ -1,4 +1,4 @@
-// First-order optimizers operating on lists of trainable Variables.
+// The Adam optimizer over a list of trainable Variables.
 #ifndef URCL_NN_OPTIMIZER_H_
 #define URCL_NN_OPTIMIZER_H_
 
@@ -25,16 +25,32 @@ struct NonFiniteReport {
   Kind kind = Kind::kGradient;
 };
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Variable> params);
-  virtual ~Optimizer() = default;
+struct AdamConfig {
+  float lr = 1e-3f;
+  float beta1 = 0.9f;
+  float beta2 = 0.999f;
+  float epsilon = 1e-8f;
+  // L2 penalty coupled into the gradient: Step() adds weight_decay * p to the
+  // gradient before the moment updates (Adam + L2, not AdamW's decoupled decay).
+  float weight_decay = 0.0f;
+  // Opt-in robustness guard: when set, Step() scans gradients first (a
+  // non-finite gradient skips the whole update and records a NonFiniteReport)
+  // and parameters after the update; see last_step_report().
+  bool check_finite = false;
+};
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+// Adam (Kingma & Ba) with optional L2-coupled weight decay.
+class Adam {
+ public:
+  Adam(std::vector<Variable> params, const AdamConfig& config);
+  Adam(std::vector<Variable> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
+       float epsilon = 1e-8f, float weight_decay = 0.0f);
+
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   // Applies one update using the gradients currently stored on the params.
-  virtual void Step() = 0;
+  void Step();
 
   // Clears all parameter gradients.
   void ZeroGrad();
@@ -50,83 +66,28 @@ class Optimizer {
   // parameter; empty after a clean step.
   const std::optional<NonFiniteReport>& last_step_report() const { return last_report_; }
 
-  // Serializes the optimizer's internal state (moments, step counter) so a
-  // restored run continues bit-for-bit. Hyperparameters are not written;
-  // they come from the caller's config. Base implementation is stateless.
-  virtual void SaveState(std::ostream& out) const;
-  // Restores state written by SaveState of the same optimizer type over the
-  // same parameter list from those bytes; returns an error (kDataLoss when the
-  // bytes are short or damaged) on any mismatch, leaving the state untouched.
-  virtual Status LoadState(std::string_view bytes);
+  // Serializes the step counter and the first/second moments, in parameter
+  // order, so a restored run continues bit-for-bit. Hyperparameters are not
+  // written; they come from the caller's config.
+  void SaveState(std::ostream& out) const;
+  // Restores state written by SaveState over the same parameter list from
+  // those bytes; returns an error (kDataLoss when the bytes are short or
+  // damaged) on any mismatch, leaving the state untouched.
+  Status LoadState(std::string_view bytes);
 
-  const std::vector<Variable>& params() const { return params_; }
+  int64_t step_count() const { return step_count_; }
 
- protected:
+ private:
   // Index of the first param with a non-finite gradient/value, or -1.
   int64_t FirstNonFiniteGrad() const;
   int64_t FirstNonFiniteParam() const;
 
   std::vector<Variable> params_;
-  std::optional<NonFiniteReport> last_report_;
-};
-
-// SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::string_view bytes) override;
-
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-struct AdamConfig {
-  float lr = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float epsilon = 1e-8f;
-  float weight_decay = 0.0f;  // decoupled (AdamW-style)
-  // Opt-in robustness guards:
-  // When > 0, gradients are clipped to this global L2 norm inside Step().
-  float clip_norm = 0.0f;
-  // When set, Step() scans gradients first (a non-finite gradient skips the
-  // whole update and records a NonFiniteReport) and parameters after the
-  // update; see last_step_report().
-  bool check_finite = false;
-};
-
-// Adam (Kingma & Ba) with optional decoupled weight decay.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Variable> params, const AdamConfig& config);
-  Adam(std::vector<Variable> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-       float epsilon = 1e-8f, float weight_decay = 0.0f);
-
-  void Step() override;
-
-  // State = step counter + first/second moments, in params() order.
-  void SaveState(std::ostream& out) const override;
-  Status LoadState(std::string_view bytes) override;
-
-  float lr() const { return config_.lr; }
-  void set_lr(float lr) { config_.lr = lr; }
-  const AdamConfig& config() const { return config_; }
-  int64_t step_count() const { return step_count_; }
-
- private:
   AdamConfig config_;
   int64_t step_count_ = 0;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
+  std::optional<NonFiniteReport> last_report_;
 };
 
 }  // namespace nn

@@ -47,7 +47,6 @@ const char* FlightEventTypeName(FlightEventType type) {
     case FlightEventType::kPlanCompile: return "plan_compile";
     case FlightEventType::kPlanFallback: return "plan_fallback";
     case FlightEventType::kCheckpointWrite: return "checkpoint_write";
-    case FlightEventType::kDriftTrigger: return "drift_trigger";
     case FlightEventType::kNonFiniteQuarantine: return "nonfinite_quarantine";
     case FlightEventType::kDeadlineShed: return "deadline_shed";
     case FlightEventType::kLameDuck: return "lame_duck";

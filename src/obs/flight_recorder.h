@@ -1,12 +1,12 @@
 // Black-box flight recorder: an always-on, lock-striped bounded ring of
 // structured lifecycle events (snapshot publish/admit/quarantine, hot-swap,
 // rollback, health transitions, plan compile/fallback, checkpoint write,
-// drift trigger, non-finite quarantine, deadline shed, lame-duck, fatal
-// abort). Unlike the metrics registry it is NOT gated on obs::MetricsEnabled:
-// the events it records are rare (per-publish / per-incident, never
-// per-element), so "always on" costs a stripe-local mutex acquire and a
-// fixed-size record copy — and the recorder is exactly what must exist when
-// an incident happens on a process that was not started with URCL_OBS=1.
+// non-finite quarantine, deadline shed, lame-duck, fatal abort). Unlike the
+// metrics registry it is NOT gated on obs::MetricsEnabled: the events it
+// records are rare (per-publish / per-incident, never per-element), so
+// "always on" costs a stripe-local mutex acquire and a fixed-size record
+// copy — and the recorder is exactly what must exist when an incident
+// happens on a process that was not started with URCL_OBS=1.
 //
 // Records are pre-formatted and fixed-size (no allocation on the record
 // path): a monotone sequence number, a monotonic timestamp, the request
@@ -49,7 +49,6 @@ enum class FlightEventType : uint8_t {
   kPlanFallback = 7,      // the capture failed (this shape stays on the tape),
                           // or a held gradient sent one call to the tape
   kCheckpointWrite = 8,   // a: stage, b: step; detail: path tail
-  kDriftTrigger = 9,      // a: samples seen at the alarm
   kNonFiniteQuarantine = 10,  // a: version/stage, b: step; detail: which gate
   kDeadlineShed = 11,     // a: estimated ns, b: deadline ns
   kLameDuck = 12,         // terminal drain began

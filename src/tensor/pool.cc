@@ -128,11 +128,6 @@ BufferPool::BufferPool()
 #endif
 {
   if (const char* env = std::getenv("URCL_POOL_POISON")) poison_enabled_ = ParseEnabled(env);
-  if (const char* env = std::getenv("URCL_POOL_CAP_MB")) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end != env) capacity_bytes_ = uint64_t{mb} << 20;
-  }
 }
 
 bool BufferPool::ParseEnabled(const char* value) {

@@ -8,8 +8,9 @@
 // Policy:
 //  - size classes are powers of two (min 32 floats), so recurring shapes hit
 //    the same class even when augmentation jitters sizes slightly;
-//  - cap-with-trim: cached bytes are bounded (URCL_POOL_CAP_MB, default 256);
-//    a buffer whose return would exceed the cap is freed instead of cached;
+//  - cap-with-trim: cached bytes are bounded (256 MiB; set_capacity_bytes
+//    changes the cap); a buffer whose return would exceed the cap is freed
+//    instead of cached;
 //  - buffers are 64-byte aligned (cache line, and any vector ISA's natural
 //    alignment — the SIMD kernels use unaligned loads, so this is a
 //    performance nicety, not a correctness requirement).

@@ -353,6 +353,15 @@ TEST_F(UrclTrainerTest, BackbonesInterchangeable) {
   }
 }
 
+TEST(EpochScheduleTest, InterleavesEvenlySpacedWindows) {
+  // 10 windows in batches of 4: three batches, each striding the stage.
+  EXPECT_EQ(EpochSchedule(10, 4, /*max_batches_per_epoch=*/0),
+            (std::vector<int64_t>{0, 3, 6, 9, 1, 4, 7, 2, 5, 8}));
+  // Capped at 2 batches: 8 evenly spaced windows (i * 10 / 8), interleaved.
+  EXPECT_EQ(EpochSchedule(10, 4, /*max_batches_per_epoch=*/2),
+            (std::vector<int64_t>{0, 2, 5, 7, 1, 3, 6, 8}));
+}
+
 TEST(ConfigValidationTest, ValidConfigsProduceNoErrors) {
   EXPECT_TRUE(SmallConfig().Validate().empty());
   UrclConfig config;

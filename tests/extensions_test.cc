@@ -1,21 +1,16 @@
-// Tests for the extension features: LayerNorm, validation-based early
-// stopping, checkpointing, the EWC trainer, and the CSV writer.
+// Tests for the extension features: validation-based early stopping, the EWC
+// trainer, and the CSV writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "autograd/grad_check.h"
-#include "autograd/ops.h"
 #include "baselines/zoo.h"
 #include "common/csv_writer.h"
 #include "core/ewc.h"
-#include "core/stencoder.h"
 #include "core/urcl.h"
 #include "data/synthetic.h"
-#include "graph/generator.h"
-#include "nn/layer_norm.h"
 #include "tensor/tensor_ops.h"
 
 #include "predict_util.h"
@@ -23,66 +18,7 @@
 namespace urcl {
 namespace {
 
-namespace ag = ::urcl::autograd;
 namespace top = ::urcl::ops;
-
-TEST(LayerNormTest, NormalizesChannelAxis) {
-  Rng rng(1);
-  nn::LayerNorm norm(8, rng);
-  ag::Variable x(Tensor::RandomNormal(Shape{2, 8, 3, 4}, rng, 5.0f, 3.0f), false);
-  const Tensor y = norm.Forward(x).value();
-  // With default affine (gamma=1, beta=0): per-position channel mean ~0, var ~1.
-  const Tensor mean = top::Mean(y, {1});
-  EXPECT_TRUE(top::AllClose(mean, Tensor::Zeros(mean.shape()), 1e-4f));
-  const Tensor var = top::Mean(top::Square(y), {1});
-  EXPECT_TRUE(top::AllClose(var, Tensor::Ones(var.shape()), 2e-2f));
-}
-
-TEST(LayerNormTest, AffineParametersApply) {
-  Rng rng(2);
-  nn::LayerNorm norm(4, rng);
-  ASSERT_EQ(norm.Parameters().size(), 2u);
-  // Set gamma = 2, beta = 1 and check the output moments shift accordingly.
-  norm.Parameters()[0].SetValue(Tensor::Full(Shape{1, 4, 1, 1}, 2.0f));
-  norm.Parameters()[1].SetValue(Tensor::Full(Shape{1, 4, 1, 1}, 1.0f));
-  ag::Variable x(Tensor::RandomNormal(Shape{1, 4, 2, 2}, rng), false);
-  const Tensor y = norm.Forward(x).value();
-  const Tensor mean = top::Mean(y, {1});
-  EXPECT_TRUE(top::AllClose(mean, Tensor::Ones(mean.shape()), 1e-4f));
-}
-
-TEST(LayerNormTest, GradCheck) {
-  Rng rng(3);
-  nn::LayerNorm norm(3, rng);
-  std::vector<ag::Variable> inputs = {
-      ag::Variable(Tensor::RandomUniform(Shape{1, 3, 2, 2}, rng, -1.0f, 1.0f), true)};
-  const auto result = ag::CheckGradients(
-      [&norm](const std::vector<ag::Variable>& in) {
-        return ag::Sum(ag::Square(norm.Forward(in[0])));
-      },
-      inputs, 1e-2f, 3e-2f);
-  EXPECT_TRUE(result.passed) << result.max_rel_error;
-}
-
-TEST(LayerNormTest, EncoderWithNormTrains) {
-  Rng rng(4);
-  core::BackboneConfig config;
-  config.num_nodes = 6;
-  config.in_channels = 2;
-  config.input_steps = 12;
-  config.hidden_channels = 4;
-  config.latent_channels = 8;
-  config.num_layers = 3;
-  config.adaptive_embedding_dim = 3;
-  config.use_layer_norm = true;
-  core::GraphWaveNetEncoder encoder(config, rng);
-  Rng graph_rng(5);
-  graph::SensorNetwork g = graph::RandomGeometricGraph(6, 0.5f, graph_rng);
-  ag::Variable x(Tensor::RandomUniform(Shape{2, 12, 6, 2}, rng), false);
-  ag::Variable latent = encoder.Encode(x, g.AdjacencyMatrix());
-  EXPECT_TRUE(top::AllFinite(latent.value()));
-  ag::Mean(ag::Square(latent)).Backward();  // gradients flow through the norm
-}
 
 class TrainerFixture : public ::testing::Test {
  protected:

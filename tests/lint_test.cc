@@ -476,6 +476,27 @@ TEST(RepoLintTest, LayeringIgnoresCommentedAndSystemIncludes) {
   EXPECT_TRUE(findings.empty()) << FormatFindings(findings);
 }
 
+TEST(RepoLintTest, TestOnlyHeaderFlagsHeadersOnlyTestsInclude) {
+  // The header's own .cc is not a caller, so a test is its only includer.
+  std::vector<SourceFile> files = {
+      Src("src/core/widget.h", "int Widget();\n"),
+      Src("src/core/widget.cc", "#include \"core/widget.h\"\n"),
+      Src("tests/widget_test.cc", "#include \"core/widget.h\"\n"),
+  };
+  const auto findings = CheckTestOnlyHeaders(files, {});
+  ASSERT_EQ(Rules(findings), std::vector<std::string>{"layering/test-only-header"})
+      << FormatFindings(findings);
+  EXPECT_EQ(findings[0].file, "src/core/widget.h");
+  EXPECT_NE(findings[0].detail.find("tests/widget_test.cc"), std::string::npos)
+      << findings[0].detail;
+  // Listed as kept on purpose: exempt.
+  EXPECT_TRUE(CheckTestOnlyHeaders(files, {"src/core/widget.h"}).empty());
+  // A bench caller outside tests/ makes the header live.
+  files.push_back(Src("bench/bench_widget.cc", "#include \"core/widget.h\"\n"));
+  const auto live = CheckTestOnlyHeaders(files, {});
+  EXPECT_TRUE(live.empty()) << FormatFindings(live);
+}
+
 TEST(RepoLintTest, LayerRankTableOrdersTheDag) {
   EXPECT_EQ(LayerRank("common"), 0);
   EXPECT_LT(LayerRank("obs"), LayerRank("runtime"));

@@ -36,7 +36,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 
 namespace urcl {
@@ -975,80 +974,6 @@ TEST_F(ObsTest, PrometheusLabeledHistogramFoldsLabelsBeforeLe) {
   // One # TYPE line per family even with labels present.
   EXPECT_EQ(prom.find("# TYPE urcl_test_labeled_hist histogram"),
             prom.rfind("# TYPE urcl_test_labeled_hist histogram"));
-}
-
-// ---------------------------------------------------------------------------
-// SLO burn rates
-// ---------------------------------------------------------------------------
-
-TEST_F(ObsTest, SloBurnComputesPerWindowFromCumulativeDeltas) {
-  obs::SloConfig config;
-  config.availability_target = 0.99;  // budget 1%
-  config.latency_target = 0.9;        // budget 10%
-  config.windows_ns = {100, 1000};
-  obs::SloMonitor monitor(config);
-
-  // t=0: baseline. t=500: 1000 queries, 5 errors. t=1000: 1000 more, 20
-  // errors, plus 100 latency samples of which 30 were slow.
-  monitor.Tick({0, 0, 0, 0, 0});
-  monitor.Tick({500, 1000, 5, 0, 0});
-  monitor.Tick({1000, 2000, 25, 100, 30});
-
-  const std::vector<obs::SloMonitor::WindowBurn> burns = monitor.Burn();
-  ASSERT_EQ(burns.size(), 2u);
-  // 100ns window: only the newest sample is inside, so deltas are zero.
-  EXPECT_EQ(burns[0].window_ns, 100);
-  EXPECT_EQ(burns[0].total, 0u);
-  EXPECT_DOUBLE_EQ(burns[0].availability_burn, 0.0);
-  // 1000ns window: spans from t=0 — 25/2000 error ratio over a 1% budget.
-  EXPECT_EQ(burns[1].window_ns, 1000);
-  EXPECT_EQ(burns[1].total, 2000u);
-  EXPECT_EQ(burns[1].errors, 25u);
-  // NEAR, not exact: sanitizer builds round the ratio division differently.
-  EXPECT_NEAR(burns[1].availability_burn, (25.0 / 2000.0) / 0.01, 1e-9);
-  EXPECT_NEAR(burns[1].latency_burn, (30.0 / 100.0) / 0.1, 1e-9);
-}
-
-TEST_F(ObsTest, SloTickFromRegistryCountsSlowFromHistogram) {
-  obs::ObsConfig obs_config;
-  obs_config.metrics = true;
-  obs::Configure(obs_config);
-
-  obs::SloConfig config;
-  config.windows_ns = {1000};
-  config.latency_threshold_ns = 10.0;
-  config.total_counter = "urcl.test.slo_total";
-  config.error_counters = {"urcl.test.slo_errors"};
-  config.latency_histogram = "urcl.test.slo_latency";
-  config.latency_bounds = {10.0, 100.0};
-  obs::SloMonitor monitor(config);
-
-  auto& registry = obs::MetricsRegistry::Get();
-  registry.GetHistogram("urcl.test.slo_latency", config.latency_bounds).Reset();
-  monitor.TickFromRegistry(0);
-  registry.GetCounter("urcl.test.slo_total").Add(10);
-  registry.GetCounter("urcl.test.slo_errors").Add(1);
-  obs::Histogram& latency =
-      registry.GetHistogram("urcl.test.slo_latency", config.latency_bounds);
-  latency.Observe(5.0);    // fast
-  latency.Observe(10.0);   // == threshold: still fast (le semantics)
-  latency.Observe(50.0);   // slow
-  latency.Observe(500.0);  // slow (+Inf bucket)
-  monitor.TickFromRegistry(500);
-
-  const std::vector<obs::SloMonitor::WindowBurn> burns = monitor.Burn();
-  ASSERT_EQ(burns.size(), 1u);
-  EXPECT_EQ(burns[0].total, 10u);
-  EXPECT_EQ(burns[0].errors, 1u);
-  // 2 of 4 observations exceeded the threshold; default budget 1%. NEAR,
-  // not exact: sanitizer builds round the ratio division differently.
-  EXPECT_NEAR(burns[0].latency_burn, 0.5 / 0.01, 1e-9);
-
-  monitor.ExportGauges();
-  const std::string prom = registry.ToPrometheus();
-  EXPECT_NE(prom.find("urcl_slo_availability_burn{window=\"0s\"}"), std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("urcl_slo_latency_burn{window=\"0s\"}"), std::string::npos) << prom;
 }
 
 // ---------------------------------------------------------------------------

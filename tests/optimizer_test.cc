@@ -1,9 +1,7 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -20,7 +18,7 @@ namespace ag = ::urcl::autograd;
 namespace top = ::urcl::ops;
 
 // Minimizes f(w) = (w - 3)^2 and checks convergence.
-float MinimizeQuadratic(Optimizer& opt, Variable& w, int steps) {
+float MinimizeQuadratic(Adam& opt, Variable& w, int steps) {
   for (int i = 0; i < steps; ++i) {
     opt.ZeroGrad();
     Variable loss = ag::Square(ag::AddScalar(w, -3.0f));
@@ -28,32 +26,6 @@ float MinimizeQuadratic(Optimizer& opt, Variable& w, int steps) {
     opt.Step();
   }
   return w.value().Item();
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Variable w(Tensor::Scalar(0.0f), true);
-  Sgd sgd({w}, /*lr=*/0.1f);
-  EXPECT_NEAR(MinimizeQuadratic(sgd, w, 100), 3.0f, 1e-3);
-}
-
-TEST(SgdTest, MomentumAccelerates) {
-  Variable w1(Tensor::Scalar(0.0f), true);
-  Variable w2(Tensor::Scalar(0.0f), true);
-  Sgd plain({w1}, 0.02f);
-  Sgd momentum({w2}, 0.02f, 0.9f);
-  MinimizeQuadratic(plain, w1, 20);
-  MinimizeQuadratic(momentum, w2, 20);
-  EXPECT_GT(std::fabs(w2.value().Item() - 0.0f), std::fabs(w1.value().Item() - 0.0f));
-}
-
-TEST(SgdTest, SingleStepValue) {
-  Variable w(Tensor::Scalar(1.0f), true);
-  Sgd sgd({w}, 0.5f);
-  sgd.ZeroGrad();
-  Variable loss = ag::Square(w);  // grad = 2w = 2
-  loss.Backward();
-  sgd.Step();
-  EXPECT_NEAR(w.value().Item(), 0.0f, 1e-6);  // 1 - 0.5*2
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -105,12 +77,12 @@ TEST(AdamTest, TrainsLinearRegression) {
 
 TEST(ClipGradNormTest, ScalesDownLargeGradients) {
   Variable w(Tensor::FromVector(Shape{2}, {3.0f, 4.0f}), true);
-  Sgd sgd({w}, 1.0f);
-  sgd.ZeroGrad();
+  Adam adam({w}, 1.0f);
+  adam.ZeroGrad();
   // grad = w (norm 5) for loss = 0.5*||w||^2
   Variable loss = ag::MulScalar(ag::Sum(ag::Square(w)), 0.5f);
   loss.Backward();
-  const float pre_norm = sgd.ClipGradNorm(1.0f);
+  const float pre_norm = adam.ClipGradNorm(1.0f);
   EXPECT_NEAR(pre_norm, 5.0f, 1e-4);
   const Tensor g = w.grad();
   const float post_norm = std::sqrt(g.FlatAt(0) * g.FlatAt(0) + g.FlatAt(1) * g.FlatAt(1));
@@ -119,35 +91,19 @@ TEST(ClipGradNormTest, ScalesDownLargeGradients) {
 
 TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   Variable w(Tensor::FromVector(Shape{2}, {0.3f, 0.4f}), true);
-  Sgd sgd({w}, 1.0f);
-  sgd.ZeroGrad();
+  Adam adam({w}, 1.0f);
+  adam.ZeroGrad();
   ag::MulScalar(ag::Sum(ag::Square(w)), 0.5f).Backward();
-  sgd.ClipGradNorm(10.0f);
+  adam.ClipGradNorm(10.0f);
   EXPECT_NEAR(w.grad().FlatAt(0), 0.3f, 1e-5);
 }
 
 TEST(OptimizerTest, RejectsNonTrainableParams) {
   Variable w(Tensor::Scalar(1.0f), /*requires_grad=*/false);
-  EXPECT_DEATH(Sgd({w}, 0.1f), "non-trainable");
+  EXPECT_DEATH(Adam({w}, 0.1f), "non-trainable");
 }
 
-// --- Opt-in robustness guards (AdamConfig::clip_norm / check_finite).
-
-TEST(AdamGuardTest, ClipNormBoundsTheUpdate) {
-  // grad = (3, 4), norm 5, clipped to 1 inside Step(): after clipping the
-  // gradients visible on the params have norm 1.
-  Variable w(Tensor::FromVector(Shape{2}, {3.0f, 4.0f}), true);
-  AdamConfig config;
-  config.lr = 0.1f;
-  config.clip_norm = 1.0f;
-  Adam adam({w}, config);
-  adam.ZeroGrad();
-  ag::MulScalar(ag::Sum(ag::Square(w)), 0.5f).Backward();  // grad = w
-  adam.Step();
-  const Tensor g = w.grad();
-  const float post_norm = std::sqrt(g.FlatAt(0) * g.FlatAt(0) + g.FlatAt(1) * g.FlatAt(1));
-  EXPECT_NEAR(post_norm, 1.0f, 1e-4);
-}
+// --- Opt-in robustness guard (AdamConfig::check_finite).
 
 TEST(AdamGuardTest, NonFiniteGradientSkipsTheWholeUpdate) {
   Variable w(Tensor::Scalar(1.0f), true);
@@ -184,24 +140,6 @@ TEST(AdamGuardTest, CheckFiniteOffTrainsOnNan) {
   w.AccumulateGrad(Tensor::Scalar(std::numeric_limits<float>::quiet_NaN()));
   adam.Step();
   EXPECT_TRUE(std::isnan(w.value().Item()));
-}
-
-TEST(SgdStateTest, MomentumRoundTripContinuesBitwise) {
-  Variable w1(Tensor::Scalar(0.0f), true);
-  Sgd a({w1}, 0.05f, 0.9f);
-  MinimizeQuadratic(a, w1, 10);
-
-  std::ostringstream saved;
-  a.SaveState(saved);
-  Variable w2(w1.value().Clone(), true);
-  Sgd b({w2}, 0.05f, 0.9f);
-  ASSERT_TRUE(b.LoadState(saved.str()).ok());
-
-  MinimizeQuadratic(a, w1, 5);
-  MinimizeQuadratic(b, w2, 5);
-  const float va = w1.value().Item();
-  const float vb = w2.value().Item();
-  EXPECT_EQ(std::memcmp(&va, &vb, sizeof(float)), 0);
 }
 
 }  // namespace

@@ -101,6 +101,54 @@ struct CycleFinder {
 
 }  // namespace
 
+std::vector<Finding> CheckTestOnlyHeaders(const std::vector<SourceFile>& files,
+                                          const std::vector<std::string>& allowed) {
+  // Every src/ header, mapped to the test files that include it and whether
+  // anything outside tests/ (other than its own .cc) does.
+  struct Callers {
+    std::vector<std::string> tests;
+    bool outside_tests = false;
+  };
+  std::map<std::string, Callers> headers;
+  for (const SourceFile& file : files) {
+    const std::string& path = file.path;
+    if (path.rfind("src/", 0) == 0 && path.size() > 2 &&
+        path.compare(path.size() - 2, 2, ".h") == 0) {
+      headers.emplace(path, Callers{});
+    }
+  }
+  for (const SourceFile& file : files) {
+    const bool in_tests = file.path.rfind("tests/", 0) == 0;
+    for (const Include& include : QuotedIncludes(file)) {
+      const std::string header = "src/" + include.target;
+      const auto it = headers.find(header);
+      if (it == headers.end()) continue;
+      if (file.path == header.substr(0, header.size() - 2) + ".cc") continue;
+      if (in_tests) {
+        it->second.tests.push_back(file.path);
+      } else {
+        it->second.outside_tests = true;
+      }
+    }
+  }
+  std::vector<Finding> findings;
+  for (const auto& [header, callers] : headers) {
+    if (callers.outside_tests ||
+        std::find(allowed.begin(), allowed.end(), header) != allowed.end()) {
+      continue;
+    }
+    std::string detail = "no file outside tests/ includes this header";
+    if (!callers.tests.empty()) {
+      detail += " (included from";
+      for (const std::string& test : callers.tests) detail += " " + test;
+      detail += ")";
+    }
+    Add(&findings, header, 0, "layering/test-only-header",
+        detail + "; delete it with its tests, or give it a caller");
+  }
+  return findings;
+}
+
 int LayerRank(const std::string& module) {
   for (const LayerEntry& entry : kLayers) {
     if (module == entry.module) return entry.rank;

@@ -19,7 +19,12 @@
 //                              audited in one place;
 //   layering/self-include-first a .cc whose first include is not its own
 //                              header — the convention that proves every
-//                              header is self-contained.
+//                              header is self-contained;
+//   layering/test-only-header  a src/ header that no file outside tests/
+//                              includes (its own .cc does not count) — code
+//                              only tests run is dead code, deleted rather
+//                              than kept; the few headers kept on purpose
+//                              are listed in repo_lint.cc.
 //
 // The declared ranks live in layering.cc; `lint:allow(<rule>)` suppressions
 // work as everywhere else but first-party src/ code is expected to carry none.
@@ -38,6 +43,14 @@ namespace lint {
 // SourceFiles ("src/<module>/<file>"). Order of findings is deterministic
 // (path, then line).
 std::vector<Finding> CheckLayering(const std::vector<SourceFile>& files);
+
+// Finds the src/ headers that only tests/ include. `files` is every scanned
+// file (src/, tests/, bench/, examples/, tools/) as repo-relative
+// SourceFiles; a header's own .cc is not a caller, and headers named in
+// `allowed` ("src/<module>/<file>.h") are exempt. One whole-file finding per
+// header, in path order.
+std::vector<Finding> CheckTestOnlyHeaders(const std::vector<SourceFile>& files,
+                                          const std::vector<std::string>& allowed);
 
 // Rank of `module` in the declared DAG, or -1 when the module is unknown.
 // Exposed so tests and docs tooling can assert the table itself.

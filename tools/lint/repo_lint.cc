@@ -52,6 +52,7 @@ std::vector<Finding> LintTree(const std::string& root) {
   namespace fs = std::filesystem;
   std::vector<Finding> findings;
   std::vector<SourceFile> src_files;  // collected for the layering analyzer
+  std::vector<SourceFile> all_files;  // every tree, for the test-only-header rule
   const std::vector<std::string> trees = {"src", "tests", "bench", "examples", "tools"};
   for (const std::string& tree : trees) {
     const fs::path tree_root = fs::path(root) / tree;
@@ -100,10 +101,17 @@ std::vector<Finding> LintTree(const std::string& root) {
       std::vector<Finding> file_findings = RunRulePasses(source, options);
       findings.insert(findings.end(), file_findings.begin(), file_findings.end());
       if (tree == "src") src_files.push_back(source);
+      all_files.push_back(source);
     }
   }
   std::vector<Finding> layering = CheckLayering(src_files);
   findings.insert(findings.end(), layering.begin(), layering.end());
+  // Headers kept with only test callers: the loader for real METR-LA/PEMS CSV
+  // exports, and the finite-difference reference the autograd tests check
+  // gradients against.
+  std::vector<Finding> test_only = CheckTestOnlyHeaders(
+      all_files, {"src/autograd/grad_check.h", "src/data/csv_io.h"});
+  findings.insert(findings.end(), test_only.begin(), test_only.end());
   return findings;
 }
 

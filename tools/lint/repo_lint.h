@@ -56,6 +56,10 @@
 //                                declared layer DAG with strictly-downward
 //                                dependencies; see layering.h for the rules
 //                                and layering.cc for the ranks.
+//     layering/test-only-header  (every tree's includes) a src/ header that
+//                                nothing outside tests/ includes; the two
+//                                headers kept on purpose are listed in
+//                                repo_lint.cc.
 //
 //   format rules (src/, tests/, bench/, examples/, tools/)
 //     format/line-length         lines over 100 columns;

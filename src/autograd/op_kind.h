@@ -7,6 +7,7 @@
 #ifndef URCL_AUTOGRAD_OP_KIND_H_
 #define URCL_AUTOGRAD_OP_KIND_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,11 +16,8 @@ namespace autograd {
 namespace record {
 
 // One enumerator per op function in autograd/ops.h (Neg delegates to
-// MulScalar and records as kMulScalar; Dropout records as kMul by its mask).
-// kDropout is the capture notice Dropout sends after its kMul, so a capture
-// that encounters it can abort deterministically: the mask is drawn from the
-// trainer RNG per step, so a replayed plan could never reproduce it. It has
-// no definition and stays the last enumerator.
+// MulScalar and records as kMulScalar). Every enumerator has a definition in
+// record.cc's op table, listed in this order.
 enum class OpKind : uint8_t {
   kAdd,
   kSub,
@@ -34,7 +32,6 @@ enum class OpKind : uint8_t {
   kTanh,
   kSigmoid,
   kRelu,
-  kLeakyRelu,
   kSquare,
   kMatMul,
   kSum,
@@ -48,12 +45,15 @@ enum class OpKind : uint8_t {
   kSoftmax,
   kTemporalConv2d,
   kGraphMatMul,
-  kDropout,
 };
+
+// The number of OpKinds: the op table's length. kGraphMatMul stays the last
+// enumerator.
+inline constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kGraphMatMul) + 1;
 
 // Closed-form op parameters, enough to run the forward kernel, the gradient
 // formula and the output-shape rule. Fields are op-specific:
-//   scalar : AddScalar/MulScalar operand, LeakyRelu negative slope
+//   scalar : AddScalar/MulScalar operand
 //   flag   : Sum/Mean keepdims
 //   axis   : Concat/Pad/Softmax axis (as passed, not canonicalized);
 //            TemporalConv2d dilation

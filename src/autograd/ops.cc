@@ -31,20 +31,15 @@ class TapeOperands final : public record::OpOperands {
   const std::vector<Variable>& parents_;
 };
 
-// Capture hook: one branch when no listener is installed (the steady-state
-// tape path), a recorder callback when the compiled executor is capturing
-// this forward build (autograd/record.h).
-void Note(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
-          const record::OpAttrs& attrs) {
-  if (record::TapeListener* rec = record::ActiveListener()) rec->OnOp(kind, out, parents, attrs);
-}
-
 }  // namespace
 
 Variable Apply(OpKind kind, const std::vector<Variable>& parents, const record::OpAttrs& attrs) {
   Variable out = Variable::MakeOp(record::OpForward(kind, attrs, TapeOperands(parents)), kind,
                                   parents, attrs);
-  Note(kind, out, parents, attrs);
+  // Capture hook: one branch when no listener is installed (the steady-state
+  // tape path), a recorder callback when the compiled executor is capturing
+  // this forward build (autograd/record.h).
+  if (record::TapeListener* rec = record::ActiveListener()) rec->OnOp(kind, out, parents, attrs);
   return out;
 }
 
@@ -70,10 +65,6 @@ Variable Abs(const Variable& a) { return Apply(OpKind::kAbs, {a}); }
 Variable Tanh(const Variable& a) { return Apply(OpKind::kTanh, {a}); }
 Variable Sigmoid(const Variable& a) { return Apply(OpKind::kSigmoid, {a}); }
 Variable Relu(const Variable& a) { return Apply(OpKind::kRelu, {a}); }
-
-Variable LeakyRelu(const Variable& a, float negative_slope) {
-  return Apply(OpKind::kLeakyRelu, {a}, {.scalar = negative_slope});
-}
 
 Variable Square(const Variable& a) { return Apply(OpKind::kSquare, {a}); }
 Variable MatMul(const Variable& a, const Variable& b) { return Apply(OpKind::kMatMul, {a, b}); }
@@ -119,22 +110,6 @@ Variable StopGradient(const Variable& a) {
   // A fresh leaf with no parents: gradient flow ends here.
   Variable out(a.value(), /*requires_grad=*/false);
   if (record::TapeListener* rec = record::ActiveListener()) rec->OnAlias(out, a);
-  return out;
-}
-
-Variable Dropout(const Variable& a, float p, Rng& rng, bool training) {
-  if (!training || p <= 0.0f) return a;
-  URCL_CHECK_LT(p, 1.0f) << "dropout rate must be < 1";
-  Tensor mask(a.shape());
-  float* pm = mask.mutable_data();
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (int64_t i = 0; i < mask.NumElements(); ++i) {
-    pm[i] = rng.Bernoulli(p) ? 0.0f : keep_scale;
-  }
-  const std::vector<Variable> parents{a, Variable(std::move(mask))};
-  Variable out = Apply(OpKind::kMul, parents);
-  // Per-step RNG draws make dropout unreplayable; the recorder aborts capture.
-  Note(OpKind::kDropout, out, parents, {});
   return out;
 }
 

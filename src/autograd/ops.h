@@ -13,7 +13,6 @@
 
 #include "autograd/record.h"
 #include "autograd/variable.h"
-#include "common/rng.h"
 
 namespace urcl {
 namespace autograd {
@@ -41,7 +40,6 @@ Variable Abs(const Variable& a);  // subgradient 0 at 0
 Variable Tanh(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable Relu(const Variable& a);
-Variable LeakyRelu(const Variable& a, float negative_slope = 0.01f);
 Variable Square(const Variable& a);
 
 // --- Linear algebra ----------------------------------------------------------------
@@ -61,16 +59,12 @@ Variable Concat(const std::vector<Variable>& parts, int64_t axis);
 Variable Pad(const Variable& a, int64_t axis, int64_t before, int64_t after);
 Variable BroadcastTo(const Variable& a, const Shape& target);
 
-// --- Softmax / regularization ---------------------------------------------------------------
+// --- Softmax / stop-gradient ---------------------------------------------------------------
 Variable Softmax(const Variable& a, int64_t axis);
 
 // Detaches `a` from the graph: forward value passes through, gradient stops
 // (the SimSiam stop-gradient operator SG(.) of Eq. 13).
 Variable StopGradient(const Variable& a);
-
-// Inverted dropout; identity when !training or p == 0. Records as a Mul by
-// the drawn mask, then tells a capturing listener the graph holds dropout.
-Variable Dropout(const Variable& a, float p, Rng& rng, bool training);
 
 // --- Convolution -------------------------------------------------------------------------------
 // 2-D convolution with kernel (1, K) and temporal dilation, as used by

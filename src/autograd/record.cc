@@ -3,7 +3,6 @@
 #include <iterator>
 #include <optional>
 
-#include "common/check.h"
 #include "obs/profiler.h"
 #include "tensor/tensor_ops.h"
 
@@ -270,18 +269,6 @@ constexpr OpDef kOps[] = {
        const Tensor mask = top::Map(x.value(0), [](float v) { return v > 0.0f ? 1.0f : 0.0f; });
        x.Accumulate(0, top::Mul(g, mask));
      }},
-    {OpKind::kLeakyRelu, "leaky_relu", 1, SameShape, true, false,
-     [](const OpOperands& x, const OpAttrs& a) {
-       const float slope = a.scalar;
-       return top::Map(x.value(0), [slope](float v) { return v > 0.0f ? v : slope * v; });
-     },
-     [](const Tensor& g, const OpAttrs& a, OpOperands& x) {
-       if (!x.needs_grad(0)) return;
-       const float slope = a.scalar;
-       const Tensor mask =
-           top::Map(x.value(0), [slope](float v) { return v > 0.0f ? 1.0f : slope; });
-       x.Accumulate(0, top::Mul(g, mask));
-     }},
     {OpKind::kSquare, "square", 1, SameShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Square(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
@@ -411,14 +398,11 @@ constexpr bool ListedInKindOrder() {
   for (size_t i = 0; i < std::size(kOps); ++i) {
     if (static_cast<size_t>(kOps[i].kind) != i) return false;
   }
-  return std::size(kOps) == static_cast<size_t>(OpKind::kDropout);
+  return std::size(kOps) == kNumOpKinds;
 }
-static_assert(ListedInKindOrder(), "kOps must list every OpKind but kDropout, in order");
+static_assert(ListedInKindOrder(), "kOps must list every OpKind, in order");
 
-const OpDef& Def(OpKind kind) {
-  URCL_CHECK(kind != OpKind::kDropout) << "dropout has no replayable op definition";
-  return kOps[static_cast<size_t>(kind)];
-}
+const OpDef& Def(OpKind kind) { return kOps[static_cast<size_t>(kind)]; }
 
 }  // namespace
 

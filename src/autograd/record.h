@@ -34,8 +34,7 @@
 // cannot recover the program: capture must observe the op stream as it
 // happens. StopGradient bypasses Variable::MakeOp entirely (it returns a
 // fresh leaf aliasing the input's storage) and gets the dedicated OnAlias
-// hook. Dropout records as a kMul by its mask and then sends the kDropout
-// notice.
+// hook.
 #ifndef URCL_AUTOGRAD_RECORD_H_
 #define URCL_AUTOGRAD_RECORD_H_
 
@@ -100,9 +99,9 @@ class TapeListener {
  public:
   virtual ~TapeListener() = default;
 
-  // One recorded op, from Apply, or Dropout's kDropout notice: `out` was
-  // produced from `parents` (any count) with `attrs`. Called after
-  // Variable::MakeOp, on the thread running the forward build.
+  // One recorded op, from Apply: `out` was produced from `parents` (any
+  // count) with `attrs`. Called after Variable::MakeOp, on the thread running
+  // the forward build.
   virtual void OnOp(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
                     const OpAttrs& attrs) = 0;
 

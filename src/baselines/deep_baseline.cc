@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include <limits>
-
 #include "common/check.h"
 #include "nn/loss.h"
 
@@ -30,7 +28,6 @@ std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_
   URCL_CHECK_GT(epochs, 0);
   const int64_t num_samples = train.NumSamples();
   URCL_CHECK_GT(num_samples, 0) << "train split has no complete windows";
-  SetTraining(true);
 
   const int64_t batch = options_.batch_size;
   const std::vector<int64_t> schedule =
@@ -59,31 +56,6 @@ std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_
     epoch_losses.push_back(steps > 0 ? static_cast<float>(loss_sum / steps) : 0.0f);
   }
   return epoch_losses;
-}
-
-std::vector<float> DeepBaseline::TrainStageWithValidation(const data::StDataset& train,
-                                                          const data::StDataset& val,
-                                                          int64_t max_epochs,
-                                                          int64_t patience) {
-  URCL_CHECK_GT(patience, 0);
-  std::vector<float> losses;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::vector<Tensor> best_state;
-  int64_t stale_epochs = 0;
-  for (int64_t epoch = 0; epoch < max_epochs; ++epoch) {
-    const std::vector<float> epoch_losses = TrainStage(train, 1);
-    losses.push_back(epoch_losses.front());
-    const double val_mae = core::ValidationMae(*this, val);
-    if (val_mae < best_val) {
-      best_val = val_mae;
-      best_state = StateDict();
-      stale_epochs = 0;
-    } else if (++stale_epochs >= patience) {
-      break;
-    }
-  }
-  if (!best_state.empty()) LoadStateDict(best_state);
-  return losses;
 }
 
 Status DeepBaseline::Predict(const core::PredictRequest& request,

@@ -37,10 +37,6 @@ class DeepBaseline : public core::StPredictor, public nn::Module {
 
   std::vector<float> TrainStage(const data::StDataset& train, int64_t epochs) override;
 
-  std::vector<float> TrainStageWithValidation(const data::StDataset& train,
-                                              const data::StDataset& val, int64_t max_epochs,
-                                              int64_t patience) override;
-
   Status Predict(const core::PredictRequest& request,
                  core::PredictResponse* response) const override;
 

@@ -84,8 +84,6 @@ std::vector<float> EwcTrainer::TrainStage(const data::StDataset& train, int64_t 
   URCL_CHECK_GT(epochs, 0);
   const int64_t num_samples = train.NumSamples();
   URCL_CHECK_GT(num_samples, 0);
-  encoder_->SetTraining(true);
-  decoder_->SetTraining(true);
 
   const int64_t batch = config_.batch_size;
   const std::vector<int64_t> schedule =

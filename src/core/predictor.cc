@@ -30,25 +30,6 @@ Status FinishPrediction(const PredictRequest& request, Tensor full, PredictRespo
   return Status::Ok();
 }
 
-namespace {
-
-// Full-horizon predictions for one evaluation batch. The harness has no
-// fallback, so a failed Predict or a prediction shaped unlike the targets
-// aborts with the model's name.
-Tensor PredictBatch(const StPredictor& model, const Tensor& inputs, const Tensor& targets) {
-  PredictRequest request;
-  request.inputs = inputs;
-  PredictResponse response;
-  const Status status = model.Predict(request, &response);
-  URCL_CHECK(status.ok()) << model.name() << ": Predict failed: " << status.message();
-  URCL_CHECK(response.predictions.shape() == targets.shape())
-      << model.name() << " produced " << response.predictions.shape().ToString()
-      << ", expected " << targets.shape().ToString();
-  return response.predictions;
-}
-
-}  // namespace
-
 void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test,
                            const data::MinMaxNormalizer& normalizer, int64_t target_channel,
                            int64_t batch_size, data::MetricsAccumulator* accumulator) {
@@ -61,8 +42,18 @@ void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test
     std::vector<int64_t> indices(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) indices[static_cast<size_t>(i)] = start + i;
     const auto [inputs, targets] = test.MakeBatch(indices);
-    const Tensor predictions = PredictBatch(model, inputs, targets);
-    accumulator->Add(normalizer.InverseTransformChannel(predictions, target_channel),
+    PredictRequest request;
+    request.inputs = inputs;
+    // Full-horizon predictions. The harness has no fallback, so a failed
+    // Predict or a prediction shaped unlike the targets aborts with the
+    // model's name.
+    PredictResponse response;
+    const Status status = model.Predict(request, &response);
+    URCL_CHECK(status.ok()) << model.name() << ": Predict failed: " << status.message();
+    URCL_CHECK(response.predictions.shape() == targets.shape())
+        << model.name() << " produced " << response.predictions.shape().ToString()
+        << ", expected " << targets.shape().ToString();
+    accumulator->Add(normalizer.InverseTransformChannel(response.predictions, target_channel),
                      normalizer.InverseTransformChannel(targets, target_channel));
   }
 }
@@ -85,22 +76,6 @@ std::vector<int64_t> EpochSchedule(int64_t num_samples, int64_t batch_size,
     }
   }
   return schedule;
-}
-
-double ValidationMae(const StPredictor& model, const data::StDataset& dataset,
-                     int64_t batch_size) {
-  URCL_CHECK_GT(batch_size, 0);
-  const int64_t num_samples = dataset.NumSamples();
-  URCL_CHECK_GT(num_samples, 0) << "validation split has no complete windows";
-  data::MetricsAccumulator accumulator;
-  for (int64_t start = 0; start < num_samples; start += batch_size) {
-    const int64_t count = std::min(batch_size, num_samples - start);
-    std::vector<int64_t> indices(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) indices[static_cast<size_t>(i)] = start + i;
-    const auto [inputs, targets] = dataset.MakeBatch(indices);
-    accumulator.Add(PredictBatch(model, inputs, targets), targets);
-  }
-  return accumulator.Result().mae;
 }
 
 data::EvalMetrics EvaluatePredictor(const StPredictor& model, const data::StDataset& test,

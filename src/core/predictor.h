@@ -23,9 +23,8 @@ namespace core {
 struct PredictRequest {
   Tensor inputs;
   int64_t horizon = 0;
-  // Latency budget in nanoseconds; 0 = no deadline (the serving layer may
-  // substitute its configured default). A query the service estimates it
-  // cannot answer within the budget is shed up front with a
+  // Latency budget in nanoseconds; 0 = no deadline. A query the service
+  // estimates it cannot answer within the budget is shed up front with a
   // StatusCode::kDeadlineExceeded Status instead of being answered late.
   int64_t deadline_ns = 0;
   // Request-scoped causal trace ID (obs/trace.h). 0 = the serving layer
@@ -92,19 +91,6 @@ class StPredictor {
   // mean training loss (the convergence curve of Fig. 8).
   virtual std::vector<float> TrainStage(const data::StDataset& train, int64_t epochs) = 0;
 
-  // Trains with validation-based early stopping (Algorithm 1 trains "while
-  // not converge"): stops after `patience` epochs without a new best
-  // validation MAE and restores the best parameters. The default ignores the
-  // validation split and trains for `max_epochs` (right for closed-form
-  // models like ARIMA).
-  virtual std::vector<float> TrainStageWithValidation(const data::StDataset& train,
-                                                      const data::StDataset& val,
-                                                      int64_t max_epochs, int64_t patience) {
-    (void)val;
-    (void)patience;
-    return TrainStage(train, max_epochs);
-  }
-
   // Answers a batched forecast query: [B, M, N, C] -> [B, H, N, 1] in
   // normalized space, stamping the model version/stage into the response.
   // Const so a predictor (or an immutable weight snapshot wrapping one) can
@@ -149,11 +135,6 @@ Status FinishPrediction(const PredictRequest& request, Tensor full, PredictRespo
 // indistinguishable) and steadies the stochastic gradient.
 std::vector<int64_t> EpochSchedule(int64_t num_samples, int64_t batch_size,
                                    int64_t max_batches_per_epoch);
-
-// Mean absolute error of `model` on `dataset` in normalized space (no
-// denormalization; used for early stopping).
-double ValidationMae(const StPredictor& model, const data::StDataset& dataset,
-                     int64_t batch_size = 16);
 
 // Evaluates `model` over every window of `test`, denormalizing predictions
 // and targets with `normalizer` (the paper reports MAE/RMSE in data units).

@@ -28,13 +28,7 @@ std::vector<StageResult> RunContinualProtocol(StPredictor& model,
         (options.strategy == TrainingStrategy::kContinual || i == 0) && i >= resume_from;
     if (should_train) {
       Stopwatch train_timer;
-      if (options.early_stopping_patience > 0) {
-        result.epoch_losses = model.TrainStageWithValidation(
-            stage.train, stage.val, options.epochs_per_stage,
-            options.early_stopping_patience);
-      } else {
-        result.epoch_losses = model.TrainStage(stage.train, options.epochs_per_stage);
-      }
+      result.epoch_losses = model.TrainStage(stage.train, options.epochs_per_stage);
       result.train_seconds = train_timer.ElapsedSeconds();
       const size_t epochs_run =
           result.epoch_losses.empty() ? 1 : result.epoch_losses.size();
@@ -50,39 +44,29 @@ std::vector<StageResult> RunContinualProtocol(StPredictor& model,
 
     Stopwatch eval_timer;
     int64_t observations = 0;
-    if (options.eval_mode == EvalMode::kSeenSoFar) {
-      // Pool the test splits of every stage seen so far (0..i): this is the
-      // evaluation that exposes catastrophic forgetting. Each stage is scored
-      // into its own accumulator and merged, so per-stage MAE feeds the
-      // forgetting matrix without a second evaluation pass.
-      data::MetricsAccumulator accumulator;
-      for (int64_t j = 0; j <= i; ++j) {
-        data::MetricsAccumulator stage_accumulator;
-        EvaluatePredictorInto(model, stream.Stage(j).test, normalizer, target_channel,
-                              options.eval_batch_size, &stage_accumulator);
-        observations += stream.Stage(j).test.NumSamples();
-        if (options.learning != nullptr) {
-          options.learning->Record(i, j, stage_accumulator.Result().mae);
-        }
-        accumulator.Merge(stage_accumulator);
-      }
-      result.metrics = accumulator.Result();
+    // Pool the test splits of stages 0..i. Each stage is scored into its own
+    // accumulator and merged, so per-stage MAE feeds the forgetting matrix
+    // without a second evaluation pass.
+    data::MetricsAccumulator accumulator;
+    for (int64_t j = 0; j <= i; ++j) {
+      data::MetricsAccumulator stage_accumulator;
+      EvaluatePredictorInto(model, stream.Stage(j).test, normalizer, target_channel,
+                            options.eval_batch_size, &stage_accumulator);
+      observations += stream.Stage(j).test.NumSamples();
       if (options.learning != nullptr) {
-        options.learning->ExportGauges();
-        if (!options.learning_json_path.empty()) {
-          const Status written = options.learning->WriteJson(options.learning_json_path);
-          if (!written.ok()) {
-            std::fprintf(stderr, "[urcl] learning telemetry write failed: %s\n",
-                         written.message().c_str());
-          }
-        }
+        options.learning->Record(i, j, stage_accumulator.Result().mae);
       }
-    } else {
-      result.metrics = EvaluatePredictor(model, stage.test, normalizer, target_channel,
-                                         options.eval_batch_size);
-      observations = stage.test.NumSamples();
-      if (options.learning != nullptr) {
-        options.learning->Record(i, i, result.metrics.mae);
+      accumulator.Merge(stage_accumulator);
+    }
+    result.metrics = accumulator.Result();
+    if (options.learning != nullptr) {
+      options.learning->ExportGauges();
+      if (!options.learning_json_path.empty()) {
+        const Status written = options.learning->WriteJson(options.learning_json_path);
+        if (!written.ok()) {
+          std::fprintf(stderr, "[urcl] learning telemetry write failed: %s\n",
+                       written.message().c_str());
+        }
       }
     }
     result.infer_seconds_per_observation =

@@ -22,20 +22,9 @@ enum class TrainingStrategy {
   kContinual,   // (re)train on every stage (FinetuneST or URCL-replay)
 };
 
-enum class EvalMode {
-  // After finishing stage k, evaluate on the pooled test splits of stages
-  // 0..k — the continual-learning "accuracy over everything seen so far"
-  // protocol, which is what makes forgetting visible (FinetuneST's scores
-  // in Table II degrade on incremental sets even though it just trained on
-  // them, because the earlier sets are forgotten).
-  kSeenSoFar,
-  // Evaluate on the current stage's test split only (plasticity view).
-  kCurrentStage,
-};
-
 struct StageResult {
   std::string stage_name;
-  data::EvalMetrics metrics;            // on the stage's test split
+  data::EvalMetrics metrics;            // on the pooled seen-so-far test splits
   double train_seconds = 0.0;           // wall clock spent training this stage
   double train_seconds_per_epoch = 0.0;
   double infer_seconds_per_observation = 0.0;
@@ -44,11 +33,7 @@ struct StageResult {
 
 struct ProtocolOptions {
   TrainingStrategy strategy = TrainingStrategy::kContinual;
-  EvalMode eval_mode = EvalMode::kSeenSoFar;
   int64_t epochs_per_stage = 10;
-  // When > 0, stages train with validation-based early stopping on the
-  // stage's val split (max epochs_per_stage epochs, this patience).
-  int64_t early_stopping_patience = 0;
   int64_t eval_batch_size = 16;
   // Structured-log hook: invoked once per trained epoch after the stage's
   // evaluation completes, with the epoch's mean training loss and the
@@ -57,10 +42,10 @@ struct ProtocolOptions {
   std::function<void(int64_t stage_index, int64_t epoch, float epoch_loss,
                      const StageResult& stage)>
       epoch_log;
-  // Optional learning-quality recorder. Under kSeenSoFar evaluation the
-  // runner fills its R[t][s] matrix (each earlier stage's holdout is scored
-  // separately, then pooled — same total work) and re-exports the forgetting
-  // / backward-transfer gauges after every stage. Owned by the caller.
+  // Optional learning-quality recorder. The runner fills its R[t][s] matrix
+  // (each seen stage's holdout is scored separately, then pooled — same
+  // total work) and re-exports the forgetting / backward-transfer gauges
+  // after every stage. Owned by the caller.
   obs::LearningTelemetry* learning = nullptr;
   // When set (with `learning`), the telemetry JSON document is rewritten to
   // this path after every stage, so even an interrupted run leaves the
@@ -69,7 +54,11 @@ struct ProtocolOptions {
 };
 
 // Runs the protocol over every stage of `stream`; returns one result per
-// stage, evaluated on that stage's test split in denormalized units.
+// stage. After stage k the model is evaluated, in denormalized units, on the
+// pooled test splits of stages 0..k: the continual-learning "accuracy over
+// everything seen so far" protocol, which is what makes forgetting visible
+// (FinetuneST's scores in Table II degrade on incremental sets even though it
+// just trained on them, because the earlier sets are forgotten).
 std::vector<StageResult> RunContinualProtocol(StPredictor& model,
                                               const data::StreamSplitter& stream,
                                               const data::MinMaxNormalizer& normalizer,

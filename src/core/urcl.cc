@@ -256,7 +256,6 @@ std::optional<float> UrclTrainer::TrainStep(const Tensor& inputs, const Tensor& 
   URCL_TRACE_SCOPE("train_step");
   const bool metrics = obs::MetricsEnabled();
   const int64_t step_start_ns = metrics ? MonotonicNowNs() : 0;
-  model_->SetTraining(true);
 
   // Quarantine gate 1: corrupted sensor readings (NaN/Inf cells, dropped
   // sensors) never reach the model or the replay buffer.
@@ -486,39 +485,6 @@ std::vector<float> UrclTrainer::TrainStage(const data::StDataset& train, int64_t
   }
   if (injector.AtKillPoint("stage_end")) interrupted_ = true;
   return epoch_losses;
-}
-
-std::vector<float> UrclTrainer::TrainStageWithValidation(const data::StDataset& train,
-                                                         const data::StDataset& val,
-                                                         int64_t max_epochs,
-                                                         int64_t patience) {
-  URCL_CHECK_GT(patience, 0);
-  if (resume_pending_ && cursor_.stage == current_stage_) {
-    // Early stopping carries search state (best parameters, patience counter)
-    // that is not checkpointed, so a restored run restarts this stage's epoch
-    // loop from the recovered model instead of resuming mid-epoch.
-    resume_pending_ = false;
-    cursor_ = StageCursor{current_stage_, 0, 0, 0.0, 0, {}};
-  }
-  std::vector<float> losses;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::vector<Tensor> best_state;
-  int64_t stale_epochs = 0;
-  for (int64_t epoch = 0; epoch < max_epochs; ++epoch) {
-    const std::vector<float> epoch_losses = TrainStage(train, 1);
-    if (!epoch_losses.empty()) losses.push_back(epoch_losses.front());
-    if (interrupted_) return losses;  // fault stop: leave state for resume, skip best-restore
-    const double val_mae = ValidationMae(*this, val);
-    if (val_mae < best_val) {
-      best_val = val_mae;
-      best_state = model_->StateDict();
-      stale_epochs = 0;
-    } else if (++stale_epochs >= patience) {
-      break;
-    }
-  }
-  if (!best_state.empty()) model_->LoadStateDict(best_state);
-  return losses;
 }
 
 namespace {

@@ -142,12 +142,6 @@ class UrclTrainer : public StPredictor {
   // One while-loop of Algorithm 1 (lines 4-12) run for `epochs` epochs.
   std::vector<float> TrainStage(const data::StDataset& train, int64_t epochs) override;
 
-  // Early-stopping variant: stops once validation MAE has not improved for
-  // `patience` epochs and restores the best parameters.
-  std::vector<float> TrainStageWithValidation(const data::StDataset& train,
-                                              const data::StDataset& val, int64_t max_epochs,
-                                              int64_t patience) override;
-
   Status Predict(const PredictRequest& request, PredictResponse* response) const override;
 
   // --- Crash-safe checkpoint/resume ---------------------------------------

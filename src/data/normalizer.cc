@@ -74,55 +74,5 @@ Tensor MinMaxNormalizer::InverseTransformChannel(const Tensor& data, int64_t cha
   return out;
 }
 
-ZScoreNormalizer ZScoreNormalizer::Fit(const Tensor& series) {
-  URCL_CHECK_GE(series.rank(), 1);
-  const int64_t channels = series.dim(-1);
-  ZScoreNormalizer norm;
-  std::vector<double> sums(static_cast<size_t>(channels), 0.0);
-  std::vector<double> sq_sums(static_cast<size_t>(channels), 0.0);
-  std::vector<int64_t> counts(static_cast<size_t>(channels), 0);
-  const float* p = series.data();
-  URCL_CHECK_GT(series.NumElements() / channels, 0);
-  // Like MinMaxNormalizer::Fit, non-finite cells are skipped.
-  for (int64_t i = 0; i < series.NumElements(); ++i) {
-    if (!std::isfinite(p[i])) continue;
-    const size_t c = static_cast<size_t>(i % channels);
-    sums[c] += p[i];
-    sq_sums[c] += double(p[i]) * double(p[i]);
-    ++counts[c];
-  }
-  norm.means_.resize(static_cast<size_t>(channels));
-  norm.stds_.resize(static_cast<size_t>(channels));
-  for (size_t c = 0; c < norm.means_.size(); ++c) {
-    if (counts[c] == 0) {
-      norm.means_[c] = 0.0f;
-      norm.stds_[c] = 1.0f;
-      continue;
-    }
-    norm.means_[c] = static_cast<float>(sums[c] / counts[c]);
-    const double var = sq_sums[c] / counts[c] - double(norm.means_[c]) * norm.means_[c];
-    norm.stds_[c] = static_cast<float>(std::sqrt(std::max(var, 1e-12)));
-    if (norm.stds_[c] < 1e-6f) norm.stds_[c] = 1.0f;
-  }
-  return norm;
-}
-
-Tensor ZScoreNormalizer::Transform(const Tensor& data) const {
-  return PerChannel(data, static_cast<int64_t>(means_.size()), [this](float v, int64_t c) {
-    const size_t i = static_cast<size_t>(c);
-    return (v - means_[i]) / stds_[i];
-  });
-}
-
-Tensor ZScoreNormalizer::InverseTransformChannel(const Tensor& data, int64_t channel) const {
-  URCL_CHECK(channel >= 0 && channel < static_cast<int64_t>(means_.size()));
-  const float mean = means_[static_cast<size_t>(channel)];
-  const float stddev = stds_[static_cast<size_t>(channel)];
-  Tensor out = data.Clone();
-  float* p = out.mutable_data();
-  for (int64_t i = 0; i < out.NumElements(); ++i) p[i] = p[i] * stddev + mean;
-  return out;
-}
-
 }  // namespace data
 }  // namespace urcl

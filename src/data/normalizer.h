@@ -1,5 +1,5 @@
 // Feature normalization. The paper normalizes streaming data into [0, 1]
-// (Sec. V-A4); a z-score normalizer is provided as an alternative.
+// (Sec. V-A4).
 #ifndef URCL_DATA_NORMALIZER_H_
 #define URCL_DATA_NORMALIZER_H_
 
@@ -32,22 +32,6 @@ class MinMaxNormalizer {
  private:
   std::vector<float> mins_;
   std::vector<float> maxs_;
-};
-
-// Per-channel standardization to zero mean / unit variance.
-class ZScoreNormalizer {
- public:
-  static ZScoreNormalizer Fit(const Tensor& series);
-
-  Tensor Transform(const Tensor& data) const;
-  Tensor InverseTransformChannel(const Tensor& data, int64_t channel) const;
-
-  float mean(int64_t channel) const { return means_.at(static_cast<size_t>(channel)); }
-  float stddev(int64_t channel) const { return stds_.at(static_cast<size_t>(channel)); }
-
- private:
-  std::vector<float> means_;
-  std::vector<float> stds_;
 };
 
 }  // namespace data

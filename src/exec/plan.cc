@@ -26,10 +26,6 @@ class GraphRecorder : public autograd::record::TapeListener {
   void OnOp(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
             const OpAttrs& attrs) override {
     if (!error_.empty()) return;
-    if (kind == OpKind::kDropout) {
-      error_ = "dropout draws a per-step RNG mask; the graph is not replayable";
-      return;
-    }
     Instr instr;
     instr.kind = kind;
     instr.attrs = attrs;

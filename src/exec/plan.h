@@ -35,8 +35,9 @@
 //             definitions, so a replay charges exactly the tape's cells.
 //
 // The tape remains the reference path and the fallback: a capture fails on
-// anything unreplayable (dropout's per-step RNG mask, graphs built outside
-// the listener), and a shape whose capture failed stays on the tape.
+// anything unreplayable (a graph built partly outside the listener, a
+// parameter that already holds a gradient), and a shape whose capture failed
+// stays on the tape.
 // PlanCache::Run, which every graph family calls, is the one place that
 // decides between them (the contract in DESIGN.md §12).
 #ifndef URCL_EXEC_PLAN_H_

@@ -33,18 +33,6 @@ int64_t Module::NumParameters() const {
   return total;
 }
 
-void Module::SetTraining(bool training) {
-  training_ = training;
-  for (auto& [name, child] : children_) child->SetTraining(training);
-}
-
-void Module::CopyParametersFrom(const Module& other) {
-  const std::vector<Variable> mine = Parameters();
-  const std::vector<Variable> theirs = other.Parameters();
-  URCL_CHECK_EQ(mine.size(), theirs.size()) << "parameter lists are not congruent";
-  for (size_t i = 0; i < mine.size(); ++i) mine[i].SetValue(theirs[i].value());
-}
-
 std::vector<Tensor> Module::StateDict() const {
   std::vector<Tensor> state;
   for (const Variable& p : Parameters()) state.push_back(p.value().Clone());

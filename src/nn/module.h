@@ -1,5 +1,5 @@
 // Base class for neural-network modules: parameter registration, recursive
-// parameter collection, train/eval mode, and checkpointing.
+// parameter collection, and checkpointing.
 #ifndef URCL_NN_MODULE_H_
 #define URCL_NN_MODULE_H_
 
@@ -30,14 +30,6 @@ class Module {
 
   int64_t NumParameters() const;
 
-  // Training mode gates dropout and other train-only behaviour, recursively.
-  void SetTraining(bool training);
-  bool training() const { return training_; }
-
-  // Copies parameter values (not gradients) from `other`; parameter lists
-  // must be congruent. Used by FinetuneST / model snapshots.
-  void CopyParametersFrom(const Module& other);
-
   // Checkpointing: value-only snapshots in Parameters() order.
   std::vector<Tensor> StateDict() const;
   void LoadStateDict(const std::vector<Tensor>& state);
@@ -58,7 +50,6 @@ class Module {
 
   std::vector<std::pair<std::string, Variable>> params_;
   std::vector<std::pair<std::string, Module*>> children_;
-  bool training_ = true;
 };
 
 }  // namespace nn

@@ -11,8 +11,6 @@ std::vector<std::string> HealthConfig::Validate() const {
     errors.push_back("rollback_errors must fit inside error_window");
   }
   if (staleness_ns < 0) errors.push_back("staleness_ns must be >= 0 (0 = off)");
-  if (max_snapshot_age_ns < 0) errors.push_back("max_snapshot_age_ns must be >= 0 (0 = off)");
-  if (lame_duck_after < 0) errors.push_back("lame_duck_after must be >= 0 (0 = off)");
   return errors;
 }
 
@@ -22,7 +20,6 @@ bool HealthMonitor::RecordModelResult(bool ok) {
   const int64_t queries = window_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
   int64_t errors = 0;
   if (!ok) errors = window_errors_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (ok) consecutive_degraded_.store(0, std::memory_order_relaxed);
   if (queries >= config_.error_window) {
     // Tumble: approximate under contention (several threads may tumble at
     // once), which only makes the window slightly shorter — safe direction.
@@ -32,19 +29,10 @@ bool HealthMonitor::RecordModelResult(bool ok) {
   return !ok && errors == config_.rollback_errors;
 }
 
-void HealthMonitor::OnSwap(int64_t now_ns) {
-  last_swap_ns_.store(now_ns, std::memory_order_relaxed);
+void HealthMonitor::OnSwap() {
   window_queries_.store(0, std::memory_order_relaxed);
   window_errors_.store(0, std::memory_order_relaxed);
   model_unusable_.store(false, std::memory_order_relaxed);
-  consecutive_degraded_.store(0, std::memory_order_relaxed);
-}
-
-void HealthMonitor::NoteDegradedServed() {
-  const int64_t run = consecutive_degraded_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.lame_duck_after > 0 && run >= config_.lame_duck_after) {
-    lame_duck_.store(true, std::memory_order_relaxed);
-  }
 }
 
 bool HealthMonitor::WindowStale(int64_t now_ns) const {
@@ -53,16 +41,10 @@ bool HealthMonitor::WindowStale(int64_t now_ns) const {
   return last >= 0 && now_ns - last > config_.staleness_ns;
 }
 
-HealthState HealthMonitor::Evaluate(int64_t now_ns, bool has_snapshot) const {
+HealthState HealthMonitor::Evaluate(int64_t now_ns) const {
   if (lame_duck_.load(std::memory_order_relaxed)) return HealthState::kLameDuck;
   if (model_unusable_.load(std::memory_order_relaxed)) return HealthState::kDegraded;
   if (WindowStale(now_ns)) return HealthState::kDegraded;
-  if (config_.max_snapshot_age_ns > 0 && has_snapshot) {
-    const int64_t swapped = last_swap_ns_.load(std::memory_order_relaxed);
-    if (swapped >= 0 && now_ns - swapped > config_.max_snapshot_age_ns) {
-      return HealthState::kDegraded;
-    }
-  }
   return HealthState::kHealthy;
 }
 

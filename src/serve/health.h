@@ -1,19 +1,18 @@
 // Serving health state machine (DESIGN.md §11). The ForecastService owns one
-// HealthMonitor and feeds it three signal families:
+// HealthMonitor and feeds it two signal families:
 //
 //   - model errors: non-finite forecasts / executor failures on the live
 //     version, counted over a tumbling query window — a spike triggers
 //     automatic rollback (or, when no older version exists, DEGRADED);
 //   - ingestion staleness: a watchdog on the rolling window — no tick for
-//     `staleness_ns` flags windows stale and degrades the service;
-//   - snapshot age: a live version older than `max_snapshot_age_ns` (the
-//     trainer stalled publishing) degrades the service.
+//     `staleness_ns` flags windows stale and degrades the service.
 //
 // States: HEALTHY (answer from the model) → DEGRADED (answer from the
-// fallback HistoricalAverage baseline, stamped degraded=true) → LAME_DUCK
-// (terminal drain: every query is shed with kUnavailable). DEGRADED is
+// fallback HistoricalAverage baseline, stamped degraded=true). DEGRADED is
 // recoverable — a freshly admitted snapshot, a successful rollback or a
-// resumed tick stream returns the service to HEALTHY; LAME_DUCK is not.
+// resumed tick stream returns the service to HEALTHY. LAME_DUCK (terminal
+// drain: every query is shed with kUnavailable) is entered only through
+// EnterLameDuck and never left.
 #ifndef URCL_SERVE_HEALTH_H_
 #define URCL_SERVE_HEALTH_H_
 
@@ -40,8 +39,7 @@ inline const char* HealthStateName(HealthState state) {
   return "UNKNOWN";
 }
 
-// Thresholds of the health state machine. All durations are monotonic-clock
-// nanoseconds; 0 disables the corresponding watchdog.
+// Thresholds of the health state machine.
 struct HealthConfig {
   // Tumbling window length (in model-path queries) over which model errors
   // are counted. The window resets on every swap/rollback so a fresh version
@@ -52,17 +50,10 @@ struct HealthConfig {
   // automatic rollback to the previous live version.
   int64_t rollback_errors = 3;
 
-  // No tick ingested for this long => windows are stale and the service is
-  // DEGRADED until the stream resumes. 0 = watchdog off.
+  // No tick ingested for this many monotonic-clock nanoseconds => windows
+  // are stale and the service is DEGRADED until the stream resumes.
+  // 0 = watchdog off.
   int64_t staleness_ns = 0;
-
-  // Live snapshot older than this => the trainer stalled; DEGRADED until a
-  // fresh version is admitted. 0 = no age limit.
-  int64_t max_snapshot_age_ns = 0;
-
-  // Consecutive degraded-served queries after which the service gives up and
-  // enters LAME_DUCK (terminal). 0 = never automatically.
-  int64_t lame_duck_after = 0;
 
   // Human-readable message per invalid field; empty when usable.
   std::vector<std::string> Validate() const;
@@ -81,7 +72,7 @@ class HealthMonitor {
   bool RecordModelResult(bool ok);
 
   // A new version went live (admitted publish or rollback): clean slate.
-  void OnSwap(int64_t now_ns);
+  void OnSwap();
 
   // A tick reached the rolling window.
   void OnTick(int64_t now_ns) { last_tick_ns_.store(now_ns, std::memory_order_relaxed); }
@@ -91,10 +82,6 @@ class HealthMonitor {
   void MarkModelUnusable() { model_unusable_.store(true, std::memory_order_relaxed); }
   bool model_unusable() const { return model_unusable_.load(std::memory_order_relaxed); }
 
-  // One query was served from the fallback baseline; drives the
-  // lame_duck_after counter. A model-path success resets it.
-  void NoteDegradedServed();
-
   // Terminal drain: every subsequent Evaluate returns kLameDuck.
   void EnterLameDuck() { lame_duck_.store(true, std::memory_order_relaxed); }
 
@@ -102,10 +89,8 @@ class HealthMonitor {
   // staleness threshold.
   bool WindowStale(int64_t now_ns) const;
 
-  // Current state from the recorded signals. `has_snapshot` gates the
-  // snapshot-age watchdog (a cold service with no version yet is not
-  // "degraded", it is still starting up and fails closed).
-  HealthState Evaluate(int64_t now_ns, bool has_snapshot) const;
+  // Current state from the recorded signals.
+  HealthState Evaluate(int64_t now_ns) const;
 
   int64_t window_errors() const { return window_errors_.load(std::memory_order_relaxed); }
 
@@ -114,8 +99,6 @@ class HealthMonitor {
   std::atomic<int64_t> window_queries_{0};
   std::atomic<int64_t> window_errors_{0};
   std::atomic<int64_t> last_tick_ns_{-1};   // -1 = no tick yet
-  std::atomic<int64_t> last_swap_ns_{-1};   // -1 = no version yet
-  std::atomic<int64_t> consecutive_degraded_{0};
   std::atomic<bool> model_unusable_{false};
   std::atomic<bool> lame_duck_{false};
 };

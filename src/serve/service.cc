@@ -58,20 +58,10 @@ ServeMetrics& Metrics() {
 std::vector<std::string> ServiceConfig::Validate() const {
   std::vector<std::string> errors;
   for (const std::string& error : model.Validate()) errors.push_back("model: " + error);
-  if (window_steps < 0) errors.push_back("window_steps must be >= 0 (0 = model input window)");
-  if (window_steps > 0 && window_steps != model.encoder.input_steps) {
-    errors.push_back("window_steps (" + std::to_string(window_steps) +
-                     ") must match the model input window (" +
-                     std::to_string(model.encoder.input_steps) +
-                     ") so rolling-window queries fit the encoder");
-  }
   if (max_batch < 1) errors.push_back("max_batch must be >= 1");
   if (queue_depth < 1) errors.push_back("queue_depth must be >= 1");
   for (const std::string& error : health.Validate()) errors.push_back("health: " + error);
   if (history_depth < 0) errors.push_back("history_depth must be >= 0 (0 = rollback off)");
-  if (default_deadline_ns < 0) {
-    errors.push_back("default_deadline_ns must be >= 0 (0 = no implicit deadline)");
-  }
   return errors;
 }
 
@@ -79,7 +69,7 @@ ForecastService::ForecastService(const ServiceConfig& config,
                                  const graph::SensorNetwork& network,
                                  const data::MinMaxNormalizer& normalizer)
     : config_(config),
-      window_steps_(config.EffectiveWindowSteps()),
+      window_steps_(config.model.encoder.input_steps),
       num_nodes_(network.num_nodes()),
       num_channels_(normalizer.num_channels()),
       adjacency_(network.AdjacencyMatrix()),
@@ -139,7 +129,7 @@ core::UrclTrainer::SnapshotSink ForecastService::SnapshotSink() {
     const int64_t version = snapshot->version;
     obs::RecordFlightEvent(obs::FlightEventType::kSnapshotAdmit, version);
     hub_.Publish(std::move(snapshot));
-    health_.OnSwap(MonotonicNowNs());
+    health_.OnSwap();
     obs::RecordFlightEvent(obs::FlightEventType::kHotSwap, version);
     Metrics().snapshots.Add();
     Metrics().model_version.Set(static_cast<double>(version));
@@ -218,7 +208,7 @@ Status ForecastService::Forecast(int64_t horizon, core::PredictResponse* respons
 }
 
 HealthState ForecastService::health_state() const {
-  return health_.Evaluate(MonotonicNowNs(), hub_.Current() != nullptr);
+  return health_.Evaluate(MonotonicNowNs());
 }
 
 Tensor ForecastService::Forward(const ModelSnapshot& snapshot, const Tensor& inputs,
@@ -256,7 +246,7 @@ void ForecastService::AttemptRollback(int64_t observed_version) const {
                  "[urcl.serve] error spike on snapshot v%lld: rolled back to v%lld\n",
                  static_cast<long long>(observed_version),
                  static_cast<long long>(restored->version));
-    health_.OnSwap(MonotonicNowNs());
+    health_.OnSwap();
     Metrics().rollbacks.Add();
     Metrics().model_version.Set(static_cast<double>(restored->version));
     // The recording thread is the query that crossed the error threshold, so
@@ -319,7 +309,6 @@ Status ForecastService::AnswerDegraded(const core::PredictRequest& request,
   response->executor = core::AnswerExecutor::kFallback;
   degraded_.fetch_add(1, std::memory_order_relaxed);
   served_.fetch_add(1, std::memory_order_relaxed);
-  health_.NoteDegradedServed();
   Metrics().degraded.Add();
   return Status::Ok();
 }
@@ -344,8 +333,7 @@ Status ForecastService::Predict(const core::PredictRequest& request,
   response->trace_id = trace_id;
 
   const int64_t now_ns = MonotonicNowNs();
-  const bool has_snapshot = hub_.Current() != nullptr;
-  const HealthState state = health_.Evaluate(now_ns, has_snapshot);
+  const HealthState state = health_.Evaluate(now_ns);
   NoteHealthState(state);
   Metrics().health_state.Set(static_cast<double>(static_cast<int>(state)));
   response->health_state = static_cast<int32_t>(state);
@@ -355,8 +343,6 @@ Status ForecastService::Predict(const core::PredictRequest& request,
     return Status::Unavailable("service is draining (LAME_DUCK); retry against a peer");
   }
 
-  const int64_t deadline_ns =
-      request.deadline_ns > 0 ? request.deadline_ns : config_.default_deadline_ns;
   int64_t queue_position = 0;
   {
     URCL_TRACE_SCOPE("serve.admit");
@@ -408,15 +394,16 @@ Status ForecastService::Predict(const core::PredictRequest& request,
   // Deadline-aware admission: when the EWMA of recent model-path latencies
   // says this query cannot be answered inside its budget (given the queue
   // ahead of it), shed it up front instead of answering late.
-  if (deadline_ns > 0) {
+  if (request.deadline_ns > 0) {
     const int64_t estimate_ns = EstimateLatencyNs(queue_position);
-    if (estimate_ns > deadline_ns) {
+    if (estimate_ns > request.deadline_ns) {
       deadline_shed_.fetch_add(1, std::memory_order_relaxed);
       Metrics().deadline_shed.Add();
-      obs::RecordFlightEvent(obs::FlightEventType::kDeadlineShed, estimate_ns, deadline_ns);
+      obs::RecordFlightEvent(obs::FlightEventType::kDeadlineShed, estimate_ns,
+                             request.deadline_ns);
       return Status::DeadlineExceeded(
           "estimated latency " + std::to_string(estimate_ns) + "ns exceeds deadline " +
-          std::to_string(deadline_ns) + "ns at queue position " +
+          std::to_string(request.deadline_ns) + "ns at queue position " +
           std::to_string(queue_position));
     }
   }

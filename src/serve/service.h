@@ -14,10 +14,10 @@
 //      the incumbent stays up. Queries pick up the new version lock-free
 //      mid-stream.
 //   3. A health state machine (serve/health.h): model-error spikes trigger
-//      automatic rollback to the last-good version; a stalled tick stream or
-//      an aging snapshot degrades the service, which then answers from a
-//      HistoricalAverage fallback (stamped degraded=true) instead of failing
-//      closed; LAME_DUCK drains with typed kUnavailable.
+//      automatic rollback to the last-good version; a stalled tick stream
+//      degrades the service, which then answers from a HistoricalAverage
+//      fallback (stamped degraded=true) instead of failing closed;
+//      EnterLameDuck drains it with typed kUnavailable.
 //   4. The query path: Predict answers batched forecast requests from any
 //      number of concurrent client threads through a pool of compiled plans
 //      that rebind each snapshot's weights, with the tape forward as the
@@ -57,11 +57,6 @@ struct ServiceConfig {
   // publishes snapshots (snapshot admission rejects mismatches).
   core::UrclConfig model;
 
-  // Rolling-window length in ticks; 0 = the model's input window
-  // (model.encoder.input_steps). Must equal the model's input window when
-  // queries are answered from the service's own window.
-  int64_t window_steps = 0;
-
   // Largest batch dimension accepted by one Predict call; bigger requests
   // are rejected with an error Status instead of monopolizing the executor.
   int64_t max_batch = 64;
@@ -75,16 +70,12 @@ struct ServiceConfig {
   AdmissionConfig admission;
 
   // Thresholds of the health state machine (error window, rollback trigger,
-  // staleness/age watchdogs, lame-duck drain).
+  // staleness watchdog).
   HealthConfig health;
 
   // Previously-live versions retained for rollback (ModelHub history depth;
   // 0 = rollback disabled, an error spike marks the model unusable instead).
   int64_t history_depth = 4;
-
-  // Deadline substituted for requests that carry deadline_ns == 0;
-  // 0 = requests without an explicit deadline are never deadline-shed.
-  int64_t default_deadline_ns = 0;
 
   // Inference executor (DESIGN.md §12): kPlan answers from a pool of
   // compiled arena programs, one per query shape and concurrent query, that
@@ -94,10 +85,6 @@ struct ServiceConfig {
 
   // Human-readable message per invalid field; empty when usable.
   std::vector<std::string> Validate() const;
-
-  int64_t EffectiveWindowSteps() const {
-    return window_steps > 0 ? window_steps : model.encoder.input_steps;
-  }
 };
 
 class ForecastService {

@@ -1,9 +1,7 @@
 // Shared broadcasting machinery, the coalesced two-stride walk that strided
 // copies, broadcast binaries and reductions share, and template elementwise
 // kernels. The templates here are the inlining fast path used by the hot ops
-// in tensor_ops.cc (no std::function dispatch per element); the
-// std::function overloads of ops::ZipWith / ops::Map in tensor_ops.h are thin
-// wrappers over these for generic callers.
+// in tensor_ops.cc and by ops::Map in tensor_ops.h (no per-element dispatch).
 //
 // All loops go through runtime::ParallelFor with shape-derived grains, so
 // results are bitwise identical at any thread count (each output element is
@@ -14,8 +12,8 @@
 // kHasVectorForm*), the kernels process 8 independent output elements per
 // step with a scalar tail — each element still computes the identical scalar
 // expression, so outputs are bitwise unchanged (see DESIGN.md
-// "Vectorization contract"). std::function and user lambdas lack the vector
-// form and take the scalar path.
+// "Vectorization contract"). Lambdas (ops::Map's, and the elementwise ops
+// without a vector form) take the scalar path.
 #ifndef URCL_TENSOR_ELEMENTWISE_H_
 #define URCL_TENSOR_ELEMENTWISE_H_
 

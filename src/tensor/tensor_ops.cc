@@ -363,10 +363,6 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
 Tensor Minimum(const Tensor& a, const Tensor& b) {
   return detail::BinaryElementwise(a, b, detail::MinimumOp{});
 }
-Tensor ZipWith(const Tensor& a, const Tensor& b,
-               const std::function<float(float, float)>& fn) {
-  return detail::BinaryElementwise(a, b, fn);
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return detail::UnaryElementwise(a, detail::AddScalarOp{s});
@@ -401,9 +397,6 @@ Tensor Relu(const Tensor& a) { return detail::UnaryElementwise(a, detail::ReluOp
 Tensor Square(const Tensor& a) { return detail::UnaryElementwise(a, detail::SquareOp{}); }
 Tensor Clamp(const Tensor& a, float lo, float hi) {
   return detail::UnaryElementwise(a, detail::ClampOp{lo, hi});
-}
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return detail::UnaryElementwise(a, fn);
 }
 
 Shape ReducedShape(const Shape& shape, const std::vector<int64_t>& axes, bool keepdims) {

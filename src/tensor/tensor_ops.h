@@ -10,7 +10,6 @@
 #define URCL_TENSOR_TENSOR_OPS_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -27,17 +26,6 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
 Tensor Maximum(const Tensor& a, const Tensor& b);
 Tensor Minimum(const Tensor& a, const Tensor& b);
-
-// Generic broadcast combine with an arbitrary binary functor. The template
-// overload is the inlining fast path (no std::function dispatch per element)
-// and is what the named ops above use internally; the std::function overload
-// is a thin wrapper kept for generic callers that store or pass functors as
-// values.
-Tensor ZipWith(const Tensor& a, const Tensor& b, const std::function<float(float, float)>& fn);
-template <typename Fn>
-Tensor ZipWith(const Tensor& a, const Tensor& b, Fn fn) {
-  return detail::BinaryElementwise(a, b, std::move(fn));
-}
 
 // --- Elementwise with scalar -------------------------------------------------
 Tensor AddScalar(const Tensor& a, float s);
@@ -56,8 +44,8 @@ Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor Square(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
-// Unary counterpart of ZipWith; same template/std::function split.
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
+// Applies an arbitrary unary functor elementwise, inlined into the kernel
+// (no per-element dispatch).
 template <typename Fn>
 Tensor Map(const Tensor& a, Fn fn) {
   return detail::UnaryElementwise(a, std::move(fn));

@@ -180,30 +180,6 @@ TEST(OpsTest, StopGradientBlocksFlow) {
   EXPECT_FLOAT_EQ(x.grad().Item(), 9.0f);
 }
 
-TEST(OpsTest, DropoutIdentityWhenEval) {
-  Rng rng(3);
-  Variable a(Tensor::Ones(Shape{8}), true);
-  Variable out = Dropout(a, 0.5f, rng, /*training=*/false);
-  EXPECT_TRUE(top::AllClose(out.value(), a.value()));
-}
-
-TEST(OpsTest, DropoutScalesSurvivors) {
-  Rng rng(3);
-  Variable a(Tensor::Ones(Shape{1000}), true);
-  Variable out = Dropout(a, 0.5f, rng, /*training=*/true);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < out.value().NumElements(); ++i) {
-    const float v = out.value().FlatAt(i);
-    EXPECT_TRUE(v == 0.0f || v == 2.0f);
-    zeros += v == 0.0f;
-  }
-  EXPECT_GT(zeros, 350);
-  EXPECT_LT(zeros, 650);
-  // Gradient flows only through survivors with the same scale.
-  Sum(out).Backward();
-  EXPECT_TRUE(top::AllClose(a.grad(), out.value()));
-}
-
 TEST(OpsTest, SoftmaxGradSumsToZero) {
   Rng rng(4);
   Variable a(Tensor::RandomNormal(Shape{2, 5}, rng), true);

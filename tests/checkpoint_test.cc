@@ -470,7 +470,6 @@ ProtocolFixture MakeProtocolFixture(int64_t nodes, uint64_t seed) {
 core::ProtocolOptions FastProtocol() {
   core::ProtocolOptions options;
   options.epochs_per_stage = 2;
-  options.eval_mode = core::EvalMode::kCurrentStage;
   return options;
 }
 

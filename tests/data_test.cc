@@ -155,16 +155,6 @@ TEST(MinMaxNormalizerTest, ConstantChannelIsSafe) {
   EXPECT_TRUE(ops::AllFinite(t));
 }
 
-TEST(ZScoreNormalizerTest, ZeroMeanUnitStd) {
-  Rng rng(3);
-  Tensor series = Tensor::RandomNormal(Shape{400, 2, 1}, rng, 5.0f, 3.0f);
-  const ZScoreNormalizer norm = ZScoreNormalizer::Fit(series);
-  const Tensor z = norm.Transform(series);
-  EXPECT_NEAR(ops::Mean(z).Item(), 0.0f, 0.05f);
-  EXPECT_NEAR(norm.mean(0), 5.0f, 0.3f);
-  EXPECT_NEAR(norm.stddev(0), 3.0f, 0.3f);
-}
-
 TEST(MetricsTest, KnownValues) {
   Tensor pred = Tensor::FromVector(Shape{4}, {1, 2, 3, 4});
   Tensor target = Tensor::FromVector(Shape{4}, {2, 2, 5, 4});

@@ -1,5 +1,4 @@
-// Tests for the extension features: validation-based early stopping, the EWC
-// trainer, and the CSV writer.
+// Tests for the extension features: the EWC trainer and the CSV writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -61,26 +60,6 @@ class TrainerFixture : public ::testing::Test {
   std::unique_ptr<data::StDataset> train_;
   std::unique_ptr<data::StDataset> val_;
 };
-
-TEST_F(TrainerFixture, EarlyStoppingStopsAndRestoresBest) {
-  core::UrclTrainer trainer(SmallConfig(), generator_->network());
-  const std::vector<float> losses =
-      trainer.TrainStageWithValidation(*train_, *val_, /*max_epochs=*/30, /*patience=*/2);
-  // Must stop well before the 30-epoch cap on this tiny problem.
-  EXPECT_LT(losses.size(), 30u);
-  EXPECT_GE(losses.size(), 3u);
-  // The restored model must be usable.
-  const auto [x, y] = val_->MakeBatch({0, 1});
-  EXPECT_TRUE(top::AllFinite(FullForecast(trainer, x)));
-}
-
-TEST_F(TrainerFixture, ValidationMaeComputes) {
-  core::UrclTrainer trainer(SmallConfig(), generator_->network());
-  trainer.TrainStage(*train_, 1);
-  const double mae = core::ValidationMae(trainer, *val_);
-  EXPECT_GT(mae, 0.0);
-  EXPECT_LT(mae, 1.0);  // normalized space
-}
 
 TEST_F(TrainerFixture, EwcTrainsAndConsolidates) {
   core::EwcConfig config;

@@ -67,16 +67,6 @@ TEST(GradCheckTest, SquareMean) {
                RandomInputs({Shape{3, 3}}, 7));
 }
 
-TEST(GradCheckTest, LeakyRelu) {
-  // Offsets keep values away from the kink at 0.
-  ExpectGradOk(
-      [](const std::vector<Variable>& in) { return Sum(LeakyRelu(in[0], 0.1f)); },
-      RandomInputs({Shape{6}}, 8, 0.5f, 1.5f));
-  ExpectGradOk(
-      [](const std::vector<Variable>& in) { return Sum(LeakyRelu(in[0], 0.1f)); },
-      RandomInputs({Shape{6}}, 9, -1.5f, -0.5f));
-}
-
 TEST(GradCheckTest, MatMul2d) {
   ExpectGradOk([](const std::vector<Variable>& in) { return Sum(MatMul(in[0], in[1])); },
                RandomInputs({Shape{3, 4}, Shape{4, 2}}, 10));

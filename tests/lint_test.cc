@@ -379,9 +379,10 @@ TEST(RepoLintTest, LockRuleAcceptsWeakPtrLock) {
 TEST(RepoLintTest, LockRulesAreGatedOff) {
   // tests/, bench/, examples/ and the wrapper header itself run without the
   // lock group (Options default).
+  Options options;
+  options.library_rules = false;
   const auto findings =
-      LintFileContent("tests/x_test.cc", "  std::mutex mu;\n  mu.unlock();\n",
-                      Options{.library_rules = false});
+      LintFileContent("tests/x_test.cc", "  std::mutex mu;\n  mu.unlock();\n", options);
   EXPECT_FALSE(Has(findings, "lock/unannotated-mutex")) << FormatFindings(findings);
   EXPECT_FALSE(Has(findings, "lock/bare-lock")) << FormatFindings(findings);
 }

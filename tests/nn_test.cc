@@ -101,22 +101,6 @@ TEST(ModuleTest, StateDictRoundTrip) {
   EXPECT_TRUE(top::AllClose(a.Forward(x).value(), b.Forward(x).value()));
 }
 
-TEST(ModuleTest, CopyParametersFrom) {
-  Rng rng(11);
-  Linear a(2, 2, rng), b(2, 2, rng);
-  b.CopyParametersFrom(a);
-  Variable x(Tensor::Ones(Shape{1, 2}), false);
-  EXPECT_TRUE(top::AllClose(a.Forward(x).value(), b.Forward(x).value()));
-}
-
-TEST(ModuleTest, TrainingModePropagates) {
-  Rng rng(12);
-  Mlp mlp({2, 2}, rng);
-  EXPECT_TRUE(mlp.training());
-  mlp.SetTraining(false);
-  EXPECT_FALSE(mlp.training());
-}
-
 TEST(AdaptiveAdjacencyTest, RowStochastic) {
   Rng rng(13);
   AdaptiveAdjacency adaptive(6, 4, rng);

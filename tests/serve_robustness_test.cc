@@ -404,7 +404,9 @@ TEST_F(ServeRobustnessTest, ErrorSpikeWithNoHistoryDegradesToFallback) {
   core::PredictResponse response;
   for (int i = 0; i < 8 && service.health_state() == HealthState::kHealthy; ++i) {
     const Status status = service.Predict(request, &response);
-    if (!status.ok()) EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    }
   }
   EXPECT_EQ(service.rollback_count(), 0);
   EXPECT_EQ(service.health_state(), HealthState::kDegraded);

@@ -194,7 +194,7 @@ TEST_F(ServeTrainerTest, RollingWindowIncrementalMatchesRebuild) {
   config.model = TinyConfig(kNodes);
   ForecastService service(config, generator_->network(), normalizer_);
 
-  const int64_t window = config.EffectiveWindowSteps();
+  const int64_t window = config.model.encoder.input_steps;
   Rng rng(11);
   std::deque<Tensor> raw_history;
   EXPECT_FALSE(service.WindowReady());
@@ -463,10 +463,6 @@ TEST(ServiceConfigTest, ValidateFlagsBadFields) {
   ServiceConfig config;
   config.model = TinyConfig(4);
   EXPECT_TRUE(config.Validate().empty());
-
-  config.window_steps = 7;  // != model input window (12)
-  EXPECT_FALSE(config.Validate().empty());
-  config.window_steps = 0;
 
   config.max_batch = 0;
   config.queue_depth = 0;

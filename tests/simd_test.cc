@@ -617,13 +617,15 @@ GraphMatMulReference ReferenceGraphMatMul(const Tensor& adjacency, const Tensor&
 
 TEST(SimdGraphMatMulTest, ForwardAndBackwardBitwiseMatchComposition) {
   // N spans the scalar columns (N < 8), whole vectors, the 32-column block
-  // and the overlapping tails; T = 1 makes each node column one element.
+  // and the overlapping tails, up to the paper's graph sizes (207 = 3 * 64 +
+  // 15 and 325 nodes: several 64-column blocks plus a tail per node row);
+  // T = 1 makes each node column one element.
   // Zeros (+0 and -0) in x and g exercise the zero skip of every output; the
   // single-plane inputs carry NaN and +-Inf too (with them in every plane,
   // most sums of the larger shapes would be NaN and pin down no order).
   ThreadCountGuard guard;
   uint64_t seed = 1000;
-  for (const int64_t nodes : {1, 7, 8, 9, 33, 64}) {
+  for (const int64_t nodes : {1, 7, 8, 9, 33, 64, 207, 325}) {
     for (const int64_t time : {1, 2, 5, 12}) {
       for (const Shape& planes : {Shape{1, 1}, Shape{2, 3}}) {
         const Shape shape{planes.dim(0), planes.dim(1), nodes, time};

@@ -133,8 +133,10 @@ int main(int argc, char** argv) {
     const char* event = last_version == 0 ? "first model live" : "hot-swap observed";
     const double live_mae =
         scored > 0 ? abs_error_sum / static_cast<double>(scored) * speed_span : 0.0;
-    log.AddRow({std::to_string(step), event, "v" + std::to_string(response.model_version),
-                std::to_string(response.stage), TablePrinter::Num(live_mae)});
+    std::string model = "v";
+    model += std::to_string(response.model_version);
+    log.AddRow({std::to_string(step), event, model, std::to_string(response.stage),
+                TablePrinter::Num(live_mae)});
     if (log_jsonl.is_open()) {
       log_jsonl << "{\"step\":" << step << ",\"event\":" << obs::JsonString(event)
                 << ",\"model_version\":" << response.model_version

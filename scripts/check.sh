@@ -14,7 +14,11 @@
 #      by the exported compile_commands.json. Findings are printed, never
 #      fatal — the enforced analysis gates are steps 1-2. Skipped with a
 #      message when clang-tidy is not installed;
-#   4. an ASan+UBSan build (poisoning + graph checks forced on) running the
+#   4. a -DURCL_SIMD=OFF build running the `kernels`-labeled tests on the
+#      scalar backend: its 8-lane helpers are plain loops and its tanh/exp
+#      run the scalar replicas lane by lane, so the memcmp suites and the
+#      golden fingerprint must come out as on the native backend;
+#   5. an ASan+UBSan build (poisoning + graph checks forced on) running the
 #      `analysis`-, `exec`-, `kernels`-, `serving`-, `autograd`- and
 #      `robustness`-labeled tests plus the pool suite (exec under ASan proves
 #      the arena's lifetime-sharing of slots never reads or writes out of a
@@ -26,7 +30,7 @@
 #      call, through the tape tests and the finite-difference checks;
 #      robustness runs the checkpoint and tensor decoders, which parse bytes
 #      read from disk, over truncated and corrupted input);
-#   5. a TSan build running the `analysis`-, `serving`-, `exec`-,
+#   6. a TSan build running the `analysis`-, `serving`-, `exec`-,
 #      `observability`- and `kernels`-labeled tests (serving is mandatory
 #      under TSan: the hot-swap path is lock-free and its data-race freedom
 #      is part of the serving contract; exec covers plan replay racing the
@@ -36,14 +40,14 @@
 #      must write disjoint output slots). Every test target carrying a
 #      selected label must be built in that tree: ctest only lists the cases
 #      of targets that were built, so an unbuilt suite is skipped silently;
-#   6. the `chaos`-labeled suite under both sanitizer builds with a serving
+#   7. the `chaos`-labeled suite under both sanitizer builds with a serving
 #      fault storm injected via URCL_FAULT (fault-point names documented in
 #      src/common/fault_injector.h). The chaos tests assert the serving
 #      invariants -- no crash, no non-finite output, every failure typed --
 #      so running them under ASan and TSan extends that to "and no memory
 #      error or data race on any fault path".
 #
-# Build trees are kept under build-check-{asan,tsan,tsafety} and reused across
+# Build trees are kept under build-check-{asan,tsan,tsafety,scalar} and reused across
 # runs. Usage: scripts/check.sh [-j N]
 set -eu
 
@@ -58,14 +62,14 @@ done
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
-echo "== [1/6] repo lint =="
+echo "== [1/7] repo lint =="
 cmake -B build-check-asan -S . \
   -DURCL_SANITIZE=address+undefined -DURCL_WERROR=ON \
   -DURCL_BUILD_BENCHMARKS=OFF -DURCL_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-check-asan -j"$jobs" --target urcl_lint
 ./build-check-asan/tools/lint/urcl_lint --root "$root"
 
-echo "== [2/6] Clang -Wthread-safety =="
+echo "== [2/7] Clang -Wthread-safety =="
 if command -v clang++ >/dev/null 2>&1; then
   # Library-only build: tests/benches link gtest/benchmark, which may not be
   # built for clang here; the annotations all live in src/.
@@ -112,7 +116,7 @@ EOF
   echo "  run on a machine with clang for the full analysis)"
 fi
 
-echo "== [3/6] clang-tidy (advisory) =="
+echo "== [3/7] clang-tidy (advisory) =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # compile_commands.json is exported by the asan tree configured in step 1.
   # Advisory by design: findings inform, the deterministic gates enforce.
@@ -121,7 +125,14 @@ else
   echo "clang-tidy not installed; skipping (advisory step, .clang-tidy is the config)"
 fi
 
-echo "== [4/6] ASan+UBSan: analysis/exec/kernels/serving/autograd/robustness tests," \
+echo "== [4/7] scalar backend (URCL_SIMD=OFF): kernels tests =="
+cmake -B build-check-scalar -S . -DURCL_SIMD=OFF \
+  -DURCL_BUILD_BENCHMARKS=OFF -DURCL_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-check-scalar -j"$jobs" --target \
+  simd_test tensor_ops_test runtime_test golden_test
+ctest --test-dir build-check-scalar -L kernels --output-on-failure -j"$jobs"
+
+echo "== [5/7] ASan+UBSan: analysis/exec/kernels/serving/autograd/robustness tests," \
   "poisoning + checks on =="
 cmake --build build-check-asan -j"$jobs" --target \
   check_test lint_test exec_test pool_test autograd_test grad_check_test urcl_header_selfcheck \
@@ -134,7 +145,7 @@ URCL_CHECK=1 URCL_POOL_POISON=1 \
   --output-on-failure -j"$jobs"
 URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/pool_test
 
-echo "== [5/6] TSan: analysis + serving + exec + observability + kernels tests =="
+echo "== [6/7] TSan: analysis + serving + exec + observability + kernels tests =="
 cmake -B build-check-tsan -S . -DURCL_SANITIZE=thread \
   -DURCL_BUILD_BENCHMARKS=OFF -DURCL_BUILD_EXAMPLES=OFF >/dev/null
 # urcl_lint is built here too: the repo_lint ctest entry runs the binary.
@@ -148,7 +159,7 @@ URCL_CHECK=1 URCL_POOL_POISON=1 \
   ctest --test-dir build-check-tsan -L "analysis|serving|exec|observability|kernels" \
   --output-on-failure -j"$jobs"
 
-echo "== [6/6] chaos: fault-injected serving under ASan and TSan =="
+echo "== [7/7] chaos: fault-injected serving under ASan and TSan =="
 # The env spec layers on top of each test's own Configure() call (the storm
 # test calls LoadFromEnv), so directed tests keep their deterministic rates
 # while the storm test runs under the union of both fault sets.

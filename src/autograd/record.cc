@@ -249,18 +249,12 @@ constexpr OpDef kOps[] = {
     {OpKind::kTanh, "tanh", 1, SameShape, false, true,
      [](const OpOperands& x, const OpAttrs&) { return top::Tanh(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
-       if (!x.needs_grad(0)) return;
-       // d/dx tanh = 1 - tanh^2
-       const Tensor one_minus = top::AddScalar(top::Neg(top::Square(x.output())), 1.0f);
-       x.Accumulate(0, top::Mul(g, one_minus));
+       if (x.needs_grad(0)) x.Accumulate(0, top::TanhGrad(g, x.output()));  // 1 - tanh^2
      }},
     {OpKind::kSigmoid, "sigmoid", 1, SameShape, false, true,
      [](const OpOperands& x, const OpAttrs&) { return top::Sigmoid(x.value(0)); },
      [](const Tensor& g, const OpAttrs&, OpOperands& x) {
-       if (!x.needs_grad(0)) return;
-       // d/dx sigmoid = s * (1 - s)
-       const Tensor& s = x.output();
-       x.Accumulate(0, top::Mul(g, top::Mul(s, top::AddScalar(top::Neg(s), 1.0f))));
+       if (x.needs_grad(0)) x.Accumulate(0, top::SigmoidGrad(g, x.output()));  // s * (1 - s)
      }},
     {OpKind::kRelu, "relu", 1, SameShape, true, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Relu(x.value(0)); },

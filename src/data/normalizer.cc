@@ -57,13 +57,6 @@ Tensor MinMaxNormalizer::Transform(const Tensor& data) const {
   });
 }
 
-Tensor MinMaxNormalizer::InverseTransform(const Tensor& data) const {
-  return PerChannel(data, num_channels(), [this](float v, int64_t c) {
-    const size_t i = static_cast<size_t>(c);
-    return v * (maxs_[i] - mins_[i]) + mins_[i];
-  });
-}
-
 Tensor MinMaxNormalizer::InverseTransformChannel(const Tensor& data, int64_t channel) const {
   URCL_CHECK(channel >= 0 && channel < num_channels());
   const float lo = mins_[static_cast<size_t>(channel)];

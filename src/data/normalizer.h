@@ -19,9 +19,6 @@ class MinMaxNormalizer {
   // (x - min_c) / (max_c - min_c), applied per trailing channel.
   Tensor Transform(const Tensor& data) const;
 
-  // Inverse for full multi-channel data.
-  Tensor InverseTransform(const Tensor& data) const;
-
   // Inverse for single-channel data (e.g. predictions of `channel`).
   Tensor InverseTransformChannel(const Tensor& data, int64_t channel) const;
 

@@ -80,7 +80,6 @@ class HealthMonitor {
   // No older version was available to roll back to: the model path is
   // unusable until the next admitted snapshot.
   void MarkModelUnusable() { model_unusable_.store(true, std::memory_order_relaxed); }
-  bool model_unusable() const { return model_unusable_.load(std::memory_order_relaxed); }
 
   // Terminal drain: every subsequent Evaluate returns kLameDuck.
   void EnterLameDuck() { lame_duck_.store(true, std::memory_order_relaxed); }

@@ -27,6 +27,7 @@
 #include "common/check.h"
 #include "runtime/parallel.h"
 #include "tensor/simd.h"
+#include "tensor/simd_math.h"
 #include "tensor/tensor.h"
 
 namespace urcl {
@@ -49,9 +50,9 @@ inline constexpr bool kHasVectorForm1 = std::is_invocable_r_v<simd::F32x8, Fn, s
 // --- Named-op functors -------------------------------------------------------
 // Each vector overload is lane-wise bitwise identical to the scalar one,
 // including NaN and signed-zero cases (see tensor/simd.h for the per-helper
-// arguments). Operand order matters for Max/Min/Clamp: simd::Max(a, b)
-// returns b on equal/unordered compares, so the scalar expression each op
-// mirrors is spelled out next to it.
+// arguments). Operand order matters for Max/Min: simd::Max(a, b) returns b
+// on equal/unordered compares, so the scalar expression each op mirrors is
+// spelled out next to it.
 
 struct AddOp {
   float operator()(float x, float y) const { return x + y; }
@@ -108,15 +109,39 @@ struct MulScalarOp {
   float operator()(float x) const { return x * s; }
   simd::F32x8 operator()(simd::F32x8 x) const { return simd::Mul(x, simd::Broadcast(s)); }
 };
-struct ClampOp {
-  // std::max(x, lo) == (x < lo ? lo : x) == simd::Max(Broadcast(lo), x) and
-  // std::min(., hi) == simd::Min(Broadcast(hi), .) — these operand orders are
-  // load-bearing for NaN (clamp of NaN stays NaN) and -0/+0 bit patterns.
-  float lo;
-  float hi;
-  float operator()(float x) const { return std::min(std::max(x, lo), hi); }
+// tanh, sigmoid and exp through the in-repo replicas of libm's tanhf and
+// expf (tensor/simd_math.h), whose 8-lane forms match them bit for bit.
+struct TanhOp {
+  float operator()(float x) const { return simd::Tanh(x); }
+  simd::F32x8 operator()(simd::F32x8 x) const { return simd::Tanh(x); }
+};
+struct SigmoidOp {  // 1 / (1 + exp(-x))
+  float operator()(float x) const { return 1.0f / (1.0f + simd::Exp(-x)); }
   simd::F32x8 operator()(simd::F32x8 x) const {
-    return simd::Min(simd::Broadcast(hi), simd::Max(simd::Broadcast(lo), x));
+    const simd::F32x8 one = simd::Broadcast(1.0f);
+    return simd::Div(one, simd::Add(one, simd::Exp(simd::Neg(x))));
+  }
+};
+struct ExpOp {
+  float operator()(float x) const { return simd::Exp(x); }
+  simd::F32x8 operator()(simd::F32x8 x) const { return simd::Exp(x); }
+};
+
+// The tanh and sigmoid gradients from the upstream gradient g and the op's
+// output. The expressions keep the operation order of the Square, Neg,
+// AddScalar and Mul ops that computed them before, so no result that is not
+// NaN changes a bit. The sign of a NaN result is open: the compiler may fold
+// -(y * y) + 1 into 1 - y * y (DESIGN.md "One NaN payload").
+struct TanhGradOp {  // g * ((-(y * y)) + 1)
+  float operator()(float g, float y) const { return g * ((-(y * y)) + 1.0f); }
+  simd::F32x8 operator()(simd::F32x8 g, simd::F32x8 y) const {
+    return simd::Mul(g, simd::Add(simd::Neg(simd::Mul(y, y)), simd::Broadcast(1.0f)));
+  }
+};
+struct SigmoidGradOp {  // g * (s * ((-s) + 1))
+  float operator()(float g, float s) const { return g * (s * ((-s) + 1.0f)); }
+  simd::F32x8 operator()(simd::F32x8 g, simd::F32x8 s) const {
+    return simd::Mul(g, simd::Mul(s, simd::Add(simd::Neg(s), simd::Broadcast(1.0f))));
   }
 };
 

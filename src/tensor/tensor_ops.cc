@@ -357,12 +357,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Div(const Tensor& a, const Tensor& b) {
   return detail::BinaryElementwise(a, b, detail::DivOp{});
 }
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return detail::BinaryElementwise(a, b, detail::MaximumOp{});
-}
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  return detail::BinaryElementwise(a, b, detail::MinimumOp{});
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return detail::UnaryElementwise(a, detail::AddScalarOp{s});
@@ -370,14 +364,9 @@ Tensor AddScalar(const Tensor& a, float s) {
 Tensor MulScalar(const Tensor& a, float s) {
   return detail::UnaryElementwise(a, detail::MulScalarOp{s});
 }
-Tensor PowScalar(const Tensor& a, float exponent) {
-  return detail::UnaryElementwise(a, [exponent](float x) { return std::pow(x, exponent); });
-}
 
 Tensor Neg(const Tensor& a) { return detail::UnaryElementwise(a, detail::NegOp{}); }
-Tensor Exp(const Tensor& a) {
-  return detail::UnaryElementwise(a, [](float x) { return std::exp(x); });
-}
+Tensor Exp(const Tensor& a) { return detail::UnaryElementwise(a, detail::ExpOp{}); }
 Tensor Log(const Tensor& a) {
   return detail::UnaryElementwise(a, [](float x) { return std::log(x); });
 }
@@ -387,16 +376,16 @@ Tensor Sign(const Tensor& a) {
   return detail::UnaryElementwise(
       a, [](float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); });
 }
-Tensor Tanh(const Tensor& a) {
-  return detail::UnaryElementwise(a, [](float x) { return std::tanh(x); });
-}
-Tensor Sigmoid(const Tensor& a) {
-  return detail::UnaryElementwise(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
+Tensor Tanh(const Tensor& a) { return detail::UnaryElementwise(a, detail::TanhOp{}); }
+Tensor Sigmoid(const Tensor& a) { return detail::UnaryElementwise(a, detail::SigmoidOp{}); }
 Tensor Relu(const Tensor& a) { return detail::UnaryElementwise(a, detail::ReluOp{}); }
 Tensor Square(const Tensor& a) { return detail::UnaryElementwise(a, detail::SquareOp{}); }
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  return detail::UnaryElementwise(a, detail::ClampOp{lo, hi});
+
+Tensor TanhGrad(const Tensor& g, const Tensor& y) {
+  return detail::BinaryElementwise(g, y, detail::TanhGradOp{});
+}
+Tensor SigmoidGrad(const Tensor& g, const Tensor& s) {
+  return detail::BinaryElementwise(g, s, detail::SigmoidGradOp{});
 }
 
 Shape ReducedShape(const Shape& shape, const std::vector<int64_t>& axes, bool keepdims) {

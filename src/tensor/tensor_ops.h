@@ -24,13 +24,10 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
-Tensor Maximum(const Tensor& a, const Tensor& b);
-Tensor Minimum(const Tensor& a, const Tensor& b);
 
 // --- Elementwise with scalar -------------------------------------------------
 Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
-Tensor PowScalar(const Tensor& a, float exponent);
 
 // --- Elementwise unary --------------------------------------------------------
 Tensor Neg(const Tensor& a);
@@ -43,13 +40,18 @@ Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor Square(const Tensor& a);
-Tensor Clamp(const Tensor& a, float lo, float hi);
 // Applies an arbitrary unary functor elementwise, inlined into the kernel
 // (no per-element dispatch).
 template <typename Fn>
 Tensor Map(const Tensor& a, Fn fn) {
   return detail::UnaryElementwise(a, std::move(fn));
 }
+
+// --- Activation gradients -----------------------------------------------------
+// The tanh and sigmoid gradients, each in one pass over the upstream gradient
+// g and the op's output: g * (1 - y * y) and g * (s * (1 - s)).
+Tensor TanhGrad(const Tensor& g, const Tensor& y);
+Tensor SigmoidGrad(const Tensor& g, const Tensor& s);
 
 // --- Reductions ----------------------------------------------------------------
 // Reduce over `axes` (empty = all axes). With keepdims the reduced axes stay

@@ -119,7 +119,13 @@ TEST(MinMaxNormalizerTest, RoundTrip) {
   Rng rng(2);
   Tensor series = Tensor::RandomUniform(Shape{20, 2, 3}, rng, 5.0f, 25.0f);
   const MinMaxNormalizer norm = MinMaxNormalizer::Fit(series);
-  EXPECT_TRUE(ops::AllClose(norm.InverseTransform(norm.Transform(series)), series, 1e-3f));
+  const Tensor scaled = norm.Transform(series);
+  for (int64_t c = 0; c < 3; ++c) {
+    const Tensor channel = ops::Slice(scaled, {0, 0, c}, {20, 2, 1});
+    EXPECT_TRUE(ops::AllClose(norm.InverseTransformChannel(channel, c),
+                              ops::Slice(series, {0, 0, c}, {20, 2, 1}), 1e-3f))
+        << "channel " << c;
+  }
 }
 
 TEST(MinMaxNormalizerTest, ChannelwiseIndependence) {

@@ -210,7 +210,12 @@ TEST_P(NormalizerProperty, RoundTripAndRange) {
   const Tensor t = norm.Transform(series);
   EXPECT_GE(top::Min(t).Item(), -1e-5f);
   EXPECT_LE(top::Max(t).Item(), 1.0f + 1e-5f);
-  EXPECT_TRUE(top::AllClose(norm.InverseTransform(t), series, 2e-3f * (std::fabs(lo) + span)));
+  for (int64_t c = 0; c < 2; ++c) {
+    EXPECT_TRUE(top::AllClose(norm.InverseTransformChannel(top::Slice(t, {0, 0, c}, {30, 4, 1}), c),
+                              top::Slice(series, {0, 0, c}, {30, 4, 1}),
+                              2e-3f * (std::fabs(lo) + span)))
+        << "channel " << c;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranges, NormalizerProperty,

@@ -5,7 +5,8 @@
 // cases (n < 8) are all exercised; inputs include NaN, +/-Inf and -0 so the
 // exactness claims of tensor/simd.h (Max/Min operand order, sign-bit Neg,
 // Relu of NaN) are pinned down, not just the happy path.
-#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -15,6 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
+
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
@@ -22,6 +27,7 @@
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "tensor/simd.h"
+#include "tensor/simd_math.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -83,23 +89,18 @@ TEST(SimdBinaryTest, SameShapeBitwiseMatchesScalar) {
   for (int64_t n = 1; n <= 17; ++n) {
     const Tensor a = MakeInput(Shape{n}, 1000 + static_cast<uint64_t>(n));
     const Tensor b = MakeInput(Shape{n}, 2000 + static_cast<uint64_t>(n));
-    Tensor add_ref(a.shape()), sub_ref(a.shape()), mul_ref(a.shape()), div_ref(a.shape()),
-        max_ref(a.shape()), min_ref(a.shape());
+    Tensor add_ref(a.shape()), sub_ref(a.shape()), mul_ref(a.shape()), div_ref(a.shape());
     for (int64_t i = 0; i < n; ++i) {
       const float x = a.data()[i], y = b.data()[i];
       add_ref.mutable_data()[i] = x + y;
       sub_ref.mutable_data()[i] = x - y;
       mul_ref.mutable_data()[i] = x * y;
       div_ref.mutable_data()[i] = x / y;
-      max_ref.mutable_data()[i] = x > y ? x : y;
-      min_ref.mutable_data()[i] = x < y ? x : y;
     }
     EXPECT_TRUE(BitEq(ops::Add(a, b), add_ref)) << "n=" << n;
     EXPECT_TRUE(BitEq(ops::Sub(a, b), sub_ref)) << "n=" << n;
     EXPECT_TRUE(BitEq(ops::Mul(a, b), mul_ref)) << "n=" << n;
     EXPECT_TRUE(BitEq(ops::Div(a, b), div_ref)) << "n=" << n;
-    EXPECT_TRUE(BitEq(ops::Maximum(a, b), max_ref)) << "n=" << n;
-    EXPECT_TRUE(BitEq(ops::Minimum(a, b), min_ref)) << "n=" << n;
   }
 }
 
@@ -132,7 +133,7 @@ TEST(SimdUnaryTest, BitwiseMatchesScalar) {
   for (int64_t n = 1; n <= 17; ++n) {
     const Tensor a = MakeInput(Shape{n}, 500 + static_cast<uint64_t>(n));
     Tensor neg_ref(a.shape()), abs_ref(a.shape()), sqrt_ref(a.shape()), relu_ref(a.shape()),
-        sq_ref(a.shape()), adds_ref(a.shape()), muls_ref(a.shape()), clamp_ref(a.shape());
+        sq_ref(a.shape()), adds_ref(a.shape()), muls_ref(a.shape());
     for (int64_t i = 0; i < n; ++i) {
       const float x = a.data()[i];
       neg_ref.mutable_data()[i] = -x;
@@ -142,7 +143,6 @@ TEST(SimdUnaryTest, BitwiseMatchesScalar) {
       sq_ref.mutable_data()[i] = x * x;
       adds_ref.mutable_data()[i] = x + 2.5f;
       muls_ref.mutable_data()[i] = x * -1.5f;
-      clamp_ref.mutable_data()[i] = std::min(std::max(x, -0.75f), 0.75f);
     }
     EXPECT_TRUE(BitEq(ops::Neg(a), neg_ref)) << "n=" << n;
     EXPECT_TRUE(BitEq(ops::Abs(a), abs_ref)) << "n=" << n;
@@ -151,7 +151,6 @@ TEST(SimdUnaryTest, BitwiseMatchesScalar) {
     EXPECT_TRUE(BitEq(ops::Square(a), sq_ref)) << "n=" << n;
     EXPECT_TRUE(BitEq(ops::AddScalar(a, 2.5f), adds_ref)) << "n=" << n;
     EXPECT_TRUE(BitEq(ops::MulScalar(a, -1.5f), muls_ref)) << "n=" << n;
-    EXPECT_TRUE(BitEq(ops::Clamp(a, -0.75f, 0.75f), clamp_ref)) << "n=" << n;
   }
 }
 
@@ -165,10 +164,124 @@ TEST(SimdUnaryTest, SignedZeroAndNanEdgeCases) {
   const Tensor relu = ops::Relu(a);
   EXPECT_EQ(relu.data()[2], 0.0f);
   EXPECT_FALSE(std::signbit(relu.data()[0]));
-  // Clamp keeps NaN (std::max/std::min return the first argument on
-  // unordered comparisons given the kernel's operand order).
-  const Tensor clamped = ops::Clamp(a, -0.5f, 0.5f);
-  EXPECT_TRUE(std::isnan(clamped.data()[2]));
+}
+
+// --- tanh, sigmoid and exp (tensor/simd_math.h) --------------------------------
+
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+float FromBits(uint32_t bits) { return std::bit_cast<float>(bits); }
+
+// Every 4099th of the 2^32 float bit patterns (about a million: every sign
+// and exponent, with varied mantissas), each branch cut-off of the replicas
+// +-2 ULP with either sign, and the IEEE specials.
+std::vector<float> TranscendentalInputs() {
+  std::vector<float> in;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4099) {
+    in.push_back(FromBits(static_cast<uint32_t>(bits)));
+  }
+  // s_tanhf.c's cut-offs; s_expm1f.c's, at x and at x / 2 (tanh passes
+  // expm1f 2|x|); and e_expf.c's.
+  std::vector<uint32_t> cuts = {0x41b00000, 0x24000000, 0x3f800000, 0x7f800000};
+  for (const uint32_t cut : {0x4195b844u, 0x42b17218u, 0x3eb17218u, 0x3f851592u, 0x33000000u}) {
+    cuts.push_back(cut);
+    cuts.push_back(cut - 0x00800000u);
+  }
+  for (const float cut : {88.0f, 0x1.62e42ep6f, 0x1.9fe368p6f}) cuts.push_back(Bits(cut));
+  for (const uint32_t cut : cuts) {
+    for (uint32_t bits = cut - 2; bits <= cut + 2; ++bits) {
+      in.push_back(FromBits(bits));
+      in.push_back(FromBits(bits | 0x80000000u));
+    }
+  }
+  // Zero, subnormals, the smallest normal, inf and NaNs (quiet, signalling,
+  // with a payload, and the one this machine makes), with either sign.
+  for (const uint32_t bits : {0x0u, 0x1u, 0x00400000u, 0x007fffffu, 0x00800000u, 0x7f800000u,
+                              0x7fc00000u, 0x7fa00000u, 0x7fc12345u, Bits(MachineNaN())}) {
+    in.push_back(FromBits(bits));
+    in.push_back(FromBits(bits ^ 0x80000000u));
+  }
+  return in;
+}
+
+float ScalarSigmoid(float x) { return 1.0f / (1.0f + simd::Exp(-x)); }
+
+// `fn` of every element, one scalar call each.
+template <typename Fn>
+Tensor ScalarMap(const Tensor& a, Fn fn) {
+  Tensor out(a.shape());
+  for (int64_t i = 0; i < a.NumElements(); ++i) out.mutable_data()[i] = fn(a.data()[i]);
+  return out;
+}
+
+TEST(SimdMathTest, ScalarReplicasMatchTheCLibrary) {
+  // The replicas define the algorithms glibc 2.36 runs on x86-64 with FMA
+  // (expf's ifunc picks its FMA build there); other C libraries may round
+  // differently.
+#if defined(__GLIBC__) && defined(__x86_64__)
+  if (std::string(gnu_get_libc_version()) != "2.36" || !__builtin_cpu_supports("fma")) {
+    GTEST_SKIP() << "the replicas define glibc 2.36's tanhf and expf on x86-64 with FMA; "
+                 << "running glibc " << gnu_get_libc_version();
+  }
+#else
+  GTEST_SKIP() << "the replicas define glibc 2.36's tanhf and expf on x86-64 with FMA";
+#endif
+  const std::vector<float> in = TranscendentalInputs();
+  const Tensor x = Tensor::FromVector(Shape{static_cast<int64_t>(in.size())}, in);
+  EXPECT_TRUE(BitEq(ScalarMap(x, [](float v) { return simd::Tanh(v); }),
+                    ScalarMap(x, [](float v) { return std::tanh(v); })))
+      << "tanh";
+  EXPECT_TRUE(BitEq(ScalarMap(x, [](float v) { return simd::Exp(v); }),
+                    ScalarMap(x, [](float v) { return std::exp(v); })))
+      << "exp";
+  EXPECT_TRUE(BitEq(ScalarMap(x, ScalarSigmoid),
+                    ScalarMap(x, [](float v) { return 1.0f / (1.0f + std::exp(-v)); })))
+      << "sigmoid";
+}
+
+TEST(SimdMathTest, EightLaneFormsMatchTheScalarReplicas) {
+  const std::vector<float> in = TranscendentalInputs();
+  const Tensor x = Tensor::FromVector(Shape{static_cast<int64_t>(in.size())}, in);
+  EXPECT_TRUE(BitEq(ops::Tanh(x), ScalarMap(x, [](float v) { return simd::Tanh(v); })))
+      << "tanh";
+  EXPECT_TRUE(BitEq(ops::Exp(x), ScalarMap(x, [](float v) { return simd::Exp(v); }))) << "exp";
+  EXPECT_TRUE(BitEq(ops::Sigmoid(x), ScalarMap(x, ScalarSigmoid))) << "sigmoid";
+}
+
+TEST(SimdMathTest, OpsMatchTheScalarReplicasAtEveryLength) {
+  // Lengths 1..67 put each lane position in the 8-lane loop and in the
+  // scalar tail. Values of N(0, 40) with specials in every 7th slot reach
+  // tanh's +-1 and NaN/inf lanes and exp's |x| >= 88 lanes, which the AVX2
+  // forms hand to the scalar replicas.
+  for (int64_t n = 1; n <= 67; ++n) {
+    const Tensor x = ops::MulScalar(MakeInput(Shape{n}, 3000 + static_cast<uint64_t>(n)), 40.0f);
+    EXPECT_TRUE(BitEq(ops::Tanh(x), ScalarMap(x, [](float v) { return simd::Tanh(v); })))
+        << "tanh, n=" << n;
+    EXPECT_TRUE(BitEq(ops::Exp(x), ScalarMap(x, [](float v) { return simd::Exp(v); })))
+        << "exp, n=" << n;
+    EXPECT_TRUE(BitEq(ops::Sigmoid(x), ScalarMap(x, ScalarSigmoid))) << "sigmoid, n=" << n;
+  }
+}
+
+TEST(SimdUnaryTest, ActivationGradientsMatchTheComposedOps) {
+  // TanhGrad and SigmoidGrad replaced these compositions in the tanh and
+  // sigmoid backward; each element must keep their bits. NaN goes into g
+  // only: a NaN y meets its own negation in s * (1 - s), two payloads whose
+  // survivor is up to the instruction encoding (see MachineNaN), and the
+  // compiler folds -(y * y) + 1 into 1 - y * y, which is exact but for the
+  // sign of a NaN. y carries the other specials at the same positions.
+  for (int64_t n = 1; n <= 17; ++n) {
+    const Tensor g = MakeInput(Shape{n}, 3100 + static_cast<uint64_t>(n));
+    Tensor y = MakeInput(Shape{n}, 3200 + static_cast<uint64_t>(n), /*with_specials=*/false);
+    for (int64_t i = 3; i < n; i += 7) {
+      y.mutable_data()[i] = std::array<float, 4>{kInf, -kInf, -0.0f, 0.0f}[(i / 7) % 4];
+    }
+    EXPECT_TRUE(BitEq(ops::TanhGrad(g, y),
+                      ops::Mul(g, ops::AddScalar(ops::Neg(ops::Square(y)), 1.0f))))
+        << "n=" << n;
+    EXPECT_TRUE(BitEq(ops::SigmoidGrad(g, y),
+                      ops::Mul(g, ops::Mul(y, ops::AddScalar(ops::Neg(y), 1.0f)))))
+        << "n=" << n;
+  }
 }
 
 // Input-major reference reduction: walks the input once in flat order and
@@ -227,6 +340,30 @@ TEST(SimdReduceTest, SumBitwiseMatchesSerialOrder) {
   const float full_ref =
       ReferenceReduce(b, {0, 1, 2}, 0.0f, [](float acc, float x) { return acc + x; }).Item();
   EXPECT_EQ(ops::Sum(b).Item(), full_ref);
+}
+
+TEST(SimdReduceTest, MaxMinOfTwoRowsMatchTheScalarTernaries) {
+  // A Max (Min) reduction of two rows starts from -inf (+inf), which the
+  // first row replaces whatever it holds, so each slot is x > y ? x : y
+  // (x < y ? x : y): MaximumOp and MinimumOp on salted inputs, NaN and
+  // signed zeros included. Over axis 0 the stride-1 axis is kept (vector
+  // path); over axis 1 of the column pair a strided one is (scalar path).
+  for (int64_t n = 1; n <= 17; ++n) {
+    const Tensor a = MakeInput(Shape{n}, 1000 + static_cast<uint64_t>(n));
+    const Tensor b = MakeInput(Shape{n}, 2000 + static_cast<uint64_t>(n));
+    Tensor max_ref(a.shape()), min_ref(a.shape());
+    for (int64_t i = 0; i < n; ++i) {
+      const float x = a.data()[i], y = b.data()[i];
+      max_ref.mutable_data()[i] = x > y ? x : y;
+      min_ref.mutable_data()[i] = x < y ? x : y;
+    }
+    const Tensor rows = ops::Stack({a, b}, 0);
+    const Tensor cols = ops::Stack({a, b}, 1);
+    EXPECT_TRUE(BitEq(ops::Max(rows, {0}), max_ref)) << "rows, n=" << n;
+    EXPECT_TRUE(BitEq(ops::Min(rows, {0}), min_ref)) << "rows, n=" << n;
+    EXPECT_TRUE(BitEq(ops::Max(cols, {1}), max_ref)) << "cols, n=" << n;
+    EXPECT_TRUE(BitEq(ops::Min(cols, {1}), min_ref)) << "cols, n=" << n;
+  }
 }
 
 TEST(SimdReduceTest, MeanMaxMinBitwiseMatchSerialOrder) {

@@ -58,7 +58,7 @@ inline void WarnIfUnoptimizedBuild() {
 
 inline BenchScale ResolveScale(const Flags& flags) {
   WarnIfUnoptimizedBuild();
-  ApplyRuntimeFlags(flags);
+  runtime::ApplyRuntimeFlags(flags);
   BenchScale scale;
   std::string mode = flags.GetString("scale", "");
   if (mode.empty()) {
@@ -77,7 +77,7 @@ inline BenchScale ResolveScale(const Flags& flags) {
   }
   scale.nodes = flags.GetInt("nodes", scale.nodes);
   scale.days_15min = flags.GetInt("days", scale.days_15min);
-  scale.days_5min = flags.GetInt("days", scale.days_5min);
+  if (flags.Has("days")) scale.days_5min = scale.days_15min;
   scale.epochs = flags.GetInt("epochs", scale.epochs);
   scale.max_batches_per_epoch = flags.GetInt("batches", scale.max_batches_per_epoch);
   scale.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));

@@ -22,6 +22,7 @@ double IncrementalAverageMae(const std::vector<core::StageResult>& results) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Extension: buffer / mixup / policy / |S| sweeps", scale);
 
   const bench::BenchPipeline p = bench::BuildPipeline(data::MetrLaPreset(), scale);

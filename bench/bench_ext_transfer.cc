@@ -4,60 +4,46 @@
 // accuracy and backward transfer / forgetting), for three strategies:
 //   FinetuneST (no mitigation), EWC (regularization-based, Sec. II-B family),
 //   URCL (replay-based, the paper's method).
+// Each strategy runs through core::RunContinualProtocol, whose
+// obs::LearningTelemetry records the matrix and the forgetting.
 // Expected shape: FinetuneST forgets (upper-right of the matrix degrades as
 // you go down a column), EWC forgets less but adapts less, URCL balances.
+#include "baselines/ewc.h"
 #include "bench/bench_common.h"
 #include "common/table_printer.h"
-#include "core/ewc.h"
 
 using namespace urcl;
 
 namespace {
 
-// Runs one strategy and returns the accuracy matrix [stage_trained][stage_tested].
-std::vector<std::vector<double>> AccuracyMatrix(core::StPredictor& model,
-                                                const bench::BenchPipeline& p,
-                                                int64_t epochs) {
-  std::vector<std::vector<double>> matrix;
-  for (int64_t k = 0; k < p.stream->NumStages(); ++k) {
-    model.TrainStage(p.stream->Stage(k).train, epochs);
-    std::vector<double> row;
-    for (int64_t j = 0; j <= k; ++j) {
-      row.push_back(core::EvaluatePredictor(model, p.stream->Stage(j).test, p.normalizer,
-                                            p.target_channel)
-                        .mae);
-    }
-    matrix.push_back(std::move(row));
-  }
-  return matrix;
-}
+// Runs `model` through the continual protocol and prints the telemetry's
+// matrix, its final-row mean and its mean forgetting (the MAE increase on
+// old stages, R[K][j] - R[j][j] averaged over j < K).
+void PrintTransfer(const std::string& name, core::StPredictor& model,
+                   const bench::BenchPipeline& p, int64_t epochs) {
+  obs::LearningTelemetry learning;
+  core::ProtocolOptions options;
+  options.epochs_per_stage = epochs;
+  options.learning = &learning;
+  core::RunContinualProtocol(model, *p.stream, p.normalizer, p.target_channel, options);
 
-void PrintMatrix(const std::string& name, const std::vector<std::vector<double>>& matrix,
-                 const bench::BenchPipeline& p) {
+  const int64_t stages = p.stream->NumStages();
   std::printf("%s — MAE on stage j's test after training stage k:\n", name.c_str());
   std::vector<std::string> header = {"after \\ on"};
-  for (int64_t j = 0; j < p.stream->NumStages(); ++j) header.push_back(p.stream->Stage(j).name);
+  for (int64_t j = 0; j < stages; ++j) header.push_back(p.stream->Stage(j).name);
   TablePrinter table(header);
-  for (size_t k = 0; k < matrix.size(); ++k) {
-    std::vector<std::string> row = {p.stream->Stage(static_cast<int64_t>(k)).name};
-    for (const double mae : matrix[k]) row.push_back(TablePrinter::Num(mae));
+  for (int64_t k = 0; k < stages; ++k) {
+    std::vector<std::string> row = {p.stream->Stage(k).name};
+    for (int64_t j = 0; j <= k; ++j) row.push_back(TablePrinter::Num(learning.At(k, j)));
     table.AddRow(row);
   }
   table.Print();
 
-  // Average accuracy (final row mean) and backward transfer:
-  // BWT = mean over j < K of (A[K][j] - A[j][j]); positive = forgetting (MAE rose).
-  const std::vector<double>& final_row = matrix.back();
   double avg = 0.0;
-  for (const double mae : final_row) avg += mae;
-  avg /= static_cast<double>(final_row.size());
-  double forgetting = 0.0;
-  for (size_t j = 0; j + 1 < final_row.size(); ++j) {
-    forgetting += final_row[j] - matrix[j][j];
-  }
-  forgetting /= static_cast<double>(final_row.size() - 1);
+  for (int64_t j = 0; j < stages; ++j) avg += learning.Latest(j);
+  avg /= static_cast<double>(stages);
   std::printf("  final average MAE = %.2f, forgetting (MAE increase on old stages) = %+.2f\n\n",
-              avg, forgetting);
+              avg, learning.MeanForgetting());
 }
 
 }  // namespace
@@ -65,6 +51,7 @@ void PrintMatrix(const std::string& name, const std::vector<std::vector<double>>
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Extension: stage-transfer matrix (FinetuneST vs EWC vs URCL)", scale);
 
   const bench::BenchPipeline p = bench::BuildPipeline(data::MetrLaPreset(), scale);
@@ -74,23 +61,18 @@ int main(int argc, char** argv) {
     config.enable_replay = false;
     config.enable_ssl = false;
     core::UrclTrainer model(config, p.generator->network());
-    PrintMatrix("FinetuneST", AccuracyMatrix(model, p, scale.epochs), p);
+    PrintTransfer("FinetuneST", model, p, scale.epochs);
   }
   {
-    core::EwcConfig config;
-    const core::UrclConfig base = bench::MakeUrclConfig(p, scale);
-    config.encoder = base.encoder;
-    config.decoder_hidden = base.decoder_hidden;
-    config.output_steps = base.output_steps;
-    config.max_batches_per_epoch = base.max_batches_per_epoch;
-    config.seed = base.seed;
-    core::EwcTrainer model(config, p.generator->network());
-    PrintMatrix("EWC", AccuracyMatrix(model, p, scale.epochs), p);
+    const baselines::ZooOptions zoo = bench::MakeZooOptions(p, scale);
+    Rng rng(zoo.deep.seed);
+    baselines::Ewc model(core::MakeBackbone(core::BackboneType::kGraphWaveNet, zoo.encoder, rng),
+                         zoo.deep, p.generator->network(), rng);
+    PrintTransfer("EWC", model, p, scale.epochs);
   }
   {
-    core::UrclConfig config = bench::MakeUrclConfig(p, scale);
-    core::UrclTrainer model(config, p.generator->network());
-    PrintMatrix("URCL", AccuracyMatrix(model, p, scale.epochs), p);
+    core::UrclTrainer model(bench::MakeUrclConfig(p, scale), p.generator->network());
+    PrintTransfer("URCL", model, p, scale.epochs);
   }
   return 0;
 }

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
   const int64_t seeds = flags.GetInt("seeds", 2);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Figure 6: RMSE and MAE of URCL and Its Variants", scale);
 
   const std::vector<data::DatasetPreset> presets = {data::MetrLaPreset(),

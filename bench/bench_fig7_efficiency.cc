@@ -11,6 +11,7 @@ using namespace urcl;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Figure 7: Training and Inference Time on PEMS04", scale);
 
   const bench::BenchPipeline p = bench::BuildPipeline(data::Pems04Preset(), scale);

@@ -16,14 +16,16 @@ int main(int argc, char** argv) {
   bench::BenchScale scale = bench::ResolveScale(flags);
   // Convergence needs more epochs than the accuracy tables.
   if (!flags.Has("epochs")) scale.epochs = scale.name == "full" ? 30 : 10;
+  // Optional plottable export: --csv <path> writes dataset,stage,epoch,loss.
+  const std::string csv_path =
+      flags.Has("csv") ? flags.GetString("csv", "fig8_convergence.csv") : "";
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Figure 8: Training Convergence of URCL", scale);
 
-  // Optional plottable export: --csv <path> writes dataset,stage,epoch,loss.
   std::unique_ptr<CsvWriter> csv;
-  if (flags.Has("csv")) {
+  if (!csv_path.empty()) {
     csv = std::make_unique<CsvWriter>(
-        flags.GetString("csv", "fig8_convergence.csv"),
-        std::vector<std::string>{"dataset", "stage", "epoch", "loss"});
+        csv_path, std::vector<std::string>{"dataset", "stage", "epoch", "loss"});
   }
 
   for (const data::DatasetPreset& preset :

@@ -96,6 +96,7 @@ int Run(int argc, char** argv) {
       << "--executor must be plan or tape, got " << executor_name;
   const exec::ExecutorMode executor =
       executor_name == "plan" ? exec::ExecutorMode::kPlan : exec::ExecutorMode::kTape;
+  flags.ExitOnUnreadFlags();
 
   // The latency histogram lives in the obs registry; make sure it counts.
   obs::ObsConfig obs_config = obs::Current();

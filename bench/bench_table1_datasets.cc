@@ -8,6 +8,7 @@ using namespace urcl;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Table I: Statistics of Datasets", scale);
 
   TablePrinter paper({"Dataset", "Area", "Paper nodes", "Interval", "Channels",

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
   const int64_t seeds = flags.GetInt("seeds", 2);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Table II: Performance of Training on Streaming Data", scale);
 
   const std::vector<data::DatasetPreset> presets = {data::PemsBayPreset(),

@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
   const int64_t seeds = flags.GetInt("seeds", 2);
-  bench::PrintHeader("Table III: Overall Accuracy on Four Datasets", scale);
-
   const std::vector<std::string> models = SplitCsv(
       flags.GetString("models", "ARIMA,DCRNN,STGCN,MTGNN,AGCRN,STGODE,URCL"));
   const std::vector<std::string> wanted = SplitCsv(
       flags.GetString("datasets", "metr-la,pems-bay,pems04,pems08"));
+  flags.ExitOnUnreadFlags();
+  bench::PrintHeader("Table III: Overall Accuracy on Four Datasets", scale);
 
   std::vector<data::DatasetPreset> presets;
   for (const data::DatasetPreset& preset : data::AllPresets()) {

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bench::BenchScale scale = bench::ResolveScale(flags);
   const int64_t seeds = flags.GetInt("seeds", 2);
+  flags.ExitOnUnreadFlags();
   bench::PrintHeader("Table IV: Effect of Various Backbones", scale);
 
   struct BackboneChoice {

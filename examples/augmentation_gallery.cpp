@@ -59,15 +59,17 @@ ViewDiff Diff(const Tensor& observations, const Tensor& adjacency,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  ApplyRuntimeFlags(flags);
+  runtime::ApplyRuntimeFlags(flags);
   const int64_t nodes = flags.GetInt("nodes", 10);
-  Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  flags.ExitOnUnreadFlags();
+  Rng rng(seed);
 
   data::TrafficConfig config;
   config.num_nodes = nodes;
   config.num_days = 2;
   config.steps_per_day = 96;
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  config.seed = seed;
   data::SyntheticTraffic generator(config);
   const Tensor series = generator.GenerateSeries();
   // One batch of 4 windows of 12 steps.

@@ -64,11 +64,12 @@ class PerNodeMlpEncoder : public core::StBackbone {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  ApplyRuntimeFlags(flags);
+  runtime::ApplyRuntimeFlags(flags);
   const int64_t nodes = flags.GetInt("nodes", 12);
   const int64_t days = flags.GetInt("days", 10);
   const int64_t epochs = flags.GetInt("epochs", 4);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  flags.ExitOnUnreadFlags();
 
   const data::DatasetPreset preset = data::MetrLaPreset();
   data::SyntheticTraffic generator(preset.MakeTrafficConfig(nodes, days, seed));

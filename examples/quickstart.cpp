@@ -57,7 +57,7 @@ void FlushObservability() {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  ApplyRuntimeFlags(flags);
+  runtime::ApplyRuntimeFlags(flags);
   const int64_t nodes = flags.GetInt("nodes", 16);
   const int64_t days = flags.GetInt("days", 12);
   const int64_t epochs = flags.GetInt("epochs", 4);
@@ -65,6 +65,10 @@ int main(int argc, char** argv) {
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
   const int64_t checkpoint_every = flags.GetInt("checkpoint-every", 25);
   const int64_t checkpoint_retention = flags.GetInt("checkpoint-retention", 3);
+  const int64_t max_batch = flags.GetInt("max-batch", 16);
+  const int64_t queue_depth = flags.GetInt("queue-depth", 64);
+  const std::string log_jsonl_path = flags.GetString("log-jsonl", "");
+  flags.ExitOnUnreadFlags();
 
   // 1. Synthetic METR-LA-like stream (speed prediction, 15-min interval).
   const data::DatasetPreset preset = data::MetrLaPreset();
@@ -95,8 +99,8 @@ int main(int argc, char** argv) {
   // weight of 1.0 assumes 100 epochs per set; see DESIGN.md).
   config.ssl_weight = 0.05f;
   config.seed = seed;
-  service_config.max_batch = flags.GetInt("max-batch", 16);
-  service_config.queue_depth = flags.GetInt("queue-depth", 64);
+  service_config.max_batch = max_batch;
+  service_config.queue_depth = queue_depth;
   const std::vector<std::string> config_errors = service_config.Validate();
   if (!config_errors.empty()) {
     for (const std::string& error : config_errors) {
@@ -136,7 +140,6 @@ int main(int argc, char** argv) {
 
   // Structured JSONL training log: one record per trained epoch with the
   // stage-end evaluation snapshot and wall-time breakdown.
-  const std::string log_jsonl_path = flags.GetString("log-jsonl", "");
   std::ofstream log_jsonl;
   if (!log_jsonl_path.empty()) {
     log_jsonl.open(log_jsonl_path, std::ios::trunc);

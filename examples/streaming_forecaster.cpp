@@ -34,11 +34,15 @@ using namespace urcl;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  ApplyRuntimeFlags(flags);
+  runtime::ApplyRuntimeFlags(flags);
   const int64_t nodes = flags.GetInt("nodes", 12);
   const int64_t days = flags.GetInt("days", 8);
   const int64_t epochs = flags.GetInt("epochs", 2);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  const int64_t max_batch = flags.GetInt("max-batch", 16);
+  const int64_t queue_depth = flags.GetInt("queue-depth", 64);
+  const std::string log_jsonl_path = flags.GetString("log-jsonl", "");
+  flags.ExitOnUnreadFlags();
 
   // A stream with strong drift mid-way: the background trainer's later
   // stages adapt to the new regime and the swap is visible to the clients.
@@ -65,8 +69,8 @@ int main(int argc, char** argv) {
   config.model.max_batches_per_epoch = 20;
   config.model.ssl_weight = 0.05f;
   config.model.seed = seed;
-  config.max_batch = flags.GetInt("max-batch", 16);
-  config.queue_depth = flags.GetInt("queue-depth", 64);
+  config.max_batch = max_batch;
+  config.queue_depth = queue_depth;
   const std::vector<std::string> errors = config.Validate();
   if (!errors.empty()) {
     for (const std::string& error : errors) {
@@ -107,7 +111,6 @@ int main(int argc, char** argv) {
 
   // Structured JSONL log: one record per observed model version (the first
   // live model, then each hot-swap).
-  const std::string log_jsonl_path = flags.GetString("log-jsonl", "");
   std::ofstream log_jsonl;
   if (!log_jsonl_path.empty()) {
     log_jsonl.open(log_jsonl_path, std::ios::trunc);

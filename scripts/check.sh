@@ -19,9 +19,10 @@
 #      run the scalar replicas lane by lane, so the memcmp suites and the
 #      golden fingerprint must come out as on the native backend;
 #   5. an ASan+UBSan build (poisoning + graph checks forced on) running the
-#      `analysis`-, `exec`-, `kernels`-, `serving`-, `autograd`- and
-#      `robustness`-labeled tests plus the pool suite (exec under ASan proves
-#      the arena's lifetime-sharing of slots never reads or writes out of a
+#      `analysis`-, `exec`-, `kernels`-, `serving`-, `autograd`-,
+#      `robustness`- and `models`-labeled tests plus the pool suite (exec
+#      under ASan proves the arena's lifetime-sharing of slots never reads or
+#      writes out of a
 #      live slot's window; kernels proves the tensor kernels' shifted
 #      flat-plane indexing stays inside each tensor; serving covers pooled
 #      plans that move between query threads and rebind each snapshot's
@@ -29,7 +30,8 @@
 #      autograd runs every op's gradient formula, the one both executors
 #      call, through the tape tests and the finite-difference checks;
 #      robustness runs the checkpoint and tensor decoders, which parse bytes
-#      read from disk, over truncated and corrupted input);
+#      read from disk, over truncated and corrupted input; models trains
+#      UrclModel, every DeepBaseline and EWC through the shared forecaster);
 #   6. a TSan build running the `analysis`-, `serving`-, `exec`-,
 #      `observability`- and `kernels`-labeled tests (serving is mandatory
 #      under TSan: the hot-swap path is lock-free and its data-race freedom
@@ -132,16 +134,16 @@ cmake --build build-check-scalar -j"$jobs" --target \
   simd_test tensor_ops_test runtime_test golden_test
 ctest --test-dir build-check-scalar -L kernels --output-on-failure -j"$jobs"
 
-echo "== [5/7] ASan+UBSan: analysis/exec/kernels/serving/autograd/robustness tests," \
+echo "== [5/7] ASan+UBSan: analysis/exec/kernels/serving/autograd/robustness/models tests," \
   "poisoning + checks on =="
 cmake --build build-check-asan -j"$jobs" --target \
   check_test lint_test exec_test pool_test autograd_test grad_check_test urcl_header_selfcheck \
   simd_test tensor_ops_test runtime_test golden_test serve_test serve_robustness_test \
-  checkpoint_test serialize_test
+  checkpoint_test serialize_test core_test baselines_test extensions_test strategies_test
 # Force every gate on so the sanitizer sees the poisoned free lists and the
 # gated verification paths, not the Release defaults.
 URCL_CHECK=1 URCL_POOL_POISON=1 \
-  ctest --test-dir build-check-asan -L "analysis|exec|kernels|serving|autograd|robustness" \
+  ctest --test-dir build-check-asan -L "analysis|exec|kernels|serving|autograd|robustness|models" \
   --output-on-failure -j"$jobs"
 URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/pool_test
 

@@ -11,17 +11,17 @@ namespace baselines {
 DeepBaseline::DeepBaseline(std::string name, std::unique_ptr<core::StBackbone> encoder,
                            const DeepBaselineOptions& options,
                            const graph::SensorNetwork& network, Rng& rng)
-    : name_(std::move(name)),
+    : core::Forecaster(std::move(encoder), options.decoder_hidden, options.output_steps, rng),
+      name_(std::move(name)),
       options_(options),
-      adjacency_(network.AdjacencyMatrix()),
-      encoder_(std::move(encoder)) {
-  URCL_CHECK(encoder_ != nullptr);
-  RegisterChild("encoder", encoder_.get());
-  decoder_ = std::make_unique<core::StDecoder>(encoder_->latent_channels(),
-                                               encoder_->latent_time(), options.decoder_hidden,
-                                               options.output_steps, rng);
-  RegisterChild("decoder", decoder_.get());
+      adjacency_(network.AdjacencyMatrix()) {
   optimizer_ = std::make_unique<nn::Adam>(Parameters(), options.learning_rate);
+}
+
+autograd::Variable DeepBaseline::StepLoss(const Tensor& inputs, const Tensor& targets) const {
+  const autograd::Variable x(inputs, /*requires_grad=*/false);
+  const autograd::Variable y(targets, /*requires_grad=*/false);
+  return nn::MaeLoss(Forward(x, adjacency_), y);
 }
 
 std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_t epochs) {
@@ -42,10 +42,7 @@ std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_
           std::min<int64_t>(batch, static_cast<int64_t>(schedule.size()) - start);
       std::vector<int64_t> indices(schedule.begin() + start, schedule.begin() + start + count);
       const auto [inputs, targets] = train.MakeBatch(indices);
-      autograd::Variable x(inputs, /*requires_grad=*/false);
-      autograd::Variable y(targets, /*requires_grad=*/false);
-      autograd::Variable loss =
-          nn::MaeLoss(decoder_->Forward(encoder_->Encode(x, adjacency_)), y);
+      autograd::Variable loss = StepLoss(inputs, targets);
       optimizer_->ZeroGrad();
       loss.Backward();
       if (options_.grad_clip > 0.0f) optimizer_->ClipGradNorm(options_.grad_clip);
@@ -61,8 +58,7 @@ std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_
 Status DeepBaseline::Predict(const core::PredictRequest& request,
                              core::PredictResponse* response) const {
   const autograd::Variable x(request.inputs, /*requires_grad=*/false);
-  return core::FinishPrediction(
-      request, decoder_->Forward(encoder_->Encode(x, adjacency_)).value(), response);
+  return core::FinishPrediction(request, Forward(x, adjacency_).value(), response);
 }
 
 }  // namespace baselines

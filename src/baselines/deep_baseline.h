@@ -1,6 +1,7 @@
 // Generic deep-baseline harness: any StBackbone + STDecoder trained with
 // plain MAE (no replay, no SSL). All six deep baselines of Sec. V-A2 are
-// instances of this wrapper with their defining encoder.
+// instances of this wrapper with their defining encoder; EWC adds a penalty
+// to its step loss.
 #ifndef URCL_BASELINES_DEEP_BASELINE_H_
 #define URCL_BASELINES_DEEP_BASELINE_H_
 
@@ -8,9 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/backbone.h"
+#include "core/forecaster.h"
 #include "core/predictor.h"
-#include "core/stdecoder.h"
 #include "graph/sensor_network.h"
 #include "nn/optimizer.h"
 
@@ -27,8 +27,9 @@ struct DeepBaselineOptions {
   uint64_t seed = 1;
 };
 
-class DeepBaseline : public core::StPredictor, public nn::Module {
+class DeepBaseline : public core::StPredictor, public core::Forecaster {
  public:
+  // `rng` is the stream that built `encoder`; the decoder continues it.
   DeepBaseline(std::string name, std::unique_ptr<core::StBackbone> encoder,
                const DeepBaselineOptions& options, const graph::SensorNetwork& network,
                Rng& rng);
@@ -40,14 +41,17 @@ class DeepBaseline : public core::StPredictor, public nn::Module {
   Status Predict(const core::PredictRequest& request,
                  core::PredictResponse* response) const override;
 
-  core::StBackbone& encoder() { return *encoder_; }
+ protected:
+  // The loss each training step minimizes on one batch: by default the MAE
+  // of the forecast.
+  virtual autograd::Variable StepLoss(const Tensor& inputs, const Tensor& targets) const;
+
+  const DeepBaselineOptions& options() const { return options_; }
 
  private:
   std::string name_;
   DeepBaselineOptions options_;
   Tensor adjacency_;
-  std::unique_ptr<core::StBackbone> encoder_;
-  std::unique_ptr<core::StDecoder> decoder_;
   std::unique_ptr<nn::Adam> optimizer_;
 };
 

@@ -9,8 +9,9 @@
 
 namespace urcl {
 
-// Parses flags once at startup; unknown flags are kept and retrievable so the
-// binaries can share a common set while adding their own.
+// Parses flags once at startup. Every Has / Get* call notes the flag it asks
+// for (with its default), so after a binary's last read ExitOnUnreadFlags can
+// answer --help and reject flags nothing asked for.
 class Flags {
  public:
   Flags(int argc, char** argv);
@@ -21,8 +22,19 @@ class Flags {
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
+  // The flags read so far, one "  --name (default: value)" line each.
+  std::string Usage() const;
+
+  // Call once after the last read and before any work. With --help, prints
+  // Usage() to stdout and exits 0; otherwise, if any given flag was never
+  // read, names each on stderr and exits 2.
+  void ExitOnUnreadFlags() const;
+
  private:
+  std::string program_;
   std::map<std::string, std::string> values_;
+  // Each flag asked for -> its default as text.
+  mutable std::map<std::string, std::string> read_;
 };
 
 // ApplyRuntimeFlags — the startup glue that pushes parsed flags into the

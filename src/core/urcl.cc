@@ -63,6 +63,13 @@ TrainerMetrics& Metrics() {
   return *metrics;
 }
 
+// `config`, once it has passed Validate(): runs before any parameter is drawn.
+const UrclConfig& Validated(const UrclConfig& config) {
+  const std::vector<std::string> errors = config.Validate();
+  URCL_CHECK(errors.empty()) << "invalid UrclConfig: " << FormatConfigErrors(errors);
+  return config;
+}
+
 }  // namespace
 
 std::vector<std::string> UrclConfig::Validate() const {
@@ -93,21 +100,12 @@ std::vector<std::string> UrclConfig::Validate() const {
   return errors;
 }
 
-UrclModel::UrclModel(const UrclConfig& config, Rng& rng) {
-  const std::vector<std::string> errors = config.Validate();
-  URCL_CHECK(errors.empty()) << "invalid UrclConfig: " << FormatConfigErrors(errors);
-  encoder_ = MakeBackbone(config.backbone, config.encoder, rng);
-  RegisterChild("encoder", encoder_.get());
-  decoder_ = std::make_unique<StDecoder>(encoder_->latent_channels(), encoder_->latent_time(),
-                                         config.decoder_hidden, config.output_steps, rng);
-  RegisterChild("decoder", decoder_.get());
+UrclModel::UrclModel(const UrclConfig& config, Rng& rng)
+    : Forecaster(MakeBackbone(Validated(config).backbone, config.encoder, rng),
+                 config.decoder_hidden, config.output_steps, rng) {
   simsiam_ =
-      std::make_unique<StSimSiam>(encoder_.get(), config.proj_hidden, config.ssl_temperature, rng);
+      std::make_unique<StSimSiam>(&encoder(), config.proj_hidden, config.ssl_temperature, rng);
   RegisterChild("simsiam", simsiam_.get());
-}
-
-Variable UrclModel::Forward(const Variable& observations, const Tensor& adjacency) const {
-  return decoder_->Forward(encoder_->Encode(observations, adjacency));
 }
 
 UrclTrainer::UrclTrainer(const UrclConfig& config, const graph::SensorNetwork& network)
@@ -542,38 +540,16 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
                                    " tensors but the model has " +
                                    std::to_string(expected.size()) + " (architecture mismatch)");
   }
-  std::vector<Tensor> loaded;
-  loaded.reserve(expected.size());
-  for (const Tensor& like : expected) {
-    const std::string which = "model tensor " + std::to_string(loaded.size());
-    uint32_t magic = 0;
-    int64_t rank = 0;
-    if (!in.Read(&magic) || !in.Read(&rank)) {
-      return Status::DataLoss(which + " header is truncated in the model section");
-    }
-    if (magic != kTensorMagic) {
-      return Status::DataLoss(which + " has a bad magic in the model section");
-    }
-    if (rank != like.rank()) {
-      return Status::InvalidArgument(which + " has rank " + std::to_string(rank) +
-                                     " but the model expects " + like.shape().ToString() +
+  std::vector<Tensor> loaded(expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const std::string which = "model tensor " + std::to_string(i);
+    const Status read = io::ReadTensor(in, &loaded[i]);
+    if (!read.ok()) return Status::DataLoss(which + " in the model section: " + read.message());
+    if (loaded[i].shape() != expected[i].shape()) {
+      return Status::InvalidArgument(which + " has shape " + loaded[i].shape().ToString() +
+                                     " but the model expects " + expected[i].shape().ToString() +
                                      " (architecture mismatch)");
     }
-    std::vector<int64_t> dims(static_cast<size_t>(rank));
-    if (!in.ReadBytes(dims.data(), dims.size() * sizeof(int64_t))) {
-      return Status::DataLoss(which + " dims are truncated in the model section");
-    }
-    if (dims != like.shape().dims()) {
-      return Status::InvalidArgument(which + " has shape " + Shape(dims).ToString() +
-                                     " but the model expects " + like.shape().ToString() +
-                                     " (architecture mismatch)");
-    }
-    Tensor tensor = Tensor::Uninitialized(like.shape());
-    if (!in.ReadBytes(tensor.mutable_data(),
-                      static_cast<size_t>(tensor.NumElements()) * sizeof(float))) {
-      return Status::DataLoss(which + " data is truncated in the model section");
-    }
-    loaded.push_back(std::move(tensor));
   }
   *state = std::move(loaded);
   return Status::Ok();

@@ -17,9 +17,9 @@
 #include "checkpoint/manager.h"
 #include "common/status.h"
 #include "core/backbone.h"
+#include "core/forecaster.h"
 #include "exec/plan.h"
 #include "core/predictor.h"
-#include "core/stdecoder.h"
 #include "core/stsimsiam.h"
 #include "graph/sensor_network.h"
 #include "nn/optimizer.h"
@@ -89,22 +89,15 @@ struct UrclConfig {
   std::vector<std::string> Validate() const;
 };
 
-// The model: shared encoder + decoder + SimSiam head.
-class UrclModel : public nn::Module {
+// The model: the shared encoder -> decoder forecaster (Eq. 17) plus the
+// SimSiam head, registered as "simsiam" after "encoder" and "decoder".
+class UrclModel : public Forecaster {
  public:
   UrclModel(const UrclConfig& config, Rng& rng);
 
-  // Prediction path (Eq. 17): decoder(encoder(x)).
-  Variable Forward(const Variable& observations, const Tensor& adjacency) const;
-
-  StBackbone& encoder() { return *encoder_; }
-  const StBackbone& encoder() const { return *encoder_; }
   StSimSiam& simsiam() { return *simsiam_; }
-  const StSimSiam& simsiam() const { return *simsiam_; }
 
  private:
-  std::unique_ptr<StBackbone> encoder_;
-  std::unique_ptr<StDecoder> decoder_;
   std::unique_ptr<StSimSiam> simsiam_;
 };
 
@@ -114,7 +107,7 @@ std::string SerializeStateDict(const std::vector<Tensor>& state);
 // Reads a "model" section into `state`, checked against `expected` (the
 // receiving model's StateDict()): a differing tensor count or any differing
 // shape is kInvalidArgument naming the architecture mismatch; a missing or
-// short count, header or payload, or a bad tensor magic, is kDataLoss.
+// short count, or a tensor io::ReadTensor rejects, is kDataLoss.
 Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expected,
                       std::vector<Tensor>* state);
 

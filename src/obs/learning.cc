@@ -22,17 +22,10 @@ void LearningTelemetry::Record(int64_t trained_stage, int64_t eval_stage, double
   if (trained_stage > latest_trained_) latest_trained_ = trained_stage;
 }
 
-double LearningTelemetry::Diagonal(int64_t stage) const {
-  const auto row = matrix_.find(stage);
+double LearningTelemetry::At(int64_t trained_stage, int64_t eval_stage) const {
+  const auto row = matrix_.find(trained_stage);
   if (row == matrix_.end()) return kNan;
-  const auto cell = row->second.find(stage);
-  return cell != row->second.end() ? cell->second : kNan;
-}
-
-double LearningTelemetry::Latest(int64_t stage) const {
-  const auto row = matrix_.find(latest_trained_);
-  if (row == matrix_.end()) return kNan;
-  const auto cell = row->second.find(stage);
+  const auto cell = row->second.find(eval_stage);
   return cell != row->second.end() ? cell->second : kNan;
 }
 

@@ -36,10 +36,12 @@ class LearningTelemetry {
   // same cell overwrites it.
   void Record(int64_t trained_stage, int64_t eval_stage, double metric);
 
+  // R[t][s]; NaN when that cell was never recorded.
+  double At(int64_t trained_stage, int64_t eval_stage) const;
   // R[s][s]; NaN when stage s was never evaluated right after training.
-  double Diagonal(int64_t stage) const;
+  double Diagonal(int64_t stage) const { return At(stage, stage); }
   // R[T][s] for the latest trained stage T; NaN when absent.
-  double Latest(int64_t stage) const;
+  double Latest(int64_t stage) const { return At(latest_trained_, stage); }
 
   // forgetting(s) as defined above; NaN when either cell is missing.
   double Forgetting(int64_t stage) const;

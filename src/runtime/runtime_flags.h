@@ -21,11 +21,6 @@ namespace runtime {
 void ApplyRuntimeFlags(const Flags& flags);
 
 }  // namespace runtime
-
-// Transitional alias: callers predating the common/ -> runtime/ split named
-// this urcl::ApplyRuntimeFlags.
-using runtime::ApplyRuntimeFlags;
-
 }  // namespace urcl
 
 #endif  // URCL_RUNTIME_RUNTIME_FLAGS_H_

@@ -1,7 +1,5 @@
 #include "tensor/serialize.h"
 
-#include <istream>
-#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -79,18 +77,6 @@ void SaveTensor(const Tensor& tensor, std::ostream& out) {
   out.write(reinterpret_cast<const char*>(tensor.data()),
             static_cast<std::streamsize>(tensor.NumElements() * sizeof(float)));
   URCL_CHECK(out.good()) << "tensor write failed";
-}
-
-Tensor LoadTensor(std::istream& in) {
-  const std::string rest{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  io::ByteReader reader(rest);
-  Tensor tensor;
-  const Status status = io::ReadTensor(reader, &tensor);
-  URCL_CHECK(status.ok()) << status.message();
-  // Hand the bytes after this tensor back to the stream.
-  in.clear();
-  in.seekg(-static_cast<std::streamoff>(reader.remaining()), std::ios::cur);
-  return tensor;
 }
 
 }  // namespace urcl

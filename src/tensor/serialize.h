@@ -19,10 +19,6 @@ inline constexpr uint32_t kTensorMagic = 0x4c435255;
 // layout. Aborts on stream failure.
 void SaveTensor(const Tensor& tensor, std::ostream& out);
 
-// Reads one tensor previously written by SaveTensor and leaves `in` just past
-// it. Aborts with io::ReadTensor's diagnostic on malformed or short input.
-Tensor LoadTensor(std::istream& in);
-
 namespace io {
 
 // Writes one POD value; the encoding side of io::ByteReader

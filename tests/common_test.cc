@@ -84,6 +84,33 @@ TEST(FlagsTest, ParsesBothForms) {
   EXPECT_FALSE(flags.Has("missing"));
 }
 
+TEST(FlagsTest, UnreadFlagsAreAnError) {
+  const char* argv[] = {"prog", "--nodes", "24", "--nodse", "7", "--verbose"};
+  Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("nodes", 12), 24);
+  EXPECT_EQ(flags.GetString("out", "a.json"), "a.json");
+  EXPECT_FALSE(flags.Has("csv"));
+  // Every read is listed with its default, whether or not it was given.
+  EXPECT_EQ(flags.Usage(),
+            "  --csv (default: unset)\n"
+            "  --nodes (default: 12)\n"
+            "  --out (default: \"a.json\")\n");
+  EXPECT_EXIT(flags.ExitOnUnreadFlags(), ::testing::ExitedWithCode(2),
+              "unknown flag --nodse\n.*unknown flag --verbose");
+
+  EXPECT_TRUE(flags.GetBool("verbose", false));
+  EXPECT_EQ(flags.GetInt("nodse", 0), 7);
+  flags.ExitOnUnreadFlags();  // every given flag was read: returns
+}
+
+TEST(FlagsTest, HelpListsTheReadFlagsAndExitsZero) {
+  const char* argv[] = {"prog", "--help"};
+  Flags flags(2, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.5), 0.5);
+  EXPECT_EQ(flags.Usage(), "  --rate (default: 0.5)\n");
+  EXPECT_EXIT(flags.ExitOnUnreadFlags(), ::testing::ExitedWithCode(0), "");
+}
+
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter table({"A", "LongHeader"});
   table.AddRow({"hello", "1"});

@@ -1,13 +1,12 @@
-// Tests for the extension features: the EWC trainer and the CSV writer.
+// Tests for the extension features: the EWC baseline and the CSV writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "baselines/zoo.h"
+#include "baselines/ewc.h"
 #include "common/csv_writer.h"
-#include "core/ewc.h"
 #include "core/urcl.h"
 #include "data/synthetic.h"
 #include "tensor/tensor_ops.h"
@@ -54,6 +53,19 @@ class TrainerFixture : public ::testing::Test {
     return config;
   }
 
+  // EWC on SmallConfig()'s encoder and decoder widths, two Fisher batches.
+  std::unique_ptr<baselines::Ewc> MakeEwc(float lambda) const {
+    const core::UrclConfig base = SmallConfig();
+    baselines::DeepBaselineOptions options;
+    options.decoder_hidden = base.decoder_hidden;
+    options.batch_size = 4;
+    options.max_batches_per_epoch = 5;
+    Rng rng(options.seed);
+    return std::make_unique<baselines::Ewc>(
+        core::MakeBackbone(core::BackboneType::kGraphWaveNet, base.encoder, rng), options,
+        generator_->network(), rng, lambda, /*fisher_batches=*/2);
+  }
+
   std::unique_ptr<data::SyntheticTraffic> generator_;
   data::MinMaxNormalizer normalizer_;
   std::unique_ptr<data::StDataset> dataset_;
@@ -62,56 +74,39 @@ class TrainerFixture : public ::testing::Test {
 };
 
 TEST_F(TrainerFixture, EwcTrainsAndConsolidates) {
-  core::EwcConfig config;
-  const core::UrclConfig base = SmallConfig();
-  config.encoder = base.encoder;
-  config.decoder_hidden = base.decoder_hidden;
-  config.batch_size = 4;
-  config.max_batches_per_epoch = 5;
-  config.fisher_batches = 2;
-  core::EwcTrainer trainer(config, generator_->network());
-  EXPECT_FALSE(trainer.consolidated());
-  EXPECT_FLOAT_EQ(trainer.PenaltyValue(), 0.0f);
+  const std::unique_ptr<baselines::Ewc> trainer = MakeEwc(500.0f);
+  EXPECT_FALSE(trainer->consolidated());
+  EXPECT_FLOAT_EQ(trainer->PenaltyValue(), 0.0f);
 
-  const std::vector<float> losses = trainer.TrainStage(*train_, 2);
+  const std::vector<float> losses = trainer->TrainStage(*train_, 2);
   EXPECT_EQ(losses.size(), 2u);
-  EXPECT_TRUE(trainer.consolidated());
+  EXPECT_TRUE(trainer->consolidated());
   // Right after consolidation theta == theta*, penalty is zero.
-  EXPECT_NEAR(trainer.PenaltyValue(), 0.0f, 1e-6f);
+  EXPECT_NEAR(trainer->PenaltyValue(), 0.0f, 1e-6f);
 
   // Training a second stage moves parameters; the penalty becomes positive
   // during training but is re-anchored at the end. Probe mid-state by
   // training once more and checking predictions still work.
-  trainer.TrainStage(*val_, 1);
+  trainer->TrainStage(*val_, 1);
   const auto [x, y] = val_->MakeBatch({0});
-  EXPECT_TRUE(top::AllFinite(FullForecast(trainer, x)));
+  EXPECT_TRUE(top::AllFinite(FullForecast(*trainer, x)));
 }
 
 TEST_F(TrainerFixture, EwcPenaltyResistsParameterDrift) {
-  core::EwcConfig config;
-  const core::UrclConfig base = SmallConfig();
-  config.encoder = base.encoder;
-  config.decoder_hidden = base.decoder_hidden;
-  config.batch_size = 4;
-  config.max_batches_per_epoch = 5;
-  config.fisher_batches = 2;
-  config.ewc_lambda = 1000.0f;
-  core::EwcTrainer with_ewc(config, generator_->network());
-  with_ewc.TrainStage(*train_, 3);
+  const std::unique_ptr<baselines::Ewc> with_ewc = MakeEwc(1000.0f);
+  with_ewc->TrainStage(*train_, 3);
   const auto [x, y] = train_->MakeBatch({0, 1, 2, 3});
-  const Tensor before = FullForecast(with_ewc, x);
+  const Tensor before = FullForecast(*with_ewc, x);
   // Train on a very different slice; EWC should keep predictions on the
   // original data closer than a lambda=~0 run would.
-  core::EwcConfig weak = config;
-  weak.ewc_lambda = 1e-6f;
-  core::EwcTrainer without_ewc(weak, generator_->network());
-  without_ewc.TrainStage(*train_, 3);
-  const Tensor before_weak = FullForecast(without_ewc, x);
+  const std::unique_ptr<baselines::Ewc> without_ewc = MakeEwc(1e-6f);
+  without_ewc->TrainStage(*train_, 3);
+  const Tensor before_weak = FullForecast(*without_ewc, x);
 
-  with_ewc.TrainStage(*val_, 3);
-  without_ewc.TrainStage(*val_, 3);
-  const float drift_ewc = top::MaxAbsDiff(FullForecast(with_ewc, x), before);
-  const float drift_weak = top::MaxAbsDiff(FullForecast(without_ewc, x), before_weak);
+  with_ewc->TrainStage(*val_, 3);
+  without_ewc->TrainStage(*val_, 3);
+  const float drift_ewc = top::MaxAbsDiff(FullForecast(*with_ewc, x), before);
+  const float drift_weak = top::MaxAbsDiff(FullForecast(*without_ewc, x), before_weak);
   EXPECT_LE(drift_ewc, drift_weak * 1.5f)
       << "EWC drift " << drift_ewc << " vs unregularized " << drift_weak;
 }

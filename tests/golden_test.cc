@@ -7,10 +7,15 @@
 // stage forecasts and the final parameters with FNV-1a, and requires the one
 // recorded hash from all four runs.
 //
-// The hash also depends on the C library's tanhf/expf/logf, so it is only
-// checked against the C library it was recorded with; elsewhere the test is
-// skipped with a message. A kernel change that moves the hash on purpose must
-// say so and record the new constant.
+// A second case pins the comparators the same way: EWC (a consolidation,
+// then a stage under its penalty) and the zoo's MTGNN.
+//
+// tanh and exp are in-repo replicas (tensor/simd_math.h), but the hashes
+// still take from the C library: ops::Log's logf, Adam's std::pow, the
+// synthetic generator's exp/sin/cos and <random>'s distributions. So they
+// are only checked against the C library they were recorded with; elsewhere
+// the tests are skipped with a message. A change that moves a hash on
+// purpose must say so and record the new constant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +29,8 @@
 #include <gnu/libc-version.h>
 #endif
 
+#include "baselines/ewc.h"
+#include "baselines/zoo.h"
 #include "core/urcl.h"
 #include "data/normalizer.h"
 #include "data/presets.h"
@@ -146,11 +153,12 @@ TEST(GoldenTest, PaperConfigFingerprintIsUnchanged) {
   const std::string libc = gnu_get_libc_version();
   if (libc != kGoldenLibc) {
     GTEST_SKIP() << "golden hash recorded with glibc " << kGoldenLibc << ", running glibc "
-                 << libc << " (libm's tanhf/expf may round differently)";
+                 << libc << " (logf, std::pow, the generator's exp/sin/cos and <random> "
+                 << "may differ)";
   }
 #else
   GTEST_SKIP() << "golden hash recorded with glibc " << kGoldenLibc
-               << "; this C library's tanhf/expf may round differently";
+               << "; this C library's logf, std::pow, exp/sin/cos and <random> may differ";
 #endif
   const Stream s = MakeStream();
   ASSERT_EQ(s.stream->NumStages(), 5);
@@ -168,6 +176,85 @@ TEST(GoldenTest, PaperConfigFingerprintIsUnchanged) {
           << (executor == exec::ExecutorMode::kTape ? "tape" : "plan")
           << " executor; losses:" << HexLosses(f.losses);
     }
+  }
+  runtime::SetOversubscribe(saved_oversubscribe);
+  runtime::SetNumThreads(saved_threads);
+}
+
+// Recorded with glibc 2.36 on the tree before EWC became a DeepBaseline.
+constexpr uint64_t kComparatorHash = 0xc236fa4b2e5a798aULL;
+
+// Trains `model` on the first two stages (two epochs each) and hashes every
+// epoch loss, the forecast of each stage's first test windows and the final
+// parameters. Appends the losses to `losses`.
+uint64_t RunComparator(const Stream& s, core::StPredictor& model, std::vector<float>* losses) {
+  Fnv1a forecasts;
+  for (int64_t stage = 0; stage < 2; ++stage) {
+    const std::vector<float> epoch_losses = model.TrainStage(s.stream->Stage(stage).train, 2);
+    losses->insert(losses->end(), epoch_losses.begin(), epoch_losses.end());
+    std::vector<int64_t> indices;
+    for (int64_t i = 0; i < kForecastWindows; ++i) indices.push_back(i);
+    core::PredictRequest request;
+    request.inputs = s.stream->Stage(stage).test.MakeBatch(indices).first;
+    core::PredictResponse response;
+    EXPECT_TRUE(model.Predict(request, &response).ok());
+    forecasts.Add(response.predictions);
+  }
+  Fnv1a hash;
+  hash.Add(losses->data(), losses->size() * sizeof(float));
+  const uint64_t forecast_hash = forecasts.value();
+  hash.Add(&forecast_hash, sizeof(forecast_hash));
+  for (const autograd::Variable& param : dynamic_cast<const nn::Module&>(model).Parameters()) {
+    hash.Add(param.value());
+  }
+  return hash.value();
+}
+
+TEST(GoldenTest, ComparatorFingerprintsAreUnchanged) {
+#if defined(__GLIBC__)
+  const std::string libc = gnu_get_libc_version();
+  if (libc != kGoldenLibc) {
+    GTEST_SKIP() << "comparator hash recorded with glibc " << kGoldenLibc << ", running glibc "
+                 << libc << " (logf, std::pow, the generator's exp/sin/cos and <random> "
+                 << "may differ)";
+  }
+#else
+  GTEST_SKIP() << "comparator hash recorded with glibc " << kGoldenLibc
+               << "; this C library's logf, std::pow, exp/sin/cos and <random> may differ";
+#endif
+  const Stream s = MakeStream();
+  const core::UrclConfig paper = PaperConfig(exec::ExecutorMode::kTape);
+  baselines::ZooOptions zoo;
+  zoo.encoder = paper.encoder;
+  zoo.deep.decoder_hidden = paper.decoder_hidden;
+  zoo.deep.output_steps = paper.output_steps;
+  zoo.deep.max_batches_per_epoch = paper.max_batches_per_epoch;
+  zoo.deep.seed = kSeed;
+  const int saved_threads = runtime::GetNumThreads();
+  const bool saved_oversubscribe = runtime::OversubscribeEnabled();
+  runtime::SetOversubscribe(true);
+  for (const int threads : {1, 4}) {
+    runtime::SetNumThreads(threads);
+    std::vector<float> losses;
+
+    Rng rng(kSeed);
+    baselines::Ewc ewc(core::MakeBackbone(core::BackboneType::kGraphWaveNet, zoo.encoder, rng),
+                       zoo.deep, s.generator->network(), rng, /*lambda=*/500.0f,
+                       /*fisher_batches=*/2);
+    const uint64_t ewc_hash = RunComparator(s, ewc, &losses);
+
+    const std::unique_ptr<core::StPredictor> mtgnn =
+        baselines::MakeBaseline("MTGNN", zoo, s.generator->network());
+    const uint64_t mtgnn_hash = RunComparator(s, *mtgnn, &losses);
+
+    Fnv1a combined;
+    combined.Add(&ewc_hash, sizeof(ewc_hash));
+    combined.Add(&mtgnn_hash, sizeof(mtgnn_hash));
+    EXPECT_EQ(losses.size(), 8u);
+    EXPECT_EQ(combined.value(), kComparatorHash)
+        << std::hex << "hash 0x" << combined.value() << " (EWC 0x" << ewc_hash << ", MTGNN 0x"
+        << mtgnn_hash << ") at " << std::dec << threads << " threads; losses:"
+        << HexLosses(losses);
   }
   runtime::SetOversubscribe(saved_oversubscribe);
   runtime::SetNumThreads(saved_threads);

@@ -171,7 +171,7 @@ void BM_RmirSelect(benchmark::State& state) {
     item.targets = Tensor::RandomNormal(Shape{1, 24, 1}, rng);
     buffer.Add(std::move(item));
   }
-  replay::RmirSampler sampler(replay::RmirConfig{32, 0.05f});
+  replay::RmirSampler sampler(/*candidate_pool=*/32);
   std::vector<float> interference(256);
   for (auto& v : interference) v = rng.Uniform();
   Tensor current = Tensor::RandomNormal(Shape{8, 12, 24, 2}, rng);

@@ -140,12 +140,13 @@ cmake --build build-check-asan -j"$jobs" --target \
   check_test lint_test exec_test pool_test autograd_test grad_check_test urcl_header_selfcheck \
   simd_test tensor_ops_test runtime_test golden_test serve_test serve_robustness_test \
   checkpoint_test serialize_test core_test baselines_test extensions_test strategies_test
-# Force every gate on so the sanitizer sees the poisoned free lists and the
-# gated verification paths, not the Release defaults.
-URCL_CHECK=1 URCL_POOL_POISON=1 \
+# Force the integrity switch on (it sets both the graph checks and pool
+# poisoning) so the sanitizer sees the poisoned free lists and the gated
+# verification paths, not the Release defaults.
+URCL_CHECK=1 \
   ctest --test-dir build-check-asan -L "analysis|exec|kernels|serving|autograd|robustness|models" \
   --output-on-failure -j"$jobs"
-URCL_CHECK=1 URCL_POOL_POISON=1 ./build-check-asan/tests/pool_test
+URCL_CHECK=1 ./build-check-asan/tests/pool_test
 
 echo "== [6/7] TSan: analysis + serving + exec + observability + kernels tests =="
 cmake -B build-check-tsan -S . -DURCL_SANITIZE=thread \
@@ -157,7 +158,7 @@ cmake --build build-check-tsan -j"$jobs" --target \
 # scripts/tsan.supp silences one libstdc++ atomic<shared_ptr> artifact
 # (relaxed reader unlock in _Sp_atomic::load); see the comment there.
 export TSAN_OPTIONS="suppressions=$root/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
-URCL_CHECK=1 URCL_POOL_POISON=1 \
+URCL_CHECK=1 \
   ctest --test-dir build-check-tsan -L "analysis|serving|exec|observability|kernels" \
   --output-on-failure -j"$jobs"
 

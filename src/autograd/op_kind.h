@@ -45,11 +45,12 @@ enum class OpKind : uint8_t {
   kSoftmax,
   kTemporalConv2d,
   kGraphMatMul,
+  kStopGradient,
 };
 
-// The number of OpKinds: the op table's length. kGraphMatMul stays the last
+// The number of OpKinds: the op table's length. kStopGradient stays the last
 // enumerator.
-inline constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kGraphMatMul) + 1;
+inline constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kStopGradient) + 1;
 
 // Closed-form op parameters, enough to run the forward kernel, the gradient
 // formula and the output-shape rule. Fields are op-specific:

@@ -106,12 +106,7 @@ Variable Softmax(const Variable& a, int64_t axis) {
   return Apply(OpKind::kSoftmax, {a}, {.axis = axis});
 }
 
-Variable StopGradient(const Variable& a) {
-  // A fresh leaf with no parents: gradient flow ends here.
-  Variable out(a.value(), /*requires_grad=*/false);
-  if (record::TapeListener* rec = record::ActiveListener()) rec->OnAlias(out, a);
-  return out;
-}
+Variable StopGradient(const Variable& a) { return Apply(OpKind::kStopGradient, {a}); }
 
 Variable TemporalConv2d(const Variable& input, const Variable& weight, int64_t dilation) {
   return Apply(OpKind::kTemporalConv2d, {input, weight}, {.axis = dilation});

@@ -1,10 +1,9 @@
-// Differentiable operations over Variables. Every op but StopGradient is one
-// Apply of its single definition in autograd/record.h: the forward kernel
-// call computes the value, and the tape node records the op's kind and
-// attributes, so Backward runs the op's gradient formula over the node,
-// accumulating into the parents (reducing broadcast gradients back to the
-// parent shapes). The compiled executor (src/exec/) replays the same two
-// functions.
+// Differentiable operations over Variables. Every op is one Apply of its
+// single definition in autograd/record.h: the forward kernel call computes
+// the value, and the tape node records the op's kind and attributes, so
+// Backward runs the op's gradient formula over the node, accumulating into
+// the parents (reducing broadcast gradients back to the parent shapes). The
+// compiled executor (src/exec/) replays the same two functions.
 #ifndef URCL_AUTOGRAD_OPS_H_
 #define URCL_AUTOGRAD_OPS_H_
 
@@ -18,8 +17,8 @@ namespace urcl {
 namespace autograd {
 
 // Records op `kind` over `parents` on the tape: its forward value, the node's
-// op record, and the capture hook. Every op function below except
-// StopGradient is one call of this.
+// op record, and the capture hook. Every op function below is one call of
+// this.
 Variable Apply(record::OpKind kind, const std::vector<Variable>& parents,
                const record::OpAttrs& attrs = {});
 
@@ -62,8 +61,9 @@ Variable BroadcastTo(const Variable& a, const Shape& target);
 // --- Softmax / stop-gradient ---------------------------------------------------------------
 Variable Softmax(const Variable& a, int64_t axis);
 
-// Detaches `a` from the graph: forward value passes through, gradient stops
-// (the SimSiam stop-gradient operator SG(.) of Eq. 13).
+// Detaches `a` from the graph: forward value passes through (the same
+// storage, no copy), gradient stops (the SimSiam stop-gradient operator SG(.)
+// of Eq. 13).
 Variable StopGradient(const Variable& a);
 
 // --- Convolution -------------------------------------------------------------------------------

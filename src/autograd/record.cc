@@ -30,6 +30,7 @@ struct OpDef {
   bool reads_output;  // backward reads output()
   Tensor (*forward)(const OpOperands& x, const OpAttrs& attrs);
   void (*backward)(const Tensor& g, const OpAttrs& attrs, OpOperands& x);
+  bool stops_gradient = false;  // the output takes no gradient
 };
 
 // --- Output-shape rules. Each mirrors its kernel's preconditions but answers
@@ -187,7 +188,8 @@ void AccumulateReduced(OpOperands& x, size_t i, const Tensor& g) {
 }
 
 // Listed in OpKind order (checked below); each entry is {kind, name, arity,
-// shape rule, reads inputs, reads output, forward, backward}.
+// shape rule, reads inputs, reads output, forward, backward[, stops
+// gradient]}.
 constexpr OpDef kOps[] = {
     {OpKind::kAdd, "add", 2, BroadcastShape, false, false,
      [](const OpOperands& x, const OpAttrs&) { return top::Add(x.value(0), x.value(1)); },
@@ -386,6 +388,11 @@ constexpr OpDef kOps[] = {
        if (d_adjacency) x.Accumulate(0, *d_adjacency);
        if (d_x) x.Accumulate(1, *d_x);
      }},
+    // The output is the input's tensor itself (no copy, no allocation) and
+    // takes no gradient, so backward never reaches the empty formula.
+    {OpKind::kStopGradient, "stop_gradient", 1, SameShape, false, false,
+     [](const OpOperands& x, const OpAttrs&) { return x.value(0); },
+     [](const Tensor&, const OpAttrs&, OpOperands&) {}, /*stops_gradient=*/true},
 };
 
 constexpr bool ListedInKindOrder() {
@@ -415,6 +422,8 @@ bool OpOutputShape(OpKind kind, const OpAttrs& attrs, const std::vector<Shape>& 
 bool OpReadsInputs(OpKind kind) { return Def(kind).reads_inputs; }
 
 bool OpReadsOutput(OpKind kind) { return Def(kind).reads_output; }
+
+bool OpStopsGradient(OpKind kind) { return Def(kind).stops_gradient; }
 
 Tensor OpForward(OpKind kind, const OpAttrs& attrs, const OpOperands& operands) {
   const OpDef& def = Def(kind);

@@ -32,9 +32,7 @@
 // for every op, including ops recorded without gradients (whose tape nodes
 // drop their parents), which is exactly why a post-hoc walk of the node graph
 // cannot recover the program: capture must observe the op stream as it
-// happens. StopGradient bypasses Variable::MakeOp entirely (it returns a
-// fresh leaf aliasing the input's storage) and gets the dedicated OnAlias
-// hook.
+// happens.
 #ifndef URCL_AUTOGRAD_RECORD_H_
 #define URCL_AUTOGRAD_RECORD_H_
 
@@ -86,6 +84,11 @@ bool OpOutputShape(OpKind kind, const OpAttrs& attrs, const std::vector<Shape>& 
 bool OpReadsInputs(OpKind kind);
 bool OpReadsOutput(OpKind kind);
 
+// Whether the op's output takes no gradient (stop_gradient): Variable::MakeOp
+// then records no parents and the output does not require grad, whatever its
+// inputs need.
+bool OpStopsGradient(OpKind kind);
+
 // Computes the op's output from its inputs. Timed into the op's forward
 // profiler row when obs::ProfilerEnabled().
 Tensor OpForward(OpKind kind, const OpAttrs& attrs, const OpOperands& operands);
@@ -104,9 +107,6 @@ class TapeListener {
   // the forward build.
   virtual void OnOp(OpKind kind, const Variable& out, const std::vector<Variable>& parents,
                     const OpAttrs& attrs) = 0;
-
-  // StopGradient: `out` is a fresh non-grad leaf sharing `in`'s value storage.
-  virtual void OnAlias(const Variable& out, const Variable& in) = 0;
 };
 
 // Thread-local listener; nullptr (the default) makes every hook a single

@@ -117,6 +117,7 @@ Variable Variable::MakeOp(Tensor value, record::OpKind kind,
     URCL_CHECK(p.IsValid()) << "op " << record::OpName(kind) << " received an empty Variable";
     needs_grad = needs_grad || p.requires_grad();
   }
+  needs_grad = needs_grad && !record::OpStopsGradient(kind);
   Variable out(std::move(value), needs_grad);
   out.node_->kind = kind;
   if (needs_grad) {

@@ -87,7 +87,7 @@ class Variable {
 
   // Interior node: `value` computed by op `kind` from `parents` with
   // `attrs`. The node keeps the parents and attributes only when some parent
-  // requires grad.
+  // requires grad and the op passes gradients on (record::OpStopsGradient).
   static Variable MakeOp(Tensor value, record::OpKind kind, const std::vector<Variable>& parents,
                          const record::OpAttrs& attrs);
 

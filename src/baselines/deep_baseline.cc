@@ -15,7 +15,8 @@ DeepBaseline::DeepBaseline(std::string name, std::unique_ptr<core::StBackbone> e
       name_(std::move(name)),
       options_(options),
       adjacency_(network.AdjacencyMatrix()) {
-  optimizer_ = std::make_unique<nn::Adam>(Parameters(), options.learning_rate);
+  optimizer_ =
+      std::make_unique<nn::Adam>(Parameters(), nn::AdamConfig{.lr = core::kLearningRate});
 }
 
 autograd::Variable DeepBaseline::StepLoss(const Tensor& inputs, const Tensor& targets) const {
@@ -45,7 +46,7 @@ std::vector<float> DeepBaseline::TrainStage(const data::StDataset& train, int64_
       autograd::Variable loss = StepLoss(inputs, targets);
       optimizer_->ZeroGrad();
       loss.Backward();
-      if (options_.grad_clip > 0.0f) optimizer_->ClipGradNorm(options_.grad_clip);
+      optimizer_->ClipGradNorm(core::kGradClipNorm);
       optimizer_->Step();
       loss_sum += loss.value().Item();
       ++steps;

@@ -21,8 +21,6 @@ struct DeepBaselineOptions {
   int64_t decoder_hidden = 128;
   int64_t output_steps = 1;
   int64_t batch_size = 8;
-  float learning_rate = 2e-3f;
-  float grad_clip = 5.0f;
   int64_t max_batches_per_epoch = 40;  // 0 = every window
   uint64_t seed = 1;
 };

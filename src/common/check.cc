@@ -23,18 +23,21 @@ namespace check {
 namespace {
 
 std::atomic<bool>& GraphChecksFlag() {
-  static std::atomic<bool> enabled = [] {
-    if (const char* env = std::getenv("URCL_CHECK")) return ParseEnabledValue(env);
-#ifdef NDEBUG
-    return false;
-#else
-    return true;
-#endif
-  }();
+  static std::atomic<bool> enabled{IntegrityChecksDefault()};
   return enabled;
 }
 
 }  // namespace
+
+bool IntegrityChecksDefault() {
+  // lint:allow(banned-call/getenv) URCL_CHECK, the one integrity switch.
+  if (const char* env = std::getenv("URCL_CHECK")) return ParseEnabledValue(env);
+#ifdef NDEBUG
+  return false;
+#else
+  return true;
+#endif
+}
 
 bool ParseEnabledValue(const char* value) {
   if (value == nullptr) return true;

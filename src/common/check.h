@@ -58,19 +58,24 @@ class CheckMessageBuilder {
 
 namespace check {
 
+// The initial value of both integrity gates, the graph checks below and the
+// buffer pool's poisoning (tensor/pool.h), from the one integrity switch: the
+// URCL_CHECK environment variable ("0"/"off"/"false"/"OFF" disable, anything
+// else enables); unset means enabled only in debug (!NDEBUG) builds.
+bool IntegrityChecksDefault();
+
 // Master switch for the graph-integrity analyses (autograd version-counter
-// verification in Backward and the trainer's pre-backward LintGraph pass).
-// Initial value comes from the URCL_CHECK environment variable ("0"/"off"/
-// "false" disable, anything else enables); unset means enabled only in debug
-// (!NDEBUG) builds. Reading the gate is one relaxed atomic load, so disabled
-// checks cost a predictable branch and nothing else.
+// verification in Backward and the trainer's pre-backward LintGraph pass),
+// initially IntegrityChecksDefault(). Reading the gate is one relaxed atomic
+// load, so disabled checks cost a predictable branch and nothing else.
 bool GraphChecksEnabled();
 
 // Test/tooling override; wins over the environment for the rest of the
 // process.
 void SetGraphChecksEnabled(bool enabled);
 
-// Shared env-value parser ("0"/"off"/"false"/"OFF" -> false).
+// The URCL_CHECK value parser ("0"/"off"/"false"/"OFF" -> false; anything
+// else, and nullptr, -> true).
 bool ParseEnabledValue(const char* value);
 
 }  // namespace check

@@ -189,6 +189,7 @@ std::vector<std::string> FaultInjector::Configure(const std::string& spec) {
 }
 
 void FaultInjector::LoadFromEnv() {
+  // lint:allow(banned-call/getenv) URCL_FAULT, the fault-injection spec.
   const char* spec = std::getenv("URCL_FAULT");
   if (spec == nullptr || *spec == '\0') return;
   for (const std::string& error : Configure(spec)) {

@@ -35,8 +35,8 @@
 //                          bit-flipped before serving-side admission (the
 //                          checkpoint CRC gate must quarantine it)
 //   drop_publish=<rate>    probability the trainer's snapshot publish is
-//                          silently swallowed (a stalled publisher: snapshot
-//                          age grows until the staleness/age watchdogs fire)
+//                          silently swallowed (a stalled publisher: serving
+//                          keeps answering from the last version it admitted)
 //   tick_drop=<rate>       probability an ingested tick is dropped before it
 //                          reaches the rolling window (ingestion gap)
 //   tick_dup=<rate>        probability an ingested tick is applied twice
@@ -99,9 +99,6 @@ class FaultInjector {
   void Reset();
 
   bool enabled() const { return enabled_; }
-  bool HasInputFaults() const {
-    return nan_rate_ > 0.0 || inf_rate_ > 0.0 || drop_rate_ > 0.0;
-  }
 
   // --- Kill points --------------------------------------------------------
   // Arms a crash at the `after_hits`-th pass of `point` (1-based).
@@ -172,12 +169,13 @@ class FaultInjector {
   double slow_rate_ = 0.0;
   int64_t slow_ms_ = 2;
   // rng_, kills_ and counters_ cannot be URCL_GUARDED_BY(serve_mu_): the
-  // training-path draws (NextLossNaN etc.), kill points and Configure run on
-  // the single driver thread without the lock by design, while the
-  // serving-path draws (ServeDraw, PickByte, Reset) fire from ingestion,
-  // publisher and query threads concurrently and do lock. serve_mu_ makes
-  // only the serving draws atomic; mixing the two modes on one member is a
-  // documented pre-TSA contract, not an analysis escape.
+  // training-path draws (NextBatchDuplicated, the input-fault placement
+  // through rng()), kill points and Configure run on the single driver thread
+  // without the lock by design, while the serving-path draws (ServeDraw,
+  // PickByte, Reset) fire from ingestion, publisher and query threads
+  // concurrently and do lock. serve_mu_ makes only the serving draws atomic;
+  // mixing the two modes on one member is a documented pre-TSA contract, not
+  // an analysis escape.
   Rng rng_{0xFA117};
   Mutex serve_mu_;
   std::map<std::string, KillSpec> kills_;

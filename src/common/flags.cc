@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -23,7 +24,7 @@ Flags::Flags(int argc, char** argv) : program_(argc > 0 ? argv[0] : "") {
     } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
       values_[arg] = argv[++i];
     } else {
-      values_[arg] = "true";
+      values_[arg] = std::nullopt;
     }
   }
 }
@@ -36,28 +37,25 @@ bool Flags::Has(const std::string& name) const {
 std::string Flags::GetString(const std::string& name, const std::string& fallback) const {
   read_[name] = "\"" + fallback + "\"";
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? fallback : it->second.value_or(fallback);
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t fallback) const {
   read_[name] = std::to_string(fallback);
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Flags::GetDouble(const std::string& name, double fallback) const {
-  char text[32];
-  std::snprintf(text, sizeof(text), "%g", fallback);
-  read_[name] = text;
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-}
-
-bool Flags::GetBool(const std::string& name, bool fallback) const {
-  read_[name] = fallback ? "true" : "false";
-  const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  if (!it->second.has_value()) {
+    errors_[name] = "needs a whole number but was given no value";
+    return fallback;
+  }
+  const std::string& text = *it->second;
+  int64_t value = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || error != std::errc() || end != text.data() + text.size()) {
+    errors_[name] = "needs a whole number, got \"" + text + "\"";
+    return fallback;
+  }
+  return value;
 }
 
 std::string Flags::Usage() const {
@@ -73,13 +71,17 @@ void Flags::ExitOnUnreadFlags() const {
     std::fprintf(stdout, "usage: %s [--flag value]...\n%s", program_.c_str(), Usage().c_str());
     std::exit(0);
   }
-  bool unread = false;
+  bool rejected = false;
   for (const auto& [name, value] : values_) {
     if (read_.count(name) > 0) continue;
     std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(), name.c_str());
-    unread = true;
+    rejected = true;
   }
-  if (unread) {
+  for (const auto& [name, why] : errors_) {
+    std::fprintf(stderr, "%s: flag --%s %s\n", program_.c_str(), name.c_str(), why.c_str());
+    rejected = true;
+  }
+  if (rejected) {
     std::fprintf(stderr, "run %s --help for the accepted flags\n", program_.c_str());
     std::exit(2);
   }

@@ -1,40 +1,47 @@
 // Minimal command-line flag parsing for the benchmark/example binaries.
-// Supports `--name value` and `--name=value` forms with typed lookups.
+// Supports `--name value`, `--name=value` and a bare `--name` (given, with no
+// value) with typed lookups.
 #ifndef URCL_COMMON_FLAGS_H_
 #define URCL_COMMON_FLAGS_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace urcl {
 
 // Parses flags once at startup. Every Has / Get* call notes the flag it asks
 // for (with its default), so after a binary's last read ExitOnUnreadFlags can
-// answer --help and reject flags nothing asked for.
+// answer --help and reject flags nothing asked for or could not read.
 class Flags {
  public:
   Flags(int argc, char** argv);
 
+  // True when the flag was given, with or without a value.
   bool Has(const std::string& name) const;
+  // The flag's value; `fallback` when it was not given or given without one.
   std::string GetString(const std::string& name, const std::string& fallback) const;
+  // The flag's value as a whole number; `fallback` when it was not given, or
+  // given without a whole number, which ExitOnUnreadFlags reports as an error.
   int64_t GetInt(const std::string& name, int64_t fallback) const;
-  double GetDouble(const std::string& name, double fallback) const;
-  bool GetBool(const std::string& name, bool fallback) const;
 
   // The flags read so far, one "  --name (default: value)" line each.
   std::string Usage() const;
 
   // Call once after the last read and before any work. With --help, prints
   // Usage() to stdout and exits 0; otherwise, if any given flag was never
-  // read, names each on stderr and exits 2.
+  // read or held no value its read could use, names each and exits 2.
   void ExitOnUnreadFlags() const;
 
  private:
   std::string program_;
-  std::map<std::string, std::string> values_;
+  // Each given flag -> its value; empty for a flag given without one.
+  std::map<std::string, std::optional<std::string>> values_;
   // Each flag asked for -> its default as text.
   mutable std::map<std::string, std::string> read_;
+  // Each flag GetInt could not read -> why.
+  mutable std::map<std::string, std::string> errors_;
 };
 
 // ApplyRuntimeFlags — the startup glue that pushes parsed flags into the

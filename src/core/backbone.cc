@@ -37,7 +37,6 @@ std::vector<std::string> BackboneConfig::Validate() const {
   if (hidden_channels <= 0) errors.push_back("hidden_channels must be > 0");
   if (latent_channels <= 0) errors.push_back("latent_channels must be > 0");
   if (num_layers <= 0) errors.push_back("num_layers must be > 0");
-  if (diffusion_steps < 1) errors.push_back("diffusion_steps must be >= 1");
   if (use_adaptive_adjacency && adaptive_embedding_dim <= 0) {
     errors.push_back("adaptive_embedding_dim must be > 0 when use_adaptive_adjacency is set");
   }

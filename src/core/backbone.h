@@ -17,6 +17,10 @@ namespace core {
 
 using autograd::Variable;
 
+// Diffusion steps K of the graph convolutions (Eq. 21) in the GraphWaveNet
+// and DCRNN encoders.
+inline constexpr int64_t kDiffusionSteps = 2;
+
 struct BackboneConfig {
   int64_t num_nodes = 0;
   int64_t in_channels = 2;       // C of the observations
@@ -24,7 +28,6 @@ struct BackboneConfig {
   int64_t hidden_channels = 16;  // per-layer width (paper: 32)
   int64_t latent_channels = 64;  // final latent width (paper: 256)
   int64_t num_layers = 5;        // spatio-temporal layers (paper: 5)
-  int64_t diffusion_steps = 2;   // K in Eq. 21
   int64_t adaptive_embedding_dim = 8;
   bool use_adaptive_adjacency = true;  // Eq. 23
   // When false, the GraphWaveNet encoder ignores the provided adjacency and

@@ -43,13 +43,13 @@ DcrnnEncoder::DcrnnEncoder(const BackboneConfig& config, Rng& rng) : config_(con
   const int64_t num_supports = config.directed_graph ? 2 : 1;
   const int64_t gate_in = config.in_channels + config.hidden_channels;
   update_gate_ = std::make_unique<NodeDiffusionConv>(gate_in, config.hidden_channels,
-                                                     num_supports, config.diffusion_steps, rng);
+                                                     num_supports, kDiffusionSteps, rng);
   RegisterChild("update_gate", update_gate_.get());
   reset_gate_ = std::make_unique<NodeDiffusionConv>(gate_in, config.hidden_channels,
-                                                    num_supports, config.diffusion_steps, rng);
+                                                    num_supports, kDiffusionSteps, rng);
   RegisterChild("reset_gate", reset_gate_.get());
   candidate_ = std::make_unique<NodeDiffusionConv>(gate_in, config.hidden_channels,
-                                                   num_supports, config.diffusion_steps, rng);
+                                                   num_supports, kDiffusionSteps, rng);
   RegisterChild("candidate", candidate_.get());
   output_projection_ =
       std::make_unique<nn::Linear>(config.hidden_channels, config.latent_channels, rng);

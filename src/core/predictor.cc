@@ -32,13 +32,12 @@ Status FinishPrediction(const PredictRequest& request, Tensor full, PredictRespo
 
 void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test,
                            const data::MinMaxNormalizer& normalizer, int64_t target_channel,
-                           int64_t batch_size, data::MetricsAccumulator* accumulator) {
-  URCL_CHECK_GT(batch_size, 0);
+                           data::MetricsAccumulator* accumulator) {
   URCL_CHECK(accumulator != nullptr);
   const int64_t num_samples = test.NumSamples();
   URCL_CHECK_GT(num_samples, 0) << "test split has no complete windows";
-  for (int64_t start = 0; start < num_samples; start += batch_size) {
-    const int64_t count = std::min(batch_size, num_samples - start);
+  for (int64_t start = 0; start < num_samples; start += kEvalBatchSize) {
+    const int64_t count = std::min(kEvalBatchSize, num_samples - start);
     std::vector<int64_t> indices(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) indices[static_cast<size_t>(i)] = start + i;
     const auto [inputs, targets] = test.MakeBatch(indices);
@@ -80,9 +79,9 @@ std::vector<int64_t> EpochSchedule(int64_t num_samples, int64_t batch_size,
 
 data::EvalMetrics EvaluatePredictor(const StPredictor& model, const data::StDataset& test,
                                     const data::MinMaxNormalizer& normalizer,
-                                    int64_t target_channel, int64_t batch_size) {
+                                    int64_t target_channel) {
   data::MetricsAccumulator accumulator;
-  EvaluatePredictorInto(model, test, normalizer, target_channel, batch_size, &accumulator);
+  EvaluatePredictorInto(model, test, normalizer, target_channel, &accumulator);
   return accumulator.Result();
 }
 

@@ -124,6 +124,11 @@ class StPredictor {
 // remains the implementation's responsibility.
 Status FinishPrediction(const PredictRequest& request, Tensor full, PredictResponse* response);
 
+// The optimizer settings URCL and every deep baseline train with: Adam's
+// step size, and the global gradient-norm bound applied before each step.
+inline constexpr float kLearningRate = 2e-3f;
+inline constexpr float kGradClipNorm = 5.0f;
+
 // The order in which one training epoch visits the stage's `num_samples`
 // windows; consecutive runs of `batch_size` entries form the minibatches
 // (Algorithm 1 line 5 selects batches sequentially). When
@@ -136,17 +141,21 @@ Status FinishPrediction(const PredictRequest& request, Tensor full, PredictRespo
 std::vector<int64_t> EpochSchedule(int64_t num_samples, int64_t batch_size,
                                    int64_t max_batches_per_epoch);
 
-// Evaluates `model` over every window of `test`, denormalizing predictions
-// and targets with `normalizer` (the paper reports MAE/RMSE in data units).
+// Windows per Predict call when a model is evaluated on a test split.
+inline constexpr int64_t kEvalBatchSize = 16;
+
+// Evaluates `model` over every window of `test`, kEvalBatchSize windows per
+// Predict call, denormalizing predictions and targets with `normalizer` (the
+// paper reports MAE/RMSE in data units).
 data::EvalMetrics EvaluatePredictor(const StPredictor& model, const data::StDataset& test,
                                     const data::MinMaxNormalizer& normalizer,
-                                    int64_t target_channel, int64_t batch_size = 16);
+                                    int64_t target_channel);
 
 // Same, but accumulates into `accumulator` so several test sets can be
 // pooled (the seen-so-far continual evaluation protocol).
 void EvaluatePredictorInto(const StPredictor& model, const data::StDataset& test,
                            const data::MinMaxNormalizer& normalizer, int64_t target_channel,
-                           int64_t batch_size, data::MetricsAccumulator* accumulator);
+                           data::MetricsAccumulator* accumulator);
 
 }  // namespace core
 }  // namespace urcl

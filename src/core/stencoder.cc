@@ -43,7 +43,7 @@ GraphWaveNetEncoder::GraphWaveNetEncoder(const BackboneConfig& config, Rng& rng)
     RegisterChild("tcn" + std::to_string(layer), tcn_layers_.back().get());
     gcn_layers_.push_back(std::make_unique<nn::DiffusionGcn>(
         config.hidden_channels, config.hidden_channels, num_static_supports,
-        config.use_adaptive_adjacency, config.diffusion_steps, rng));
+        config.use_adaptive_adjacency, kDiffusionSteps, rng));
     RegisterChild("gcn" + std::to_string(layer), gcn_layers_.back().get());
   }
   latent_time_ = remaining + 1;

@@ -51,7 +51,7 @@ std::vector<StageResult> RunContinualProtocol(StPredictor& model,
     for (int64_t j = 0; j <= i; ++j) {
       data::MetricsAccumulator stage_accumulator;
       EvaluatePredictorInto(model, stream.Stage(j).test, normalizer, target_channel,
-                            options.eval_batch_size, &stage_accumulator);
+                            &stage_accumulator);
       observations += stream.Stage(j).test.NumSamples();
       if (options.learning != nullptr) {
         options.learning->Record(i, j, stage_accumulator.Result().mae);

@@ -34,7 +34,6 @@ struct StageResult {
 struct ProtocolOptions {
   TrainingStrategy strategy = TrainingStrategy::kContinual;
   int64_t epochs_per_stage = 10;
-  int64_t eval_batch_size = 16;
   // Structured-log hook: invoked once per trained epoch after the stage's
   // evaluation completes, with the epoch's mean training loss and the
   // finished StageResult (whose metrics/timings are the stage-end snapshot).

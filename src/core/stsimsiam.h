@@ -30,8 +30,6 @@ class StSimSiam : public nn::Module {
   Variable Embed(const augment::AugmentedView& view) const;
   Variable Project(const Variable& embedding) const;
 
-  float temperature() const { return temperature_; }
-
  private:
   StBackbone* encoder_;  // shared, not owned
   float temperature_;

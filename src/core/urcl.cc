@@ -78,11 +78,8 @@ std::vector<std::string> UrclConfig::Validate() const {
   if (decoder_hidden <= 0) errors.push_back("decoder_hidden must be > 0");
   if (output_steps <= 0) errors.push_back("output_steps must be > 0");
   if (proj_hidden <= 0) errors.push_back("proj_hidden must be > 0");
-  if (ssl_temperature <= 0.0f) errors.push_back("ssl_temperature must be > 0");
   if (ssl_weight < 0.0f) errors.push_back("ssl_weight must be >= 0");
   if (batch_size <= 0) errors.push_back("batch_size must be > 0");
-  if (learning_rate <= 0.0f) errors.push_back("learning_rate must be > 0");
-  if (grad_clip < 0.0f) errors.push_back("grad_clip must be >= 0 (0 disables clipping)");
   if (max_batches_per_epoch < 0) {
     errors.push_back("max_batches_per_epoch must be >= 0 (0 uses every window)");
   }
@@ -103,8 +100,7 @@ std::vector<std::string> UrclConfig::Validate() const {
 UrclModel::UrclModel(const UrclConfig& config, Rng& rng)
     : Forecaster(MakeBackbone(Validated(config).backbone, config.encoder, rng),
                  config.decoder_hidden, config.output_steps, rng) {
-  simsiam_ =
-      std::make_unique<StSimSiam>(&encoder(), config.proj_hidden, config.ssl_temperature, rng);
+  simsiam_ = std::make_unique<StSimSiam>(&encoder(), config.proj_hidden, kSslTemperature, rng);
   RegisterChild("simsiam", simsiam_.get());
 }
 
@@ -114,7 +110,7 @@ UrclTrainer::UrclTrainer(const UrclConfig& config, const graph::SensorNetwork& n
       adjacency_(network.AdjacencyMatrix()),
       network_(network),
       buffer_(config.buffer_capacity, config.buffer_policy, config.seed + 17),
-      rmir_sampler_(replay::RmirConfig{config.rmir_candidate_pool, config.rmir_virtual_lr}),
+      rmir_sampler_(config.rmir_candidate_pool),
       // With SSL and augmentation both on, every step draws fresh augmented
       // views, so the train graph is not step-invariant: it runs on the tape.
       train_plans_("train", config.enable_ssl && config.enable_augmentation
@@ -125,13 +121,11 @@ UrclTrainer::UrclTrainer(const UrclConfig& config, const graph::SensorNetwork& n
   URCL_CHECK_EQ(config.encoder.num_nodes, network.num_nodes())
       << "encoder config does not match the sensor network";
   model_ = std::make_unique<UrclModel>(config_, rng_);
-  nn::AdamConfig adam;
-  adam.lr = config_.learning_rate;
   // Always scan for non-finite gradients/parameters: a poisoned batch that
   // slips past the input and loss guards skips the update instead of
   // corrupting the moments (the batch is quarantined by TrainStep).
-  adam.check_finite = true;
-  optimizer_ = std::make_unique<nn::Adam>(model_->Parameters(), adam);
+  optimizer_ = std::make_unique<nn::Adam>(
+      model_->Parameters(), nn::AdamConfig{.lr = kLearningRate, .check_finite = true});
   augmentations_ = augment::MakeDefaultAugmentations();
 }
 
@@ -163,8 +157,7 @@ UrclTrainer::ReplayDraw UrclTrainer::DrawReplaySamples(const Tensor& current_inp
   std::vector<int64_t> selected;
   if (!config_.enable_rmir) {
     selected = random_sampler_.Sample(buffer_, config_.replay_sample_count, rng_);
-  } else if (step_count_ % std::max<int64_t>(1, config_.rmir_refresh_every) == 0 ||
-             cached_selection_.empty()) {
+  } else if (step_count_ % kRmirRefreshEvery == 0 || cached_selection_.empty()) {
     // 1. Score a random scan subset for interference: loss increase after a
     //    virtual gradient step on the incoming batch (Eq. 3).
     const std::vector<int64_t> scan = random_sampler_.Sample(
@@ -190,7 +183,7 @@ UrclTrainer::ReplayDraw UrclTrainer::DrawReplaySamples(const Tensor& current_inp
     for (const Variable& p : params) {
       Tensor updated = p.value().Clone();
       Tensor grad = p.grad();
-      grad.MulInPlace(-config_.rmir_virtual_lr);
+      grad.MulInPlace(-kRmirVirtualLr);
       updated.AddInPlace(grad);
       p.SetValue(updated);
     }
@@ -325,7 +318,7 @@ std::optional<float> UrclTrainer::TrainStep(const Tensor& inputs, const Tensor& 
   }
   {
     URCL_TRACE_SCOPE("optimizer_step");
-    if (config_.grad_clip > 0.0f) optimizer_->ClipGradNorm(config_.grad_clip);
+    optimizer_->ClipGradNorm(kGradClipNorm);
     optimizer_->Step();
   }
 
@@ -491,8 +484,7 @@ namespace {
 // (the container itself carries its own format version).
 constexpr uint32_t kTrainerStateVersion = 1;
 
-// Version of the "serve_meta" section handed to snapshot sinks (parsed by
-// serve::ParseModelSnapshot; bump together).
+// Version of the "serve_meta" section's layout (SerializeServeMeta).
 constexpr uint32_t kServeMetaVersion = 1;
 
 void WriteFloatVector(std::ostream& out, const std::vector<float>& values) {
@@ -555,6 +547,35 @@ Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expec
   return Status::Ok();
 }
 
+std::string SerializeServeMeta(const ServeMeta& meta) {
+  std::ostringstream out;
+  io::WritePod(out, kServeMetaVersion);
+  io::WritePod(out, meta.version);
+  io::WritePod(out, meta.stage);
+  io::WritePod(out, meta.step_count);
+  return out.str();
+}
+
+Status ParseServeMeta(const std::string& bytes, ServeMeta* meta) {
+  // Fixed layout: uint32 schema + int64 {version, stage, step_count}.
+  constexpr size_t kMetaSize = sizeof(uint32_t) + 3 * sizeof(int64_t);
+  if (bytes.size() != kMetaSize) {
+    return Status::DataLoss("serve_meta section has unexpected size " +
+                            std::to_string(bytes.size()));
+  }
+  io::ByteReader in(bytes);
+  uint32_t schema = 0;
+  in.Read(&schema);
+  if (schema != kServeMetaVersion) {
+    return Status::InvalidArgument("unsupported serve_meta schema version " +
+                                   std::to_string(schema));
+  }
+  in.Read(&meta->version);
+  in.Read(&meta->stage);
+  in.Read(&meta->step_count);
+  return Status::Ok();
+}
+
 void UrclTrainer::SetSnapshotSink(SnapshotSink sink, int64_t publish_every_steps) {
   URCL_CHECK_GE(publish_every_steps, 0);
   snapshot_sink_ = std::move(sink);
@@ -564,18 +585,14 @@ void UrclTrainer::SetSnapshotSink(SnapshotSink sink, int64_t publish_every_steps
 void UrclTrainer::PublishSnapshot() {
   if (!snapshot_sink_) return;
   // Chaos fault point `drop_publish`: a stalled publisher — the snapshot is
-  // silently swallowed, so the serving side sees its live version aging until
-  // the staleness/age watchdogs fire. The version counter is not consumed.
+  // silently swallowed, so serving keeps answering from the version it last
+  // admitted. The version counter is not consumed.
   if (fault::FaultInjector::Instance().NextPublishDropped()) return;
   URCL_TRACE_SCOPE("publish_snapshot");
   checkpoint::Container container;
   container.Add("model", SerializeStateDict(model_->StateDict()));
-  std::ostringstream meta;
-  io::WritePod(meta, kServeMetaVersion);
-  io::WritePod(meta, ++snapshots_published_);
-  io::WritePod(meta, current_stage_);
-  io::WritePod(meta, step_count_);
-  container.Add("serve_meta", meta.str());
+  container.Add("serve_meta",
+                SerializeServeMeta({++snapshots_published_, current_stage_, step_count_}));
   obs::RecordFlightEvent(obs::FlightEventType::kSnapshotPublish, snapshots_published_,
                          current_stage_);
   snapshot_sink_(container);

@@ -29,6 +29,13 @@
 namespace urcl {
 namespace core {
 
+// GraphCL temperature of the STSimSiam loss (Eq. 15-16).
+inline constexpr float kSslTemperature = 0.5f;
+// Step size of RMIR's virtual SGD update on the incoming batch (Eq. 3).
+inline constexpr float kRmirVirtualLr = 0.05f;
+// RMIR rescores the buffer every this many steps and reuses its selection in between.
+inline constexpr int64_t kRmirRefreshEvery = 2;
+
 struct UrclConfig {
   BackboneType backbone = BackboneType::kGraphWaveNet;
   BackboneConfig encoder;  // num_nodes / in_channels / input_steps set by caller
@@ -39,16 +46,13 @@ struct UrclConfig {
 
   // STSimSiam projector.
   int64_t proj_hidden = 32;
-  float ssl_temperature = 0.5f;
   // Weight of L_ssl in L_all (Eq. 29 uses 1.0 with 100 epochs/set; shorter
   // training budgets need a smaller weight so the contrastive gradient does
   // not swamp the task gradient on the shared encoder).
   float ssl_weight = 1.0f;
 
-  // Optimization.
+  // Optimization (Adam at kLearningRate, gradients clipped to kGradClipNorm).
   int64_t batch_size = 8;
-  float learning_rate = 2e-3f;
-  float grad_clip = 5.0f;
   // Caps the batches per epoch (indices evenly spaced over the stage,
   // preserving temporal order); 0 = use every window.
   int64_t max_batches_per_epoch = 40;
@@ -61,8 +65,6 @@ struct UrclConfig {
   int64_t replay_sample_count = 4;
   int64_t rmir_scan_size = 16;
   int64_t rmir_candidate_pool = 8;
-  float rmir_virtual_lr = 0.05f;
-  int64_t rmir_refresh_every = 2;
   float mixup_alpha = 0.5f;
 
   // Ablation toggles (Sec. V-B3).
@@ -110,6 +112,17 @@ std::string SerializeStateDict(const std::vector<Tensor>& state);
 // short count, or a tensor io::ReadTensor rejects, is kDataLoss.
 Status ParseStateDict(const std::string& bytes, const std::vector<Tensor>& expected,
                       std::vector<Tensor>* state);
+
+// The "serve_meta" section of a published snapshot: a schema version, then these.
+struct ServeMeta {
+  int64_t version = 0;     // monotonically increasing publish count (1-based)
+  int64_t stage = -1;      // training stage the weights were captured in
+  int64_t step_count = 0;  // optimizer steps taken when the snapshot was cut
+};
+std::string SerializeServeMeta(const ServeMeta& meta);
+// Reads a "serve_meta" section into `meta`: a size other than the layout's is
+// kDataLoss, an unknown schema version kInvalidArgument.
+Status ParseServeMeta(const std::string& bytes, ServeMeta* meta);
 
 // Crash-safety options for UrclTrainer (see DESIGN.md "Fault-tolerance
 // model"). A checkpoint snapshots everything the training loop needs to

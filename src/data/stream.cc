@@ -8,8 +8,6 @@ namespace data {
 StreamSplitter::StreamSplitter(const StDataset& full, const StreamConfig& config) {
   URCL_CHECK(config.base_fraction > 0.0f && config.base_fraction < 1.0f);
   URCL_CHECK_GE(config.num_incremental, 0);
-  URCL_CHECK(config.train_fraction > 0.0f && config.val_fraction >= 0.0f &&
-             config.train_fraction + config.val_fraction < 1.0f);
 
   const int64_t total = full.num_steps();
   const int64_t window = full.config().input_steps + full.config().output_steps;
@@ -24,26 +22,21 @@ StreamSplitter::StreamSplitter(const StDataset& full, const StreamConfig& config
 
   auto make_stage = [&](const std::string& name, int64_t offset, int64_t length) {
     StDataset stage_data = full.Slice(offset, length);
-    const int64_t train_len = static_cast<int64_t>(length * config.train_fraction);
-    const int64_t val_len = static_cast<int64_t>(length * config.val_fraction);
+    const int64_t train_len = static_cast<int64_t>(length * kTrainFraction);
+    const int64_t val_len = static_cast<int64_t>(length * kValFraction);
     const int64_t test_len = length - train_len - val_len;
     URCL_CHECK_GT(train_len, window) << "train split of " << name << " too short";
     URCL_CHECK_GT(test_len, window) << "test split of " << name << " too short";
-    StreamStage stage{
+    // A validation span too short for one window falls back to the test span.
+    const bool val_fits = val_len > window;
+    stages_.push_back(StreamStage{
         name,
         stage_data.Slice(0, train_len),
-        // Guard: val may be tiny; give it at least one window by borrowing
-        // from train when configured to zero is not allowed here.
-        stage_data.Slice(train_len, val_len > window ? val_len : test_len),
+        stage_data.Slice(val_fits ? train_len : train_len + val_len,
+                         val_fits ? val_len : test_len),
         stage_data.Slice(train_len + val_len, test_len),
         offset,
-    };
-    if (val_len > window) {
-      stage.val = stage_data.Slice(train_len, val_len);
-    } else {
-      stage.val = stage_data.Slice(train_len + val_len, test_len);  // fall back to test span
-    }
-    stages_.push_back(std::move(stage));
+    });
   };
 
   make_stage("B_set", 0, base_steps);

@@ -22,11 +22,13 @@ struct StreamStage {
   int64_t series_offset = 0;  // start row in the full series
 };
 
+// Each stage's train and validation shares; the remainder is its test split.
+inline constexpr float kTrainFraction = 0.70f;
+inline constexpr float kValFraction = 0.10f;
+
 struct StreamConfig {
   float base_fraction = 0.30f;
   int64_t num_incremental = 4;
-  float train_fraction = 0.70f;
-  float val_fraction = 0.10f;  // remainder is test
 };
 
 // Splits a windowed dataset into the continual-learning stages.

@@ -72,25 +72,23 @@ SyntheticTraffic::SyntheticTraffic(const TrafficConfig& config)
         if (rng.Bernoulli(config_.abrupt_refresh_fraction)) f = rng.Uniform(0.7f, 1.3f);
       }
       phase += config_.abrupt_phase_jump_steps;
-      if (config_.drift_dynamics) {
-        // Advance the regime: the AR dynamics of congestion and how it maps
-        // to the observed channels take a *random walk* away from their
-        // current values (real drift is cumulative — seasons progress, road
-        // works accumulate — so later periods keep diverging from the base
-        // period instead of reverting to it). regime_drift_scale scales the
-        // step size; walks reflect off the parameter bounds.
-        const float s = config_.regime_drift_scale;
-        auto walk = [&](float value, float step, float lo, float hi) {
-          value += (rng.Bernoulli(0.5) ? 1.0f : -1.0f) * rng.Uniform(0.5f, 1.0f) * step * s;
-          if (value > hi) value = hi - (value - hi);
-          if (value < lo) value = lo + (lo - value);
-          return std::clamp(value, lo, hi);
-        };
-        inertia = walk(inertia, 0.12f, 0.1f, 0.8f);
-        coupling = std::min(walk(coupling, 0.1f, 0.05f, 0.45f), 0.85f - inertia);
-        speed_coef = walk(speed_coef, 0.14f, 0.3f, 0.98f);
-        flow_scale = walk(flow_scale, 0.1f, 0.5f, 1.5f);
-      }
+      // Advance the regime: the AR dynamics of congestion and how it maps to
+      // the observed channels take a *random walk* away from their current
+      // values (real drift is cumulative — seasons progress, road works
+      // accumulate — so later periods keep diverging from the base period
+      // instead of reverting to it). regime_drift_scale scales the step size;
+      // walks reflect off the parameter bounds.
+      const float s = config_.regime_drift_scale;
+      auto walk = [&](float value, float step, float lo, float hi) {
+        value += (rng.Bernoulli(0.5) ? 1.0f : -1.0f) * rng.Uniform(0.5f, 1.0f) * step * s;
+        if (value > hi) value = hi - (value - hi);
+        if (value < lo) value = lo + (lo - value);
+        return std::clamp(value, lo, hi);
+      };
+      inertia = walk(inertia, 0.12f, 0.1f, 0.8f);
+      coupling = std::min(walk(coupling, 0.1f, 0.05f, 0.45f), 0.85f - inertia);
+      speed_coef = walk(speed_coef, 0.14f, 0.3f, 0.98f);
+      flow_scale = walk(flow_scale, 0.1f, 0.5f, 1.5f);
     }
     factor_by_day_[static_cast<size_t>(day)] = factors;
     phase_by_day_[static_cast<size_t>(day)] = phase;

@@ -38,16 +38,16 @@ struct TrafficConfig {
   std::vector<int64_t> abrupt_drift_days;
   float abrupt_refresh_fraction = 0.5f;
   float abrupt_phase_jump_steps = 6.0f;
-  // Dynamics drift: at each abrupt boundary, also re-draw the *regime* — the
+  // Dynamics drift: each abrupt boundary also re-draws the *regime* — the
   // autoregressive coefficients that govern how congestion propagates
   // (inertia, neighbor coupling, demand response), the speed-congestion
   // response coefficient and the flow scale. Because congestion is a
   // simulated AR state, this changes the conditional distribution
   // P(X_{t+1} | window): stale models make systematic one-step errors
   // (marginal drift alone barely affects one-step forecasting).
-  bool drift_dynamics = true;
-  // Scales how far the regime parameters may move at each abrupt boundary
-  // (1.0 = the default ranges; larger = stronger concept drift).
+  // regime_drift_scale scales how far the regime parameters may move at each
+  // abrupt boundary (1.0 = the default ranges; larger = stronger concept
+  // drift).
   float regime_drift_scale = 1.0f;
 
   uint64_t seed = 7;
@@ -82,7 +82,7 @@ class SyntheticTraffic {
   std::vector<std::vector<float>> factor_by_day_;  // node factors after drift, per day
   std::vector<float> phase_by_day_;         // rush-hour phase offset per day (steps)
   std::vector<float> amplitude_by_day_;     // demand amplitude per day
-  // Regime (dynamics) parameters per day — see drift_dynamics.
+  // Regime (dynamics) parameters per day — see regime_drift_scale.
   std::vector<float> inertia_by_day_;       // AR(1) self coefficient
   std::vector<float> coupling_by_day_;      // neighbor coupling coefficient
   std::vector<float> speed_coef_by_day_;    // speed drop per unit congestion

@@ -34,15 +34,6 @@ class GraphRecorder : public autograd::record::TapeListener {
     Finish(out, std::move(instr));
   }
 
-  void OnAlias(const Variable& out, const Variable& in) override {
-    if (!error_.empty()) return;
-    Instr instr;
-    instr.is_alias = true;
-    instr.parents.push_back(SlotFor(in));
-    if (!error_.empty()) return;
-    Finish(out, std::move(instr));
-  }
-
   // Slot index of a node seen during capture, or -1.
   int SlotIndexOf(const autograd::internal::Node* node) const {
     auto it = slot_of_.find(node);
@@ -181,11 +172,9 @@ bool CompiledPlan::InferShapes(std::string* error) {
   for (const Instr& instr : instrs_) {
     std::vector<Shape> inputs;
     for (const int p : instr.parents) inputs.push_back(slots_[static_cast<size_t>(p)].shape);
-    const std::string name = instr.is_alias ? "stop_gradient" : OpName(instr.kind);
+    const std::string name = OpName(instr.kind);
     Shape expect;
-    if (instr.is_alias) {
-      expect = inputs[0];
-    } else if (!autograd::record::OpOutputShape(instr.kind, instr.attrs, inputs, &expect)) {
+    if (!autograd::record::OpOutputShape(instr.kind, instr.attrs, inputs, &expect)) {
       *error = "AOT shape inference: invalid input shapes for " + name;
       return false;
     }
@@ -210,7 +199,7 @@ void CompiledPlan::AnalyzeLiveness() {
     for (const Instr& instr : instrs_) {
       // Backward thunks run for every grad-carrying op and read what their
       // definition's liveness facts name.
-      if (instr.is_alias || !slots_[static_cast<size_t>(instr.out)].requires_grad) continue;
+      if (!slots_[static_cast<size_t>(instr.out)].requires_grad) continue;
       if (autograd::record::OpReadsInputs(instr.kind)) {
         for (const int p : instr.parents) needed_in_backward_[static_cast<size_t>(p)] = 1;
       }
@@ -304,9 +293,7 @@ void CompiledPlan::RunBackward() {
       // nothing.
       if (slot.kind != Slot::Kind::kOp) continue;
       if (!has_grad_[static_cast<size_t>(s)]) continue;
-      const Instr& instr = instrs_[static_cast<size_t>(slot.producer)];
-      if (instr.is_alias) continue;
-      ExecBackwardThunk(instr);
+      ExecBackwardThunk(instrs_[static_cast<size_t>(slot.producer)]);
       // A slot's gradient and value are dead once its own thunk ran: every
       // consumer's thunk ran earlier (reverse topological order).
       grads_[static_cast<size_t>(s)] = empty_;
@@ -383,7 +370,6 @@ class CompiledPlan::SlotOperands final : public autograd::record::OpOperands {
 };
 
 Tensor CompiledPlan::EvalForward(const Instr& instr) {
-  if (instr.is_alias) return values_[static_cast<size_t>(instr.parents[0])];
   return autograd::record::OpForward(instr.kind, instr.attrs,
                                      SlotOperands(this, instr, /*backward=*/false));
 }

@@ -84,7 +84,6 @@ struct Slot {
 // One instruction: runs an op through its autograd/record.h definition.
 struct Instr {
   autograd::record::OpKind kind = autograd::record::OpKind::kAdd;
-  bool is_alias = false;  // StopGradient: out aliases parents[0]'s value
   autograd::record::OpAttrs attrs;
   int out = -1;
   std::vector<int> parents;

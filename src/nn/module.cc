@@ -7,8 +7,13 @@ namespace nn {
 
 std::vector<Variable> Module::Parameters() const {
   std::vector<Variable> out;
-  for (const auto& [name, variable] : NamedParameters()) out.push_back(variable);
+  Collect(&out);
   return out;
+}
+
+void Module::Collect(std::vector<Variable>* out) const {
+  for (const auto& [name, variable] : params_) out->push_back(variable);
+  for (const auto& [name, child] : children_) child->Collect(out);
 }
 
 std::vector<std::pair<std::string, Variable>> Module::NamedParameters() const {

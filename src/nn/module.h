@@ -45,6 +45,9 @@ class Module {
   void RegisterChild(std::string name, Module* child);
 
  private:
+  // Parameters() and NamedParameters() walk the same order; only the second
+  // builds names.
+  void Collect(std::vector<Variable>* out) const;
   void CollectNamed(const std::string& prefix,
                     std::vector<std::pair<std::string, Variable>>* out) const;
 

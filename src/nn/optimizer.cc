@@ -47,10 +47,6 @@ Adam::Adam(std::vector<Variable> params, const AdamConfig& config)
   }
 }
 
-Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2, float epsilon,
-           float weight_decay)
-    : Adam(std::move(params), AdamConfig{lr, beta1, beta2, epsilon, weight_decay, false}) {}
-
 void Adam::ZeroGrad() {
   for (Variable& p : params_) p.ZeroGrad();
 }
@@ -99,8 +95,8 @@ void Adam::Step() {
     }
   }
   ++step_count_;
-  const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(step_count_));
-  const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(step_count_));
+  const float bc1 = 1.0f - std::pow(kAdamBeta1, static_cast<float>(step_count_));
+  const float bc2 = 1.0f - std::pow(kAdamBeta2, static_cast<float>(step_count_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Variable& p = params_[i];
     const Tensor g = p.grad();
@@ -114,14 +110,14 @@ void Adam::Step() {
     // same expression tree as the scalar tail (no reassociation, no FMA), so
     // the update is bitwise identical with or without SIMD.
     const simd::F32x8 vwd = simd::Broadcast(config_.weight_decay);
-    const simd::F32x8 vb1 = simd::Broadcast(config_.beta1);
-    const simd::F32x8 v1mb1 = simd::Broadcast(1.0f - config_.beta1);
-    const simd::F32x8 vb2 = simd::Broadcast(config_.beta2);
-    const simd::F32x8 v1mb2 = simd::Broadcast(1.0f - config_.beta2);
+    const simd::F32x8 vb1 = simd::Broadcast(kAdamBeta1);
+    const simd::F32x8 v1mb1 = simd::Broadcast(1.0f - kAdamBeta1);
+    const simd::F32x8 vb2 = simd::Broadcast(kAdamBeta2);
+    const simd::F32x8 v1mb2 = simd::Broadcast(1.0f - kAdamBeta2);
     const simd::F32x8 vbc1 = simd::Broadcast(bc1);
     const simd::F32x8 vbc2 = simd::Broadcast(bc2);
     const simd::F32x8 vlr = simd::Broadcast(config_.lr);
-    const simd::F32x8 veps = simd::Broadcast(config_.epsilon);
+    const simd::F32x8 veps = simd::Broadcast(kAdamEpsilon);
     int64_t j = 0;
     for (; j + simd::kLanes <= n; j += simd::kLanes) {
       const simd::F32x8 grad = simd::Add(simd::LoadU(pg + j), simd::Mul(vwd, simd::LoadU(pv + j)));
@@ -138,11 +134,11 @@ void Adam::Step() {
     }
     for (; j < n; ++j) {
       const float grad = pg[j] + config_.weight_decay * pv[j];
-      pm[j] = config_.beta1 * pm[j] + (1.0f - config_.beta1) * grad;
-      pvv[j] = config_.beta2 * pvv[j] + (1.0f - config_.beta2) * grad * grad;
+      pm[j] = kAdamBeta1 * pm[j] + (1.0f - kAdamBeta1) * grad;
+      pvv[j] = kAdamBeta2 * pvv[j] + (1.0f - kAdamBeta2) * grad * grad;
       const float m_hat = pm[j] / bc1;
       const float v_hat = pvv[j] / bc2;
-      pv[j] -= config_.lr * m_hat / (std::sqrt(v_hat) + config_.epsilon);
+      pv[j] -= config_.lr * m_hat / (std::sqrt(v_hat) + kAdamEpsilon);
     }
     p.SetValue(value);
   }

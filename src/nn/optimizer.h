@@ -25,11 +25,13 @@ struct NonFiniteReport {
   Kind kind = Kind::kGradient;
 };
 
+// Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+inline constexpr float kAdamBeta1 = 0.9f;
+inline constexpr float kAdamBeta2 = 0.999f;
+inline constexpr float kAdamEpsilon = 1e-8f;
+
 struct AdamConfig {
   float lr = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float epsilon = 1e-8f;
   // L2 penalty coupled into the gradient: Step() adds weight_decay * p to the
   // gradient before the moment updates (Adam + L2, not AdamW's decoupled decay).
   float weight_decay = 0.0f;
@@ -43,8 +45,6 @@ struct AdamConfig {
 class Adam {
  public:
   Adam(std::vector<Variable> params, const AdamConfig& config);
-  Adam(std::vector<Variable> params, float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-       float epsilon = 1e-8f, float weight_decay = 0.0f);
 
   Adam(const Adam&) = delete;
   Adam& operator=(const Adam&) = delete;

@@ -165,6 +165,7 @@ std::string FlightRecorder::AutoDump(const char* reason) {
     dir = impl_->dump_dir;
   }
   if (dir.empty()) {
+    // lint:allow(banned-call/getenv) URCL_BLACKBOX_DIR, where dumps land.
     if (const char* env = std::getenv("URCL_BLACKBOX_DIR")) dir = std::string(env);
   }
   if (dir.empty()) dir = std::string(".");

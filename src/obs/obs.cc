@@ -59,6 +59,7 @@ ObsConfig Current() {
 }
 
 void InitFromEnv() {
+  // lint:allow(banned-call/getenv) URCL_OBS, the observability switch.
   const char* env = std::getenv("URCL_OBS");
   if (env == nullptr) return;
   const std::string value(env);

@@ -17,9 +17,8 @@ std::vector<int64_t> RandomSampler::Sample(const ReplayBuffer& buffer, int64_t c
   return rng.SampleWithoutReplacement(buffer.size(), k);
 }
 
-RmirSampler::RmirSampler(const RmirConfig& config) : config_(config) {
-  URCL_CHECK_GT(config.candidate_pool, 0);
-  URCL_CHECK_GT(config.virtual_lr, 0.0f);
+RmirSampler::RmirSampler(int64_t candidate_pool) : candidate_pool_(candidate_pool) {
+  URCL_CHECK_GT(candidate_pool, 0);
 }
 
 float RmirSampler::PearsonCorrelation(const Tensor& a, const Tensor& b) {
@@ -61,7 +60,7 @@ std::vector<int64_t> RmirSampler::Select(const ReplayBuffer& buffer,
   // Step 1: top-|N| most interfered (largest loss increase).
   std::vector<int64_t> order(static_cast<size_t>(buffer.size()));
   std::iota(order.begin(), order.end(), 0);
-  const int64_t pool = std::min(config_.candidate_pool, buffer.size());
+  const int64_t pool = std::min(candidate_pool_, buffer.size());
   std::partial_sort(order.begin(), order.begin() + pool, order.end(),
                     [&](int64_t lhs, int64_t rhs) {
                       return interference[static_cast<size_t>(lhs)] >

@@ -18,13 +18,6 @@ class RandomSampler {
   std::vector<int64_t> Sample(const ReplayBuffer& buffer, int64_t count, Rng& rng) const;
 };
 
-struct RmirConfig {
-  // |N| in the paper: size of the maximally-interfered candidate pool.
-  int64_t candidate_pool = 32;
-  // Virtual gradient-step learning rate used when scoring interference.
-  float virtual_lr = 0.01f;
-};
-
 // RMIR selection, decomposed so the model-dependent part (interference
 // scores = loss increase under a virtual parameter update) is computed by
 // the trainer and passed in:
@@ -33,7 +26,9 @@ struct RmirConfig {
 //   3. return the top-|S| most similar.
 class RmirSampler {
  public:
-  explicit RmirSampler(const RmirConfig& config);
+  // `candidate_pool` is |N| in the paper: the size of the maximally
+  // interfered candidate pool.
+  explicit RmirSampler(int64_t candidate_pool);
 
   // `interference[i]` scores buffer item i; `current_inputs` is the batch of
   // current observations [B, M, N, C] (its mean over B is the reference).
@@ -45,10 +40,8 @@ class RmirSampler {
   // (flattened). Returns 0 for degenerate (constant) inputs.
   static float PearsonCorrelation(const Tensor& a, const Tensor& b);
 
-  const RmirConfig& config() const { return config_; }
-
  private:
-  RmirConfig config_;
+  int64_t candidate_pool_;
 };
 
 }  // namespace replay

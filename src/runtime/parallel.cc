@@ -19,6 +19,7 @@ struct RegionGuard {
 };
 
 int DefaultNumThreads() {
+  // lint:allow(banned-call/getenv) URCL_NUM_THREADS, the default pool width.
   if (const char* env = std::getenv("URCL_NUM_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed >= 1) return static_cast<int>(std::min<long>(parsed, 256));

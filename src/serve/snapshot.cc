@@ -6,17 +6,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "tensor/serialize.h"
 
 namespace urcl {
 namespace serve {
-namespace {
-
-// Must match kServeMetaVersion in core/urcl.cc (the writer side of the
-// snapshot contract). Bump both together when the serve_meta layout changes.
-constexpr uint32_t kSupportedServeMetaVersion = 1;
-
-}  // namespace
 
 Status ParseModelSnapshot(const checkpoint::Container& container,
                           const core::UrclConfig& config,
@@ -32,25 +24,9 @@ Status ParseModelSnapshot(const checkpoint::Container& container,
   if (meta_bytes == nullptr) {
     return Status::DataLoss("snapshot container is missing the serve_meta section");
   }
-  // Fixed layout: uint32 schema + int64 {version, stage, step_count}.
-  constexpr size_t kMetaSize = sizeof(uint32_t) + 3 * sizeof(int64_t);
-  if (meta_bytes->size() != kMetaSize) {
-    return Status::DataLoss("serve_meta section has unexpected size " +
-                            std::to_string(meta_bytes->size()));
-  }
-  io::ByteReader meta(*meta_bytes);
-  uint32_t schema = 0;
-  int64_t version = 0;
-  int64_t stage = 0;
-  int64_t step_count = 0;
-  meta.Read(&schema);
-  if (schema != kSupportedServeMetaVersion) {
-    return Status::InvalidArgument("unsupported serve_meta schema version " +
-                                   std::to_string(schema));
-  }
-  meta.Read(&version);
-  meta.Read(&stage);
-  meta.Read(&step_count);
+  core::ServeMeta meta;
+  const Status meta_parsed = core::ParseServeMeta(*meta_bytes, &meta);
+  if (!meta_parsed.ok()) return meta_parsed;
 
   const std::string* model_bytes = container.Find("model");
   if (model_bytes == nullptr) {
@@ -68,9 +44,9 @@ Status ParseModelSnapshot(const checkpoint::Container& container,
   model->LoadStateDict(state);
 
   auto snapshot = std::make_shared<ModelSnapshot>();
-  snapshot->version = version;
-  snapshot->stage = stage;
-  snapshot->step_count = step_count;
+  snapshot->version = meta.version;
+  snapshot->stage = meta.stage;
+  snapshot->step_count = meta.step_count;
   snapshot->model = std::move(model);
   *out = std::move(snapshot);
   return Status::Ok();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/check.h"
 
@@ -121,20 +120,7 @@ BufferPool::BufferPool()
       live_bytes_(obs::MetricsRegistry::Get().GetGauge("urcl.pool.live_bytes")),
       pooled_bytes_(obs::MetricsRegistry::Get().GetGauge("urcl.pool.pooled_bytes")),
       capacity_bytes_(kDefaultCapacityBytes),
-#ifdef NDEBUG
-      poison_enabled_(false)
-#else
-      poison_enabled_(true)
-#endif
-{
-  if (const char* env = std::getenv("URCL_POOL_POISON")) poison_enabled_ = ParseEnabled(env);
-}
-
-bool BufferPool::ParseEnabled(const char* value) {
-  if (value == nullptr) return true;
-  const std::string v(value);
-  return !(v == "off" || v == "0" || v == "false" || v == "OFF");
-}
+      poison_enabled_(check::IntegrityChecksDefault()) {}
 
 void BufferPool::FreeRaw(float* ptr) { std::free(ptr); }
 

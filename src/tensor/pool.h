@@ -18,8 +18,8 @@
 // Poisoning (DESIGN.md §9): recycling makes use-after-release and
 // read-before-write of `Tensor::Uninitialized` storage invisible to heap
 // tooling — the pool owns the memory either way. When poisoning is enabled
-// (default in debug builds; URCL_POOL_POISON=1/0 overrides, and tests can
-// flip it at runtime), every cached free-list buffer and every
+// (URCL_CHECK sets it, with the graph checks: on by default in debug builds;
+// tests can flip it at runtime), every cached free-list buffer and every
 // non-zero-filled acquisition is filled with kPoisonWord, a signaling-NaN bit
 // pattern: a kernel that reads a byte it never wrote produces NaNs that trip
 // AllFinite/tests instead of silently wrong numbers, and unwritten output
@@ -132,14 +132,12 @@ class BufferPool {
   int64_t Trim();
 
   bool poison_enabled() const;
-  // Test hook; URCL_POOL_POISON (else NDEBUG) sets the initial value.
+  // Test hook; check::IntegrityChecksDefault() (URCL_CHECK, else NDEBUG) sets
+  // the initial value.
   void set_poison_enabled(bool enabled);
 
   void set_capacity_bytes(uint64_t cap);
   uint64_t capacity_bytes() const;
-
-  // Parsing helpers, exposed for tests ("off"/"0"/"false" disable).
-  static bool ParseEnabled(const char* value);
 
  private:
   BufferPool();

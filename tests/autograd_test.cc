@@ -180,6 +180,16 @@ TEST(OpsTest, StopGradientBlocksFlow) {
   EXPECT_FLOAT_EQ(x.grad().Item(), 9.0f);
 }
 
+TEST(OpsTest, StopGradientSharesTheInputStorageAndRecordsNoParents) {
+  Variable x(Tensor::Ones(Shape{2, 3}), true);
+  const Variable squared = Mul(x, x);
+  const Variable stopped = StopGradient(squared);
+  EXPECT_STREQ(stopped.op_name(), "stop_gradient");
+  EXPECT_FALSE(stopped.requires_grad());
+  EXPECT_TRUE(stopped.internal_node()->parents.empty());
+  EXPECT_EQ(stopped.value().data(), squared.value().data());
+}
+
 TEST(OpsTest, SoftmaxGradSumsToZero) {
   Rng rng(4);
   Variable a(Tensor::RandomNormal(Shape{2, 5}, rng), true);

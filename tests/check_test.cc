@@ -4,8 +4,9 @@
 // against a seeded defect that must be caught, plus a clean-path test proving
 // no false positives (including a full trainer stage with checks forced on).
 //
-// The tier-1 build is Release, where the URCL_CHECK / URCL_POOL_POISON gates
-// default to off — every test toggles the gates explicitly and restores them.
+// The tier-1 build is Release, where URCL_CHECK (the one switch behind both
+// the graph checks and pool poisoning) defaults to off — every test toggles
+// the gates explicitly and restores them.
 #include <cmath>
 
 #include <gtest/gtest.h>

@@ -257,12 +257,12 @@ TEST(StateRoundTripTest, AdamContinuesBitwise) {
     params_b.emplace_back(p.value().Clone(), true);
   }
 
-  nn::Adam a(params_a, 0.01f);
+  nn::Adam a(params_a, {.lr = 0.01f});
   for (int i = 0; i < 7; ++i) step(a, params_a, 0.1f + 0.01f * i);
 
   std::ostringstream saved;
   a.SaveState(saved);
-  nn::Adam b(params_b, 0.01f);
+  nn::Adam b(params_b, {.lr = 0.01f});
   for (size_t i = 0; i < params_b.size(); ++i) params_b[i].SetValue(params_a[i].value().Clone());
   ASSERT_TRUE(b.LoadState(saved.str()).ok());
   EXPECT_EQ(b.step_count(), a.step_count());
@@ -285,14 +285,14 @@ TEST(StateRoundTripTest, AdamRejectsMismatchedState) {
   Rng rng(6);
   std::vector<autograd::Variable> params{
       autograd::Variable(Tensor::RandomNormal(Shape{2, 2}, rng), true)};
-  nn::Adam a(params, 0.01f);
+  nn::Adam a(params, {.lr = 0.01f});
   std::ostringstream saved;
   a.SaveState(saved);
 
   std::vector<autograd::Variable> other{
       autograd::Variable(Tensor::RandomNormal(Shape{2, 2}, rng), true),
       autograd::Variable(Tensor::RandomNormal(Shape{3}, rng), true)};
-  nn::Adam b(other, 0.01f);
+  nn::Adam b(other, {.lr = 0.01f});
   const Status status = b.LoadState(saved.str());
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("parameters"), std::string::npos) << status.message();

@@ -76,8 +76,8 @@ TEST(FlagsTest, ParsesBothForms) {
   Flags flags(7, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("nodes", 0), 24);
   EXPECT_EQ(flags.GetInt("days", 0), 7);
-  EXPECT_TRUE(flags.GetBool("verbose", false));
-  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 0.5);
+  EXPECT_TRUE(flags.Has("verbose"));
+  EXPECT_EQ(flags.GetString("rate", ""), "0.5");
   EXPECT_EQ(flags.GetInt("missing", -1), -1);
   EXPECT_EQ(flags.GetString("missing", "x"), "x");
   EXPECT_TRUE(flags.Has("nodes"));
@@ -98,16 +98,39 @@ TEST(FlagsTest, UnreadFlagsAreAnError) {
   EXPECT_EXIT(flags.ExitOnUnreadFlags(), ::testing::ExitedWithCode(2),
               "unknown flag --nodse\n.*unknown flag --verbose");
 
-  EXPECT_TRUE(flags.GetBool("verbose", false));
+  EXPECT_TRUE(flags.Has("verbose"));
   EXPECT_EQ(flags.GetInt("nodse", 0), 7);
   flags.ExitOnUnreadFlags();  // every given flag was read: returns
+}
+
+TEST(FlagsTest, AFlagWithoutAValueIsGivenAndReadsItsFallback) {
+  const char* argv[] = {"prog", "--csv", "--out=", "--nodes", "6"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_TRUE(flags.Has("csv"));
+  EXPECT_EQ(flags.GetString("csv", "fig8_convergence.csv"), "fig8_convergence.csv");
+  EXPECT_EQ(flags.GetString("out", "a.json"), "");  // given, with an empty value
+  EXPECT_EQ(flags.GetInt("nodes", 12), 6);
+  flags.ExitOnUnreadFlags();
+}
+
+TEST(FlagsTest, AnIntFlagWithoutAWholeNumberIsAnError) {
+  const char* argv[] = {"prog", "--nodes", "abc", "--days", "5x", "--epochs", "--seed=-3"};
+  Flags flags(7, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("nodes", 12), 12);
+  EXPECT_EQ(flags.GetInt("days", 4), 4);
+  EXPECT_EQ(flags.GetInt("epochs", 2), 2);
+  EXPECT_EQ(flags.GetInt("seed", 7), -3);
+  EXPECT_EXIT(flags.ExitOnUnreadFlags(), ::testing::ExitedWithCode(2),
+              "flag --days needs a whole number, got \"5x\"\n"
+              ".*flag --epochs needs a whole number but was given no value\n"
+              ".*flag --nodes needs a whole number, got \"abc\"");
 }
 
 TEST(FlagsTest, HelpListsTheReadFlagsAndExitsZero) {
   const char* argv[] = {"prog", "--help"};
   Flags flags(2, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.5), 0.5);
-  EXPECT_EQ(flags.Usage(), "  --rate (default: 0.5)\n");
+  EXPECT_EQ(flags.GetInt("rate", 5), 5);
+  EXPECT_EQ(flags.Usage(), "  --rate (default: 5)\n");
   EXPECT_EXIT(flags.ExitOnUnreadFlags(), ::testing::ExitedWithCode(0), "");
 }
 

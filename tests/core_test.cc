@@ -373,12 +373,12 @@ TEST(ConfigValidationTest, BackboneConfigReportsEveryBadField) {
   BackboneConfig config = SmallConfig();
   config.num_nodes = 0;
   config.hidden_channels = -1;
-  config.diffusion_steps = 0;
+  config.num_layers = 0;
   const std::vector<std::string> errors = config.Validate();
   ASSERT_EQ(errors.size(), 3u) << FormatConfigErrors(errors);
   EXPECT_NE(errors[0].find("num_nodes"), std::string::npos);
   EXPECT_NE(errors[1].find("hidden_channels"), std::string::npos);
-  EXPECT_NE(errors[2].find("diffusion_steps"), std::string::npos);
+  EXPECT_NE(errors[2].find("num_layers"), std::string::npos);
 }
 
 TEST(ConfigValidationTest, RequiresSomeAdjacencySource) {
@@ -396,11 +396,11 @@ TEST(ConfigValidationTest, UrclConfigPrefixesEncoderErrorsAndChecksOwnFields) {
   config.encoder.num_layers = 0;
   config.replay_sample_count = 64;
   config.buffer_capacity = 32;
-  config.ssl_temperature = 0.0f;
+  config.proj_hidden = 0;
   const std::vector<std::string> errors = config.Validate();
   ASSERT_EQ(errors.size(), 3u) << FormatConfigErrors(errors);
   EXPECT_EQ(errors[0].rfind("encoder: ", 0), 0u);
-  EXPECT_NE(errors[1].find("ssl_temperature"), std::string::npos);
+  EXPECT_NE(errors[1].find("proj_hidden"), std::string::npos);
   EXPECT_NE(errors[2].find("replay_sample_count"), std::string::npos);
 }
 

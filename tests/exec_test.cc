@@ -367,12 +367,15 @@ TEST_F(PlanUnitTest, AbortedRunLeavesPlanBitwiseAndPoolFree) {
 
 // One application of an op for EveryOpReplaysBitwiseAgainstTheTape: input
 // shapes, an input value range clear of the op's poles, and attributes.
+// `times_input` multiplies the op's output by its first input, so the root
+// still needs a gradient after an op whose output takes none.
 struct OpCase {
   ag::record::OpKind kind = ag::record::OpKind::kAdd;
   std::vector<Shape> inputs = {};
   ag::record::OpAttrs attrs = {};
   float lo = -1.5f;
   float hi = 1.5f;
+  bool times_input = false;
 };
 
 std::vector<OpCase> EveryOpCases() {
@@ -410,6 +413,7 @@ std::vector<OpCase> EveryOpCases() {
        .inputs = {Shape{2, 3, 4, 7}, Shape{5, 3, 1, 2}},
        .attrs = {.axis = 2}},
       {.kind = K::kGraphMatMul, .inputs = {Shape{5, 5}, Shape{2, 3, 5, 4}}},
+      {.kind = K::kStopGradient, .inputs = {Shape{3, 4}}, .times_input = true},
   };
 }
 
@@ -435,7 +439,8 @@ TEST_F(PlanUnitTest, EveryOpReplaysBitwiseAgainstTheTape) {
     auto build = [&](const std::vector<Variable>& leaves) {
       std::vector<Variable> inputs;
       for (const Variable& leaf : leaves) inputs.push_back(ag::MulScalar(leaf, 1.0f));
-      const Variable out = ag::Apply(c.kind, inputs, c.attrs);
+      Variable out = ag::Apply(c.kind, inputs, c.attrs);
+      if (c.times_input) out = ag::Mul(out, inputs[0]);
       if (!weight) weight = Ramp(out.shape(), -0.7f, 0.013f);
       return ag::Sum(ag::Mul(out, Variable(*weight, /*requires_grad=*/false)));
     };

@@ -83,6 +83,24 @@ TEST(RepoLintTest, FlagsBarePrintfButNotStderrVariants) {
   EXPECT_FALSE(Has(ok, "banned-call/printf")) << FormatFindings(ok);
 }
 
+TEST(RepoLintTest, FlagsGetenvInLibraryCodeUnlessAllowed) {
+  const auto bad = LintFileContent(
+      "src/x.cc", "if (const char* env = std::getenv(\"URCL_NEW\")) on = true;\n",
+      LibraryOptions());
+  EXPECT_TRUE(Has(bad, "banned-call/getenv"));
+  const auto allowed = LintFileContent(
+      "src/x.cc",
+      "// lint:allow(banned-call/getenv) a sanctioned switch\n"
+      "const char* env = getenv(\"URCL_CHECK\");\n"
+      "const char* name = \"getenv()\";  // only in a string\n",
+      LibraryOptions());
+  EXPECT_FALSE(Has(allowed, "banned-call/getenv")) << FormatFindings(allowed);
+  Options tree = LibraryOptions();
+  tree.library_rules = false;  // bench/, examples/, tests/
+  EXPECT_FALSE(Has(LintFileContent("bench/x.cc", "std::getenv(\"X\");\n", tree),
+                   "banned-call/getenv"));
+}
+
 TEST(RepoLintTest, FlagsDirectClockReadsUnlessAllowed) {
   const std::string source = "auto t = std::chrono::steady_clock::now();\n";
   EXPECT_TRUE(Has(LintFileContent("src/x.cc", source, LibraryOptions()),

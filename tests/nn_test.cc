@@ -86,6 +86,37 @@ TEST(ModuleTest, NamedParametersArePrefixed) {
   EXPECT_EQ(named[3].first, "layer1.bias");
 }
 
+// Own parameters registered around two children, one of them nested, so the
+// walk covers each level's own parameters before its children.
+class TwoLevelModule : public Module {
+ public:
+  explicit TwoLevelModule(Rng& rng) : inner_({2, 3, 1}, rng), head_(1, 2, rng) {
+    RegisterParameter("scale", Tensor::Ones(Shape{2}));
+    RegisterChild("inner", &inner_);
+    RegisterChild("head", &head_);
+    RegisterParameter("shift", Tensor::Zeros(Shape{2}));
+  }
+
+ private:
+  Mlp inner_;
+  Linear head_;
+};
+
+TEST(ModuleTest, ParametersAreTheNamedParametersInOrder) {
+  Rng rng(11);
+  TwoLevelModule module(rng);
+  const std::vector<Variable> params = module.Parameters();
+  const auto named = module.NamedParameters();
+  ASSERT_EQ(params.size(), 8u);  // scale, shift, inner's 2 x (w, b), head's (w, b)
+  ASSERT_EQ(named.size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(params[i].id(), named[i].second.id()) << named[i].first;
+  }
+  EXPECT_EQ(named[1].first, "shift");
+  EXPECT_EQ(named[2].first, "inner.layer0.weight");
+  EXPECT_EQ(named[7].first, "head.bias");
+}
+
 TEST(ModuleTest, NumParametersCounts) {
   Rng rng(9);
   Linear layer(3, 5, rng);

@@ -30,14 +30,14 @@ float MinimizeQuadratic(Adam& opt, Variable& w, int steps) {
 
 TEST(AdamTest, ConvergesOnQuadratic) {
   Variable w(Tensor::Scalar(10.0f), true);
-  Adam adam({w}, 0.2f);
+  Adam adam({w}, {.lr = 0.2f});
   EXPECT_NEAR(MinimizeQuadratic(adam, w, 300), 3.0f, 1e-2);
 }
 
 TEST(AdamTest, FirstStepIsLrSized) {
   // With bias correction, the first Adam step is ~lr * sign(grad).
   Variable w(Tensor::Scalar(5.0f), true);
-  Adam adam({w}, 0.1f);
+  Adam adam({w}, {.lr = 0.1f});
   adam.ZeroGrad();
   ag::Square(w).Backward();
   adam.Step();
@@ -46,7 +46,7 @@ TEST(AdamTest, FirstStepIsLrSized) {
 
 TEST(AdamTest, WeightDecayShrinksWeights) {
   Variable w(Tensor::Scalar(1.0f), true);
-  Adam adam({w}, 0.01f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/1.0f);
+  Adam adam({w}, {.lr = 0.01f, .weight_decay = 1.0f});
   for (int i = 0; i < 50; ++i) {
     adam.ZeroGrad();
     // Zero-gradient objective; only decay acts.
@@ -63,7 +63,7 @@ TEST(AdamTest, TrainsLinearRegression) {
   Tensor xs = Tensor::RandomUniform(Shape{32, 1}, rng, -1.0f, 1.0f);
   Tensor ys = top::AddScalar(top::MulScalar(xs, 2.0f), 1.0f);
   Linear model(1, 1, rng);
-  Adam adam(model.Parameters(), 0.05f);
+  Adam adam(model.Parameters(), {.lr = 0.05f});
   float last_loss = 1e9f;
   for (int epoch = 0; epoch < 200; ++epoch) {
     adam.ZeroGrad();
@@ -77,7 +77,7 @@ TEST(AdamTest, TrainsLinearRegression) {
 
 TEST(ClipGradNormTest, ScalesDownLargeGradients) {
   Variable w(Tensor::FromVector(Shape{2}, {3.0f, 4.0f}), true);
-  Adam adam({w}, 1.0f);
+  Adam adam({w}, {.lr = 1.0f});
   adam.ZeroGrad();
   // grad = w (norm 5) for loss = 0.5*||w||^2
   Variable loss = ag::MulScalar(ag::Sum(ag::Square(w)), 0.5f);
@@ -91,7 +91,7 @@ TEST(ClipGradNormTest, ScalesDownLargeGradients) {
 
 TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   Variable w(Tensor::FromVector(Shape{2}, {0.3f, 0.4f}), true);
-  Adam adam({w}, 1.0f);
+  Adam adam({w}, {.lr = 1.0f});
   adam.ZeroGrad();
   ag::MulScalar(ag::Sum(ag::Square(w)), 0.5f).Backward();
   adam.ClipGradNorm(10.0f);
@@ -100,7 +100,7 @@ TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
 
 TEST(OptimizerTest, RejectsNonTrainableParams) {
   Variable w(Tensor::Scalar(1.0f), /*requires_grad=*/false);
-  EXPECT_DEATH(Adam({w}, 0.1f), "non-trainable");
+  EXPECT_DEATH(Adam({w}, {.lr = 0.1f}), "non-trainable");
 }
 
 // --- Opt-in robustness guard (AdamConfig::check_finite).
@@ -135,7 +135,7 @@ TEST(AdamGuardTest, CheckFiniteOffTrainsOnNan) {
   // Without the guard, a NaN gradient silently poisons the parameter — the
   // guard (and the trainer quarantine built on it) is what prevents this.
   Variable w(Tensor::Scalar(1.0f), true);
-  Adam adam({w}, 0.1f);
+  Adam adam({w}, {.lr = 0.1f});
   adam.ZeroGrad();
   w.AccumulateGrad(Tensor::Scalar(std::numeric_limits<float>::quiet_NaN()));
   adam.Step();

@@ -1,6 +1,6 @@
-// BufferPool behaviour: reuse, stats accounting, cap-with-trim, the env-flag
-// parser, steady-state training hitting the free lists instead of the
-// allocator, and concurrent acquire/release (run this binary
+// BufferPool behaviour: reuse, stats accounting, cap-with-trim, the
+// URCL_CHECK value parser, steady-state training hitting the free lists
+// instead of the allocator, and concurrent acquire/release (run this binary
 // under -DURCL_SANITIZE=thread to check the locking).
 //
 // The pool is process-global and shared with every tensor gtest allocates,
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "core/urcl.h"
 #include "data/synthetic.h"
 #include "obs/metrics.h"
@@ -99,14 +100,15 @@ TEST_F(PoolTest, CapacityCapTrimsInsteadOfCaching) {
   EXPECT_EQ(stats.pooled_bytes, 0u);
 }
 
+// URCL_CHECK sets the pool's initial poisoning through this parser.
 TEST_F(PoolTest, ParseEnabledMatchesDocumentedValues) {
-  EXPECT_FALSE(BufferPool::ParseEnabled("off"));
-  EXPECT_FALSE(BufferPool::ParseEnabled("OFF"));
-  EXPECT_FALSE(BufferPool::ParseEnabled("0"));
-  EXPECT_FALSE(BufferPool::ParseEnabled("false"));
-  EXPECT_TRUE(BufferPool::ParseEnabled("on"));
-  EXPECT_TRUE(BufferPool::ParseEnabled("1"));
-  EXPECT_TRUE(BufferPool::ParseEnabled(nullptr));
+  EXPECT_FALSE(check::ParseEnabledValue("off"));
+  EXPECT_FALSE(check::ParseEnabledValue("OFF"));
+  EXPECT_FALSE(check::ParseEnabledValue("0"));
+  EXPECT_FALSE(check::ParseEnabledValue("false"));
+  EXPECT_TRUE(check::ParseEnabledValue("on"));
+  EXPECT_TRUE(check::ParseEnabledValue("1"));
+  EXPECT_TRUE(check::ParseEnabledValue(nullptr));
 }
 
 TEST_F(PoolTest, RecycledZerosTensorIsZeroed) {

@@ -151,7 +151,7 @@ class RmirSelectTest : public ::testing::Test {
 };
 
 TEST_F(RmirSelectTest, PrefersHighInterference) {
-  RmirSampler sampler(RmirConfig{/*candidate_pool=*/3, /*virtual_lr=*/0.1f});
+  RmirSampler sampler(/*candidate_pool=*/3);
   // Interference peaks at items 1, 2, 3.
   std::vector<float> interference = {0, 10, 9, 8, 0, 0, 0, 0};
   const auto selected = sampler.Select(buffer_, current_, interference, 3);
@@ -160,7 +160,7 @@ TEST_F(RmirSelectTest, PrefersHighInterference) {
 }
 
 TEST_F(RmirSelectTest, ReRanksBySimilarityWithinPool) {
-  RmirSampler sampler(RmirConfig{/*candidate_pool=*/8, /*virtual_lr=*/0.1f});
+  RmirSampler sampler(/*candidate_pool=*/8);
   // All equal interference: similarity should decide; every item here is a
   // perfect linear pattern so all have correlation 1 except degenerate item 0.
   std::vector<float> interference(8, 1.0f);
@@ -171,20 +171,19 @@ TEST_F(RmirSelectTest, ReRanksBySimilarityWithinPool) {
 }
 
 TEST_F(RmirSelectTest, EmptySampleCountGivesEmpty) {
-  RmirSampler sampler(RmirConfig{4, 0.1f});
+  RmirSampler sampler(/*candidate_pool=*/4);
   std::vector<float> interference(8, 1.0f);
   EXPECT_TRUE(sampler.Select(buffer_, current_, interference, 0).empty());
 }
 
 TEST_F(RmirSelectTest, ScoreSizeMismatchDies) {
-  RmirSampler sampler(RmirConfig{4, 0.1f});
+  RmirSampler sampler(/*candidate_pool=*/4);
   std::vector<float> wrong(3, 1.0f);
   EXPECT_DEATH(sampler.Select(buffer_, current_, wrong, 2), "one interference score");
 }
 
 TEST(RmirConfigTest, InvalidConfigDies) {
-  EXPECT_DEATH(RmirSampler(RmirConfig{0, 0.1f}), "Check failed");
-  EXPECT_DEATH(RmirSampler(RmirConfig{4, 0.0f}), "Check failed");
+  EXPECT_DEATH(RmirSampler(/*candidate_pool=*/0), "Check failed");
 }
 
 }  // namespace

@@ -818,8 +818,8 @@ TEST(SimdAdamTest, StepBitwiseMatchesScalarReference) {
     adam.ZeroGrad();
     for (size_t i = 0; i < params.size(); ++i) params[i].AccumulateGrad(grads[i]);
     adam.Step();
-    const float bc1 = 1.0f - std::pow(config.beta1, static_cast<float>(step));
-    const float bc2 = 1.0f - std::pow(config.beta2, static_cast<float>(step));
+    const float bc1 = 1.0f - std::pow(nn::kAdamBeta1, static_cast<float>(step));
+    const float bc2 = 1.0f - std::pow(nn::kAdamBeta2, static_cast<float>(step));
     for (size_t i = 0; i < params.size(); ++i) {
       float* pv = ref_values[i].mutable_data();
       float* pm = ref_m[i].mutable_data();
@@ -827,11 +827,11 @@ TEST(SimdAdamTest, StepBitwiseMatchesScalarReference) {
       const float* pg = grads[i].data();
       for (int64_t j = 0; j < ref_values[i].NumElements(); ++j) {
         const float grad = pg[j] + config.weight_decay * pv[j];
-        pm[j] = config.beta1 * pm[j] + (1.0f - config.beta1) * grad;
-        pvv[j] = config.beta2 * pvv[j] + (1.0f - config.beta2) * grad * grad;
+        pm[j] = nn::kAdamBeta1 * pm[j] + (1.0f - nn::kAdamBeta1) * grad;
+        pvv[j] = nn::kAdamBeta2 * pvv[j] + (1.0f - nn::kAdamBeta2) * grad * grad;
         const float m_hat = pm[j] / bc1;
         const float v_hat = pvv[j] / bc2;
-        pv[j] -= config.lr * m_hat / (std::sqrt(v_hat) + config.epsilon);
+        pv[j] -= config.lr * m_hat / (std::sqrt(v_hat) + nn::kAdamEpsilon);
       }
       EXPECT_TRUE(BitEq(params[i].value(), ref_values[i]))
           << "param " << i << " after step " << step;

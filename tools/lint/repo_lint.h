@@ -13,6 +13,11 @@
 //                                std containers;
 //     banned-call/printf         bare printf to stdout in library code —
 //                                diagnostics go to stderr or the obs layer;
+//     banned-call/getenv         environment reads in library code — each
+//                                env switch is a hidden setting; the five
+//                                kept (URCL_CHECK, URCL_FAULT, URCL_OBS,
+//                                URCL_NUM_THREADS, URCL_BLACKBOX_DIR) carry
+//                                lint:allow markers;
 //     banned-call/clock          direct std::chrono clock reads outside
 //                                common/stopwatch.h — timing goes through
 //                                Stopwatch so tests can reason about it.

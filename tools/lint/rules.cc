@@ -126,6 +126,10 @@ void BannedCallPass(const SourceFile& file, const Options& options,
       Add(findings, file.path, n, "banned-call/printf",
           "bare printf in library code; write to stderr or use the obs layer");
     }
+    if (HasCall(code, "getenv") && !LineSuppressed(file, n, "banned-call/getenv")) {
+      Add(findings, file.path, n, "banned-call/getenv",
+          "environment switch in library code; take a setting from the caller instead");
+    }
   }
 }
 
@@ -137,11 +141,11 @@ void BannedCallPass(const SourceFile& file, const Options& options,
 // dropped on the floor, plus `(void)` laundering of the same calls.
 // Expression-position uses (assignment, return, condition, argument) pass.
 const char* const kStatusReturningNames[] = {
-    "AdmitSnapshot", "AdmitSnapshotBytes",     "Deserialize", "FinishPrediction",
-    "Forecast",      "LoadNewestValid",        "LoadState",   "Parse",
-    "ParseModelSnapshot", "Predict",           "ReadFile",    "RestoreFromCheckpointDir",
-    "Save",          "SaveFullCheckpoint",     "TryImportSeriesCsv",
-    "WriteChromeTrace",   "WriteFile"};
+    "AdmitSnapshot", "AdmitSnapshotBytes",     "Deserialize",    "FinishPrediction",
+    "Forecast",      "LoadNewestValid",        "LoadState",      "Parse",
+    "ParseModelSnapshot", "ParseServeMeta",    "Predict",        "ReadFile",
+    "RestoreFromCheckpointDir",                "Save",           "SaveFullCheckpoint",
+    "TryImportSeriesCsv", "WriteChromeTrace",  "WriteFile"};
 
 // True when `prefix` (the code before the called name on its line) can only
 // be a receiver expression: identifier chars, member/scope accessors and
